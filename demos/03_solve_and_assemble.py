@@ -7,7 +7,7 @@ the fast field w at each visit.  The result is assembled into an explicit
 doubly periodic solution u(x, t) whose residual in the original equation
 u_tt - u_xx + u = f(u) is then measured on a fine grid.
 
-Run time: roughly ten seconds.  Usage: python3 demos/03_solve_and_assemble.py
+Run time: a few seconds.  Usage: python3 demos/03_solve_and_assemble.py
 """
 
 import numpy as np

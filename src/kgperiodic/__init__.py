@@ -49,21 +49,19 @@ from .divisors import (
     window_measure,
 )
 from .solver import (
-    NearSingularError,
+    LinearizedOperator,
     NonConvergenceError,
     SolverConfig,
     SolverRun,
     assemble_F,
-    assemble_L,
-    invert_L_N,
     nash_moser_solve,
-    oracle_newton_solve,
     resonance_gate,
 )
 from .closure import (
     ClosureConsistencyError,
     ClosureResult,
     DegenerateOrbitError,
+    IntegrationError,
     OuterLoopError,
     check_closure,
     hamiltonian_H,

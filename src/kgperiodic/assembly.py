@@ -24,13 +24,14 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.stats import linregress
 
-from .closure import ClosureResult, solve_delta1
+from .closure import (ClosureResult, DegenerateOrbitError, IntegrationError,
+                      OuterLoopError, solve_delta1)
 from .divisors import ResonanceError, ResonanceParams
 from .fourier import SpaceTimeField
 from .nonlinearity import Nonlinearity
 from .planar import NoPeriodicOrbitError, PlanarOrbit, find_orbit
-from .solver import (NearSingularError, NonConvergenceError, SolverConfig,
-                     eps_derivative_norm, resonance_gate)
+from .solver import (NonConvergenceError, SolverConfig, eps_derivative_norm,
+                     resonance_gate)
 
 Array = NDArray[np.float64]
 
@@ -292,8 +293,8 @@ def _sweep_one(args) -> SweepRow:
                         residual=math.nan, max_u_over_eps=math.nan,
                         tail=math.nan, delta1=math.nan, w_norm_1=math.nan,
                         message=str(ex))
-    except (NonConvergenceError, NearSingularError, NoPeriodicOrbitError,
-            RuntimeError) as ex:
+    except (NonConvergenceError, OuterLoopError, DegenerateOrbitError,
+            NoPeriodicOrbitError, IntegrationError) as ex:
         return SweepRow(eps=eps, resonant_skip=False, converged=False,
                         residual=math.nan, max_u_over_eps=math.nan,
                         tail=math.nan, delta1=math.nan, w_norm_1=math.nan,
@@ -314,9 +315,11 @@ def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
                   check_eps_derivative: bool = False) -> SweepReport:
     """Run the full pipeline per eps and aggregate the theorem's fit laws.
 
-    Resonant entries are skipped with a report line; failed rows are
-    recorded and the sweep continues.  Rows are deterministic and emitted
-    sorted by eps regardless of parallel schedule.
+    Resonant entries are skipped with a report line; documented solve
+    failures (non-convergence, degenerate or missing orbit, failed
+    integration) become failed rows and the sweep continues, while logic
+    errors such as `ClosureConsistencyError` propagate.  Rows are
+    deterministic and emitted sorted by eps regardless of parallel schedule.
     """
     solver_cfg = solver_cfg or SolverConfig()
     eps_sorted = sorted(float(e) for e in eps_list)

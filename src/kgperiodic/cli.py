@@ -8,7 +8,8 @@ so a run can be reproduced from any one of its artifacts.
 Exit codes:
     0  success
     1  invalid config (field-level message on stderr)
-    2  requested epsilon falls in a resonance window (window named)
+    2  requested epsilon falls in a resonance window (window named), or the
+       linearization's sigma_min enclosure collapses there (divisor named)
     3  degenerate or missing planar orbit
     4  solver non-convergence (diagnostics written) or selftest failure
     5  sweep finished with too few converged rows for the fit laws
@@ -36,7 +37,7 @@ from .divisors import (
 from .nonlinearity import Nonlinearity
 from .planar import NoPeriodicOrbitError, find_orbit, monodromy
 from .properties import DEFAULT_SEED, run_all
-from .solver import NearSingularError, NonConvergenceError, SolverConfig
+from .solver import NonConvergenceError, SolverConfig
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -81,6 +82,8 @@ def _get_number(cfg: dict, key: str, default, lo=None, hi=None,
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {key!r} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"field {key!r} must be finite, got {value}")
     if integer:
         if float(value) != int(value):
             raise ConfigError(f"field {key!r} must be an integer")
@@ -272,9 +275,9 @@ def cmd_solve(cfg: dict) -> int:
     amplitude = _get_number(cfg, "amplitude", 0.9)
     if amplitude is None or amplitude <= 0.0:
         raise ConfigError("field 'amplitude' must be a positive number")
-    eps = _get_number(cfg, "eps", None, lo=None)
-    if eps is None or eps <= 0.0:
-        raise ConfigError("field 'eps' must be a positive number")
+    eps = _get_number(cfg, "eps", None)
+    if eps is None or not 0.0 < eps < 1.0:
+        raise ConfigError("field 'eps' must be a number in (0, 1)")
     params, resolved_res = _resonance_params(cfg)
     solver_cfg, resolved_solver = _solver_config(cfg, params)
     out = _out_dir(cfg)
@@ -291,9 +294,6 @@ def cmd_solve(cfg: dict) -> int:
         closure = solve_delta1(orbit, eps, model, solver=solver_cfg)
     except ResonanceError as ex:
         print(f"resonant epsilon: {ex}", file=sys.stderr)
-        return EXIT_RESONANT
-    except NearSingularError as ex:
-        print(f"near-singular linearization: {ex}", file=sys.stderr)
         return EXIT_RESONANT
     except DegenerateOrbitError as ex:
         print(f"degenerate orbit: {ex}", file=sys.stderr)
@@ -369,9 +369,9 @@ def cmd_sweep(cfg: dict) -> int:
     eps_list = cfg.get("eps_list")
     if (not isinstance(eps_list, list) or not eps_list
             or not all(isinstance(e, (int, float)) and not isinstance(e, bool)
-                       and e > 0 for e in eps_list)):
+                       and 0.0 < e < 1.0 for e in eps_list)):
         raise ConfigError("field 'eps_list' must be a non-empty list of "
-                          "positive numbers")
+                          "numbers in (0, 1)")
     eps_list = [float(e) for e in eps_list]
     params, resolved_res = _resonance_params(cfg)
     solver_cfg, resolved_solver = _solver_config(cfg, params)

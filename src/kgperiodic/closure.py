@@ -31,6 +31,7 @@ __all__ = [
     "DegenerateOrbitError",
     "ClosureConsistencyError",
     "OuterLoopError",
+    "IntegrationError",
     "time_p_map",
     "integrate_v",
     "solve_delta1",
@@ -47,6 +48,10 @@ class DegenerateOrbitError(RuntimeError):
 
 class ClosureConsistencyError(RuntimeError):
     """d and the H-mismatch disagree with the invariance argument."""
+
+
+class IntegrationError(RuntimeError):
+    """The slow-equation integrator failed over one period."""
 
 
 class OuterLoopError(RuntimeError):
@@ -111,7 +116,7 @@ def integrate_v(V0: PlanarState, w: SpaceTimeField | None, eps: float,
     sol = solve_ivp(rhs, (0.0, period), [V0.p, V0.p_tau], t_eval=t_eval,
                     dense_output=False, **_IVP_OPTS)
     if not sol.success:
-        raise RuntimeError(f"slow-equation integration failed: {sol.message}")
+        raise IntegrationError(f"slow-equation integration failed: {sol.message}")
     traj = VTrajectory(period=period,
                        v_samples=sol.y[0, :n_samples].copy(),
                        v_tau_samples=sol.y[1, :n_samples].copy(),

@@ -36,6 +36,7 @@ __all__ = [
     "ResonanceError",
     "averaged_potential",
     "hill_eigs",
+    "multiplication_matrix",
     "epsilon_kj",
     "is_resonant",
     "window_measure",
@@ -49,11 +50,17 @@ class CoverageError(ValueError):
 
 
 class ResonanceError(RuntimeError):
-    """A computation was attempted at a resonant epsilon."""
+    """A computation was attempted at a resonant epsilon.
 
-    def __init__(self, message: str, report: "ResonanceReport | None" = None):
+    ``report`` carries the gate's window verdict; ``culprit`` the divisor
+    (k, j) named by a collapsed linearization.
+    """
+
+    def __init__(self, message: str, report: "ResonanceReport | None" = None,
+                 culprit: tuple[int, int] | None = None):
         super().__init__(message)
         self.report = report
+        self.culprit = culprit
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,21 @@ class HillSpectrum:
         return basis @ self.eigenvectors[:, j]
 
 
+def multiplication_matrix(e: Array, J: int) -> Array:
+    """Matrix of h -> q h in the orthonormal cosine basis, j = 0..J.
+
+    ``e[..., n] = (1/p) integral q cos_n`` for n = 0..2J (the mean at
+    n = 0, half the cosine coefficient beyond).  Entry (j, j') is
+    ``e[j + j'] + e[|j - j'|]`` (Toeplitz plus Hankel), with the j = 0 row
+    and column scaled by 1/sqrt(2); leading axes of ``e`` are batch axes.
+    """
+    j = np.arange(J + 1)
+    E = e[..., j[:, None] + j[None, :]] + e[..., np.abs(j[:, None] - j[None, :])]
+    E[..., 0, :] /= np.sqrt(2.0)
+    E[..., :, 0] /= np.sqrt(2.0)
+    return E
+
+
 def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     """Dense symmetric cosine-Galerkin eigensolve of -d_tautau + q.
 
@@ -157,10 +179,7 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     e = 0.5 * q_hat.copy()
     e[0] = q_hat[0]
     j = np.arange(J_max + 1)
-    E = e[j[:, None] + j[None, :]] + e[np.abs(j[:, None] - j[None, :])]
-    E[0, :] /= np.sqrt(2.0)
-    E[:, 0] /= np.sqrt(2.0)
-    A = E + np.diag((2.0 * np.pi * j / period) ** 2)
+    A = multiplication_matrix(e, J_max) + np.diag((2.0 * np.pi * j / period) ** 2)
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(A)))):
         raise AssertionError("Hill matrix assembly lost symmetry")
     lam, vec = eigh(A)

@@ -30,7 +30,6 @@ __all__ = [
     "SpaceTimeField",
     "EvenField",
     "x_grid",
-    "tau_grid",
     "sin_synthesis_matrix",
     "cos_synthesis_matrix",
     "sin_analyze",
@@ -55,11 +54,6 @@ class AliasingError(ValueError):
 def x_grid(M: int) -> Array:
     """Uniform grid of M points on [-pi, pi)."""
     return -np.pi + 2.0 * np.pi * np.arange(M) / M
-
-
-def tau_grid(period: float, M: int) -> Array:
-    """Uniform grid of M points on [0, period)."""
-    return period * np.arange(M) / M
 
 
 @lru_cache(maxsize=64)

@@ -44,7 +44,6 @@ __all__ = [
     "projected_g",
     "transformed_g",
     "multiplier_values",
-    "drive_history_rows",
 ]
 
 # Largest constant c for which the drive-decay ratios stay below 1 when
@@ -228,8 +227,3 @@ def multiplier_values(sys: TransformedSystem, traj: VTrajectory,
     if w_values is not None:
         xi = xi + w_values
     return (-1.0 / (1.0 + sys.eps**2)) * sys.model.scaled_deriv(xi, sys.eps)
-
-
-def drive_history_rows(sys: TransformedSystem) -> list[tuple[int, float, float]]:
-    """Rows (k, eps, drive_norm) for CSV export."""
-    return [(k, sys.eps, nrm) for k, nrm in enumerate(sys.drive_norm_history)]

@@ -9,25 +9,28 @@ a nested sequence of spatial truncations N_1 < N_2 < ... (each stage a damped
 Newton iteration on the truncated system) and certifies the final residual by
 an independent re-evaluation on a doubled collocation grid.
 
-Matrices are assembled in the L^2-orthonormal basis (temporal cosines with
-the j = 0 row scaled by 1/sqrt(2)); the multiplication operator is built by
-exact cosine convolution of per-slice sine-basis blocks, which makes L
-symmetric to machine precision by construction.
+Each Newton step solves with the linearization L in the L^2-orthonormal
+basis (temporal cosines with the j = 0 row scaled by 1/sqrt(2)).  L is
+applied matrix-free; it is block-diagonal in sin(k x) up to an O(eps^2)
+coupling, each block a Hill operator in tau, and the exact inverse of that
+block diagonal preconditions a GMRES solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import lu_factor, lu_solve, svdvals
+from scipy.sparse.linalg import LinearOperator, gmres
 
-from .divisors import (DivisorTable, HillSpectrum, ResonanceError,
-                       ResonanceParams, averaged_potential, divisor_min,
-                       hill_eigs, is_resonant)
-from .fourier import SpaceTimeField, cos_synthesis_matrix, sin_synthesis_matrix
+from .divisors import (DivisorTable, ResonanceError, ResonanceParams,
+                       averaged_potential, hill_eigs, is_resonant,
+                       multiplication_matrix)
+from .fourier import (SpaceTimeField, cos_synthesis_matrix,
+                      sin_synthesis_matrix, x_grid)
 from .nonlinearity import Nonlinearity
 from .normalform import (TransformedSystem, identity_system, multiplier_values,
                          nf_sequence, transformed_g)
@@ -40,15 +43,12 @@ __all__ = [
     "SolverRun",
     "StageRecord",
     "InversionReport",
-    "NearSingularError",
+    "LinearizedOperator",
     "NonConvergenceError",
     "FITTED_C",
     "schedule_for",
     "assemble_F",
-    "assemble_L",
-    "invert_L_N",
     "nash_moser_solve",
-    "oracle_newton_solve",
     "eps_derivative_norm",
     "sigma_min_law_samples",
 ]
@@ -60,6 +60,9 @@ __all__ = [
 # frozen value keeps a ~17% margin below the observed minimum.
 FITTED_C = 2.0
 
+# Relative residual target of the block-preconditioned GMRES solve.
+GMRES_RTOL = 1e-14
+
 
 class NonConvergenceError(RuntimeError):
     """Newton failed to reach the stage tolerance; carries the stage history."""
@@ -67,14 +70,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, stages=()):
         super().__init__(message)
         self.stages = tuple(stages)
-
-
-class NearSingularError(RuntimeError):
-    """The truncated linearization is numerically singular."""
-
-    def __init__(self, message: str, culprit: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.culprit = culprit
 
 
 @dataclass(frozen=True)
@@ -205,61 +200,16 @@ def assemble_F(V_traj: VTrajectory, w: SpaceTimeField, eps: float,
     return lin + (eps**2) * g
 
 
-def assemble_L(V_traj: VTrajectory, w: SpaceTimeField, eps: float,
-               model: Nonlinearity | None, N: int,
-               sys: TransformedSystem | None = None,
-               N_tau: int | None = None,
-               M_tau: int | None = None, M_x: int | None = None) -> Array:
-    """Dense symmetric matrix of L = J_eps + eps^2(-d_tautau + D_w gbar).
-
-    Rows/columns run over (j = 0..N_tau, k = 2..N) in the orthonormal
-    temporal basis.  The multiplication part is assembled per tau-slice in
-    the sine basis and coupled in j by exact cosine convolution, so the
-    result is symmetric to machine precision.
-    """
-    N_tau = w.band_tau if N_tau is None else N_tau
-    if N > w.band_x:
-        raise ValueError("truncation N exceeds the field band")
-    if sys is None:
-        sys = identity_system(model=model, eps=eps, N_x=w.band_x,
-                              N_tau=N_tau, period=w.period)
-    dM_tau, dM_x = _grids(N, N_tau)
-    M_tau = M_tau or dM_tau
-    M_x = M_x or dM_x
-    if M_tau < 4 * N_tau + 2:
-        raise ValueError("M_tau too small to alias-free couple 2*N_tau cosines")
-
-    sym = _linear_symbol(w.period, eps, N_tau, N)[:, 2:]   # (N_tau+1, N-1)
-    n = (N_tau + 1) * (N - 1)
-    L = np.zeros((n, n))
-    idx = np.arange(n)
-    L[idx, idx] = sym.ravel()
-
-    if sys.model is None:
-        return L
-
-    w_values = w.values_grid(M_tau, M_x)
-    m_vals = multiplier_values(sys, V_traj, w_values, M_tau=M_tau, M_x=M_x)
-
-    X = sin_synthesis_matrix(M_x, N)[:, 2:]                # (M_x, N-1)
-    B = np.einsum("mi,ik,il->mkl", m_vals, X, X, optimize=True) * (2.0 / M_x)
-    n_max = 2 * N_tau
-    theta = 2.0 * np.pi * np.arange(M_tau) / M_tau
-    cosM = np.cos(np.outer(np.arange(n_max + 1), theta))   # (n_max+1, M_tau)
-    c = np.einsum("nm,mkl->nkl", cosM, B, optimize=True) / M_tau
-
-    jj = np.arange(N_tau + 1)
-    blocks = c[jj[:, None] + jj[None, :]] + c[np.abs(jj[:, None] - jj[None, :])]
-    blocks[0, :] /= np.sqrt(2.0)
-    blocks[:, 0] /= np.sqrt(2.0)
-    mult = blocks.transpose(0, 2, 1, 3).reshape(n, n)
-    L += (eps**2) * mult
-    return L
-
-
 @dataclass(frozen=True)
 class InversionReport:
+    """Conditioning of one truncated linearization.
+
+    ``sigma_min`` is the smallest |eigenvalue| of the Hill blocks; the
+    smallest singular value of L lies within ``sigma_radius`` of it.
+    """
+
     sigma_min: float
+    sigma_radius: float
     N: int
     size: int
     eps: float
@@ -267,66 +217,137 @@ class InversionReport:
     ratio_vs_fit: float       # law_constant / FITTED_C, expected >= 1
 
     def to_json_dict(self) -> dict:
-        return {"sigma_min": self.sigma_min, "N": self.N, "size": self.size,
-                "eps": self.eps, "law_constant": self.law_constant,
+        return {"sigma_min": self.sigma_min, "sigma_radius": self.sigma_radius,
+                "N": self.N, "size": self.size, "eps": self.eps,
+                "law_constant": self.law_constant,
                 "ratio_vs_fit": self.ratio_vs_fit}
 
 
-def _sigma_min_dense(L: Array) -> float:
-    return float(svdvals(L)[-1])
+class LinearizedOperator:
+    """L = J_eps + eps^2(-d_tautau + D_w gbar) at w, truncated to k <= N.
 
+    Vectors run over (j = 0..N_tau, k = 2..N) in the orthonormal temporal
+    basis of `_pack`.  `apply` is matrix-free on the collocation grid:
+    synthesize, multiply by the derivative multiplier m, analyze.
 
-def _sigma_min_lu(lu_piv, n: int, iters: int = 40) -> float:
-    """Smallest singular value via inverse power iteration on the LU factors."""
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    growth = np.inf
-    for _ in range(iters):
-        y = lu_solve(lu_piv, x)
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0.0:
-            return 0.0
-        growth = ny
-        x = y / ny
-    return 1.0 / growth
-
-
-def _law_constant(sigma_min: float, N: int, eps: float,
-                  params: ResonanceParams) -> float:
-    return sigma_min * N**params.gamma / eps**(params.l - 1.0)
-
-
-def invert_L_N(L_N: Array, rhs: Array, eps: float, params: ResonanceParams,
-               N: int | None = None,
-               spectrum: HillSpectrum | None = None) -> tuple[Array, InversionReport]:
-    """Direct dense solve with a conditioning report.
-
-    Raises `NearSingularError` when sigma_min sits at the round-off floor;
-    if a Hill spectrum is supplied the offending (k, j) divisor is named.
+    The matrix is fixed by the 2-d cosine coefficients c[n, p] of eps^2 m:
+    since sin(kx) sin(lx) = (cos((k-l)x) - cos((k+l)x))/2, the multiplication
+    part has (k, l) block A[|k-l|] - A[k+l] with A[p] the Toeplitz-plus-Hankel
+    matrix of c[:, p] (`multiplication_matrix`, as in `hill_eigs`).  The
+    k = l blocks are Hill operators in tau.  Their eigendecomposition gives
+    the block-diagonal part B exactly: its inverse preconditions GMRES, its
+    smallest |eigenvalue| estimates sigma_min(L), and the rank of that
+    eigenvalue within block k names the culprit divisor (k, j).  The
+    off-block remainder E = L - B obeys ||E||_2 <= ||(||E_kl||_F)_kl||_2, so
+    by Weyl |sigma_min(L) - sigma_min(B)| <= ``sigma_radius``.
     """
-    n = L_N.shape[0]
-    if N is None:
-        N = n
-    sigma = _sigma_min_dense(L_N) if n <= 600 else _sigma_min_lu(lu_factor(L_N), n)
-    scale = np.abs(L_N).max()
-    if sigma <= 1e-12 * scale:
-        culprit = None
-        msg = f"L is numerically singular (sigma_min = {sigma:.3e})"
-        if spectrum is not None:
-            best = (np.inf, None)
-            for k in range(2, N + 1):
-                m, j = divisor_min(eps, k, spectrum)
-                if m < best[0]:
-                    best = (m, (k, j))
-            culprit = best[1]
-            msg += f"; nearest small divisor at (k, j) = {culprit}"
-        raise NearSingularError(msg, culprit=culprit)
-    x = np.linalg.solve(L_N, rhs)
-    const = _law_constant(sigma, N, eps, params)
-    rep = InversionReport(sigma_min=float(sigma), N=int(N), size=n, eps=eps,
-                          law_constant=const, ratio_vs_fit=const / FITTED_C)
-    return x, rep
+
+    def __init__(self, V_traj: VTrajectory, w: SpaceTimeField, eps: float,
+                 model: Nonlinearity | None, N: int,
+                 sys: TransformedSystem | None = None,
+                 N_tau: int | None = None,
+                 M_tau: int | None = None, M_x: int | None = None):
+        N_tau = w.band_tau if N_tau is None else N_tau
+        if N > w.band_x:
+            raise ValueError("truncation N exceeds the field band")
+        if sys is None:
+            sys = identity_system(model=model, eps=eps, N_x=w.band_x,
+                                  N_tau=N_tau, period=w.period)
+        dM_tau, dM_x = _grids(N, N_tau)
+        M_tau = M_tau or dM_tau
+        M_x = M_x or dM_x
+        if M_tau < 4 * N_tau + 2:
+            raise ValueError("M_tau too small to alias-free couple 2*N_tau cosines")
+        self.eps, self.N = eps, N
+        self.size = (N_tau + 1) * (N - 1)
+        self._sym = _linear_symbol(w.period, eps, N_tau, N)[:, 2:]
+        self._row_scale = np.ones((N_tau + 1, 1))
+        self._row_scale[0] = 1.0 / np.sqrt(2.0)
+        self._C = cos_synthesis_matrix(M_tau, N_tau)
+        self._S = sin_synthesis_matrix(M_x, N)[:, 2:]
+        m = multiplier_values(sys, V_traj, w.values_grid(M_tau, M_x),
+                              M_tau=M_tau, M_x=M_x)
+        self._m = (4.0 * eps**2 / (M_tau * M_x)) * m
+
+        c = (cos_synthesis_matrix(M_tau, 2 * N_tau).T @ m
+             @ np.cos(np.outer(x_grid(M_x), np.arange(2 * N + 1))))
+        A = multiplication_matrix((eps**2 / (M_tau * M_x)) * c.T, N_tau)
+        ks = np.arange(2, N + 1)
+        blocks = A[0] - A[2 * ks]
+        j = np.arange(N_tau + 1)
+        blocks[:, j, j] += self._sym.T
+        self._blocks = blocks
+
+        abs_lam = np.abs(np.linalg.eigvalsh(blocks))
+        k_i, j_i = np.unravel_index(np.argmin(abs_lam), abs_lam.shape)
+        self.sigma_min = float(abs_lam[k_i, j_i])
+        self.culprit = (int(ks[k_i]), int(j_i))
+        self._scale = float(abs_lam.max())
+
+        # ||E_kl||_F^2 = ||A[d] - A[s]||_F^2 from the Gram matrix of the A[p]
+        flat = A.reshape(A.shape[0], -1)
+        G = flat @ flat.T
+        d = np.abs(ks[:, None] - ks[None, :])
+        s = ks[:, None] + ks[None, :]
+        off2 = G[d, d] + G[s, s] - 2.0 * G[d, s]
+        np.fill_diagonal(off2, 0.0)
+        self.sigma_radius = float(
+            np.linalg.eigvalsh(np.sqrt(np.maximum(off2, 0.0)))[-1])
+
+    def apply(self, u: Array) -> Array:
+        """L u, matrix-free."""
+        U = u.reshape(self._sym.shape)
+        vals = self._C @ (self._row_scale * U) @ self._S.T
+        mult = self._row_scale * (self._C.T @ (self._m * vals) @ self._S)
+        return (self._sym * U + mult).ravel()
+
+    @cached_property
+    def _eig(self) -> tuple[Array, Array]:
+        """Eigenpairs of the Hill blocks, computed on the first solve."""
+        return np.linalg.eigh(self._blocks)
+
+    def _block_solve(self, r: Array) -> Array:
+        """B^{-1} r through the Hill-block eigendecomposition."""
+        lam, vec = self._eig
+        R = r.reshape(self._sym.shape).T
+        y = np.einsum("kij,ki->kj", vec, R) / lam
+        return np.einsum("kij,kj->ki", vec, y).T.ravel()
+
+    def solve(self, rhs: Array) -> Array:
+        """L^{-1} rhs by block-preconditioned GMRES to relative residual 1e-14."""
+        # the preconditioned operator is I + O(eps^2): a handful of
+        # iterations suffices, and 10 restart cycles bound a failing solve
+        n = self.size
+        x, info = gmres(LinearOperator((n, n), matvec=self.apply, dtype=float),
+                        rhs, rtol=GMRES_RTOL, atol=0.0, restart=20, maxiter=10,
+                        M=LinearOperator((n, n), matvec=self._block_solve,
+                                         dtype=float))
+        if info != 0:
+            raise NonConvergenceError(
+                f"block-preconditioned GMRES missed relative residual "
+                f"{GMRES_RTOL:g} at N = {self.N} (info {info})")
+        return x
+
+    def check_collapse(self) -> None:
+        """Raise `ResonanceError` when the enclosure reaches zero.
+
+        Fires when sigma_min(B) - sigma_radius sits at the round-off floor
+        of the largest block eigenvalue, naming the culprit divisor (k, j).
+        """
+        if self.sigma_min - self.sigma_radius <= 1e-12 * self._scale:
+            raise ResonanceError(
+                f"sigma_min collapse at stage N = {self.N}: block sigma_min "
+                f"{self.sigma_min:.3e}, enclosure radius {self.sigma_radius:.3e}; "
+                f"culprit divisor (k, j) = {self.culprit}", culprit=self.culprit)
+
+    def report(self, params: ResonanceParams) -> InversionReport:
+        """sigma_min, its enclosure radius and the inverse-norm law constant."""
+        const = self.sigma_min * self.N**params.gamma / self.eps**(params.l - 1.0)
+        return InversionReport(sigma_min=self.sigma_min,
+                               sigma_radius=self.sigma_radius, N=self.N,
+                               size=self.size, eps=self.eps,
+                               law_constant=const,
+                               ratio_vs_fit=const / FITTED_C)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +361,14 @@ class StageRecord:
     increment_norm_s: float
     residual_s: float
     sigma_min: float
+    sigma_radius: float
     law_constant: float
 
     def to_json_dict(self) -> dict:
         return {"N": self.N, "newton_iters": self.newton_iters,
                 "increment_norm_s": self.increment_norm_s,
                 "residual_s": self.residual_s, "sigma_min": self.sigma_min,
+                "sigma_radius": self.sigma_radius,
                 "law_constant": self.law_constant}
 
 
@@ -420,11 +443,9 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
     N_final = effective[-1]
     N_tau = _default_N_tau(V_traj, config)
 
-    spectrum = None
     resonance_checked = False
     if config.check_resonance and model is not None:
-        _, spectrum, _ = resonance_gate(V_traj, eps, model, N_final,
-                                        config.resonance)
+        resonance_gate(V_traj, eps, model, N_final, config.resonance)
         resonance_checked = True
 
     if model is None or config.nf_steps == 0:
@@ -439,7 +460,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
 
     for N_i in effective:
         w_start = w
-        sigma_i, law_i = np.nan, np.nan
+        op = None
         iters = 0
         while True:
             F = assemble_F(V_traj, w, eps, model, sys=sys)
@@ -451,22 +472,10 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                 raise NonConvergenceError(
                     f"stage N = {N_i} exceeded {config.max_stage_iters} Newton "
                     f"iterations (residual {res:.3e})", stages=stages)
-            L = assemble_L(V_traj, w, eps, model, N_i, sys=sys, N_tau=N_tau)
-            lu_piv = lu_factor(L)
-            sigma_i = (_sigma_min_dense(L) if L.shape[0] <= 600
-                       else _sigma_min_lu(lu_piv, L.shape[0]))
-            law_i = _law_constant(sigma_i, N_i, eps, config.resonance)
-            if sigma_i <= 1e-12 * np.abs(L).max():
-                culprit = None
-                if spectrum is not None:
-                    culprit = min(
-                        ((divisor_min(eps, k, spectrum), k) for k in range(2, N_i + 1)),
-                        key=lambda t: t[0][0])
-                    culprit = (culprit[1], culprit[0][1])
-                raise ResonanceError(
-                    f"sigma_min collapse ({sigma_i:.3e}) at stage N = {N_i}"
-                    + (f", culprit divisor (k, j) = {culprit}" if culprit else ""))
-            delta = lu_solve(lu_piv, -F_vec)
+            op = LinearizedOperator(V_traj, w, eps, model, N_i, sys=sys,
+                                    N_tau=N_tau)
+            op.check_collapse()
+            delta = op.solve(-F_vec)
             # damped update: halve until the truncated residual decreases
             alpha, accepted = 1.0, False
             for _ in range(9):
@@ -482,18 +491,18 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                     f"damped Newton stalled at stage N = {N_i} "
                     f"(residual {res:.3e})", stages=stages)
             iters += 1
-        if not np.isfinite(sigma_i):
+        if op is None:
             # stage converged without a Newton step; still record conditioning
-            L = assemble_L(V_traj, w, eps, model, N_i, sys=sys, N_tau=N_tau)
-            sigma_i = (_sigma_min_dense(L) if L.shape[0] <= 600
-                       else _sigma_min_lu(lu_factor(L), L.shape[0]))
-            law_i = _law_constant(sigma_i, N_i, eps, config.resonance)
+            op = LinearizedOperator(V_traj, w, eps, model, N_i, sys=sys,
+                                    N_tau=N_tau)
+        cond = op.report(config.resonance)
         inc = w - w_start
         stages.append(StageRecord(N=N_i, newton_iters=iters,
                                   increment_norm_s=inc.norm(config.s),
                                   residual_s=float(res),
-                                  sigma_min=float(sigma_i),
-                                  law_constant=float(law_i)))
+                                  sigma_min=cond.sigma_min,
+                                  sigma_radius=cond.sigma_radius,
+                                  law_constant=cond.law_constant))
 
     dM_tau, dM_x = _grids(N_final, N_tau)
     F_cert = assemble_F(V_traj, w, eps, model, sys=sys,
@@ -508,50 +517,8 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# independent oracle and eps-derivative monitor
+# inverse-norm law calibration and eps-derivative monitor
 # ---------------------------------------------------------------------------
-
-def oracle_newton_solve(V_traj: VTrajectory, eps: float, N: int, J_max: int,
-                        model: Nonlinearity | None,
-                        sys: TransformedSystem | None = None,
-                        tol: float = 1e-12, max_iters: int = 40,
-                        fd_step: float = 1e-6) -> SpaceTimeField:
-    """Brute-force reference solve of the fully truncated system.
-
-    Undamped Newton from zero with an explicit finite-difference Jacobian;
-    restricted to small truncations and used only for cross-checks.
-    """
-    n = (J_max + 1) * (N - 1)
-    if n > 1000:
-        raise ValueError("oracle restricted to <= 1000 unknowns")
-    period = V_traj.period
-
-    def F_vec(u: Array) -> Array:
-        w = _unpack(u, period, N, J_max, N)
-        F = assemble_F(V_traj, w, eps, model, sys=sys)
-        return _pack(F.coeffs, N)
-
-    u = np.zeros(n)
-    for _ in range(max_iters):
-        Fu = F_vec(u)
-        if np.linalg.norm(Fu) <= tol:
-            return _unpack(u, period, N, J_max, N)
-        J = oracle_jacobian(F_vec, u, fd_step)
-        u = u - np.linalg.solve(J, Fu)
-    raise NonConvergenceError("oracle Newton did not converge "
-                              f"(|F| = {np.linalg.norm(F_vec(u)):.3e})")
-
-
-def oracle_jacobian(F_vec, u: Array, h: float = 1e-6) -> Array:
-    """Centered finite-difference Jacobian of a vector map."""
-    n = u.shape[0]
-    J = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        J[:, i] = (F_vec(u + e) - F_vec(u - e)) / (2.0 * h)
-    return J
-
 
 def sigma_min_law_samples(model: Nonlinearity, amplitude: float = 0.9,
                           n_samples: int = 50, seed: int = 2026,
@@ -562,10 +529,11 @@ def sigma_min_law_samples(model: Nonlinearity, amplitude: float = 0.9,
     """Seeded non-resonant eps samples with sigma_min law constants.
 
     Draws eps uniformly from [eps_lo, eps_hi], rejects resonant draws with
-    the divisor gate, and reports sigma_min of the truncated linearization
-    at w = 0 together with sigma_min * N^gamma / eps^(l-1).  The temporal
-    band scales like N/eps so every near-resonant temporal mode that the
-    law is about is actually present in the matrix.
+    the divisor gate, and reports the Hill-block sigma_min (with its
+    enclosure radius) of the truncated linearization at w = 0 together with
+    sigma_min * N^gamma / eps^(l-1).  The temporal band scales like N/eps so
+    every near-resonant temporal mode that the law is about is actually
+    present in the operator.
     """
     from .planar import find_orbit  # local import to avoid a cycle at load
 
@@ -583,12 +551,7 @@ def sigma_min_law_samples(model: Nonlinearity, amplitude: float = 0.9,
             continue
         N_tau = int(math.ceil(1.2 * ratio * N / eps))
         w0 = SpaceTimeField.zeros(traj.period, N_tau, N)
-        L = assemble_L(traj, w0, eps, model, N)
-        sigma = _sigma_min_dense(L)
-        const = _law_constant(sigma, N, eps, params)
-        reports.append(InversionReport(
-            sigma_min=sigma, N=N, size=L.shape[0], eps=eps,
-            law_constant=const, ratio_vs_fit=const / FITTED_C))
+        reports.append(LinearizedOperator(traj, w0, eps, model, N).report(params))
     return reports
 
 

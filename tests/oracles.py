@@ -7,7 +7,11 @@ differences, and monodromy from a finite-difference flow map.  None of the
 functions below import from the package's numerical core except where a
 plain trajectory integration is unavoidable (flow-map oracle), and there
 only through the public planar ODE right-hand side evaluated symbolically
-in place.
+in place.  The exceptions are the dense references for the Newton solve:
+`assemble_L` reuses the package's multiplier samples and symbol but
+assembles every matrix entry by its own route, and `oracle_newton_solve`
+runs undamped Newton on the package's residual `assemble_F` with a
+finite-difference Jacobian.
 """
 
 from __future__ import annotations
@@ -17,6 +21,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.stats import linregress
+
+from kgperiodic.fourier import sin_synthesis_matrix
+from kgperiodic.normalform import identity_system, multiplier_values
+from kgperiodic.solver import (NonConvergenceError, _grids, _linear_symbol,
+                               _pack, _unpack, assemble_F)
 
 
 def duffing_period(amplitude: float, f3: float) -> float:
@@ -125,3 +134,93 @@ def quadrature_P(func, n: int = 4096) -> float:
     """
     x = np.linspace(-np.pi, np.pi, n, endpoint=False)
     return float(np.mean(func(x) * np.sin(x)) * 2.0)
+
+
+def assemble_L(V_traj, w, eps, model, N, sys=None, N_tau=None,
+               M_tau=None, M_x=None) -> np.ndarray:
+    """Dense symmetric matrix of L = J_eps + eps^2(-d_tautau + D_w gbar).
+
+    Rows/columns run over (j = 0..N_tau, k = 2..N) in the orthonormal
+    temporal basis.  The multiplication part is assembled per tau-slice in
+    the sine basis and coupled in j by exact cosine convolution, so the
+    result is symmetric to machine precision.  Reference for the
+    matrix-free `LinearizedOperator`.
+    """
+    N_tau = w.band_tau if N_tau is None else N_tau
+    if N > w.band_x:
+        raise ValueError("truncation N exceeds the field band")
+    if sys is None:
+        sys = identity_system(model=model, eps=eps, N_x=w.band_x,
+                              N_tau=N_tau, period=w.period)
+    dM_tau, dM_x = _grids(N, N_tau)
+    M_tau = M_tau or dM_tau
+    M_x = M_x or dM_x
+    if M_tau < 4 * N_tau + 2:
+        raise ValueError("M_tau too small to alias-free couple 2*N_tau cosines")
+
+    sym = _linear_symbol(w.period, eps, N_tau, N)[:, 2:]   # (N_tau+1, N-1)
+    n = (N_tau + 1) * (N - 1)
+    L = np.zeros((n, n))
+    idx = np.arange(n)
+    L[idx, idx] = sym.ravel()
+
+    if sys.model is None:
+        return L
+
+    w_values = w.values_grid(M_tau, M_x)
+    m_vals = multiplier_values(sys, V_traj, w_values, M_tau=M_tau, M_x=M_x)
+
+    X = sin_synthesis_matrix(M_x, N)[:, 2:]                # (M_x, N-1)
+    B = np.einsum("mi,ik,il->mkl", m_vals, X, X, optimize=True) * (2.0 / M_x)
+    n_max = 2 * N_tau
+    theta = 2.0 * np.pi * np.arange(M_tau) / M_tau
+    cosM = np.cos(np.outer(np.arange(n_max + 1), theta))   # (n_max+1, M_tau)
+    c = np.einsum("nm,mkl->nkl", cosM, B, optimize=True) / M_tau
+
+    jj = np.arange(N_tau + 1)
+    blocks = c[jj[:, None] + jj[None, :]] + c[np.abs(jj[:, None] - jj[None, :])]
+    blocks[0, :] /= np.sqrt(2.0)
+    blocks[:, 0] /= np.sqrt(2.0)
+    mult = blocks.transpose(0, 2, 1, 3).reshape(n, n)
+    L += (eps**2) * mult
+    return L
+
+
+def oracle_newton_solve(V_traj, eps: float, N: int, J_max: int, model,
+                        sys=None, tol: float = 1e-12, max_iters: int = 40,
+                        fd_step: float = 1e-6):
+    """Brute-force reference solve of the fully truncated system.
+
+    Undamped Newton from zero with an explicit finite-difference Jacobian;
+    restricted to small truncations and used only for cross-checks.
+    """
+    n = (J_max + 1) * (N - 1)
+    if n > 1000:
+        raise ValueError("oracle restricted to <= 1000 unknowns")
+    period = V_traj.period
+
+    def F_vec(u: np.ndarray) -> np.ndarray:
+        w = _unpack(u, period, N, J_max, N)
+        F = assemble_F(V_traj, w, eps, model, sys=sys)
+        return _pack(F.coeffs, N)
+
+    u = np.zeros(n)
+    for _ in range(max_iters):
+        Fu = F_vec(u)
+        if np.linalg.norm(Fu) <= tol:
+            return _unpack(u, period, N, J_max, N)
+        J = oracle_jacobian(F_vec, u, fd_step)
+        u = u - np.linalg.solve(J, Fu)
+    raise NonConvergenceError("oracle Newton did not converge "
+                              f"(|F| = {np.linalg.norm(F_vec(u)):.3e})")
+
+
+def oracle_jacobian(F_vec, u: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Centered finite-difference Jacobian of a vector map."""
+    n = u.shape[0]
+    J = np.zeros((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        J[:, i] = (F_vec(u + e) - F_vec(u - e)) / (2.0 * h)
+    return J

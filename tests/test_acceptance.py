@@ -26,12 +26,12 @@ from kgperiodic.solver import (
     FITTED_C,
     SolverConfig,
     nash_moser_solve,
-    oracle_newton_solve,
     sigma_min_law_samples,
 )
 
 from conftest import FIXTURE_EPS
-from oracles import divisor_root_exact, richardson_slope
+from oracles import (divisor_root_exact, oracle_newton_solve,
+                     richardson_slope)
 
 
 def test_criterion_01_j_eps_inverse_bound():

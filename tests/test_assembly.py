@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kgperiodic import assembly
 from kgperiodic.assembly import (
     AssembledSolution,
     SweepRow,
@@ -13,7 +14,14 @@ from kgperiodic.assembly import (
     pde_residual,
     tail_norm,
 )
+from kgperiodic.closure import (
+    ClosureConsistencyError,
+    DegenerateOrbitError,
+    IntegrationError,
+    OuterLoopError,
+)
 from kgperiodic.fourier import SpaceTimeField
+from kgperiodic.solver import NonConvergenceError
 
 # Frozen canonical values at eps = 0.1, amplitude 0.9 (deterministic run).
 T_PERIOD_01 = 6.252003053624663
@@ -141,6 +149,27 @@ class TestSweep:
         assert "k=2" in row.message
         assert report.n_converged == 0
         assert not report.fits_valid
+
+    @pytest.mark.parametrize("error", [NonConvergenceError, OuterLoopError,
+                                       DegenerateOrbitError, IntegrationError])
+    def test_documented_failure_becomes_row(self, sine_gordon, monkeypatch,
+                                            error):
+        def fail(*args, **kwargs):
+            raise error("stage budget exhausted")
+
+        monkeypatch.setattr(assembly, "solve_delta1", fail)
+        report = epsilon_sweep(sine_gordon, 0.9, [0.1], workers=1)
+        row = report.rows[0]
+        assert not row.converged and not row.resonant_skip
+        assert row.message == f"{error.__name__}: stage budget exhausted"
+
+    def test_logic_error_propagates(self, sine_gordon, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ClosureConsistencyError("invariance argument violated")
+
+        monkeypatch.setattr(assembly, "solve_delta1", fail)
+        with pytest.raises(ClosureConsistencyError):
+            epsilon_sweep(sine_gordon, 0.9, [0.1], workers=1)
 
     def test_five_point_report(self, sweep_report):
         rows = sweep_report.rows

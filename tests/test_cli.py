@@ -175,6 +175,33 @@ class TestSweep:
             assert run_cli(tmp_path, "sweep", cfg) == EXIT_BAD_CONFIG
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", {"eps": NAN}),
+    ("solve", {"eps": INF}),
+    ("solve", {"eps": 1.5}),
+    ("solve", {"eps": 1.0}),
+    ("solve", {"eps": 0.1, "amplitude": INF}),
+    ("solve", {"eps": 0.1, "amplitude": NAN}),
+    ("solve", {"eps": 0.1, "solver": {"residual_tol": NAN}}),
+    ("solve", {"eps": 0.1, "solver": {"N_cap": INF}}),
+    ("solve", {"eps": 0.1, "resonance": {"l": -INF}}),
+    ("sweep", {"eps_list": [0.1, 1.5]}),
+    ("sweep", {"eps_list": [NAN]}),
+    ("sweep", {"eps_list": [0.1], "amplitude": INF}),
+    ("limit-orbit", {"amplitude": INF}),
+    ("divisors", {"k_max": 3, "j_max": 5, "q_const": NAN}),
+])
+def test_nonfinite_or_out_of_range_numbers_exit_1(tmp_path, capsys, command, cfg):
+    cfg = {**cfg, "out_dir": str(tmp_path)}
+    assert run_cli(tmp_path, command, cfg) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: field ")
+    assert err.count("\n") == 1
+
+
 class TestSelftest:
     def test_default_run_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK

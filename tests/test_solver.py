@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from kgperiodic.divisors import (
     HillSpectrum,
@@ -11,23 +12,23 @@ from kgperiodic.divisors import (
 )
 from kgperiodic.fourier import SpaceTimeField
 from kgperiodic.normalform import projected_g
+from kgperiodic.planar import VTrajectory
 from kgperiodic.solver import (
     FITTED_C,
-    NearSingularError,
+    LinearizedOperator,
+    NonConvergenceError,
     SolverConfig,
     _linear_symbol,
     _pack,
     _unpack,
     assemble_F,
-    assemble_L,
-    invert_L_N,
     nash_moser_solve,
-    oracle_jacobian,
-    oracle_newton_solve,
     resonance_gate,
     schedule_for,
     sigma_min_law_samples,
 )
+
+from oracles import assemble_L, oracle_jacobian, oracle_newton_solve
 
 EPS = 0.1
 
@@ -41,6 +42,11 @@ def small_field(gen, period, N_tau=6, N_x=5, scale=1e-2):
     coeffs = scale * gen.standard_normal((N_tau + 1, N_x + 1))
     coeffs[:, :2] = 0.0
     return SpaceTimeField(period=period, coeffs=coeffs)
+
+
+def operator_matrix(op):
+    """Dense matrix of a LinearizedOperator, column by column through apply."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.size)])
 
 
 class TestAssembleF:
@@ -73,18 +79,26 @@ class TestAssembleF:
 
 
 class TestAssembleL:
+    """The matrix-free operator against the dense oracle `assemble_L`."""
+
     def test_symmetry(self, traj, sine_gordon, rng):
         w = small_field(rng, traj.period)
+        M = operator_matrix(LinearizedOperator(traj, w, EPS, sine_gordon, N=5,
+                                               N_tau=6))
+        assert np.max(np.abs(M - M.T)) < 1e-13 * np.max(np.abs(M))
         L = assemble_L(traj, w, EPS, sine_gordon, N=5, N_tau=6)
-        assert np.max(np.abs(L - L.T)) < 1e-13 * np.max(np.abs(L))
+        assert np.max(np.abs(M - L)) < 1e-13 * np.max(np.abs(L))
 
     def test_model_none_exactly_diagonal(self, traj):
         w = SpaceTimeField(period=traj.period, coeffs=np.zeros((7, 6)))
-        L = assemble_L(traj, w, EPS, None, N=5)
+        op = LinearizedOperator(traj, w, EPS, None, N=5)
+        M = operator_matrix(op)
         sym = _linear_symbol(traj.period, EPS, 6, 5)[:, 2:]
-        assert np.array_equal(np.diag(L), sym.ravel())
-        off = L - np.diag(np.diag(L))
+        assert np.array_equal(np.diag(M), sym.ravel())
+        off = M - np.diag(np.diag(M))
         assert np.max(np.abs(off)) == 0.0
+        assert op.sigma_radius == 0.0
+        assert op.sigma_min == np.min(np.abs(sym))
 
     def test_fd_linearization_quartic_decay(self, traj, sine_gordon, rng):
         # F(w0 + t h) - F(w0) - t L h = O(t^2): halving t quarters the error
@@ -93,8 +107,9 @@ class TestAssembleL:
         h = small_field(rng, p)
         grids = dict(M_tau=256, M_x=64)
         F0 = assemble_F(traj, w0, EPS, sine_gordon, **grids)
-        L = assemble_L(traj, w0, EPS, sine_gordon, N=5, N_tau=6, **grids)
-        Lh = L @ _pack(h.coeffs, 5)
+        op = LinearizedOperator(traj, w0, EPS, sine_gordon, N=5, N_tau=6,
+                                **grids)
+        Lh = op.apply(_pack(h.coeffs, 5))
 
         def remainder(t):
             Ft = assemble_F(traj, w0 + t * h, EPS, sine_gordon, **grids)
@@ -115,32 +130,80 @@ class TestAssembleL:
         u0 = 1e-2 * rng.standard_normal((J + 1) * (N - 1))
         J_fd = oracle_jacobian(F_vec, u0, h=1e-6)
         w0 = _unpack(u0, p, N, J, N)
-        L = assemble_L(traj, w0, EPS, sine_gordon, N=N, N_tau=J)
-        assert np.max(np.abs(J_fd - L)) < 1e-8
+        M = operator_matrix(LinearizedOperator(traj, w0, EPS, sine_gordon,
+                                               N=N, N_tau=J))
+        assert np.max(np.abs(J_fd - M)) < 1e-8
 
 
-class TestInvertLN:
-    def test_solves_and_reports(self, rng):
-        A = rng.standard_normal((8, 8))
-        L = A @ A.T + 8.0 * np.eye(8)
-        rhs = rng.standard_normal(8)
-        x, rep = invert_L_N(L, rhs, EPS, ResonanceParams())
+class TestLinearizedOperator:
+    @pytest.fixture(scope="class")
+    def canonical(self, closure01):
+        """Operator and dense oracle at the converged canonical point (N = 64)."""
+        run = closure01.run
+        N = run.effective_schedule[-1]
+        args = (closure01.V_traj, run.w, run.eps, run.system.model, N)
+        kw = dict(sys=run.system, N_tau=run.N_tau)
+        return (LinearizedOperator(*args, **kw), assemble_L(*args, **kw),
+                run.stages[-1])
+
+    def test_apply_matches_oracle_at_canonical_size(self, canonical, rng):
+        op, L, _ = canonical
+        assert op.size == L.shape[0] == 41 * 63
+        for _ in range(3):
+            u = rng.standard_normal(op.size)
+            ref = L @ u
+            assert np.linalg.norm(op.apply(u) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_solve_matches_dense_solve(self, canonical, rng):
+        op, L, _ = canonical
+        rhs = rng.standard_normal(op.size)
+        x = op.solve(rhs)
+        ref = np.linalg.solve(L, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_stage_sigma_min_inside_enclosure(self, canonical):
+        op, L, stage = canonical
+        sigma = svdvals(L)[-1]
+        assert stage.sigma_min == pytest.approx(sigma, rel=1e-5)
+        assert abs(sigma - stage.sigma_min) <= stage.sigma_radius
+        assert 0.0 < stage.sigma_radius < stage.sigma_min
+        assert op.sigma_min == pytest.approx(stage.sigma_min, rel=1e-8)
+
+    def test_solves_and_reports(self, traj, sine_gordon, rng):
+        w = small_field(rng, traj.period)
+        op = LinearizedOperator(traj, w, EPS, sine_gordon, N=5, N_tau=6)
+        rhs = rng.standard_normal(op.size)
+        x = op.solve(rhs)
+        L = assemble_L(traj, w, EPS, sine_gordon, N=5, N_tau=6)
         assert np.allclose(L @ x, rhs, atol=1e-12)
-        assert rep.N == 8 and rep.size == 8
         params = ResonanceParams()
-        expected = rep.sigma_min * 8.0**params.gamma / EPS ** (params.l - 1.0)
+        rep = op.report(params)
+        assert rep.N == 5 and rep.size == 7 * 4
+        expected = rep.sigma_min * 5.0**params.gamma / EPS ** (params.l - 1.0)
         assert rep.law_constant == pytest.approx(expected, rel=1e-14)
         assert rep.ratio_vs_fit == pytest.approx(rep.law_constant / FITTED_C)
+        assert abs(svdvals(L)[-1] - rep.sigma_min) <= rep.sigma_radius
 
     def test_near_singular_names_culprit(self):
-        spec = HillSpectrum.flat(2.0 * np.pi, 200)
+        # flat spectrum, period 2 pi: the divisor D(2, 115) vanishes at its root
+        period = 2.0 * np.pi
+        spec = HillSpectrum.flat(period, 200)
         center = epsilon_kj(2, 115, spec)
-        L = np.diag([1.0, 1e-20])
-        with pytest.raises(NearSingularError) as info:
-            invert_L_N(L, np.ones(2), center, ResonanceParams(), N=2,
-                       spectrum=spec)
+        flat = VTrajectory(period=period, v_samples=np.zeros(16),
+                           v_tau_samples=np.zeros(16), start=(0.0, 0.0),
+                           end=(0.0, 0.0))
+        w = SpaceTimeField.zeros(period, 120, 2)
+        op = LinearizedOperator(flat, w, center, None, N=2)
+        with pytest.raises(ResonanceError) as info:
+            op.check_collapse()
         assert info.value.culprit == (2, 115)
         assert "(k, j)" in str(info.value)
+
+    def test_failed_solve_raises(self, traj):
+        w = SpaceTimeField.zeros(traj.period, 4, 3)
+        op = LinearizedOperator(traj, w, EPS, None, N=3)
+        with pytest.raises(NonConvergenceError):
+            op.solve(np.full(op.size, np.nan))
 
 
 class TestSchedule:
@@ -195,6 +258,7 @@ class TestSolveOracle:
         # stage records carry the inverse-norm law constants
         for stage in run.stages:
             assert stage.law_constant >= FITTED_C
+            assert stage.sigma_radius < stage.sigma_min
             assert stage.residual_s <= 1e-10
         # increments contract between nested truncations
         incs = [s.increment_norm_s for s in run.stages]

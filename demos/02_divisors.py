@@ -58,7 +58,7 @@ def main() -> None:
     model = Nonlinearity.sine_gordon()
     orbit = find_orbit(model.f3, 0.9)
     traj = orbit.trajectory(256)
-    q = averaged_potential(traj, None, 0.1, model)
+    q = averaged_potential(traj, 0.1, model)
     spectrum = hill_eigs(q, traj.period, 400)
     print(f"averaged potential: mean = {spectrum.q_mean:+.6f}, "
           f"lambda_1..4 = {np.round(spectrum.lambda_at(np.arange(1, 5)), 4)}")

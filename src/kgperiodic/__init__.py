@@ -15,7 +15,7 @@ from .fourier import (
     project_P,
     project_Q,
 )
-from .nonlinearity import Nonlinearity, TrustRadiusError, tilde_f, tilde_fg, tilde_g
+from .nonlinearity import Nonlinearity, TrustRadiusError, collocate, tilde_fg
 from .planar import (
     MonodromyReport,
     NoPeriodicOrbitError,

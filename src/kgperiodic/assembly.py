@@ -16,7 +16,6 @@ the eps-uniform claims over a non-resonant grid.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ from .fourier import SpaceTimeField
 from .nonlinearity import Nonlinearity
 from .planar import NoPeriodicOrbitError, PlanarOrbit, find_orbit
 from .solver import (NonConvergenceError, SolverConfig, eps_derivative_norm,
-                     resonance_gate)
+                     validate_eps)
 
 Array = NDArray[np.float64]
 
@@ -311,7 +310,7 @@ def _fit(xs, ys) -> tuple[float, float]:
 def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
                   solver_cfg: SolverConfig | None = None,
                   residual_grid: tuple[int, int] = (96, 96),
-                  workers: int | None = None,
+                  workers: int = 1,
                   check_eps_derivative: bool = False) -> SweepReport:
     """Run the full pipeline per eps and aggregate the theorem's fit laws.
 
@@ -322,11 +321,9 @@ def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
     deterministic and emitted sorted by eps regardless of parallel schedule.
     """
     solver_cfg = solver_cfg or SolverConfig()
-    eps_sorted = sorted(float(e) for e in eps_list)
+    eps_sorted = sorted([validate_eps(e) for e in eps_list])
     tasks = [(model, amplitude, e, solver_cfg, residual_grid)
              for e in eps_sorted]
-    if workers is None:
-        workers = int(os.environ.get("KG_THREADS", "1"))
     workers = max(1, min(workers, len(tasks))) if tasks else 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -37,7 +37,8 @@ from .divisors import (
 from .nonlinearity import Nonlinearity
 from .planar import NoPeriodicOrbitError, find_orbit, monodromy
 from .properties import DEFAULT_SEED, run_all
-from .solver import NonConvergenceError, SolverConfig
+from .solver import (NonConvergenceError, SolverConfig, check_admissible,
+                     validate_eps)
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -97,6 +98,16 @@ def _get_number(cfg: dict, key: str, default, lo=None, hi=None,
     return value
 
 
+def _eps_from(value, key: str) -> float:
+    """An eps entry checked by `validate_eps`, failing as a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field {key!r} must hold numbers in (0, 1)")
+    try:
+        return validate_eps(value)
+    except ValueError as ex:
+        raise ConfigError(f"field {key!r}: {ex}") from ex
+
+
 def _model_from(cfg: dict) -> tuple[Nonlinearity, dict]:
     spec = cfg.get("model", {"model": "sine-gordon"})
     if isinstance(spec, str):
@@ -133,6 +144,10 @@ def _resonance_params(cfg: dict) -> tuple[ResonanceParams, dict]:
 
 
 def _solver_config(cfg: dict, params: ResonanceParams) -> tuple[SolverConfig, dict]:
+    try:
+        check_admissible(params)
+    except ValueError as ex:
+        raise ConfigError(f"field 'resonance': {ex}") from ex
     sub = cfg.get("solver", {})
     if not isinstance(sub, dict):
         raise ConfigError("field 'solver' must be an object")
@@ -275,9 +290,7 @@ def cmd_solve(cfg: dict) -> int:
     amplitude = _get_number(cfg, "amplitude", 0.9)
     if amplitude is None or amplitude <= 0.0:
         raise ConfigError("field 'amplitude' must be a positive number")
-    eps = _get_number(cfg, "eps", None)
-    if eps is None or not 0.0 < eps < 1.0:
-        raise ConfigError("field 'eps' must be a number in (0, 1)")
+    eps = _eps_from(cfg.get("eps"), "eps")
     params, resolved_res = _resonance_params(cfg)
     solver_cfg, resolved_solver = _solver_config(cfg, params)
     out = _out_dir(cfg)
@@ -367,15 +380,13 @@ def cmd_sweep(cfg: dict) -> int:
     if amplitude is None or amplitude <= 0.0:
         raise ConfigError("field 'amplitude' must be a positive number")
     eps_list = cfg.get("eps_list")
-    if (not isinstance(eps_list, list) or not eps_list
-            or not all(isinstance(e, (int, float)) and not isinstance(e, bool)
-                       and 0.0 < e < 1.0 for e in eps_list)):
+    if not isinstance(eps_list, list) or not eps_list:
         raise ConfigError("field 'eps_list' must be a non-empty list of "
                           "numbers in (0, 1)")
-    eps_list = [float(e) for e in eps_list]
+    eps_list = [_eps_from(e, "eps_list") for e in eps_list]
     params, resolved_res = _resonance_params(cfg)
     solver_cfg, resolved_solver = _solver_config(cfg, params)
-    workers = _get_number(cfg, "workers", None, lo=1, integer=True)
+    workers = _get_number(cfg, "workers", 1, lo=1, integer=True)
     grid_n = _get_number(cfg, "residual_grid", 96, lo=16, integer=True)
     out = _out_dir(cfg)
     resolved = {"command": "sweep", "model": model_spec, "amplitude": amplitude,

@@ -19,10 +19,10 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.integrate import solve_ivp
 
-from .fourier import SpaceTimeField, sin_synthesis_matrix, x_grid
-from .nonlinearity import Nonlinearity
+from .fourier import SpaceTimeField, project_P, sin_synthesis_matrix, x_grid
+from .nonlinearity import Nonlinearity, collocate
 from .planar import PlanarOrbit, PlanarState, VTrajectory, monodromy
-from .solver import SolverConfig, SolverRun, nash_moser_solve
+from .solver import SolverConfig, SolverRun, nash_moser_solve, validate_eps
 
 Array = NDArray[np.float64]
 
@@ -62,39 +62,6 @@ class OuterLoopError(RuntimeError):
         self.history = tuple(history)
 
 
-class _SliceEvaluator:
-    """Fast tau -> w(tau, x_grid) evaluation for a fixed space-time field."""
-
-    def __init__(self, w: SpaceTimeField | None, M_x: int, period: float):
-        self.period = period
-        self.M_x = M_x
-        if w is None:
-            self.A = None
-        else:
-            S = sin_synthesis_matrix(M_x, w.band_x)
-            self.A = w.coeffs @ S.T                   # (N_tau+1, M_x)
-            self.j = np.arange(w.band_tau + 1)
-
-    def __call__(self, tau: float) -> Array | None:
-        if self.A is None:
-            return None
-        c = np.cos(2.0 * np.pi * self.j * tau / self.period)
-        return c @ self.A
-
-
-def _v_force(v: float, w_slice: Array | None, eps: float,
-             model: Nonlinearity | None, sin_x: Array) -> float:
-    """f~(v, w, eps) = -(1/omega^2) P[scaled f(eps xi)] by x-collocation."""
-    if model is None:
-        return 0.0
-    xi = v * sin_x
-    if w_slice is not None:
-        xi = xi + w_slice
-    vals = model.scaled_eval(xi, eps)
-    M = sin_x.shape[0]
-    return float(-(2.0 / M) * (vals @ sin_x) / (1.0 + eps**2))
-
-
 def integrate_v(V0: PlanarState, w: SpaceTimeField | None, eps: float,
                 model: Nonlinearity | None, period: float,
                 n_samples: int = 256, M_x: int = 64) -> tuple[VTrajectory, PlanarState]:
@@ -103,13 +70,17 @@ def integrate_v(V0: PlanarState, w: SpaceTimeField | None, eps: float,
     Returns the sampled trajectory (uniform grid on [0, period)) and the
     exact end state V(period).
     """
-    sin_x = np.sin(x_grid(M_x))
-    w_eval = _SliceEvaluator(w, M_x, period)
+    # w(tau, x_m) = cos(omega tau) @ A on the M_x-point x grid
+    A = omega = None
+    if w is not None:
+        A = w.coeffs @ sin_synthesis_matrix(M_x, w.band_x).T
+        omega = 2.0 * np.pi * np.arange(w.band_tau + 1) / period
 
     def rhs(tau, y):
         v, v_tau = y
+        w_slice = None if A is None else np.cos(omega * tau) @ A
         return [v_tau, -v / (1.0 + eps**2)
-                + _v_force(v, w_eval(tau), eps, model, sin_x)]
+                + project_P(collocate(model, eps, v, w_slice, M_x))]
 
     grid = np.linspace(0.0, period, n_samples, endpoint=False)
     t_eval = np.append(grid, period)
@@ -238,6 +209,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     below tolerance.  The shooting derivative is checked against the
     non-degeneracy floor on every outer round.
     """
+    eps = validate_eps(eps)
     if solver is None:
         solver = SolverConfig()
     rep = monodromy(orbit)

@@ -21,8 +21,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import eigh
 
-from .fourier import cos_analyze, x_grid
-from .nonlinearity import Nonlinearity
+from .fourier import cos_analyze
+from .nonlinearity import Nonlinearity, collocate
 from .planar import VTrajectory
 
 Array = NDArray[np.float64]
@@ -83,24 +83,18 @@ class ResonanceParams:
 # the averaged potential and its Hill spectrum
 # ---------------------------------------------------------------------------
 
-def averaged_potential(traj: VTrajectory, w, eps: float,
+def averaged_potential(traj: VTrajectory, eps: float,
                        model: Nonlinearity | None,
                        M_tau: int = 256, M_x: int = 128) -> Array:
-    """x-mean of the derivative multiplier, sampled on the uniform tau grid.
+    """x-mean of the derivative multiplier at w = 0, on the uniform tau grid.
 
     The fast forcing differentiates to multiplication by
-    ``m(tau, x) = -(1/omega^2) f'(eps xi)/eps^2`` with ``xi = v sin x + w``;
-    the Hill potential is its x-average (the k-diagonal part of the
-    multiplication operator in the sine basis).
+    ``m(tau, x) = -(1/omega^2) f'(eps v sin x)/eps^2`` (`collocate` of
+    order 1); the Hill potential is its x-average (the k-diagonal part of
+    the multiplication operator in the sine basis).
     """
-    if model is None:
-        return np.zeros(M_tau)
-    v = traj.resample(M_tau)
-    xi = np.outer(v, np.sin(x_grid(M_x)))
-    if w is not None:
-        xi = xi + w.values_grid(M_tau, M_x)
-    m = (-1.0 / (1.0 + eps**2)) * model.scaled_deriv(xi, eps)
-    return m.mean(axis=1)
+    return collocate(model, eps, traj.resample(M_tau), None, M_x,
+                     order=1).mean(axis=1)
 
 
 @dataclass(frozen=True)

@@ -388,28 +388,28 @@ def multiply_to_even(u1: SpaceTimeField, u2: SpaceTimeField) -> EvenField:
 def project_P(values: Array) -> float | Array:
     """Component along sin x: (1/pi) * integral of g(x) sin(x) dx.
 
-    ``values`` are samples on the uniform x grid (last axis).
+    ``values`` are samples on the uniform x grid (last axis); leading axes
+    are kept.
     """
     M = values.shape[-1]
-    s = np.sin(x_grid(M))
-    out = (2.0 / M) * (values @ s)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    out = (2.0 / M) * (values @ sin_synthesis_matrix(M, 1)[:, 1])
+    return float(out) if out.ndim == 0 else out
 
-def project_Q(values: Array, N_x: int) -> SpatialField:
-    """Everything orthogonal to sin x, truncated at spatial band N_x.
 
-    Requires at least 4 * N_x sample points (dealiasing margin); raises
-    `AliasingError` otherwise.
+def project_Q(values: Array, N_x: int) -> Array:
+    """Sine coefficients k = 0..N_x of everything orthogonal to sin x.
+
+    Acts on the last axis (leading axes are kept); the k = 0, 1 entries of
+    the result are zero.  Requires at least 4 * N_x sample points
+    (dealiasing margin); raises `AliasingError` otherwise.
     """
     M = values.shape[-1]
     if M < 4 * N_x:
         raise AliasingError(
             f"{M} sample points cannot safely resolve band {N_x}; need >= {4 * N_x}")
-    if values.ndim != 1:
-        raise ValueError("project_Q expects a single sample vector")
     b = sin_analyze(values, N_x)
-    b[:2] = 0.0
-    return SpatialField(b)
+    b[..., :2] = 0.0
+    return b
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Analytic odd nonlinearities and their rescaled projections.
+"""Analytic odd nonlinearities and their rescaled collocation.
 
 A model is an odd series ``f(u) = sum_m c[2m+1] u^(2m+1)`` starting at the
 cubic term (``f'(0) = 0`` and ``f'''(0) = 6 c3 != 0``).  The rescaled
@@ -10,27 +10,34 @@ quantities divide out the amplitude scaling:
 
 each computed directly from the series in powers of ``(eps y)^2``, which is
 finite and smooth down to ``eps = 0`` (no catastrophic cancellation at any
-epsilon).  The projected forcings of the slow/fast system are
+epsilon).  `collocate` samples the rescaled forcing of the slow/fast system
+and its w-derivative, the multiplier,
 
-* ``tilde_f(v, w, eps) = -(1/omega^2) P[ scaled_eval(v sin x + w, eps) ]``
-* ``tilde_g(v, w, eps) = -(1/omega^2) Q[ scaled_eval(v sin x + w, eps) ]``
+* order 0: ``-(1/omega^2) scaled_eval(xi, eps)``
+* order 1: ``-(1/omega^2) scaled_deriv(xi, eps)``
 
-with ``omega^2 = 1 + eps^2`` and P/Q the sin-x projection pair.
+at ``xi = v sin x + w`` on the uniform x grid, with ``omega^2 = 1 + eps^2``.
+Every forcing of the pipeline is one `collocate` call followed by the sin-x
+projection pair of `fourier`: ``project_P`` gives the slow forcing f~ (the
+part along sin x), ``project_Q`` the fast forcing g (the part orthogonal to
+it), and the x-mean of the multiplier is the Hill potential of the small
+divisors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import factorial
+from dataclasses import dataclass
+from math import factorial, prod
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .fourier import SpatialField, project_P, project_Q, x_grid
+from .fourier import (SpatialField, project_P, project_Q,
+                      sin_synthesis_matrix, x_grid)
 
 Array = NDArray[np.float64]
 
-__all__ = ["Nonlinearity", "TrustRadiusError", "tilde_f", "tilde_g", "tilde_fg"]
+__all__ = ["Nonlinearity", "TrustRadiusError", "collocate", "tilde_fg"]
 
 
 class TrustRadiusError(ValueError):
@@ -104,76 +111,59 @@ class Nonlinearity:
         return 6.0 * self.odd_coeffs[0]
 
     def _check_domain(self, u: Array | float) -> None:
-        m = np.max(np.abs(u)) if np.ndim(u) else abs(u)
+        m = np.abs(u).max() if np.ndim(u) else abs(u)
         if m > self.trust_radius:
             raise TrustRadiusError(
                 f"|u| = {m:.3g} exceeds trust radius {self.trust_radius:.3g}"
                 f" of model {self.name}")
 
+    def _series(self, y: Array | float, eps: float,
+                coeffs: tuple[float, ...]) -> tuple[Array, Array | float]:
+        """y as an array and sum_m coeffs[m] (eps*y)^(2m), by Horner's rule."""
+        y = np.asarray(y, dtype=float)
+        ey = eps * y
+        self._check_domain(ey)
+        z = ey * ey
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * z + c
+        return y, acc
+
     def eval(self, u: Array | float):
         """f(u) by Horner evaluation of the odd series."""
-        self._check_domain(u)
-        u = np.asarray(u, dtype=float)
-        u2 = u * u
-        acc = np.zeros_like(u)
-        for c in reversed(self.odd_coeffs):
-            acc = acc * u2 + c
-        out = acc * u2 * u
+        u, acc = self._series(u, 1.0, self.odd_coeffs)
+        out = acc * (u * u) * u
         return float(out) if out.ndim == 0 else out
 
     def deriv(self, u: Array | float, order: int = 1):
         """Derivative of f at u, order in {1, 2, 3}."""
         if order not in (1, 2, 3):
             raise ValueError("order must be 1, 2, or 3")
-        self._check_domain(u)
-        u = np.asarray(u, dtype=float)
-        u2 = u * u
-        acc = np.zeros_like(u)
-        for m in range(len(self.odd_coeffs), 0, -1):
-            n = 2 * m + 1
-            if order == 1:
-                c = n * self.odd_coeffs[m - 1]
-            elif order == 2:
-                c = n * (n - 1) * self.odd_coeffs[m - 1]
-            else:
-                c = n * (n - 1) * (n - 2) * self.odd_coeffs[m - 1]
-            acc = acc * u2 + c
-        # remaining power of u after pulling out u^2 per series step
-        tail = u2 if order == 1 else (u if order == 2 else np.ones_like(u))
-        out = acc * tail
+        # u^n with n = 2m + 3 differentiates to n (n-1) ... u^(n - order)
+        u, acc = self._series(u, 1.0, tuple(
+            prod(range(2 * m + 4 - order, 2 * m + 4)) * c
+            for m, c in enumerate(self.odd_coeffs)))
+        out = acc * u ** (3 - order)
         return float(out) if out.ndim == 0 else out
 
     # -- rescaled forms (finite at eps = 0) ----------------------------------
     def scaled_eval(self, y: Array | float, eps: float):
         """f(eps*y)/eps^3 = y^3 * sum_m c_{2m+1} (eps*y)^(2m-2)."""
-        self._check_domain(eps * np.asarray(y, dtype=float))
-        y = np.asarray(y, dtype=float)
-        z = (eps * y) ** 2
-        acc = np.zeros_like(y)
-        for c in reversed(self.odd_coeffs):
-            acc = acc * z + c
-        out = acc * y**3
+        y, acc = self._series(y, eps, self.odd_coeffs)
+        out = acc * (y * y * y)
         return float(out) if out.ndim == 0 else out
 
     def scaled_deriv(self, y: Array | float, eps: float):
         """f'(eps*y)/eps^2 = y^2 * sum_m (2m+1) c_{2m+1} (eps*y)^(2m-2)."""
-        self._check_domain(eps * np.asarray(y, dtype=float))
-        y = np.asarray(y, dtype=float)
-        z = (eps * y) ** 2
-        acc = np.zeros_like(y)
-        for m in range(len(self.odd_coeffs), 0, -1):
-            acc = acc * z + (2 * m + 1) * self.odd_coeffs[m - 1]
+        y, acc = self._series(y, eps, tuple(
+            (2 * m + 3) * c for m, c in enumerate(self.odd_coeffs)))
         out = acc * y**2
         return float(out) if out.ndim == 0 else out
 
     def scaled_antideriv(self, y: Array | float, eps: float):
         """F(eps*y)/eps^4 with F' = f: y^4 * sum_m c_{2m+1} (eps*y)^(2m-2)/(2m+2)."""
-        self._check_domain(eps * np.asarray(y, dtype=float))
-        y = np.asarray(y, dtype=float)
-        z = (eps * y) ** 2
-        acc = np.zeros_like(y)
-        for m in range(len(self.odd_coeffs), 0, -1):
-            acc = acc * z + self.odd_coeffs[m - 1] / (2 * m + 2)
+        y, acc = self._series(y, eps, tuple(
+            c / (2 * m + 4) for m, c in enumerate(self.odd_coeffs)))
         out = acc * y**4
         return float(out) if out.ndim == 0 else out
 
@@ -185,45 +175,42 @@ class Nonlinearity:
 
 
 # ---------------------------------------------------------------------------
-# projected rescaled forcings
+# the collocated forcing
 # ---------------------------------------------------------------------------
 
-def _grid_size(band: int) -> int:
-    return max(4 * band, 32)
+def collocate(model: Nonlinearity | None, eps: float, v: Array | float,
+              w_values: Array | None, M_x: int, order: int = 0) -> Array:
+    """Samples of -(1/omega^2) f^(order)(eps xi)/eps^(3-order), xi = v sin x + w.
+
+    ``v`` is one tau-slice (a scalar; result shape (M_x,)) or a vector of
+    tau samples (result shape (M_tau, M_x)); ``w_values`` are samples of w
+    on the same grid (None = 0).  ``order`` 0 gives the forcing, 1 its
+    w-derivative multiplier.  ``model=None`` is a test hook that suppresses
+    the nonlinearity (zeros).
+    """
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
+    xi = np.multiply.outer(v, sin_synthesis_matrix(M_x, 1)[:, 1])
+    if model is None:
+        return np.zeros_like(xi)
+    if w_values is not None:
+        xi += w_values
+    vals = model.scaled_eval(xi, eps) if order == 0 else model.scaled_deriv(xi, eps)
+    return (-1.0 / (1.0 + eps**2)) * vals
 
 
 def tilde_fg(v: float, w: SpatialField | None, eps: float,
-             model: Nonlinearity, N_out: int | None = None,
+             model: Nonlinearity | None, N_out: int | None = None,
              M: int | None = None) -> tuple[float, SpatialField]:
-    """P and Q components of the rescaled forcing at one tau-slice.
+    """Slow and fast forcings (f~, g) at one tau-slice.
 
-    Returns ``(-(1/omega^2) P[scaled_eval(xi)], -(1/omega^2) Q[scaled_eval(xi)])``
-    with ``xi = v sin x + w``.  ``N_out`` sets the spatial band of the Q part
-    (defaults to the band of ``w`` or 8 for w = 0); ``M`` overrides the
-    collocation size.
+    The P and Q parts of `collocate` at ``xi = v sin x + w``.  ``N_out``
+    sets the spatial band of the Q part (defaults to the band of ``w`` or 8
+    for w = 0); ``M`` overrides the collocation size.
     """
     band_in = w.band if w is not None else 1
     N_out = N_out if N_out is not None else max(band_in, 8)
-    M = M if M is not None else _grid_size(max(3 * band_in, N_out, 8))
-    x = x_grid(M)
-    xi = v * np.sin(x)
-    if w is not None:
-        xi = xi + w.values(x)
-    vals = model.scaled_eval(xi, eps)
-    scale = -1.0 / (1.0 + eps**2)
-    p_part = scale * project_P(vals)
-    q_part = scale * project_Q(vals, N_out)
-    return p_part, q_part
-
-
-def tilde_f(v: float, w: SpatialField | None, eps: float,
-            model: Nonlinearity, M: int | None = None) -> float:
-    """Slow-equation forcing: -(1/omega^2) P[f(eps(v sin x + w))/eps^3]."""
-    return tilde_fg(v, w, eps, model, M=M)[0]
-
-
-def tilde_g(v: float, w: SpatialField | None, eps: float,
-            model: Nonlinearity, N_out: int | None = None,
-            M: int | None = None) -> SpatialField:
-    """Fast-equation forcing: -(1/omega^2) Q[f(eps(v sin x + w))/eps^3]."""
-    return tilde_fg(v, w, eps, model, N_out=N_out, M=M)[1]
+    M = M if M is not None else 4 * max(3 * band_in, N_out, 8)
+    w_values = None if w is None else w.values(x_grid(M))
+    vals = collocate(model, eps, v, w_values, M)
+    return project_P(vals), SpatialField(project_Q(vals, N_out))

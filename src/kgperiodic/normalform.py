@@ -28,10 +28,9 @@ from .fourier import (
     apply_J_eps,
     cos_analyze,
     invert_J_eps,
-    sin_analyze,
-    x_grid,
+    project_Q,
 )
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, collocate
 from .planar import VTrajectory
 
 Array = NDArray[np.float64]
@@ -41,7 +40,6 @@ __all__ = [
     "nf_step",
     "nf_sequence",
     "default_k_max",
-    "projected_g",
     "transformed_g",
     "multiplier_values",
 ]
@@ -58,32 +56,6 @@ def default_k_max(eps: float, c_emp: float = C_EMP_DEFAULT) -> int:
     if eps <= 0:
         return 0
     return min(K_MAX_HARD, int(np.floor(c_emp / eps)))
-
-
-def projected_g(traj: VTrajectory, eps: float, model: Nonlinearity | None,
-                N_x: int, N_tau: int,
-                w_minus_shift_values: Array | None = None,
-                M_tau: int | None = None,
-                M_x: int | None = None) -> SpaceTimeField:
-    """Collocation evaluation of g(v, w - S) as a space-time field.
-
-    ``w_minus_shift_values`` are grid samples of (w - S) on the
-    (M_tau, M_x) collocation grid; omit them for the pure drive g(v, 0).
-    ``model=None`` is a test hook that suppresses the nonlinearity entirely.
-    """
-    M_tau = M_tau or 4 * max(N_tau, 1)
-    M_x = M_x or 4 * max(N_x, 2)
-    if model is None:
-        return SpaceTimeField.zeros(traj.period, N_tau, N_x)
-    v = traj.resample(M_tau)
-    xi = np.outer(v, np.sin(x_grid(M_x)))
-    if w_minus_shift_values is not None:
-        xi = xi + w_minus_shift_values
-    vals = model.scaled_eval(xi, eps)
-    b = sin_analyze(vals, N_x)          # (M_tau, N_x+1)
-    b[:, :2] = 0.0                      # Q-projection: drop the sin x row
-    a = cos_analyze(b.T, N_tau).T       # (N_tau+1, N_x+1)
-    return SpaceTimeField(traj.period, (-1.0 / (1.0 + eps**2)) * a)
 
 
 @dataclass(frozen=True)
@@ -121,12 +93,8 @@ class TransformedSystem:
 
     def drive(self, traj: VTrajectory) -> SpaceTimeField:
         """Current inhomogeneous drive d_step = g_step(v, 0)."""
-        S_vals = None
-        if self.step > 0:
-            S_vals = -self.shift.values_grid(4 * max(self.N_tau, 1), 4 * max(self.N_x, 2))
-        g = projected_g(traj, self.eps, self.model, self.N_x, self.N_tau,
-                        w_minus_shift_values=S_vals)
-        return g + self.linear_drive() if self.step > 0 else g
+        return transformed_g(self, traj, None, 4 * max(self.N_tau, 1),
+                             4 * max(self.N_x, 2))
 
     def to_original(self, w: SpaceTimeField) -> SpaceTimeField:
         """Map the transformed fast variable back to the physical one."""
@@ -185,6 +153,15 @@ def nf_sequence(traj: VTrajectory, eps: float, model: Nonlinearity | None,
 # hooks used by the Galerkin solver
 # ---------------------------------------------------------------------------
 
+def _w_minus_shift(sys: TransformedSystem, w_values: Array | None,
+                   M_tau: int, M_x: int) -> Array | None:
+    """Grid samples of w - S, the physical fast field (None when both vanish)."""
+    if sys.step == 0:
+        return w_values
+    S = sys.shift.values_grid(M_tau, M_x)
+    return -S if w_values is None else w_values - S
+
+
 def transformed_g(sys: TransformedSystem, traj: VTrajectory,
                   w_values: Array | None, M_tau: int, M_x: int,
                   N_x: int | None = None,
@@ -197,15 +174,10 @@ def transformed_g(sys: TransformedSystem, traj: VTrajectory,
     """
     N_x = sys.N_x if N_x is None else N_x
     N_tau = sys.N_tau if N_tau is None else N_tau
-    vals = None
-    if sys.step > 0:
-        vals = -sys.shift.values_grid(M_tau, M_x)
-        if w_values is not None:
-            vals = vals + w_values
-    elif w_values is not None:
-        vals = w_values
-    g = projected_g(traj, sys.eps, sys.model, N_x, N_tau,
-                    w_minus_shift_values=vals, M_tau=M_tau, M_x=M_x)
+    vals = collocate(sys.model, sys.eps, traj.resample(M_tau),
+                     _w_minus_shift(sys, w_values, M_tau, M_x), M_x)
+    g = SpaceTimeField(traj.period,
+                       cos_analyze(project_Q(vals, N_x).T, N_tau).T)
     return g + sys.linear_drive() if sys.step > 0 else g
 
 
@@ -218,12 +190,5 @@ def multiplier_values(sys: TransformedSystem, traj: VTrajectory,
     multiplier of the transformed system equals the original one at the
     shifted argument.
     """
-    if sys.model is None:
-        return np.zeros((M_tau, M_x))
-    v = traj.resample(M_tau)
-    xi = np.outer(v, np.sin(x_grid(M_x)))
-    if sys.step > 0:
-        xi = xi - sys.shift.values_grid(M_tau, M_x)
-    if w_values is not None:
-        xi = xi + w_values
-    return (-1.0 / (1.0 + sys.eps**2)) * sys.model.scaled_deriv(xi, sys.eps)
+    return collocate(sys.model, sys.eps, traj.resample(M_tau),
+                     _w_minus_shift(sys, w_values, M_tau, M_x), M_x, order=1)

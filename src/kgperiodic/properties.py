@@ -163,7 +163,7 @@ def check_pq_identity() -> PropertyResult:
     p = float(project_P(g))
     q = project_Q(g, N_x=5)
     expect = SpatialField.from_modes({3: -0.25}, N_x=5)
-    err = max(abs(p - 0.75), float(np.max(np.abs(q.coeffs - expect.coeffs))))
+    err = max(abs(p - 0.75), float(np.max(np.abs(q - expect.coeffs))))
     ok = err <= 1e-14
     return PropertyResult("pq_projection_identity", ok,
                           f"sin^3 x split error = {err:.3e} (P=3/4, Q=-sin3x/4)")
@@ -185,7 +185,7 @@ def check_j_inverse_identity(rng: np.random.Generator) -> PropertyResult:
 
 
 def check_forcing_oddness(rng: np.random.Generator) -> PropertyResult:
-    """tilde_f and tilde_g are jointly odd in (v, w)."""
+    """The slow and fast forcings f~ and g are jointly odd in (v, w)."""
     worst = 0.0
     for model in (Nonlinearity.sine_gordon(), Nonlinearity.phi4()):
         for _ in range(10):

@@ -46,6 +46,10 @@ __all__ = [
     "LinearizedOperator",
     "NonConvergenceError",
     "FITTED_C",
+    "SIGMA",
+    "BAR_S",
+    "validate_eps",
+    "check_admissible",
     "schedule_for",
     "assemble_F",
     "nash_moser_solve",
@@ -63,6 +67,29 @@ FITTED_C = 2.0
 # Relative residual target of the block-preconditioned GMRES solve.
 GMRES_RTOL = 1e-14
 
+# Sobolev exponents of the admissibility hypotheses; no computation uses
+# them, they only bound the resonance exponents (`check_admissible`).
+SIGMA = 3.0
+BAR_S = 8.0
+
+
+def validate_eps(eps: float) -> float:
+    """eps as a float; `ValueError` unless it is finite and in (0, 1)."""
+    eps = float(eps)
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be a finite number in (0, 1), got {eps!r}")
+    return eps
+
+
+def check_admissible(params: ResonanceParams) -> None:
+    """`ValueError` unless sigma > gamma + l and bar_s > 4 gamma + 2 sigma."""
+    g = params.gamma
+    if not (SIGMA > g + params.l and BAR_S > 4 * g + 2 * SIGMA):
+        raise ValueError(
+            f"resonance exponents alpha = {params.alpha:g}, l = {params.l:g} "
+            f"are not admissible: need sigma = {SIGMA:g} > gamma + l and "
+            f"bar_s = {BAR_S:g} > 4 gamma + 2 sigma (gamma = {g:g})")
+
 
 class NonConvergenceError(RuntimeError):
     """Newton failed to reach the stage tolerance; carries the stage history."""
@@ -77,8 +104,6 @@ class SolverConfig:
     """Solve parameters; invariants mirror the admissibility hypotheses."""
 
     s: float = 1.0
-    sigma: float = 3.0
-    bar_s: float = 8.0
     resonance: ResonanceParams = field(default_factory=ResonanceParams)
     schedule: tuple[int, ...] | None = None
     residual_tol: float = 1e-10
@@ -90,11 +115,7 @@ class SolverConfig:
     check_resonance: bool = True
 
     def __post_init__(self):
-        g = self.resonance.gamma
-        if not self.sigma > g + self.resonance.l:
-            raise ValueError("need sigma > gamma + l")
-        if not self.bar_s > 4 * g + 2 * self.sigma:
-            raise ValueError("need bar_s > 4 gamma + 2 sigma")
+        check_admissible(self.resonance)
         if self.schedule is not None:
             sched = tuple(int(n) for n in self.schedule)
             if any(n < 2 for n in sched) or any(
@@ -192,11 +213,8 @@ def assemble_F(V_traj: VTrajectory, w: SpaceTimeField, eps: float,
     M_x = M_x or dM_x
     lin = SpaceTimeField(period=w.period,
                          coeffs=w.coeffs * _linear_symbol(w.period, eps, N_tau, K))
-    if sys.model is None:
-        return lin
-    w_values = w.values_grid(M_tau, M_x)
-    g = transformed_g(sys, V_traj, w_values, M_tau=M_tau, M_x=M_x,
-                      N_x=K, N_tau=N_tau)
+    g = transformed_g(sys, V_traj, w.values_grid(M_tau, M_x), M_tau=M_tau,
+                      M_x=M_x, N_x=K, N_tau=N_tau)
     return lin + (eps**2) * g
 
 
@@ -417,7 +435,7 @@ def resonance_gate(traj: VTrajectory, eps: float, model: Nonlinearity,
     Returns (report, spectrum, table); raises ResonanceError when eps falls
     inside a window for some retained wavenumber k <= K.
     """
-    q = averaged_potential(traj, None, eps, model)
+    q = averaged_potential(traj, eps, model)
     spectrum = hill_eigs(q, traj.period, J_hill)
     j_table = int(math.ceil(2.5 * K * max(1.0, traj.period / (2 * np.pi)) / eps))
     table = DivisorTable.build(spectrum, K_max=max(K, 2), J_max=j_table)
@@ -436,8 +454,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
     records the increment norm, residual and an inverse-norm estimate; the
     final residual is certified on a doubled collocation grid.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    eps = validate_eps(eps)
     period = V_traj.period
     requested, effective = schedule_for(eps, config)
     N_final = effective[-1]

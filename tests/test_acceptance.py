@@ -18,7 +18,7 @@ from kgperiodic.divisors import (
     measure_exponent_fit,
 )
 from kgperiodic.fourier import j_eps_symbol
-from kgperiodic.nonlinearity import tilde_f
+from kgperiodic.nonlinearity import tilde_fg
 from kgperiodic.normalform import nf_sequence
 from kgperiodic.planar import h_star, limit_rhs, monodromy
 from kgperiodic.properties import DEFAULT_SEED, run_all
@@ -48,7 +48,7 @@ def test_criterion_02_limit_coefficient_law(sine_gordon, phi4):
     eps_values = (1e-2, 5e-3, 2.5e-3)
     v = 1.0
     for model in (sine_gordon, phi4):
-        errs = [abs(tilde_f(v, None, e, model) + model.f3 * v**3 / 8.0)
+        errs = [abs(tilde_fg(v, None, e, model)[0] + model.f3 * v**3 / 8.0)
                 for e in eps_values]
         slope = richardson_slope(eps_values, errs)
         assert abs(slope - 2.0) <= 0.1, f"{model.name}: slope {slope}"
@@ -89,7 +89,7 @@ def test_criterion_06_divisor_correctness(orbit09, sine_gordon):
     # (a) production-table entries satisfy the defining equation to 1e-12
     from kgperiodic.divisors import averaged_potential
     traj = orbit09.trajectory(256)
-    q = averaged_potential(traj, None, FIXTURE_EPS, sine_gordon)
+    q = averaged_potential(traj, FIXTURE_EPS, sine_gordon)
     spectrum = hill_eigs(q, traj.period, 400)
     table = DivisorTable.build(spectrum, K_max=6, J_max=2000)
     lam = spectrum.lambda_at(np.arange(1, 2001))

@@ -122,6 +122,13 @@ class TestSolve:
         cfg = {"eps": -0.1, "out_dir": str(tmp_path)}
         assert run_cli(tmp_path, "solve", cfg) == EXIT_BAD_CONFIG
 
+    def test_inadmissible_resonance_exponents_exit_1(self, tmp_path, capsys):
+        # gamma = 0.8 leaves no room for sigma = 3 > gamma + l = 3.7
+        cfg = {"eps": 0.1, "resonance": {"alpha": 0.1, "l": 2.9},
+               "out_dir": str(tmp_path)}
+        assert run_cli(tmp_path, "solve", cfg) == EXIT_BAD_CONFIG
+        assert "field 'resonance'" in capsys.readouterr().err
+
     def test_resonant_eps_exits_2(self, tmp_path, capsys):
         cfg = {"eps": RESONANT_EPS, "out_dir": str(tmp_path)}
         assert run_cli(tmp_path, "solve", cfg) == EXIT_RESONANT

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kgperiodic import closure
+from kgperiodic.assembly import epsilon_sweep
 from kgperiodic.closure import (
     ClosureConsistencyError,
     DegenerateOrbitError,
@@ -98,6 +100,21 @@ class TestSolveDelta1:
             assert key in doc
         assert isinstance(doc["closed"], bool)
         assert doc["solver"]["converged"] is True
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"),
+                                 0.0, 1.0, 1.5, -0.1])
+def test_bad_eps_rejected_before_integration(eps, orbit09, sine_gordon,
+                                             monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrate_v called with an invalid eps")
+
+    monkeypatch.setattr(closure, "integrate_v", fail)
+    with pytest.raises(ValueError, match="eps must be"):
+        solve_delta1(orbit09, eps, sine_gordon)
+    # the sweep checks every entry before the (valid) first row runs
+    with pytest.raises(ValueError, match="eps must be"):
+        epsilon_sweep(sine_gordon, 0.9, [0.1, eps])
 
 
 class TestCheckClosure:

@@ -34,21 +34,21 @@ def flat_2pi():
 class TestAveragedPotential:
     def test_zero_base_point_phi4(self):
         traj = find_orbit(6.0, 1e-9).trajectory(64)
-        q = averaged_potential(traj, None, 0.1, Nonlinearity.phi4())
+        q = averaged_potential(traj, 0.1, Nonlinearity.phi4())
         assert np.max(np.abs(q)) < 1e-15
 
     def test_phi4_proportional_v_squared(self):
         # multiplier -(3/omega^2)(v sin x)^2 has x-mean -(3/2) v^2 / omega^2
         eps = 0.1
         traj = find_orbit(6.0, 1.0).trajectory(64)
-        q = averaged_potential(traj, None, eps, Nonlinearity.phi4(), M_tau=64)
+        q = averaged_potential(traj, eps, Nonlinearity.phi4(), M_tau=64)
         v = traj.resample(64)
         expected = -(1.5 / (1.0 + eps**2)) * v**2
         assert np.max(np.abs(q - expected)) < 1e-13
 
     def test_even_and_periodic(self):
         traj = find_orbit(1.0, 0.9).trajectory(128)
-        q = averaged_potential(traj, None, 0.1, Nonlinearity.sine_gordon(),
+        q = averaged_potential(traj, 0.1, Nonlinearity.sine_gordon(),
                                M_tau=128)
         # evenness in tau: q[m] = q[M-m]
         assert np.max(np.abs(q[1:] - q[::-1][:-1])) < 1e-12

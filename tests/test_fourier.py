@@ -82,14 +82,14 @@ class TestPQ:
         x = x_grid(32)
         assert project_P(np.sin(x)) == pytest.approx(1.0, abs=1e-14)
         q = project_Q(np.sin(x), N_x=4)
-        assert np.max(np.abs(q.coeffs)) < 1e-14
+        assert np.max(np.abs(q)) < 1e-14
 
     def test_sin_2x(self):
         x = x_grid(32)
         g = np.sin(2 * x)
         assert project_P(g) == pytest.approx(0.0, abs=1e-14)
         q = project_Q(g, N_x=4)
-        assert q.coeffs[2] == pytest.approx(1.0, abs=1e-14)
+        assert q[2] == pytest.approx(1.0, abs=1e-14)
 
     def test_sin_cubed(self):
         # sin^3 x = (3 sin x - sin 3x) / 4
@@ -97,8 +97,8 @@ class TestPQ:
         g = np.sin(x) ** 3
         assert project_P(g) == pytest.approx(0.75, abs=1e-14)
         q = project_Q(g, N_x=5)
-        assert q.coeffs[3] == pytest.approx(-0.25, abs=1e-14)
-        assert abs(q.coeffs[2]) < 1e-14 and abs(q.coeffs[4]) < 1e-14
+        assert q[3] == pytest.approx(-0.25, abs=1e-14)
+        assert abs(q[2]) < 1e-14 and abs(q[4]) < 1e-14
 
     def test_p_against_quadrature_oracle(self, rng):
         c = rng.standard_normal(3)

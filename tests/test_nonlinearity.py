@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgperiodic.fourier import SpatialField, project_Q, x_grid
+from kgperiodic.fourier import (SpaceTimeField, SpatialField, project_P,
+                                project_Q, x_grid)
 from kgperiodic.nonlinearity import (
     Nonlinearity,
     TrustRadiusError,
-    tilde_f,
+    collocate,
     tilde_fg,
-    tilde_g,
 )
+from kgperiodic.planar import find_orbit
 
 from oracles import quadrature_P, richardson_slope
 
@@ -58,11 +59,11 @@ class TestModels:
 class TestTildeForcing:
     def test_phi4_limit_value(self):
         # P(sin^3 x) = 3/4, so tilde_f -> -f'''(0) v^3 / 8 = -3/4 at v = 1
-        assert tilde_f(1.0, None, 0.0, Nonlinearity.phi4()) == pytest.approx(
-            -0.75, abs=1e-14)
+        f, _ = tilde_fg(1.0, None, 0.0, Nonlinearity.phi4())
+        assert f == pytest.approx(-0.75, abs=1e-14)
 
     def test_phi4_limit_field(self):
-        g = tilde_g(1.0, None, 0.0, Nonlinearity.phi4(), N_out=5)
+        _, g = tilde_fg(1.0, None, 0.0, Nonlinearity.phi4(), N_out=5)
         assert g.coeffs[3] == pytest.approx(0.25, abs=1e-14)
         assert np.max(np.abs(np.delete(g.coeffs, 3))) < 1e-14
 
@@ -77,7 +78,7 @@ class TestTildeForcing:
         for _ in range(5):
             coeffs = 0.1 * rng.standard_normal(6)
             coeffs[:2] = 0.0
-            g = tilde_g(rng.uniform(-1, 1), SpatialField(coeffs), 0.1, sg)
+            _, g = tilde_fg(rng.uniform(-1, 1), SpatialField(coeffs), 0.1, sg)
             assert g.coeffs[1] == 0.0
 
     def test_against_quadrature_oracle(self):
@@ -91,7 +92,7 @@ class TestTildeForcing:
             return (u - np.sin(u)) / eps**3
 
         expected = -quadrature_P(integrand) / omega2
-        assert tilde_f(v, None, eps, sg) == pytest.approx(expected, rel=1e-12)
+        assert tilde_fg(v, None, eps, sg)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_limit_coefficient_richardson(self):
         # |tilde_f(v,0,eps) + f'''(0) v^3/8| = O(eps^2) for both models
@@ -99,7 +100,7 @@ class TestTildeForcing:
         for model in (Nonlinearity.sine_gordon(), Nonlinearity.phi4()):
             target = -model.f3 * v**3 / 8.0
             eps_values = [1e-2, 5e-3, 2.5e-3]
-            errors = [abs(tilde_f(v, None, e, model) - target)
+            errors = [abs(tilde_fg(v, None, e, model)[0] - target)
                       for e in eps_values]
             slope = richardson_slope(eps_values, errors)
             assert slope == pytest.approx(2.0, abs=0.1)
@@ -116,16 +117,58 @@ class TestTildeForcing:
         h = SpatialField(h_coeffs)
 
         t = 1e-6
-        plus = tilde_g(v, w + h * t, eps, sg, N_out=12)
-        minus = tilde_g(v, w + h * (-t), eps, sg, N_out=12)
+        _, plus = tilde_fg(v, w + h * t, eps, sg, N_out=12)
+        _, minus = tilde_fg(v, w + h * (-t), eps, sg, N_out=12)
         fd = (plus.coeffs - minus.coeffs) / (2.0 * t)
 
         x = x_grid(64)
         xi = v * np.sin(x) + w.values(x)
         mult = -sg.scaled_deriv(xi, eps) / (1.0 + eps**2)
-        analytic = project_Q(mult * h.values(x), N_x=12).coeffs
+        analytic = project_Q(mult * h.values(x), N_x=12)
         assert np.max(np.abs(fd - analytic)) <= 1e-8 * max(
             1.0, np.max(np.abs(analytic)))
+
+
+class TestCollocate:
+    def test_vector_path_matches_scalar_path(self, rng):
+        # rows of the (tau, x) kernel used by assemble_F against the
+        # one-slice path used by integrate_v and tilde_fg
+        sg = Nonlinearity.sine_gordon()
+        eps, M_tau, M_x, N_x = 0.15, 24, 48, 10
+        traj = find_orbit(sg.f3, 0.9).trajectory(M_tau)
+        coeffs = 0.05 * rng.standard_normal((7, N_x + 1))
+        coeffs[:, :2] = 0.0
+        w = SpaceTimeField(traj.period, coeffs)
+        v = traj.resample(M_tau)
+        vals = collocate(sg, eps, v, w.values_grid(M_tau, M_x), M_x)
+        P, Q = project_P(vals), project_Q(vals, N_x)
+        assert vals.shape == (M_tau, M_x) and P.shape == (M_tau,)
+        for m in range(M_tau):
+            tau = traj.period * m / M_tau
+            f, g = tilde_fg(v[m], SpatialField(w.slice_coeffs(tau)), eps, sg,
+                            N_out=N_x, M=M_x)
+            assert abs(P[m] - f) <= 1e-14 * np.max(np.abs(P))
+            assert np.max(np.abs(Q[m] - g.coeffs)) <= 1e-14 * np.max(np.abs(Q))
+
+    def test_multiplier_is_w_derivative(self, rng):
+        sg = Nonlinearity.sine_gordon()
+        eps, M_x, t = 0.2, 32, 1e-6
+        v = rng.uniform(-1.0, 1.0, 5)
+        w_values = 0.1 * rng.standard_normal((5, M_x))
+        plus = collocate(sg, eps, v, w_values + t, M_x)
+        minus = collocate(sg, eps, v, w_values - t, M_x)
+        m = collocate(sg, eps, v, w_values, M_x, order=1)
+        assert np.max(np.abs((plus - minus) / (2.0 * t) - m)) <= 1e-8 * np.max(np.abs(m))
+
+    def test_scalar_slice_and_model_none(self):
+        vals = collocate(Nonlinearity.phi4(), 0.0, 1.0, None, 16)
+        assert vals.shape == (16,)
+        assert np.allclose(vals, -np.sin(x_grid(16)) ** 3, atol=1e-15)
+        assert np.all(collocate(None, 0.1, np.ones(3), None, 16, order=1) == 0.0)
+
+    def test_order_2_rejected(self):
+        with pytest.raises(ValueError):
+            collocate(Nonlinearity.phi4(), 0.1, 1.0, None, 16, order=2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from kgperiodic.normalform import (
     identity_system,
     nf_sequence,
     nf_step,
-    projected_g,
+    transformed_g,
 )
 from kgperiodic.planar import find_orbit
 from kgperiodic.solver import assemble_F
@@ -162,10 +162,16 @@ class TestExactSubstitution:
 
 
 class TestProjectedG:
+    """The Q-projected forcing g(v, 0) of the untransformed system."""
+
     def test_zero_model_hook(self, traj_sg):
-        g = projected_g(traj_sg, 0.1, None, N_x=4, N_tau=6)
+        sys0 = identity_system(None, 0.1, traj_sg.period, N_x=4, N_tau=6)
+        g = transformed_g(sys0, traj_sg, None, M_tau=24, M_x=16)
+        assert g.coeffs.shape == (7, 5)
         assert np.all(g.coeffs == 0.0)
 
     def test_q_space_output(self, traj_sg):
-        g = projected_g(traj_sg, 0.1, Nonlinearity.sine_gordon(), N_x=6, N_tau=8)
+        sg = Nonlinearity.sine_gordon()
+        sys0 = identity_system(sg, 0.1, traj_sg.period, N_x=6, N_tau=8)
+        g = transformed_g(sys0, traj_sg, None, M_tau=32, M_x=24)
         assert np.all(g.coeffs[:, :2] == 0.0)

@@ -11,7 +11,7 @@ from kgperiodic.divisors import (
     epsilon_kj,
 )
 from kgperiodic.fourier import SpaceTimeField
-from kgperiodic.normalform import projected_g
+from kgperiodic.normalform import identity_system, transformed_g
 from kgperiodic.planar import VTrajectory
 from kgperiodic.solver import (
     FITTED_C,
@@ -73,8 +73,8 @@ class TestAssembleF:
         w = SpaceTimeField(period=traj.period,
                            coeffs=np.zeros((N_tau + 1, N_x + 1)))
         F = assemble_F(traj, w, EPS, sine_gordon, M_tau=128, M_x=64)
-        g = projected_g(traj, EPS, sine_gordon, N_x=N_x, N_tau=N_tau,
-                        M_tau=128, M_x=64)
+        sys0 = identity_system(sine_gordon, EPS, traj.period, N_x, N_tau)
+        g = transformed_g(sys0, traj, None, M_tau=128, M_x=64)
         assert np.max(np.abs(F.coeffs - EPS**2 * g.coeffs)) < 1e-15
 
 
@@ -224,10 +224,9 @@ class TestSchedule:
         assert schedule_for(0.07, cfg) == ((6, 12), (6, 12))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(sigma=2.0)          # needs sigma > gamma + l
-        with pytest.raises(ValueError):
-            SolverConfig(bar_s=6.0)          # needs bar_s > 4 gamma + 2 sigma
+        # gamma = 0.8: sigma = 3 is not above gamma + l = 3.7
+        with pytest.raises(ValueError, match="resonance exponents"):
+            SolverConfig(resonance=ResonanceParams(alpha=0.1, l=2.9))
         with pytest.raises(ValueError):
             SolverConfig(schedule=(4, 4))
         with pytest.raises(ValueError):

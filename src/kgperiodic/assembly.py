@@ -25,7 +25,7 @@ from scipy.stats import linregress
 
 from .closure import (ClosureResult, DegenerateOrbitError, IntegrationError,
                       OuterLoopError, solve_delta1)
-from .divisors import ResonanceError, ResonanceParams
+from .divisors import ResonanceError
 from .fourier import SpaceTimeField
 from .nonlinearity import Nonlinearity
 from .planar import NoPeriodicOrbitError, PlanarOrbit, find_orbit

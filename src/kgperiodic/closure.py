@@ -13,12 +13,13 @@ and cross-checked against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.integrate import solve_ivp
 
+from .divisors import ResonanceReport
 from .fourier import SpaceTimeField, project_P, sin_synthesis_matrix, x_grid
 from .nonlinearity import Nonlinearity, collocate
 from .planar import PlanarOrbit, PlanarState, VTrajectory, monodromy
@@ -166,10 +167,17 @@ class ClosureResult:
     end_state: PlanarState
     run: SolverRun | None
     history: tuple
+    conormal: tuple[float, float]     # unit shooting direction n_hat
+    resonance_first: ResonanceReport | None   # gate verdict of round 1
 
     @property
     def H_mismatch(self) -> float:
         return abs(self.H_end - self.H_start)
+
+    @property
+    def resonance_final(self) -> ResonanceReport | None:
+        """Gate verdict of the reported round (on its trajectory)."""
+        return None if self.run is None else self.run.resonance
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,8 +192,15 @@ class ClosureResult:
             "closed": self.closed,
             "derivative": self.derivative,
             "history": [list(h) for h in self.history],
+            "conormal": list(self.conormal),
+            "resonance_first": _report_json(self.resonance_first),
+            "resonance_final": _report_json(self.resonance_final),
             "solver": None if self.run is None else self.run.to_json_dict(),
         }
+
+
+def _report_json(report: ResonanceReport | None) -> dict | None:
+    return None if report is None else report.to_json_dict()
 
 
 def _units(orbit: PlanarOrbit) -> tuple[PlanarState, Array, Array]:
@@ -208,6 +223,14 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     updated trajectory, until both the scalar defect and the w-update are
     below tolerance.  The shooting derivative is checked against the
     non-degeneracy floor on every outer round.
+
+    Each secant starts with a step along the last measured slope; before
+    the first measurement, the slope of the limit flow t.(M - I).n from the
+    monodromy matrix M.  Round 1 and every round that can end the loop
+    (its delta moved by at most ``tol_outer``) solve the fast field cold,
+    with the resonance gate; the rounds in between start Newton from the
+    previous round's w and skip the gate.  The reported run is therefore
+    always a cold, gated solve on the final trajectory.
     """
     eps = validate_eps(eps)
     if solver is None:
@@ -219,6 +242,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     P0, t_hat, n_hat = _units(orbit)
     base = np.array([P0.p, P0.p_tau])
     period = orbit.period
+    slope = float(t_hat @ (rep.matrix - np.eye(2)) @ n_hat)
 
     def tangential_defect(delta: float, w: SpaceTimeField | None) -> tuple[float, VTrajectory, PlanarState]:
         start = PlanarState(*(base + delta * n_hat))
@@ -229,6 +253,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
 
     w_field: SpaceTimeField | None = None
     run: SolverRun | None = None
+    first_gate: ResonanceReport | None = None
     delta = 0.0
     deriv = math.nan
     history: list[tuple] = []
@@ -236,16 +261,25 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     end = P0
 
     for outer in range(1, max_outer + 1):
-        # (a) secant on the tangential defect at frozen w
+        # (a) secant on the tangential defect at frozen w; only the seed
+        # slope can lie below the floor, and then a probe starts the secant
         d_a = delta
         t_a, traj, end = tangential_defect(d_a, w_field)
         if abs(t_a) > tol_defect:
-            d_b = d_a + max(1e-4, 0.1 * abs(t_a))
+            if abs(slope) >= derivative_floor:
+                d_b = d_a - t_a / slope
+            else:
+                d_b = d_a + max(1e-4, 0.1 * abs(t_a))
             t_b, traj, end = tangential_defect(d_b, w_field)
-            for _ in range(max_secant):
+            steps = 0
+            while abs(t_b) > tol_defect:
+                if steps == max_secant:
+                    raise OuterLoopError(
+                        f"secant did not reach tol (|t| = {abs(t_b):.3e})",
+                        history=history)
                 if t_b == t_a:
                     raise DegenerateOrbitError("secant stalled: flat defect")
-                deriv = (t_b - t_a) / (d_b - d_a)
+                deriv = slope = (t_b - t_a) / (d_b - d_a)
                 if abs(deriv) < derivative_floor:
                     raise DegenerateOrbitError(
                         f"shooting derivative {deriv:.3e} below floor "
@@ -253,21 +287,24 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
                 d_a, t_a = d_b, t_b
                 d_b = d_b - t_b / deriv
                 t_b, traj, end = tangential_defect(d_b, w_field)
-                if abs(t_b) <= tol_defect:
-                    break
-            else:
-                raise OuterLoopError(
-                    f"secant did not reach tol (|t| = {abs(t_b):.3e})",
-                    history=history)
+                steps += 1
             delta, t_cur = d_b, t_b
         else:
             t_cur = t_a
-        # (b) fast solve on the updated trajectory
-        run = nash_moser_solve(traj, eps, solver, model)
+        # (b) fast solve on the updated trajectory; a round whose delta has
+        # settled may be the reported one, so it solves cold and gated
+        ddelta = abs(delta - history[-1][0]) if history else abs(delta)
+        if outer == 1 or ddelta <= tol_outer:
+            run = nash_moser_solve(traj, eps, solver, model)
+        else:
+            run = nash_moser_solve(traj, eps,
+                                   replace(solver, check_resonance=False),
+                                   model, w0=run.w)
+        if outer == 1:
+            first_gate = run.resonance
         w_new = run.w_physical
         dw = (w_new.norm(1.0) if w_field is None
               else (w_new - w_field).norm(1.0))
-        ddelta = abs(delta - history[-1][0]) if history else abs(delta)
         history.append((delta, t_cur, dw))
         w_field = w_new
         if outer >= 2 and dw <= tol_outer and ddelta <= tol_outer:
@@ -306,16 +343,17 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
                          defect_t=t_fin, d=d_val, H_start=H0, H_end=H1,
                          H_drift=drift, outer_iters=outer, closed=closed,
                          derivative=float(deriv), V_traj=traj, end_state=end,
-                         run=run, history=tuple(history))
+                         run=run, history=tuple(history),
+                         conormal=(float(n_hat[0]), float(n_hat[1])),
+                         resonance_first=first_gate)
 
 
 def _grad_H_conormal(result: ClosureResult, eps: float,
                      model: Nonlinearity | None, h: float = 1e-6) -> float:
     """|directional derivative of H along the conormal| at the start state."""
     base = np.array([result.end_state.p, result.end_state.p_tau])
-    # conormal of the seed: reconstruct from the stored trajectory start
     s = np.array(result.V_traj.start)
-    n_hat = np.array([1.0, 0.0])  # conormal is the p-axis for our sections
+    n_hat = np.array(result.conormal)
     w = None if result.run is None else result.run.w_physical
     Hp = _H_at(0.0, PlanarState(*(s + h * n_hat)), w, eps, model)
     Hm = _H_at(0.0, PlanarState(*(s - h * n_hat)), w, eps, model)
@@ -336,7 +374,7 @@ def check_closure(result: ClosureResult, eps: float,
     w = None if result.run is None else result.run.w_physical
     base_start = np.array(result.V_traj.start)
     end = np.array([result.end_state.p, result.end_state.p_tau])
-    n_hat = np.array([1.0, 0.0])
+    n_hat = np.array(result.conormal)
     if endpoint_perturbation:
         end = end + endpoint_perturbation * n_hat
     d_val = float((end - (base_start - result.delta1 * n_hat)) @ n_hat) - result.delta1

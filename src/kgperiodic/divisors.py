@@ -15,7 +15,7 @@ measure O(eps0^(l-1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -323,6 +323,11 @@ class ResonanceReport:
         return (f"eps = {self.eps:.8g} is {verdict} the resonance window at "
                 f"(k={self.nearest_k}, j={self.nearest_j}): center {self.center:.8g}, "
                 f"halfwidth {self.halfwidth:.3g}, distance {self.distance:.3g}")
+
+    def to_json_dict(self) -> dict:
+        return {"resonant": self.resonant, "nearest_k": self.nearest_k,
+                "nearest_j": self.nearest_j, "center": self.center,
+                "halfwidth": self.halfwidth, "distance": self.distance}
 
 
 def is_resonant(eps: float, params: ResonanceParams, table: DivisorTable,

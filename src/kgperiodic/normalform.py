@@ -18,7 +18,7 @@ finite differences and the variable change stays exact to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray

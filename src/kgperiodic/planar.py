@@ -179,8 +179,8 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-12,
     output.  For ``f3 < 0`` the amplitude must stay inside the bounded
     component below the saddle at sqrt(-8/f3).
     """
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    if not (np.isfinite(amplitude) and amplitude > 0):
+        raise ValueError("amplitude must be a finite positive number")
     if f3 < 0 and amplitude >= np.sqrt(-8.0 / f3):
         raise NoPeriodicOrbitError(
             f"amplitude {amplitude:.6g} is outside the bounded component "

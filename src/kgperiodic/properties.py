@@ -18,7 +18,6 @@ from .fourier import (
     SpatialField,
     apply_J_eps,
     invert_J_eps,
-    j_eps_symbol,
     multiply_to_even,
     project_P,
     project_Q,

@@ -27,8 +27,8 @@ from numpy.typing import NDArray
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .divisors import (DivisorTable, ResonanceError, ResonanceParams,
-                       averaged_potential, hill_eigs, is_resonant,
-                       multiplication_matrix)
+                       ResonanceReport, averaged_potential, hill_eigs,
+                       is_resonant, multiplication_matrix)
 from .fourier import (SpaceTimeField, cos_synthesis_matrix,
                       sin_synthesis_matrix, x_grid)
 from .nonlinearity import Nonlinearity
@@ -403,7 +403,11 @@ class SolverRun:
     system: TransformedSystem
     converged: bool
     residual_certificate: float
-    resonance_checked: bool
+    resonance: ResonanceReport | None  # verdict of the gate; None if not gated
+
+    @property
+    def resonance_checked(self) -> bool:
+        return self.resonance is not None
 
     @property
     def w_physical(self) -> SpaceTimeField:
@@ -422,6 +426,8 @@ class SolverRun:
             "converged": self.converged,
             "residual_certificate": self.residual_certificate,
             "resonance_checked": self.resonance_checked,
+            "resonance": (None if self.resonance is None
+                          else self.resonance.to_json_dict()),
             "w_norm_1": self.w.norm(1.0),
             "w_physical_norm_1": self.w_physical.norm(1.0),
         }
@@ -446,13 +452,16 @@ def resonance_gate(traj: VTrajectory, eps: float, model: Nonlinearity,
 
 
 def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
-                     model: Nonlinearity | None) -> SolverRun:
+                     model: Nonlinearity | None,
+                     w0: SpaceTimeField | None = None) -> SolverRun:
     """Solve F(w) = 0 over nested truncations with damped Newton stages.
 
     The unknown lives in the averaged frame produced by ``config.nf_steps``
-    normal-form steps; `SolverRun.w_physical` undoes the shift.  Every stage
-    records the increment norm, residual and an inverse-norm estimate; the
-    final residual is certified on a doubled collocation grid.
+    normal-form steps; `SolverRun.w_physical` undoes the shift.  Newton
+    starts from w = 0, or from the initial guess ``w0`` (same frame and
+    period; the coefficients it shares with this solve's band are copied).
+    Every stage records the increment norm, residual and an inverse-norm
+    estimate; the final residual is certified on a doubled collocation grid.
     """
     eps = validate_eps(eps)
     period = V_traj.period
@@ -460,10 +469,18 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
     N_final = effective[-1]
     N_tau = _default_N_tau(V_traj, config)
 
-    resonance_checked = False
+    coeffs = np.zeros((N_tau + 1, N_final + 1))
+    if w0 is not None:
+        if abs(w0.period - period) > 1e-12 * max(1.0, abs(period)):
+            raise ValueError("period mismatch between w0 and the trajectory")
+        j, k = min(N_tau, w0.band_tau) + 1, min(N_final, w0.band_x) + 1
+        coeffs[:j, :k] = w0.coeffs[:j, :k]
+    w = SpaceTimeField(period=period, coeffs=coeffs)
+
+    resonance = None
     if config.check_resonance and model is not None:
-        resonance_gate(V_traj, eps, model, N_final, config.resonance)
-        resonance_checked = True
+        resonance, _, _ = resonance_gate(V_traj, eps, model, N_final,
+                                         config.resonance)
 
     if model is None or config.nf_steps == 0:
         sys = identity_system(model=model, eps=eps, N_x=N_final,
@@ -472,7 +489,6 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
         sys = nf_sequence(V_traj, eps, model, N_x=N_final, N_tau=N_tau,
                           k_max=config.nf_steps)
 
-    w = SpaceTimeField(period=period, coeffs=np.zeros((N_tau + 1, N_final + 1)))
     stages: list[StageRecord] = []
 
     for N_i in effective:
@@ -530,7 +546,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                      requested_schedule=requested, effective_schedule=effective,
                      N_tau=N_tau, stages=tuple(stages), w=w, system=sys,
                      converged=converged, residual_certificate=float(cert),
-                     resonance_checked=resonance_checked)
+                     resonance=resonance)
 
 
 # ---------------------------------------------------------------------------

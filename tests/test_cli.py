@@ -1,7 +1,6 @@
 """Exit codes, artifacts, and determinism of the batch front end."""
 
 import json
-import math
 
 import pytest
 
@@ -161,6 +160,18 @@ class TestSolve:
         samples = vdoc["trajectory"]["samples"]
         assert len(samples) == 256 and len(samples[0]) == 3
         assert samples[0][1] == pytest.approx(0.9 + vdoc["delta1"], abs=1e-12)
+
+    def test_byte_identical_reruns(self, tmp_path):
+        # the README example config; the resolved config (with out_dir) is
+        # embedded in every artifact, so both runs share it
+        cfg = {"model": {"model": "sine-gordon"}, "amplitude": 0.9,
+               "eps": 0.1, "out_dir": str(tmp_path)}
+        names = ("solve.json", "w_field.json", "v_traj.json")
+        assert run_cli(tmp_path, "solve", cfg) == EXIT_OK
+        first = {n: (tmp_path / n).read_bytes() for n in names}
+        assert run_cli(tmp_path, "solve", cfg) == EXIT_OK
+        for n in names:
+            assert (tmp_path / n).read_bytes() == first[n], n
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kgperiodic import closure
+from kgperiodic import closure, solver
 from kgperiodic.assembly import epsilon_sweep
 from kgperiodic.closure import (
     ClosureConsistencyError,
@@ -100,6 +100,41 @@ class TestSolveDelta1:
             assert key in doc
         assert isinstance(doc["closed"], bool)
         assert doc["solver"]["converged"] is True
+        assert doc["resonance_final"] == doc["solver"]["resonance"]
+
+    def test_gate_verdicts_of_first_and_reported_round(self, closure01):
+        first, final = closure01.resonance_first, closure01.resonance_final
+        assert final is closure01.run.resonance
+        for report in (first, final):
+            assert not report.resonant
+            assert (report.nearest_k, report.nearest_j) == (64, 617)
+            assert report.distance == pytest.approx(1.397005e-6, rel=1e-6)
+
+    def test_conormal_taken_from_orbit(self, closure01, orbit09):
+        n = np.array([orbit09.conormal.p, orbit09.conormal.p_tau])
+        assert closure01.conormal == tuple(n / np.linalg.norm(n))
+
+    def test_loop_skips_repeated_work(self, orbit09, sine_gordon,
+                                      monkeypatch):
+        # only round 1 and the reported round run the gate, and the secant
+        # starts from the carried slope instead of a probe each round
+        calls = {"gate": 0, "integrate_v": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "resonance_gate",
+                            counted("gate", solver.resonance_gate))
+        monkeypatch.setattr(closure, "integrate_v",
+                            counted("integrate_v", closure.integrate_v))
+        result = solve_delta1(orbit09, 0.1, sine_gordon)
+        assert calls["gate"] == 2
+        assert calls["integrate_v"] <= 13
+        assert result.outer_iters == 4
+        assert result.delta1 == pytest.approx(DELTA1_01, abs=1e-9)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"),

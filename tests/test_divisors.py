@@ -19,7 +19,7 @@ from kgperiodic.divisors import (
 from kgperiodic.nonlinearity import Nonlinearity
 from kgperiodic.planar import find_orbit
 
-from oracles import divisor_root_exact, divisor_root_float, log_fit
+from oracles import divisor_root_exact, divisor_root_float
 
 # Resonance value eps_{2,100} for the flat potential at period 2*pi, from
 # the exact-rational bisection oracle on -4 + 1/(1+e^2) + 1e4 e^2 = 0.

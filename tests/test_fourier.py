@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kgperiodic.fourier import (
     AliasingError,
-    EvenField,
     SpaceTimeField,
     SpatialField,
     apply_J_eps,

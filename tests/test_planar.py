@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kgperiodic import planar
 from kgperiodic.planar import (
     NoPeriodicOrbitError,
     PlanarState,
@@ -78,6 +79,18 @@ class TestFindOrbit:
         assert find_orbit(-1.0, 0.5).period > 2 * np.pi
         with pytest.raises(NoPeriodicOrbitError):
             find_orbit(-1.0, 3.0)
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"),
+                                       -float("inf"), 0.0, -1.0])
+def test_bad_amplitude_rejected_before_integration(amplitude, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("solve_ivp called with an invalid amplitude")
+
+    monkeypatch.setattr(planar, "solve_ivp", fail)
+    with pytest.raises(ValueError,
+                       match="amplitude must be a finite positive number"):
+        find_orbit(1.0, amplitude)
 
 
 class TestMonodromy:

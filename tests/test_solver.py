@@ -263,6 +263,29 @@ class TestSolveOracle:
         incs = [s.increment_norm_s for s in run.stages]
         assert incs[-1] < incs[0]
 
+    def test_warm_start_at_the_solution_takes_no_step(self, traj,
+                                                      sine_gordon):
+        cfg = SolverConfig(check_resonance=False)
+        run = nash_moser_solve(traj, EPS, cfg, sine_gordon)
+        again = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=run.w)
+        assert [s.newton_iters for s in again.stages] == [0] * len(run.stages)
+        assert np.max(np.abs(again.w.coeffs - run.w.coeffs)) < 1e-12
+
+    def test_warm_start_copies_the_overlapping_band(self, traj, sine_gordon):
+        # a guess on a smaller band seeds the larger solve; the answer is
+        # the cold one
+        cfg = SolverConfig(schedule=(6,), N_tau=8, check_resonance=False)
+        cold = nash_moser_solve(traj, EPS, cfg, sine_gordon)
+        small = nash_moser_solve(traj, EPS, SolverConfig(
+            schedule=(4,), N_tau=5, check_resonance=False), sine_gordon)
+        warm = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=small.w)
+        assert warm.w.coeffs.shape == cold.w.coeffs.shape
+        assert warm.converged
+        assert np.max(np.abs(warm.w.coeffs - cold.w.coeffs)) < 1e-10
+        with pytest.raises(ValueError, match="period mismatch"):
+            nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=SpaceTimeField(
+                period=traj.period + 1.0, coeffs=small.w.coeffs))
+
     def test_inverse_norm_law_floor(self, sine_gordon):
         reports = sigma_min_law_samples(sine_gordon, n_samples=4, seed=7)
         assert len(reports) == 4

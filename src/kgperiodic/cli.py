@@ -7,7 +7,8 @@ so a run can be reproduced from any one of its artifacts.
 
 Exit codes:
     0  success
-    1  invalid config (field-level message on stderr)
+    1  invalid config (field-level message on stderr), or the model's
+       series leaves its trust radius
     2  requested epsilon falls in a resonance window (window named), or the
        linearization's sigma_min enclosure collapses there (divisor named)
     3  degenerate or missing planar orbit
@@ -34,7 +35,7 @@ from .divisors import (
     ResonanceParams,
     hill_eigs,
 )
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, TrustRadiusError
 from .planar import NoPeriodicOrbitError, find_orbit, monodromy
 from .properties import DEFAULT_SEED, run_all
 from .solver import (NonConvergenceError, SolverConfig, check_admissible,
@@ -46,6 +47,9 @@ EXIT_RESONANT = 2
 EXIT_NO_ORBIT = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_INSUFFICIENT_DATA = 5
+
+# largest (k, j) table `divisors` writes; at the limit the CSV is ~70 MB
+MAX_DIVISOR_PAIRS = 10**6
 
 
 class ConfigError(ValueError):
@@ -259,8 +263,17 @@ def cmd_divisors(cfg: dict) -> int:
         raise ConfigError("field 'k_max' must be >= 2 (Q-space starts at k = 2)")
     if j_max < 0:
         raise ConfigError("field 'j_max' must be >= 0")
+    if (k_max - 1) * j_max > MAX_DIVISOR_PAIRS:
+        raise ConfigError(f"fields 'k_max' and 'j_max' ask for {(k_max - 1) * j_max} "
+                          f"(k, j) pairs; at most {MAX_DIVISOR_PAIRS} are tabulated")
     period = _get_number(cfg, "period", 2.0 * math.pi, lo=1e-6)
     q_const = _get_number(cfg, "q_const", 0.0)
+    j_hill = max(j_max, 16)
+    lam = (2.0 * np.pi * np.arange(j_hill + 1) / period) ** 2 + q_const
+    if not np.all(np.diff(lam) > 0.0):
+        raise ConfigError("fields 'period' and 'q_const' leave the spectrum "
+                          "(2 pi j / period)^2 + q_const not simple in double "
+                          "precision")
     params, resolved_res = _resonance_params(cfg)
     out = _out_dir(cfg)
     resolved = {"command": "divisors", "k_max": k_max, "j_max": j_max,
@@ -270,7 +283,9 @@ def cmd_divisors(cfg: dict) -> int:
     header = "k,j,eps_kj,window_lo,window_hi"
     rows: list[list[str]] = []
     if j_max >= 1:
-        spectrum = hill_eigs(np.full(64, q_const), period, max(j_max, 16))
+        # two samples analyze a constant exactly (mean only, no round-off
+        # harmonics), so the Hill matrix stays diagonal at any j_max
+        spectrum = hill_eigs(np.full(2, q_const), period, j_hill)
         table = DivisorTable.build(spectrum, K_max=k_max, J_max=j_max)
         ks, js, centers, halfw = table.windows(params)
         order = np.lexsort((js, ks))
@@ -464,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config) if args.config is not None else {}
         return handler(cfg)
-    except (ConfigError, CoverageError) as ex:
+    except (ConfigError, CoverageError, TrustRadiusError) as ex:
         print(f"invalid config: {ex}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh
+from scipy.linalg import eigvals_banded
 
 from .fourier import cos_analyze
 from .nonlinearity import Nonlinearity, collocate
@@ -99,26 +99,27 @@ def averaged_potential(traj: VTrajectory, eps: float,
 
 @dataclass(frozen=True)
 class HillSpectrum:
-    """Eigenpairs of -d_tautau + q(tau) on even period-periodic functions.
+    """Eigenvalues of -d_tautau + q(tau) on even period-periodic functions.
 
-    Eigenvectors are stored as columns in the orthonormal cosine basis
-    (1/sqrt(2), cos, cos 2., ...).  ``lambda_at`` extends past the computed
-    truncation with the asymptotic value (2 pi j / p)^2 + mean(q), whose
-    error is O(1/j^2) and negligible at the divisor scale.
+    ``radius`` bounds how far each computed eigenvalue may sit from the
+    Galerkin matrix's (a Weyl bound on the couplings the banded solve
+    drops).  ``lambda_at`` extends past the computed truncation with the
+    asymptotic value (2 pi j / p)^2 + mean(q), whose error is O(1/j^2) and
+    negligible at the divisor scale.
     """
 
     period: float
     q_coeffs: Array          # ordinary cosine coefficients of the potential
     eigenvalues: Array       # ascending, j = 0..J_max
-    eigenvectors: Array      # column j = coefficients of phi_j
     J_max: int
+    radius: float            # |computed - Galerkin| bound on every eigenvalue
 
     @classmethod
     def flat(cls, period: float, J_max: int) -> "HillSpectrum":
         """Zero-potential spectrum: lambda_j = (2 pi j / period)^2 exactly."""
         lam = (2.0 * np.pi * np.arange(J_max + 1) / period) ** 2
         return cls(period=period, q_coeffs=np.zeros(1), eigenvalues=lam,
-                   eigenvectors=np.eye(J_max + 1), J_max=J_max)
+                   J_max=J_max, radius=0.0)
 
     @property
     def q_mean(self) -> float:
@@ -132,12 +133,6 @@ class HillSpectrum:
         out[inside] = self.eigenvalues[j[inside]]
         out[~inside] = (2.0 * np.pi * j[~inside] / self.period) ** 2 + self.q_mean
         return out
-
-    def eigenfunction_values(self, j: int, taus: Array) -> Array:
-        n = np.arange(self.J_max + 1)
-        basis = np.cos(2.0 * np.pi * np.outer(taus, n) / self.period)
-        basis[:, 0] = 1.0 / np.sqrt(2.0)
-        return basis @ self.eigenvectors[:, j]
 
 
 def multiplication_matrix(e: Array, J: int) -> Array:
@@ -156,32 +151,48 @@ def multiplication_matrix(e: Array, J: int) -> Array:
 
 
 def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
-    """Dense symmetric cosine-Galerkin eigensolve of -d_tautau + q.
+    """Banded, eigenvalue-only cosine-Galerkin eigensolve of -d_tautau + q.
 
-    The potential matrix is assembled exactly from the cosine coefficients
-    of q (entry (j, j') couples through q_hat[|j-j'|] and q_hat[j+j']), so
-    the matrix is symmetric by construction; an asymmetry would indicate a
-    bug and raises.
+    The Galerkin matrix is ``diag((2 pi j / p)^2)`` plus the
+    `multiplication_matrix` of ``e`` (``e[n]`` = the mean at n = 0, half
+    the n-th cosine coefficient of q beyond).  Outside the band
+    |j - j'| <= b its entries involve only ``e[n]`` with n > b, each at
+    most three times per row, so dropping them moves every eigenvalue by at
+    most ``3 sum_{n>b} |e[n]|`` (Weyl).  b is the smallest bandwidth whose
+    bound is at or below the round-off a dense solve commits,
+    ``eps_mach * (max |diagonal| + 3 sum |e|)``; the bound is returned as
+    `HillSpectrum.radius`.  The band is assembled straight into LAPACK
+    upper storage, symmetric by construction.
     """
     q_samples = np.asarray(q_samples, dtype=float)
     M = q_samples.shape[0]
     n_q = min(2 * J_max, M // 2 - 1)
     q_hat = np.zeros(2 * J_max + 1)
     q_hat[: n_q + 1] = cos_analyze(q_samples, n_q)
-
-    # e(n) = (1/p) integral q cos_n = q_hat[n]/2 for n >= 1, q_hat[0] for n = 0
-    e = 0.5 * q_hat.copy()
+    e = 0.5 * q_hat
     e[0] = q_hat[0]
+
     j = np.arange(J_max + 1)
-    A = multiplication_matrix(e, J_max) + np.diag((2.0 * np.pi * j / period) ** 2)
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(A)))):
-        raise AssertionError("Hill matrix assembly lost symmetry")
-    lam, vec = eigh(A)
-    gaps = np.diff(lam)
-    if np.any(gaps <= 0.0):
+    kinetic = (2.0 * np.pi * j / period) ** 2
+    diagonal = kinetic + e[0] + e[2 * j]
+    diagonal[0] = kinetic[0] + e[0]
+    # tail[b] = 3 sum_{n > b} |e[n]| for b < J_max; the full band drops nothing
+    tail = np.append(3.0 * np.cumsum(np.abs(e[::-1]))[::-1][1:J_max + 1], 0.0)
+    roundoff = np.finfo(float).eps * (np.max(np.abs(diagonal)) + 3.0 * np.sum(np.abs(e)))
+    b = int(np.argmax(tail <= roundoff))
+
+    # row b - d of the upper storage holds the d-th superdiagonal A[j - d, j]
+    d = np.arange(b + 1)[:, None]
+    band = e[d] + e[np.abs(2 * j - d)]
+    band[0] = diagonal
+    row0 = np.arange(1, b + 1)
+    band[row0, row0] /= np.sqrt(2.0)
+    band[d > j] = 0.0
+    lam = eigvals_banded(band[::-1], lower=False)
+    if np.any(np.diff(lam) <= 0.0):
         raise AssertionError("Hill eigenvalues are not simple/ascending")
     return HillSpectrum(period=period, q_coeffs=q_hat, eigenvalues=lam,
-                        eigenvectors=vec, J_max=J_max)
+                        J_max=J_max, radius=float(tail[b]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ in place.  The exceptions are the dense references for the Newton solve:
 `assemble_L` reuses the package's multiplier samples and symbol but
 assembles every matrix entry by its own route, and `oracle_newton_solve`
 runs undamped Newton on the package's residual `assemble_F` with a
-finite-difference Jacobian.
+finite-difference Jacobian; and the dense Hill reference
+`oracle_hill_eigs`, which reuses the package's cosine analysis of the
+potential but assembles and diagonalizes the full Galerkin matrix.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import eigh
 from scipy.stats import linregress
 
-from kgperiodic.fourier import sin_synthesis_matrix
+from kgperiodic.fourier import cos_analyze, sin_synthesis_matrix
 from kgperiodic.normalform import identity_system, multiplier_values
 from kgperiodic.solver import (NonConvergenceError, _grids, _linear_symbol,
                                _pack, _unpack, assemble_F)
@@ -184,6 +187,32 @@ def assemble_L(V_traj, w, eps, model, N, sys=None, N_tau=None,
     mult = blocks.transpose(0, 2, 1, 3).reshape(n, n)
     L += (eps**2) * mult
     return L
+
+
+def oracle_hill_eigs(q_samples, period: float, J_max: int) -> np.ndarray:
+    """Dense cosine-Galerkin eigenvalues of -d_tautau + q, j = 0..J_max.
+
+    Every entry of the (J_max+1)^2 matrix is assembled from the cosine
+    coefficients of q (entry (j, j') couples through q_hat[|j-j'|] and
+    q_hat[j+j']), checked for symmetry, and handed to a dense `eigh`.
+    Reference for the banded `hill_eigs`.
+    """
+    q_samples = np.asarray(q_samples, dtype=float)
+    n_q = min(2 * J_max, q_samples.shape[0] // 2 - 1)
+    q_hat = np.zeros(2 * J_max + 1)
+    q_hat[: n_q + 1] = cos_analyze(q_samples, n_q)
+
+    # e(n) = (1/p) integral q cos_n = q_hat[n]/2 for n >= 1, q_hat[0] for n = 0
+    e = 0.5 * q_hat
+    e[0] = q_hat[0]
+    j = np.arange(J_max + 1)
+    A = e[j[:, None] + j[None, :]] + e[np.abs(j[:, None] - j[None, :])]
+    A[0, :] /= np.sqrt(2.0)
+    A[:, 0] /= np.sqrt(2.0)
+    A += np.diag((2.0 * np.pi * j / period) ** 2)
+    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(A)))):
+        raise AssertionError("Hill matrix assembly lost symmetry")
+    return eigh(A, eigvals_only=True)
 
 
 def oracle_newton_solve(V_traj, eps: float, N: int, J_max: int, model,

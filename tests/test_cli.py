@@ -1,8 +1,14 @@
 """Exit codes, artifacts, and determinism of the batch front end."""
 
 import json
+import math
+import re
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from kgperiodic.cli import (
     EXIT_BAD_CONFIG,
@@ -11,6 +17,7 @@ from kgperiodic.cli import (
     EXIT_NO_ORBIT,
     EXIT_OK,
     EXIT_RESONANT,
+    MAX_DIVISOR_PAIRS,
     main,
 )
 
@@ -128,6 +135,15 @@ class TestSolve:
         assert run_cli(tmp_path, "solve", cfg) == EXIT_BAD_CONFIG
         assert "field 'resonance'" in capsys.readouterr().err
 
+    def test_trust_radius_exceeded_exits_1(self, tmp_path, capsys):
+        # the slow orbit's |u| = 0.09 leaves the custom model's radius 0.05
+        cfg = {"model": {"model": "custom", "odd_coeffs": [1.0],
+                         "trust_radius": 0.05},
+               "eps": 0.1, "out_dir": str(tmp_path)}
+        assert run_cli(tmp_path, "solve", cfg) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "trust radius" in err and err.count("\n") == 1
+
     def test_resonant_eps_exits_2(self, tmp_path, capsys):
         cfg = {"eps": RESONANT_EPS, "out_dir": str(tmp_path)}
         assert run_cli(tmp_path, "solve", cfg) == EXIT_RESONANT
@@ -218,6 +234,46 @@ def test_nonfinite_or_out_of_range_numbers_exit_1(tmp_path, capsys, command, cfg
     err = capsys.readouterr().err
     assert err.startswith("invalid config: field ")
     assert err.count("\n") == 1
+
+
+README_EXIT_CODES = {
+    int(code) for code in re.findall(
+        r"^\| (\d) \| ", (Path(__file__).parents[1] / "README.md").read_text(),
+        flags=re.MULTILINE)}
+
+# a well-formed divisors config: tables up to 7 x 20000 pairs, any period
+# and constant potential (extreme ones leave the spectrum unresolved)
+_DIVISORS_CFG = st.fixed_dictionaries(
+    {"k_max": st.integers(2, 8), "j_max": st.integers(0, 20000)},
+    optional={"period": st.floats(1e-6, 1e300), "q_const": st.floats(-1e300, 1e300)})
+# one field replaced by an absent, ill-typed, non-finite or out-of-range value
+_CORRUPTION = st.tuples(
+    st.sampled_from(["k_max", "j_max", "period", "q_const"]),
+    st.one_of(st.sampled_from([None, True, "3", [1]]),
+              st.floats(max_value=1.0), st.sampled_from([math.nan, math.inf]),
+              st.integers(-10**30, 1), st.integers(MAX_DIVISOR_PAIRS + 1, 10**30)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_DIVISORS_CFG, corruption=st.one_of(st.none(), _CORRUPTION))
+def test_divisors_config_fuzz(tmp_path, capsys, cfg, corruption):
+    cfg = {**cfg, "out_dir": str(tmp_path)}
+    if corruption is not None:
+        key, value = corruption
+        if value is None:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    start = time.perf_counter()
+    code = run_cli(tmp_path, "divisors", cfg)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in README_EXIT_CODES
+    assert code in (EXIT_OK, EXIT_BAD_CONFIG)
+    assert err.count("\n") == (0 if code == EXIT_OK else 1)
+    assert elapsed < 10.0
 
 
 class TestSelftest:

@@ -1,5 +1,7 @@
 """Hill spectrum, divisor roots, resonance windows, measure tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from kgperiodic.divisors import (
 from kgperiodic.nonlinearity import Nonlinearity
 from kgperiodic.planar import find_orbit
 
-from oracles import divisor_root_exact, divisor_root_float
+from oracles import divisor_root_exact, divisor_root_float, oracle_hill_eigs
 
 # Resonance value eps_{2,100} for the flat potential at period 2*pi, from
 # the exact-rational bisection oracle on -4 + 1/(1+e^2) + 1e4 e^2 = 0.
@@ -58,6 +60,7 @@ class TestHillEigs:
     def test_flat_potential(self, flat_2pi):
         js = np.arange(0, 40)
         assert np.max(np.abs(flat_2pi.lambda_at(js) - js.astype(float) ** 2)) < 1e-11
+        assert flat_2pi.radius == 0.0
 
     def test_constant_shift(self):
         period = 5.0
@@ -82,6 +85,39 @@ class TestHillEigs:
         spec = hill_eigs(q, period, 80)
         lam = spec.lambda_at(np.arange(0, 81))
         assert np.min(np.diff(lam)) > 0.0
+
+
+class TestBandedHillEigs:
+    """The banded eigenvalue-only solve against the dense Galerkin oracle."""
+
+    @pytest.mark.parametrize("spec, amplitude, eps", [
+        ("sine-gordon", 0.9, 0.05),
+        ("sine-gordon", 0.9, 0.1),
+        ("sine-gordon", 0.9, 0.2),
+        ("phi4", 0.8, 0.1),
+    ])
+    def test_production_potentials_within_radius(self, spec, amplitude, eps):
+        # the resonance gate's potential: 256 tau samples, J = 400
+        model = Nonlinearity.from_spec({"model": spec})
+        traj = find_orbit(model.f3, amplitude).trajectory(256)
+        q = averaged_potential(traj, eps, model)
+        spec_banded = hill_eigs(q, traj.period, 400)
+        dense = oracle_hill_eigs(q, traj.period, 400)
+        scale = np.max(np.abs(dense))
+        gap = np.max(np.abs(spec_banded.eigenvalues - dense))
+        assert gap <= spec_banded.radius + 1e-13 * scale
+        assert spec_banded.radius <= np.finfo(float).eps * scale
+
+    def test_constant_potential_large_truncation(self):
+        # J = 20000 is a 3.2 GB dense matrix; the constant's band is diagonal
+        period, q = 200.0, 2.5
+        start = time.perf_counter()
+        spec = hill_eigs(np.full(64, q), period, 20000)
+        elapsed = time.perf_counter() - start
+        js = np.arange(20001)
+        expected = (2 * np.pi * js / period) ** 2 + q
+        assert np.max(np.abs(spec.eigenvalues - expected)) < 1e-8
+        assert elapsed < 1.0
 
 
 class TestEpsilonKJ:

@@ -1,7 +1,7 @@
 """Small-amplitude time- and space-periodic solutions of nonlinear
 Klein-Gordon equations, computed by a spectral Galerkin continuation
 pipeline: planar limit orbit, partial normal form, small-divisor exclusion,
-nested-truncation Newton solve, and shooting closure."""
+nested-truncation Newton solve, and Galerkin closure of the slow equation."""
 
 from .fourier import (
     AliasingError,
@@ -65,9 +65,9 @@ from .closure import (
     OuterLoopError,
     check_closure,
     hamiltonian_H,
+    galerkin_v,
     integrate_v,
     solve_delta1,
-    time_p_map,
 )
 from .assembly import (
     AssembledSolution,

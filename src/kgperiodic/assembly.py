@@ -29,8 +29,7 @@ from .divisors import ResonanceError
 from .fourier import SpaceTimeField
 from .nonlinearity import Nonlinearity
 from .planar import NoPeriodicOrbitError, PlanarOrbit, find_orbit
-from .solver import (NonConvergenceError, SolverConfig, eps_derivative_norm,
-                     validate_eps)
+from .solver import NonConvergenceError, SolverConfig, validate_eps
 
 Array = NDArray[np.float64]
 
@@ -249,7 +248,6 @@ class SweepReport:
     w_r2: float
     delta1_slope: float
     amplitude_ratio: float
-    deps_w_norm: float
     fits_valid: bool
     n_converged: int
 
@@ -265,8 +263,9 @@ class SweepReport:
             "w_norm_r2": self.w_r2,
             "delta1_slope": self.delta1_slope,
             "amplitude_ratio": self.amplitude_ratio,
-            "deps_w_norm": self.deps_w_norm,
             "fits_valid": self.fits_valid,
+            "failures": [{"eps": r.eps, "message": r.message}
+                         for r in self.rows if r.message],
         }
 
 
@@ -282,11 +281,11 @@ def _sweep_one(args) -> SweepRow:
         ts = np.linspace(0.0, sol.t_period, 192, endpoint=False)
         max_u = float(np.abs(sol.u_values(xs, ts)).max())
         tl = tail_norm(sol, orbit)
-        return SweepRow(eps=eps, resonant_skip=False,
-                        converged=bool(closure.closed and closure.run.converged),
+        converged = bool(closure.closed and closure.run.converged)
+        return SweepRow(eps=eps, resonant_skip=False, converged=converged,
                         residual=res, max_u_over_eps=max_u / eps, tail=tl,
-                        delta1=closure.delta1,
-                        w_norm_1=w.norm(1.0))
+                        delta1=closure.delta1, w_norm_1=w.norm(1.0),
+                        message="" if converged else "closure tolerances not met")
     except ResonanceError as ex:
         return SweepRow(eps=eps, resonant_skip=True, converged=False,
                         residual=math.nan, max_u_over_eps=math.nan,
@@ -310,15 +309,16 @@ def _fit(xs, ys) -> tuple[float, float]:
 def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
                   solver_cfg: SolverConfig | None = None,
                   residual_grid: tuple[int, int] = (96, 96),
-                  workers: int = 1,
-                  check_eps_derivative: bool = False) -> SweepReport:
+                  workers: int = 1) -> SweepReport:
     """Run the full pipeline per eps and aggregate the theorem's fit laws.
 
     Resonant entries are skipped with a report line; documented solve
     failures (non-convergence, degenerate or missing orbit, failed
     integration) become failed rows and the sweep continues, while logic
-    errors such as `ClosureConsistencyError` propagate.  Rows are
-    deterministic and emitted sorted by eps regardless of parallel schedule.
+    errors such as `ClosureConsistencyError` propagate.  Every skipped or
+    failed row says why in `SweepRow.message`, and `summary_json` lists
+    those reasons under ``failures``.  Rows are deterministic and emitted
+    sorted by eps regardless of parallel schedule.
     """
     solver_cfg = solver_cfg or SolverConfig()
     eps_sorted = sorted([validate_eps(e) for e in eps_list])
@@ -349,18 +349,9 @@ def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
         amps = np.array([r.max_u_over_eps for r in conv])
         amp_ratio = float(amps.max() / amps.min())
 
-    deps = math.nan
-    if check_eps_derivative and conv:
-        mid = conv[len(conv) // 2]
-        orbit = find_orbit(model.f3, amplitude)
-        deps = eps_derivative_norm(orbit.trajectory(256), mid.eps,
-                                   solver_cfg, model)
-
-    fits_valid = (len(conv) >= 3
-                  and (not check_eps_derivative or deps <= 0.5))
     return SweepReport(model_name=model.name, amplitude=amplitude,
                        rows=tuple(rows), tail_slope=tail_slope,
                        tail_r2=tail_r2, w_slope=w_slope, w_r2=w_r2,
                        delta1_slope=d_slope, amplitude_ratio=amp_ratio,
-                       deps_w_norm=deps, fits_valid=fits_valid,
+                       fits_valid=len(conv) >= 3,
                        n_converged=len(conv))

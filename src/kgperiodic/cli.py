@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -212,10 +213,14 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_csv(path: Path, resolved_config: dict, header: str,
-               rows: list[list[str]]) -> None:
-    lines = ["# config: " + json.dumps(resolved_config, sort_keys=True), header]
-    lines.extend(",".join(cells) for cells in rows)
-    path.write_text("\n".join(lines) + "\n")
+               rows: Iterable[list[str]]) -> int:
+    """Stream the config line, the header and the rows; returns the row count."""
+    n = 0
+    with path.open("w") as fh:
+        fh.write(f"# config: {json.dumps(resolved_config, sort_keys=True)}\n{header}\n")
+        for n, cells in enumerate(rows, 1):
+            fh.write(",".join(cells) + "\n")
+    return n
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +285,7 @@ def cmd_divisors(cfg: dict) -> int:
                 "period": period, "q_const": q_const,
                 "resonance": resolved_res, "out_dir": str(out)}
 
-    header = "k,j,eps_kj,window_lo,window_hi"
-    rows: list[list[str]] = []
+    rows = iter(())
     if j_max >= 1:
         # two samples analyze a constant exactly (mean only, no round-off
         # harmonics), so the Hill matrix stays diagonal at any j_max
@@ -289,12 +293,11 @@ def cmd_divisors(cfg: dict) -> int:
         table = DivisorTable.build(spectrum, K_max=k_max, J_max=j_max)
         ks, js, centers, halfw = table.windows(params)
         order = np.lexsort((js, ks))
-        for i in order:
-            rows.append([str(int(ks[i])), str(int(js[i])), repr(float(centers[i])),
-                         repr(float(centers[i] - halfw[i])),
-                         repr(float(centers[i] + halfw[i]))])
-    _write_csv(out / "divisors.csv", resolved, header, rows)
-    print(f"divisors: {len(rows)} tabulated resonances -> {out / 'divisors.csv'}")
+        rows = ([str(k), str(j), repr(float(c)), repr(float(c - h)), repr(float(c + h))]
+                for k, j, c, h in zip(ks[order], js[order], centers[order], halfw[order]))
+    n_rows = _write_csv(out / "divisors.csv", resolved, "k,j,eps_kj,window_lo,window_hi",
+                        rows)
+    print(f"divisors: {n_rows} tabulated resonances -> {out / 'divisors.csv'}")
     return EXIT_OK
 
 

@@ -1,18 +1,16 @@
-"""Slow-component shooting and the Hamiltonian closure of the return map.
+"""The slow equation, its closure, and the Hamiltonian check of the return map.
 
-The slow equation v_tautau = -v/omega^2 + f~(v, w(tau), eps) is integrated
-over one period with the fast field held as a known driving term.  A single
-shooting parameter delta_1 moves the start point along the conormal
-direction v_perp of the seed orbit; the tangential component of the return
-defect is killed by a secant iteration, alternating with full fast-component
-solves (Gauss-Seidel coupling).  The leftover conormal defect d must vanish
-by invariance of the Hamiltonian; both d and the H-mismatch are reported
-and cross-checked against each other.
+At frozen fast field w the slow equation v_tautau + v/omega^2 = f~(v, w) is
+a periodic problem at the seed orbit's period p, solved by cosine Galerkin
+(`galerkin_v`) alternating with full fast-component solves.  delta_1 is the
+start point's offset along the conormal direction v_perp of the seed orbit.
+A DOP853 integration from that start point certifies the closure: the
+tangential return defect and the conormal defect d must vanish, the latter
+by invariance of the Hamiltonian, and d and the H-mismatch are cross-checked.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,8 +18,9 @@ from numpy.typing import NDArray
 from scipy.integrate import solve_ivp
 
 from .divisors import ResonanceReport
-from .fourier import SpaceTimeField, project_P, sin_synthesis_matrix, x_grid
-from .nonlinearity import Nonlinearity, collocate
+from .fourier import (SpaceTimeField, cos_analyze, cos_synthesis_matrix,
+                      project_P, sin_synthesis_matrix, x_grid)
+from .nonlinearity import Nonlinearity, TrustRadiusError, collocate
 from .planar import PlanarOrbit, PlanarState, VTrajectory, monodromy
 from .solver import SolverConfig, SolverRun, nash_moser_solve, validate_eps
 
@@ -33,8 +32,8 @@ __all__ = [
     "ClosureConsistencyError",
     "OuterLoopError",
     "IntegrationError",
-    "time_p_map",
     "integrate_v",
+    "galerkin_v",
     "solve_delta1",
     "hamiltonian_H",
     "check_closure",
@@ -44,7 +43,8 @@ _IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
 
 
 class DegenerateOrbitError(RuntimeError):
-    """The shooting derivative along v_perp vanished (non-degeneracy lost)."""
+    """Non-degeneracy lost: failed monodromy test, singular or stalled
+    Galerkin Jacobian, or shooting derivative along v_perp below its floor."""
 
 
 class ClosureConsistencyError(RuntimeError):
@@ -97,16 +97,58 @@ def integrate_v(V0: PlanarState, w: SpaceTimeField | None, eps: float,
     return traj, PlanarState(float(sol.y[0, -1]), float(sol.y[1, -1]))
 
 
-def time_p_map(V0: PlanarState, w_traj: SpaceTimeField | None, eps: float,
-               model: Nonlinearity | None,
-               period: float | None = None) -> PlanarState:
-    """End state of the slow flow after one period (the time-p map)."""
-    if period is None:
-        if w_traj is None:
-            raise ValueError("period required when no w field is given")
-        period = w_traj.period
-    _, end = integrate_v(V0, w_traj, eps, model, period)
-    return end
+def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
+               model: Nonlinearity | None, period: float,
+               M_x: int = 64) -> tuple[Array, float]:
+    """Cosine coefficients a[0..J] of the even periodic slow solution at frozen w.
+
+    Collocates on the 2(J + 1)-point tau grid of `VTrajectory` and drives
+    R_j = (1/omega^2 - (2 pi j/period)^2) a_j - cos_analyze(P[collocate])_j
+    to round-off by Newton from ``a0``; the Jacobian is that diagonal minus
+    the cosine-Galerkin matrix of P[collocate(order=1) sin x].  Steps are
+    halved until max|R| decreases (leaving the trust radius rejects a step).
+    The Jacobian is invertible exactly when the orbit has twist, so a
+    singular or stalled one raises `DegenerateOrbitError`.  Returns a and
+    the final max|R|.
+    """
+    J = a0.shape[0] - 1
+    n = 2 * (J + 1)
+    C = cos_synthesis_matrix(n, J)
+    w_values = None if w is None else w.values_grid(n, M_x)
+    sin_x = sin_synthesis_matrix(M_x, 1)[:, 1]
+    lam = 1.0 / (1.0 + eps**2) - (2.0 * np.pi * np.arange(J + 1) / period) ** 2
+
+    def residual(a: Array) -> Array:
+        forcing = project_P(collocate(model, eps, C @ a, w_values, M_x))
+        return lam * a - cos_analyze(forcing, J)
+
+    a, R = a0, residual(a0)
+    r = float(np.abs(R).max())
+    for _ in range(16):
+        if r <= 64.0 * np.finfo(float).eps * np.abs(lam * a).max():
+            return a, r
+        q = project_P(collocate(model, eps, C @ a, w_values, M_x, order=1) * sin_x)
+        jac = np.diag(lam) - cos_analyze((q[:, None] * C).T, J).T
+        try:
+            step = np.linalg.solve(jac, -R)
+        except np.linalg.LinAlgError as ex:
+            raise DegenerateOrbitError(
+                f"singular Galerkin Jacobian of the slow equation: {ex}") from ex
+        alpha = 1.0
+        for _ in range(9):
+            try:
+                R_try = residual(a + alpha * step)
+            except TrustRadiusError:
+                R_try = None
+            if R_try is not None and np.abs(R_try).max() < r:
+                a, R = a + alpha * step, R_try
+                r = float(np.abs(R).max())
+                break
+            alpha *= 0.5
+        else:
+            break
+    raise DegenerateOrbitError(
+        f"Galerkin Newton on the slow equation stalled (max|R| = {r:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +189,7 @@ def _H_at(tau: float, traj_state: PlanarState, w: SpaceTimeField | None,
 
 
 # ---------------------------------------------------------------------------
-# the shooting loop
+# the closure loop
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -162,7 +204,7 @@ class ClosureResult:
     H_drift: float             # max |H(tau) - H(0)| along the trajectory
     outer_iters: int
     closed: bool
-    derivative: float          # secant estimate of d(defect_t)/d(delta1)
+    derivative: float          # finite-difference d(defect_t)/d(delta1)
     V_traj: VTrajectory
     end_state: PlanarState
     run: SolverRun | None
@@ -213,36 +255,31 @@ def _units(orbit: PlanarOrbit) -> tuple[PlanarState, Array, Array]:
 def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
                  solver: SolverConfig | None = None,
                  tol_defect: float = 1e-10, tol_outer: float = 1e-10,
-                 max_outer: int = 10, max_secant: int = 16,
-                 derivative_floor: float = 1e-3,
+                 max_outer: int = 10, derivative_floor: float = 1e-3,
                  n_samples: int = 256) -> ClosureResult:
-    """Couple the slow shooting with fast solves until the orbit closes.
+    """Couple the slow equation with fast solves until the orbit closes.
 
-    Alternates (a) secant iteration on delta_1 killing the tangential
-    return defect at frozen w with (b) full fast-component solves on the
-    updated trajectory, until both the scalar defect and the w-update are
-    below tolerance.  The shooting derivative is checked against the
-    non-degeneracy floor on every outer round.
-
-    Each secant starts with a step along the last measured slope; before
-    the first measurement, the slope of the limit flow t.(M - I).n from the
-    monodromy matrix M.  Round 1 and every round that can end the loop
-    (its delta moved by at most ``tol_outer``) solve the fast field cold,
-    with the resonance gate; the rounds in between start Newton from the
-    previous round's w and skip the gate.  The reported run is therefore
-    always a cold, gated solve on the final trajectory.
+    Alternates (a) `galerkin_v` at frozen w on ``n_samples`` tau samples,
+    started from the seed orbit and then from the previous round, with (b)
+    full fast-component solves on the updated trajectory, until delta_1 and
+    the w-update both move by at most ``tol_outer``.  Round 1 and every
+    round that can end the loop solve the fast field cold, with the
+    resonance gate; the rounds in between start Newton from the previous
+    round's w and skip the gate, so the reported run is always a cold, gated
+    solve on the final trajectory.  Two DOP853 integrations with the
+    converged w certify the result: one from the closed start point (return
+    defects, trajectory, Hamiltonian drift), one from delta_1 + 1e-6 (the
+    shooting derivative, checked against ``derivative_floor``).
     """
     eps = validate_eps(eps)
     if solver is None:
         solver = SolverConfig()
-    rep = monodromy(orbit)
-    if not rep.nondegenerate:
+    if not monodromy(orbit).nondegenerate:
         raise DegenerateOrbitError(
             "seed orbit fails the non-degeneracy test; cannot shoot")
     P0, t_hat, n_hat = _units(orbit)
     base = np.array([P0.p, P0.p_tau])
     period = orbit.period
-    slope = float(t_hat @ (rep.matrix - np.eye(2)) @ n_hat)
 
     def tangential_defect(delta: float, w: SpaceTimeField | None) -> tuple[float, VTrajectory, PlanarState]:
         start = PlanarState(*(base + delta * n_hat))
@@ -254,43 +291,18 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     w_field: SpaceTimeField | None = None
     run: SolverRun | None = None
     first_gate: ResonanceReport | None = None
-    delta = 0.0
-    deriv = math.nan
+    coeffs = orbit.trajectory(n_samples).cos_coeffs
     history: list[tuple] = []
-    traj = orbit.trajectory(n_samples)
-    end = P0
 
     for outer in range(1, max_outer + 1):
-        # (a) secant on the tangential defect at frozen w; only the seed
-        # slope can lie below the floor, and then a probe starts the secant
-        d_a = delta
-        t_a, traj, end = tangential_defect(d_a, w_field)
-        if abs(t_a) > tol_defect:
-            if abs(slope) >= derivative_floor:
-                d_b = d_a - t_a / slope
-            else:
-                d_b = d_a + max(1e-4, 0.1 * abs(t_a))
-            t_b, traj, end = tangential_defect(d_b, w_field)
-            steps = 0
-            while abs(t_b) > tol_defect:
-                if steps == max_secant:
-                    raise OuterLoopError(
-                        f"secant did not reach tol (|t| = {abs(t_b):.3e})",
-                        history=history)
-                if t_b == t_a:
-                    raise DegenerateOrbitError("secant stalled: flat defect")
-                deriv = slope = (t_b - t_a) / (d_b - d_a)
-                if abs(deriv) < derivative_floor:
-                    raise DegenerateOrbitError(
-                        f"shooting derivative {deriv:.3e} below floor "
-                        f"{derivative_floor:.1e}")
-                d_a, t_a = d_b, t_b
-                d_b = d_b - t_b / deriv
-                t_b, traj, end = tangential_defect(d_b, w_field)
-                steps += 1
-            delta, t_cur = d_b, t_b
-        else:
-            t_cur = t_a
+        # (a) the slow equation at frozen w; evenness puts V(0) on the
+        # conormal line through the base point
+        coeffs, r = galerkin_v(coeffs, w_field, eps, model, period)
+        traj = VTrajectory.from_cos_coeffs(period, coeffs)
+        diff = np.array(traj.start) - base
+        if abs(diff @ t_hat) > 1e-12 * np.linalg.norm(base):
+            raise AssertionError("Galerkin start state left the conormal line")
+        delta = float(diff @ n_hat)
         # (b) fast solve on the updated trajectory; a round whose delta has
         # settled may be the reported one, so it solves cold and gated
         ddelta = abs(delta - history[-1][0]) if history else abs(delta)
@@ -305,7 +317,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
         w_new = run.w_physical
         dw = (w_new.norm(1.0) if w_field is None
               else (w_new - w_field).norm(1.0))
-        history.append((delta, t_cur, dw))
+        history.append((delta, r, dw))
         w_field = w_new
         if outer >= 2 and dw <= tol_outer and ddelta <= tol_outer:
             break
@@ -314,17 +326,16 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             f"outer alternation did not converge in {max_outer} rounds",
             history=history)
 
-    # final consistent pass: re-integrate with the converged w
+    # DOP853 certificate with the converged w, and the shooting derivative
     t_fin, traj, end = tangential_defect(delta, w_field)
     diff = np.array([end.p, end.p_tau]) - base
     d_val = float(diff @ n_hat) - delta
-    if math.isnan(deriv):
-        # no secant step was needed; measure the shooting derivative once
-        t_pert, _, _ = tangential_defect(delta + 1e-6, w_field)
-        deriv = (t_pert - t_fin) / 1e-6
-        if abs(deriv) < derivative_floor:
-            raise DegenerateOrbitError(
-                f"shooting derivative {deriv:.3e} below floor")
+    t_pert, _, _ = tangential_defect(delta + 1e-6, w_field)
+    deriv = (t_pert - t_fin) / 1e-6
+    if abs(deriv) < derivative_floor:
+        raise DegenerateOrbitError(
+            f"shooting derivative {deriv:.3e} below floor "
+            f"{derivative_floor:.1e}")
 
     # Hamiltonian along the final trajectory
     start_state = PlanarState(*(base + delta * n_hat))

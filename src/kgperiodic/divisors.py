@@ -163,6 +163,13 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     ``eps_mach * (max |diagonal| + 3 sum |e|)``; the bound is returned as
     `HillSpectrum.radius`.  The band is assembled straight into LAPACK
     upper storage, symmetric by construction.
+
+    Cost: with b = 0 the matrix is diagonal and cheap, but once b > 0 the
+    band reduction chases bulges along the whole matrix and the cost grows
+    superlinearly in ``J_max``.  A constant potential sampled 64 times
+    (round-off harmonics, b = 31) took 0.27 s at J_max = 2000 and 122 s at
+    J_max = 20000 on two cores with OpenBLAS; the gate's J_max = 400
+    takes 6 to 10 ms.
     """
     q_samples = np.asarray(q_samples, dtype=float)
     M = q_samples.shape[0]

@@ -167,12 +167,6 @@ class Nonlinearity:
         out = acc * y**4
         return float(out) if out.ndim == 0 else out
 
-    def to_spec(self) -> dict:
-        if self.name in ("sine-gordon", "phi4"):
-            return {"model": self.name}
-        return {"model": "custom", "odd_coeffs": list(self.odd_coeffs),
-                "trust_radius": self.trust_radius}
-
 
 # ---------------------------------------------------------------------------
 # the collocated forcing

@@ -45,9 +45,6 @@ class PlanarState:
     p: float
     p_tau: float
 
-    def as_array(self) -> Array:
-        return np.array([self.p, self.p_tau], dtype=float)
-
 
 def limit_rhs(state, f3: float):
     """Right-hand side (p_tau, -p - (f3/8) p^3) of the limit oscillator."""
@@ -94,6 +91,16 @@ class VTrajectory:
         self.v_tau_samples = np.asarray(self.v_tau_samples, dtype=float)
         M = self.v_samples.shape[0]
         self.cos_coeffs = cos_analyze(self.v_samples, M // 2 - 1)
+
+    @classmethod
+    def from_cos_coeffs(cls, period: float, coeffs: Array) -> "VTrajectory":
+        """sum_j coeffs[j] cos(2 pi j tau / period) on 2 len(coeffs) samples."""
+        j = np.arange(coeffs.shape[0])
+        ang = np.pi * np.outer(np.arange(2 * j.shape[0]), j) / j.shape[0]
+        v = np.cos(ang) @ coeffs
+        v_tau = -np.sin(ang) @ ((2.0 * np.pi / period) * j * coeffs)
+        state = (float(v[0]), float(v_tau[0]))
+        return cls(period, v, v_tau, start=state, end=state)
 
     @property
     def n_samples(self) -> int:

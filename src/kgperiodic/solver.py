@@ -53,7 +53,6 @@ __all__ = [
     "schedule_for",
     "assemble_F",
     "nash_moser_solve",
-    "eps_derivative_norm",
     "sigma_min_law_samples",
 ]
 
@@ -550,7 +549,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# inverse-norm law calibration and eps-derivative monitor
+# inverse-norm law calibration
 # ---------------------------------------------------------------------------
 
 def sigma_min_law_samples(model: Nonlinearity, amplitude: float = 0.9,
@@ -587,18 +586,3 @@ def sigma_min_law_samples(model: Nonlinearity, amplitude: float = 0.9,
         reports.append(LinearizedOperator(traj, w0, eps, model, N).report(params))
     return reports
 
-
-def eps_derivative_norm(V_traj: VTrajectory, eps: float, config: SolverConfig,
-                        model: Nonlinearity, delta: float = 1e-3) -> float:
-    """Centered-difference estimate of ||d w / d eps||_s at fixed V.
-
-    The admissibility hypotheses assume this stays <= 1/2; sweeps use it to
-    gate their post-processing fits.
-    """
-    runs = []
-    for e in (eps - delta, eps + delta):
-        run = nash_moser_solve(V_traj, e, config, model)
-        runs.append(run.w_physical)
-    a, b = runs
-    diff = b - a
-    return diff.norm(config.s) / (2.0 * delta)

@@ -1,5 +1,6 @@
 """Physical-frame assembly of u(x, t), residuals, tails, and the sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,16 @@ class TestSweep:
         row = report.rows[0]
         assert not row.converged and not row.resonant_skip
         assert row.message == f"{error.__name__}: stage budget exhausted"
+
+    def test_unclosed_row_says_why(self, sine_gordon, closure01, monkeypatch):
+        unclosed = dataclasses.replace(closure01, closed=False)
+        monkeypatch.setattr(assembly, "solve_delta1",
+                            lambda *args, **kwargs: unclosed)
+        report = epsilon_sweep(sine_gordon, 0.9, [closure01.eps], workers=1)
+        row = report.rows[0]
+        assert not row.converged and row.message == "closure tolerances not met"
+        assert report.summary_json()["failures"] == [
+            {"eps": closure01.eps, "message": "closure tolerances not met"}]
 
     def test_logic_error_propagates(self, sine_gordon, monkeypatch):
         def fail(*args, **kwargs):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from kgperiodic import assembly
 from kgperiodic.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INSUFFICIENT_DATA,
@@ -20,6 +21,7 @@ from kgperiodic.cli import (
     MAX_DIVISOR_PAIRS,
     main,
 )
+from kgperiodic.solver import NonConvergenceError
 
 RESONANT_EPS = 0.1396532019663832   # center of the (k=2, j=12) window, a = 0.9
 
@@ -150,6 +152,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "resonant" in err and "k=2" in err
 
+    def test_damped_slow_solve_reaches_the_gate(self, tmp_path, capsys):
+        # an undamped Newton step on the slow equation leaves the trust
+        # radius here; the damped one converges and the gate names the window
+        cfg = {"amplitude": 0.6, "eps": 0.25, "out_dir": str(tmp_path)}
+        assert run_cli(tmp_path, "solve", cfg) == EXIT_RESONANT
+        assert "(k=45, j=177)" in capsys.readouterr().err
+
     def test_nonconvergence_writes_diagnostics(self, tmp_path):
         # without averaging steps one Newton iteration cannot reach the
         # (unreachable) tolerance, so the stage budget of 1 must trip
@@ -202,6 +211,29 @@ class TestSweep:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_converged"] == 0
         assert "insufficient" in summary["note"]
+        [failure] = summary["failures"]
+        assert failure["eps"] == RESONANT_EPS and "k=2" in failure["message"]
+
+    def test_failure_reason_in_summary(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NonConvergenceError("stage budget exhausted")
+
+        monkeypatch.setattr(assembly, "solve_delta1", fail)
+        cfg = {"eps_list": [0.1], "out_dir": str(tmp_path)}
+        assert run_cli(tmp_path, "sweep", cfg) == EXIT_INSUFFICIENT_DATA
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["failures"] == [
+            {"eps": 0.1, "message": "NonConvergenceError: stage budget exhausted"}]
+
+    def test_byte_identical_reruns(self, tmp_path):
+        cfg = {"eps_list": [0.148, 0.193], "out_dir": str(tmp_path)}
+        names = ("sweep.csv", "summary.json")
+        assert run_cli(tmp_path, "sweep", cfg) == EXIT_INSUFFICIENT_DATA
+        first = {n: (tmp_path / n).read_bytes() for n in names}
+        assert json.loads(first["summary.json"])["n_converged"] == 2
+        assert run_cli(tmp_path, "sweep", cfg) == EXIT_INSUFFICIENT_DATA
+        for n in names:
+            assert (tmp_path / n).read_bytes() == first[n], n
 
     def test_bad_eps_list_exits_1(self, tmp_path):
         for eps_list in ([], [0.1, -0.2], "0.1", [0.1, True]):

@@ -11,10 +11,10 @@ from kgperiodic.closure import (
     ClosureConsistencyError,
     DegenerateOrbitError,
     check_closure,
+    galerkin_v,
     hamiltonian_H,
     integrate_v,
     solve_delta1,
-    time_p_map,
 )
 from kgperiodic.planar import PlanarState, find_orbit
 
@@ -44,14 +44,53 @@ class TestIntegrateV:
         assert abs(end.p - orbit09.base_point.p) < 1e-9
         assert abs(end.p_tau - orbit09.base_point.p_tau) < 1e-9
 
-    def test_time_p_map_matches_integrate(self, sine_gordon):
+    def test_end_state_matches_trajectory(self, sine_gordon):
         V0 = PlanarState(0.7, 0.1)
-        _, end = integrate_v(V0, None, 0.08, sine_gordon, 5.0)
-        mapped = time_p_map(V0, None, 0.08, sine_gordon, period=5.0)
-        assert mapped.p == pytest.approx(end.p, abs=1e-12)
-        assert mapped.p_tau == pytest.approx(end.p_tau, abs=1e-12)
-        with pytest.raises(ValueError):
-            time_p_map(V0, None, 0.08, sine_gordon)
+        traj, end = integrate_v(V0, None, 0.08, sine_gordon, 5.0)
+        assert traj.start == (V0.p, V0.p_tau)
+        assert traj.end == (end.p, end.p_tau)
+        assert traj.v_samples[0] == V0.p and traj.v_tau_samples[0] == V0.p_tau
+
+
+class TestGalerkinV:
+    def test_linear_equation_has_only_the_zero_solution(self):
+        # model=None leaves v_tautau + v/omega^2 = 0, whose only even
+        # solution at a period off the linear one is v = 0
+        a0 = np.zeros(128)
+        a0[1] = 0.5
+        a, r = galerkin_v(a0, None, 0.1, None, 3.7)
+        assert r == 0.0 and np.all(a == 0.0)
+
+    def test_matches_dop853_at_converged_w(self, closure01, orbit09,
+                                          sine_gordon):
+        # oracle: at the converged w the Galerkin coefficients are those of
+        # the DOP853 trajectory from the same start, and the secant on the
+        # DOP853 tangential defect lands on the same delta1
+        eps, w = closure01.eps, closure01.run.w_physical
+        period = orbit09.period
+        a, r = galerkin_v(orbit09.trajectory(256).cos_coeffs, w, eps,
+                          sine_gordon, period)
+        assert r < 1e-15
+        delta = a.sum() - orbit09.amplitude
+        assert abs(delta - closure01.delta1) <= 1e-9
+
+        def defect(d):
+            traj, end = integrate_v(PlanarState(orbit09.amplitude + d, 0.0),
+                                    w, eps, sine_gordon, period)
+            return end.p_tau, traj
+
+        t_a, traj = defect(delta)
+        assert np.max(np.abs(traj.cos_coeffs - a)) <= 1e-11
+        t_b, _ = defect(delta + 1e-6)
+        shot = delta - t_a * 1e-6 / (t_b - t_a)
+        assert abs(shot - delta) <= 1e-11
+
+    def test_singular_jacobian_is_degenerate(self):
+        # at eps = 0 and the linear period 2 pi the j = 1 diagonal is 0
+        a0 = np.zeros(8)
+        a0[:2] = 1e-3
+        with pytest.raises(DegenerateOrbitError, match="singular"):
+            galerkin_v(a0, None, 0.0, None, 2.0 * np.pi)
 
 
 class TestHamiltonian:
@@ -116,8 +155,8 @@ class TestSolveDelta1:
 
     def test_loop_skips_repeated_work(self, orbit09, sine_gordon,
                                       monkeypatch):
-        # only round 1 and the reported round run the gate, and the secant
-        # starts from the carried slope instead of a probe each round
+        # only round 1 and the reported round run the gate, and DOP853 runs
+        # only for the certificate and the measured derivative
         calls = {"gate": 0, "integrate_v": 0}
 
         def counted(name, fn):
@@ -132,7 +171,7 @@ class TestSolveDelta1:
                             counted("integrate_v", closure.integrate_v))
         result = solve_delta1(orbit09, 0.1, sine_gordon)
         assert calls["gate"] == 2
-        assert calls["integrate_v"] <= 13
+        assert calls["integrate_v"] == 2
         assert result.outer_iters == 4
         assert result.delta1 == pytest.approx(DELTA1_01, abs=1e-9)
 

@@ -148,7 +148,7 @@ class TestLinearizedOperator:
 
     def test_apply_matches_oracle_at_canonical_size(self, canonical, rng):
         op, L, _ = canonical
-        assert op.size == L.shape[0] == 41 * 63
+        assert op.size == L.shape[0] == 25 * 63
         for _ in range(3):
             u = rng.standard_normal(op.size)
             ref = L @ u
@@ -253,7 +253,9 @@ class TestSolveOracle:
         assert run.converged and run.resonance_checked
         assert run.residual_certificate < 1e-9
         assert run.effective_schedule[-1] == 64
-        assert run.N_tau == 40
+        # the Galerkin trajectory's cosines fall below 1e-13 of the largest
+        # by j = 11, so N_tau takes its floor of 24
+        assert run.N_tau == 24
         # stage records carry the inverse-norm law constants
         for stage in run.stages:
             assert stage.law_constant >= FITTED_C

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
+_M_X = 64      # x-collocation points of the slow equation's forcing
 
 
 class DegenerateOrbitError(RuntimeError):
@@ -65,7 +66,7 @@ class OuterLoopError(RuntimeError):
 
 def integrate_v(V0: PlanarState, w: SpaceTimeField | None, eps: float,
                 model: Nonlinearity | None, period: float,
-                n_samples: int = 256, M_x: int = 64) -> tuple[VTrajectory, PlanarState]:
+                n_samples: int = 256, M_x: int = _M_X) -> tuple[VTrajectory, PlanarState]:
     """Integrate the slow equation over one period with w as driving field.
 
     Returns the sampled trajectory (uniform grid on [0, period)) and the
@@ -98,8 +99,7 @@ def integrate_v(V0: PlanarState, w: SpaceTimeField | None, eps: float,
 
 
 def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
-               model: Nonlinearity | None, period: float,
-               M_x: int = 64) -> tuple[Array, float]:
+               model: Nonlinearity | None, period: float) -> tuple[Array, float]:
     """Cosine coefficients a[0..J] of the even periodic slow solution at frozen w.
 
     Collocates on the 2(J + 1)-point tau grid of `VTrajectory` and drives
@@ -114,12 +114,12 @@ def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
     J = a0.shape[0] - 1
     n = 2 * (J + 1)
     C = cos_synthesis_matrix(n, J)
-    w_values = None if w is None else w.values_grid(n, M_x)
-    sin_x = sin_synthesis_matrix(M_x, 1)[:, 1]
+    w_values = None if w is None else w.values_grid(n, _M_X)
+    sin_x = sin_synthesis_matrix(_M_X, 1)[:, 1]
     lam = 1.0 / (1.0 + eps**2) - (2.0 * np.pi * np.arange(J + 1) / period) ** 2
 
     def residual(a: Array) -> Array:
-        forcing = project_P(collocate(model, eps, C @ a, w_values, M_x))
+        forcing = project_P(collocate(model, eps, C @ a, w_values, _M_X))
         return lam * a - cos_analyze(forcing, J)
 
     a, R = a0, residual(a0)
@@ -127,7 +127,7 @@ def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
     for _ in range(16):
         if r <= 64.0 * np.finfo(float).eps * np.abs(lam * a).max():
             return a, r
-        q = project_P(collocate(model, eps, C @ a, w_values, M_x, order=1) * sin_x)
+        q = project_P(collocate(model, eps, C @ a, w_values, _M_X, order=1) * sin_x)
         jac = np.diag(lam) - cos_analyze((q[:, None] * C).T, J).T
         try:
             step = np.linalg.solve(jac, -R)
@@ -266,10 +266,11 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     round that can end the loop solve the fast field cold, with the
     resonance gate; the rounds in between start Newton from the previous
     round's w and skip the gate, so the reported run is always a cold, gated
-    solve on the final trajectory.  Two DOP853 integrations with the
-    converged w certify the result: one from the closed start point (return
-    defects, trajectory, Hamiltonian drift), one from delta_1 + 1e-6 (the
-    shooting derivative, checked against ``derivative_floor``).
+    solve on the reported trajectory ``V_traj``, the last Galerkin one.  Two
+    DOP853 integrations with the converged w certify the result: one from
+    the closed start point (return defects, end state, Hamiltonian drift),
+    one from delta_1 + 1e-6 (the shooting derivative, checked against
+    ``derivative_floor``).
     """
     eps = validate_eps(eps)
     if solver is None:
@@ -299,10 +300,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
         # conormal line through the base point
         coeffs, r = galerkin_v(coeffs, w_field, eps, model, period)
         traj = VTrajectory.from_cos_coeffs(period, coeffs)
-        diff = np.array(traj.start) - base
-        if abs(diff @ t_hat) > 1e-12 * np.linalg.norm(base):
-            raise AssertionError("Galerkin start state left the conormal line")
-        delta = float(diff @ n_hat)
+        delta = float((np.array(traj.start) - base) @ n_hat)
         # (b) fast solve on the updated trajectory; a round whose delta has
         # settled may be the reported one, so it solves cold and gated
         ddelta = abs(delta - history[-1][0]) if history else abs(delta)
@@ -327,7 +325,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             history=history)
 
     # DOP853 certificate with the converged w, and the shooting derivative
-    t_fin, traj, end = tangential_defect(delta, w_field)
+    t_fin, cert, end = tangential_defect(delta, w_field)
     diff = np.array([end.p, end.p_tau]) - base
     d_val = float(diff @ n_hat) - delta
     t_pert, _, _ = tangential_defect(delta + 1e-6, w_field)
@@ -337,14 +335,14 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             f"shooting derivative {deriv:.3e} below floor "
             f"{derivative_floor:.1e}")
 
-    # Hamiltonian along the final trajectory
+    # Hamiltonian along the certificate trajectory
     start_state = PlanarState(*(base + delta * n_hat))
     H0 = _H_at(0.0, start_state, w_field, eps, model)
     H1 = _H_at(period, end, w_field, eps, model)
     taus = np.linspace(0.0, period, 17)
     drift = 0.0
     for tt in taus[1:-1]:
-        st = PlanarState(float(traj.v_at(tt)), float(traj.v_tau_at(tt)))
+        st = PlanarState(float(cert.v_at(tt)), float(cert.v_tau_at(tt)))
         drift = max(drift, abs(_H_at(tt, st, w_field, eps, model) - H0))
     drift = max(drift, abs(H1 - H0))
 

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.integrate import solve_ivp
 
-from .fourier import cos_analyze
+from .fourier import cos_analyze, cos_synthesis_matrix
 
 Array = NDArray[np.float64]
 
@@ -94,13 +94,14 @@ class VTrajectory:
 
     @classmethod
     def from_cos_coeffs(cls, period: float, coeffs: Array) -> "VTrajectory":
-        """sum_j coeffs[j] cos(2 pi j tau / period) on 2 len(coeffs) samples."""
-        j = np.arange(coeffs.shape[0])
-        ang = np.pi * np.outer(np.arange(2 * j.shape[0]), j) / j.shape[0]
-        v = np.cos(ang) @ coeffs
-        v_tau = -np.sin(ang) @ ((2.0 * np.pi / period) * j * coeffs)
-        state = (float(v[0]), float(v_tau[0]))
-        return cls(period, v, v_tau, start=state, end=state)
+        """The even trajectory sum_j coeffs[j] cos(2 pi j tau / period),
+        sampled on 2 len(coeffs) points."""
+        n = 2 * coeffs.shape[0]
+        v = cos_synthesis_matrix(n, coeffs.shape[0] - 1) @ coeffs
+        state = (float(v[0]), 0.0)
+        traj = cls(period, v, np.zeros(n), start=state, end=state)
+        traj.v_tau_samples = traj.v_tau_at(period * np.arange(n) / n)
+        return traj
 
     @property
     def n_samples(self) -> int:

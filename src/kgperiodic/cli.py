@@ -51,6 +51,10 @@ EXIT_INSUFFICIENT_DATA = 5
 
 # largest (k, j) table `divisors` writes; at the limit the CSV is ~70 MB
 MAX_DIVISOR_PAIRS = 10**6
+# largest orbit sampling `limit-orbit` writes (~4 MB of JSON) and largest
+# `sweep` residual grid (n x n points, ~180 MB peak at the limit)
+MAX_ORBIT_SAMPLES = 2**16
+MAX_RESIDUAL_GRID = 1024
 
 
 class ConfigError(ValueError):
@@ -234,7 +238,8 @@ def cmd_limit_orbit(cfg: dict) -> int:
     if amplitude is None or amplitude <= 0.0:
         raise ConfigError("field 'amplitude' must be a positive number")
     tol = _get_number(cfg, "tol", 1e-12, lo=0.0)
-    n_samples = _get_number(cfg, "n_samples", 512, lo=16, integer=True)
+    n_samples = _get_number(cfg, "n_samples", 512, lo=16, hi=MAX_ORBIT_SAMPLES,
+                            integer=True)
     out = _out_dir(cfg)
     resolved = {"command": "limit-orbit", "model": model_spec,
                 "amplitude": amplitude, "tol": tol, "n_samples": n_samples,
@@ -405,7 +410,8 @@ def cmd_sweep(cfg: dict) -> int:
     params, resolved_res = _resonance_params(cfg)
     solver_cfg, resolved_solver = _solver_config(cfg, params)
     workers = _get_number(cfg, "workers", 1, lo=1, integer=True)
-    grid_n = _get_number(cfg, "residual_grid", 96, lo=16, integer=True)
+    grid_n = _get_number(cfg, "residual_grid", 96, lo=16, hi=MAX_RESIDUAL_GRID,
+                         integer=True)
     out = _out_dir(cfg)
     resolved = {"command": "sweep", "model": model_spec, "amplitude": amplitude,
                 "eps_list": sorted(eps_list), "resonance": resolved_res,

@@ -16,6 +16,7 @@ measure O(eps0^(l-1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -102,10 +103,15 @@ class HillSpectrum:
     """Eigenvalues of -d_tautau + q(tau) on even period-periodic functions.
 
     ``radius`` bounds how far each computed eigenvalue may sit from the
-    Galerkin matrix's (a Weyl bound on the couplings the banded solve
-    drops).  ``lambda_at`` extends past the computed truncation with the
-    asymptotic value (2 pi j / p)^2 + mean(q), whose error is O(1/j^2) and
-    negligible at the divisor scale.
+    eigenvalue of the J_max Galerkin matrix (a Weyl bound on the couplings
+    the banded solve drops).  It does not bound the truncation error of the
+    Galerkin matrix itself, which is largest at the top: J_max = 400 and
+    1600 solves of the canonical potential differ by 1.5e-6 at j = 399 and
+    by at most 1.1e-9 for j <= 398, so `resonance_gate` solves 16 past the
+    j its table reads.  ``lambda_at`` extends past J_max with the
+    constant-potential value (2 pi j / p)^2 + mean(q); by min-max the true
+    eigenvalue lies within ||q - mean(q)||_inf of it (at most the sum of
+    |q_coeffs[1:]|, 0.115 at the canonical point), for every j.
     """
 
     period: float
@@ -126,7 +132,11 @@ class HillSpectrum:
         return float(self.q_coeffs[0])
 
     def lambda_at(self, j: Array | int) -> Array:
-        """Eigenvalues, exact up to J_max and asymptotic beyond."""
+        """Computed eigenvalues up to J_max, the constant-potential value beyond.
+
+        Past J_max the error is at most ||q - mean(q)||_inf (min-max), not
+        a vanishing one; see the class docstring.
+        """
         j = np.atleast_1d(np.asarray(j, dtype=int))
         out = np.empty(j.shape, dtype=float)
         inside = j <= self.J_max
@@ -164,6 +174,18 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     `HillSpectrum.radius`.  The band is assembled straight into LAPACK
     upper storage, symmetric by construction.
 
+    Parity split: entry (j, j') involves only ``e[j + j']`` and
+    ``e[|j - j'|]``, so without odd harmonics the matrix decouples into the
+    even-j and the odd-j cosines (the p/2-periodic and p/2-antiperiodic
+    problems of a p/2-periodic potential), each of half the size and half
+    the bandwidth.  The potential of an odd model on a trajectory with
+    v(tau + p/2) = -v(tau) has round-off odd harmonics only; when their
+    Weyl mass ``3 sum_odd |e[n]|`` plus the off-band even tail fits the
+    same round-off budget, the two classes are solved separately and
+    interleaved (Neumann and Dirichlet conditions at p/4 alternate,
+    lambda_0 < lambda_1 < ..., even j from the even class), which the
+    ascending check below confirms.  Otherwise the whole matrix is solved.
+
     Cost: with b = 0 the matrix is diagonal and cheap, but once b > 0 the
     band reduction chases bulges along the whole matrix and the cost grows
     superlinearly in ``J_max``.  A constant potential sampled 64 times
@@ -183,23 +205,45 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     kinetic = (2.0 * np.pi * j / period) ** 2
     diagonal = kinetic + e[0] + e[2 * j]
     diagonal[0] = kinetic[0] + e[0]
+    roundoff = np.finfo(float).eps * (np.max(np.abs(diagonal)) + 3.0 * np.sum(np.abs(e)))
     # tail[b] = 3 sum_{n > b} |e[n]| for b < J_max; the full band drops nothing
     tail = np.append(3.0 * np.cumsum(np.abs(e[::-1]))[::-1][1:J_max + 1], 0.0)
-    roundoff = np.finfo(float).eps * (np.max(np.abs(diagonal)) + 3.0 * np.sum(np.abs(e)))
-    b = int(np.argmax(tail <= roundoff))
-
-    # row b - d of the upper storage holds the d-th superdiagonal A[j - d, j]
-    d = np.arange(b + 1)[:, None]
-    band = e[d] + e[np.abs(2 * j - d)]
-    band[0] = diagonal
-    row0 = np.arange(1, b + 1)
-    band[row0, row0] /= np.sqrt(2.0)
-    band[d > j] = 0.0
-    lam = eigvals_banded(band[::-1], lower=False)
+    # split[b] = 3 sum_{n odd} |e[n]| + 3 sum_{n even > 2b} |e[n]|
+    even = np.abs(e[::2])
+    split = (3.0 * np.sum(np.abs(e[1::2]))
+             + np.append(3.0 * np.cumsum(even[::-1])[::-1][1:], 0.0))
+    if J_max >= 1 and split[-1] <= roundoff:
+        b = int(np.argmax(split <= roundoff))
+        lam = np.empty(J_max + 1)
+        lam[0::2] = _banded_eigvals(e, diagonal, 0, 2, b)
+        lam[1::2] = _banded_eigvals(e, diagonal, 1, 2, b)
+        radius = float(split[b])
+    else:
+        b = int(np.argmax(tail <= roundoff))
+        lam = _banded_eigvals(e, diagonal, 0, 1, b)
+        radius = float(tail[b])
     if np.any(np.diff(lam) <= 0.0):
         raise AssertionError("Hill eigenvalues are not simple/ascending")
     return HillSpectrum(period=period, q_coeffs=q_hat, eigenvalues=lam,
-                        J_max=J_max, radius=float(tail[b]))
+                        J_max=J_max, radius=radius)
+
+
+def _banded_eigvals(e: Array, diagonal: Array, start: int, stride: int,
+                    b: int) -> Array:
+    """Eigenvalues of the Galerkin matrix restricted to j = start::stride.
+
+    The restriction keeps the couplings |j - j'| <= stride * b; row b - d
+    of the LAPACK upper storage holds the d-th superdiagonal A[j - s d, j].
+    """
+    j = np.arange(start, diagonal.shape[0], stride)
+    d = np.arange(min(b, j.shape[0] - 1) + 1)[:, None]
+    band = e[stride * d] + e[np.abs(2 * j - stride * d)]
+    band[0] = diagonal[j]
+    if start == 0:
+        row0 = np.arange(1, d.shape[0])
+        band[row0, row0] /= np.sqrt(2.0)
+    band[d > np.arange(j.shape[0])] = 0.0
+    return eigvals_banded(band[::-1], lower=False)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +258,7 @@ def _positive_roots_y(k: Array, lam: Array) -> Array:
     """Positive root in y = eps^2 of lam*y^2 + (lam - k^2) y + (1 - k^2) = 0.
 
     Returns NaN where lam <= 0 (no positive root).  Stable quadratic formula
-    plus two Newton polish steps on the defining equation.
+    plus three Newton polish steps on the defining equation.
     """
     k = np.asarray(k, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -238,38 +282,25 @@ def _positive_roots_y(k: Array, lam: Array) -> Array:
     return y
 
 
+def _centers(spectrum: HillSpectrum, k: Array, j: Array) -> Array:
+    """eps_{k,j} elementwise (NaN without a positive root)."""
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(_positive_roots_y(k, spectrum.lambda_at(j)))
+
+
 def epsilon_kj(k: int, j: int, spectrum: HillSpectrum) -> float | None:
     """Positive root eps_{k,j} of the divisor equation, or None if absent.
 
-    Bisection on a doubling bracket followed by Newton polish; the result
-    satisfies the defining equation to better than 1e-13.
+    `_centers`, the formula the divisor table and the resonance search
+    use; for k <= 8 the result satisfies the defining equation to better
+    than 1e-13.
     """
     if k < 2:
         raise ValueError("spatial wavenumbers start at k = 2")
     if j < 0:
         raise ValueError("j must be nonnegative")
-    lam = float(spectrum.lambda_at(j)[0])
-    if lam <= 0.0:
-        return None
-    lo, hi = 0.0, 1.0
-    while _divisor(np.array([hi**2]), np.array([float(k)]), np.array([lam]))[0] < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            return None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        val = -k**2 + 1.0 / (1.0 + mid**2) + mid**2 * lam
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    eps = 0.5 * (lo + hi)
-    for _ in range(2):
-        val = -k**2 + 1.0 / (1.0 + eps**2) + eps**2 * lam
-        dval = 2.0 * eps * (lam - 1.0 / (1.0 + eps**2) ** 2)
-        if dval != 0.0:
-            eps = eps - val / dval
-    return float(eps)
+    eps = float(_centers(spectrum, float(k), j)[0])
+    return None if np.isnan(eps) else eps
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +311,30 @@ def epsilon_kj(k: int, j: int, spectrum: HillSpectrum) -> float | None:
 class DivisorTable:
     """Resonance centers eps_{k,j} for 2 <= k <= K_max, 1 <= j <= J_max.
 
-    ``eps[k_index, j-1]`` holds the root for k = k_values[k_index]; NaN
-    marks pairs without a positive root.
+    Building the table only records its extent; ``eps[k_index, j-1]``, the
+    root for k = k_values[k_index] (NaN for pairs without a positive root),
+    is tabulated on first use.  `is_resonant` never tabulates it.
     """
 
-    period: float
-    k_values: Array
+    spectrum: HillSpectrum
+    K_max: int
     J_max: int
-    eps: Array
 
     @classmethod
     def build(cls, spectrum: HillSpectrum, K_max: int, J_max: int) -> "DivisorTable":
         if K_max < 2:
             raise ValueError("K_max must be >= 2")
-        ks = np.arange(2, K_max + 1)
-        js = np.arange(1, J_max + 1)
-        lam = spectrum.lambda_at(js)
-        K, L = np.meshgrid(ks.astype(float), lam, indexing="ij")
-        y = _positive_roots_y(K, L)
-        with np.errstate(invalid="ignore"):
-            table = np.sqrt(y)
-        return cls(period=spectrum.period, k_values=ks, J_max=J_max, eps=table)
+        return cls(spectrum=spectrum, K_max=K_max, J_max=J_max)
+
+    @property
+    def k_values(self) -> Array:
+        return np.arange(2, self.K_max + 1)
+
+    @cached_property
+    def eps(self) -> Array:
+        K, J = np.meshgrid(self.k_values.astype(float),
+                           np.arange(1, self.J_max + 1), indexing="ij")
+        return _centers(self.spectrum, K, J)
 
     def lookup(self, k: int, j: int) -> float:
         return float(self.eps[k - 2, j - 1])
@@ -316,14 +350,6 @@ class DivisorTable:
         halfw = half.ravel()
         good = np.isfinite(centers)
         return K[good], J[good], centers[good], halfw[good]
-
-
-def _coverage_floor(table: DivisorTable, params: ResonanceParams) -> Array:
-    """Per-k smallest epsilon whose resonance status the table certifies."""
-    last = table.eps[:, -1]
-    width = table.k_values.astype(float) ** params.alpha / float(table.J_max) ** params.l
-    floor = np.where(np.isfinite(last), last + width, 0.0)
-    return floor
 
 
 @dataclass(frozen=True)
@@ -348,9 +374,39 @@ class ResonanceReport:
                 "halfwidth": self.halfwidth, "distance": self.distance}
 
 
+def _crossing(eps: float, ks: Array, spectrum: HillSpectrum, J_max: int) -> Array:
+    """Per k, j* = #{1 <= j <= J_max : lambda_j < lambda*(k, eps)}.
+
+    Centers decrease in j and eps_{k,j} > eps exactly when lambda_j is below
+    lambda* = (k^2 - 1/(1 + eps^2)) / eps^2, so the nearest centers are
+    j* and j* + 1.  Computed eigenvalues are searched; past the computed
+    truncation the asymptotic formula of `HillSpectrum.lambda_at` is
+    inverted.
+    """
+    lam_star = (ks**2 - 1.0 / (1.0 + eps**2)) / eps**2
+    J_in = min(spectrum.J_max, J_max)
+    j_star = np.searchsorted(spectrum.eigenvalues[1:J_in + 1], lam_star)
+    if J_max > J_in:
+        with np.errstate(invalid="ignore"):
+            x = spectrum.period / (2.0 * np.pi) * np.sqrt(lam_star - spectrum.q_mean)
+        beyond = np.clip(np.ceil(np.nan_to_num(x)) - 1.0 - J_in, 0, J_max - J_in)
+        j_star = np.where(j_star == J_in, j_star + beyond.astype(int), j_star)
+    return j_star
+
+
 def is_resonant(eps: float, params: ResonanceParams, table: DivisorTable,
                 k_range: int | None = None) -> ResonanceReport:
     """Window membership of eps, with the nearest window for context.
+
+    Searches each k instead of tabulating: centers eps_{k,j} decrease and
+    halfwidths k^alpha / j^l shrink in j, so only the j around the crossing
+    j* (`_crossing`) can matter.  Exact centers are evaluated on
+    j* - w < j <= j* + w, which must hold the crossing, and two monotone
+    bounds rule out the rest: above the window eps - eps_{k,j} grows while
+    the halfwidth shrinks, and a dyadic block a <= j <= b below it is out
+    when eps_{k,b} - eps is at least the halfwidth at a.  Where a check
+    fails, w doubles for that k.  The report equals the one read off the
+    full table.
 
     Raises `CoverageError` when the table cannot certify the answer (query
     below the tabulated centers for some k, or k_range beyond the table):
@@ -358,25 +414,51 @@ def is_resonant(eps: float, params: ResonanceParams, table: DivisorTable,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    ks = table.k_values
-    if k_range is not None:
-        if k_range > int(ks[-1]):
-            raise CoverageError(
-                f"table covers k <= {int(ks[-1])} but k_range = {k_range} requested")
-        keep = ks <= k_range
-    else:
-        keep = np.ones(ks.shape, dtype=bool)
-
-    floor = _coverage_floor(table, params)[keep]
-    if np.any(eps <= floor):
-        k_bad = ks[keep][eps <= floor]
+    if k_range is not None and k_range > table.K_max:
         raise CoverageError(
-            f"eps = {eps:.6g} at or below certified floor for k in {k_bad.tolist()}; "
-            f"extend J_max beyond {table.J_max}")
+            f"table covers k <= {table.K_max} but k_range = {k_range} requested")
+    ks = np.arange(2, (table.K_max if k_range is None else k_range) + 1)
+    spectrum, J = table.spectrum, table.J_max
 
-    K, J, centers, halfw = table.windows(params)
-    sel = np.isin(K, ks[keep])
-    K, J, centers, halfw = K[sel], J[sel], centers[sel], halfw[sel]
+    def halfwidth(k, j):
+        return k**params.alpha * (1.0 / j.astype(float)**params.l)
+
+    j_star = _crossing(eps, ks.astype(float), spectrum, J)
+    blocks = 2 ** np.arange(int(np.log2(J)) + 1)      # dyadic blocks [a, 2a - 1]
+    found = []          # (k, j, center) on the window of each settled k
+    todo, w = np.arange(ks.shape[0]), 2
+    while todo.size:
+        k = ks[todo, None].astype(float)
+        win = j_star[todo, None] + np.arange(1 - w, w + 1)
+        b = np.minimum(2 * blocks - 1, np.maximum(win[:, :1], 1) - 1)
+        c = _centers(spectrum, k, np.hstack([np.clip(win, 1, J), b,
+                                             np.full(k.shape, J)]))
+        c_win, c_b = c[:, :2 * w], c[:, 2 * w:-1]
+        if w == 2:
+            # first round, every k: the coverage floor is the j = J_max
+            # center plus its halfwidth
+            floor = np.where(np.isfinite(c[:, -1]),
+                             c[:, -1] + k[:, 0]**params.alpha / float(J)**params.l, 0.0)
+            if np.any(eps <= floor):
+                raise CoverageError(
+                    f"eps = {eps:.6g} at or below certified floor for k in "
+                    f"{ks[eps <= floor].tolist()}; extend J_max beyond {J}")
+        with np.errstate(invalid="ignore"):
+            above = (win[:, -1] >= J) | (eps - c_win[:, -1] >= halfwidth(k[:, 0], win[:, -1]))
+            below = (blocks > b) | np.isnan(c_b) | (c_b - eps >= halfwidth(k, blocks))
+        # the window must hold the crossing for its nearest center to be
+        # the nearest of all (a center without a root counts as above eps)
+        holds = (win[:, 0] <= 1) | ~(c_win[:, 0] < eps)
+        ok = holds & above & np.all(below, axis=1)
+        keep = (win >= 1) & (win <= J) & ok[:, None]
+        found.append((np.broadcast_to(ks[todo, None], win.shape)[keep], win[keep],
+                      c_win[keep]))
+        todo, w = todo[~ok], 2 * w
+    K, Jw, centers = (np.concatenate(x) for x in zip(*found))
+    order = np.argsort(K, kind="stable")
+    good = order[np.isfinite(centers[order])]
+    K, Jw, centers = K[good], Jw[good], centers[good]
+    halfw = halfwidth(K.astype(float), Jw)
     dist = np.abs(eps - centers)
     inside = dist < halfw
     if np.any(inside):
@@ -387,7 +469,7 @@ def is_resonant(eps: float, params: ResonanceParams, table: DivisorTable,
         idx = int(np.argmin(dist))
         res = False
     return ResonanceReport(resonant=bool(res), eps=float(eps),
-                           nearest_k=int(K[idx]), nearest_j=int(J[idx]),
+                           nearest_k=int(K[idx]), nearest_j=int(Jw[idx]),
                            center=float(centers[idx]), halfwidth=float(halfw[idx]),
                            distance=float(dist[idx]))
 

@@ -37,7 +37,8 @@ _IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
 
 
 class NoPeriodicOrbitError(ValueError):
-    """The requested amplitude does not lie on a bounded periodic level set."""
+    """The requested amplitude does not lie on a bounded periodic level set,
+    or its orbit cannot be integrated to the requested energy tolerance."""
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,9 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-12,
     drift = np.max(np.abs(0.5 * states[1] ** 2 + 0.5 * states[0] ** 2
                           + (f3 / 32.0) * states[0] ** 4 - energy))
     if drift > max(tol, 1e-10):
-        raise RuntimeError(f"energy drift {drift:.2e} exceeds tolerance on orbit")
+        raise NoPeriodicOrbitError(
+            f"energy drift {drift:.2e} on the sampled orbit exceeds the "
+            f"tolerance {max(tol, 1e-10):.2e}; the orbit is not resolved")
     return PlanarOrbit(f3=f3, amplitude=amplitude, period=period, energy=energy,
                        tau=grid, p=states[0], p_tau=states[1])
 

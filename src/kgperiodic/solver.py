@@ -71,6 +71,10 @@ GMRES_RTOL = 1e-14
 SIGMA = 3.0
 BAR_S = 8.0
 
+# Hill eigenvalues the resonance gate solves beyond its divisor table: the
+# top few eigenvalues of a Galerkin truncation are the inaccurate ones.
+_HILL_MARGIN = 16
+
 
 def validate_eps(eps: float) -> float:
     """eps as a float; `ValueError` unless it is finite and in (0, 1)."""
@@ -437,12 +441,16 @@ def resonance_gate(traj: VTrajectory, eps: float, model: Nonlinearity,
                    J_hill: int = 400):
     """Build the averaged-potential divisor table and classify eps.
 
-    Returns (report, spectrum, table); raises ResonanceError when eps falls
-    inside a window for some retained wavenumber k <= K.
+    The table reaches j_table = 2.5 K max(1, p / 2 pi) / eps; the Hill
+    solve stops `_HILL_MARGIN` past it (and at ``J_hill``), so the
+    eigenvalues the query reads are clear of the inaccurate top of the
+    Galerkin truncation.  Returns (report, spectrum, table); raises
+    ResonanceError when eps falls inside a window for some retained
+    wavenumber k <= K.
     """
     q = averaged_potential(traj, eps, model)
-    spectrum = hill_eigs(q, traj.period, J_hill)
     j_table = int(math.ceil(2.5 * K * max(1.0, traj.period / (2 * np.pi)) / eps))
+    spectrum = hill_eigs(q, traj.period, min(J_hill, j_table + _HILL_MARGIN))
     table = DivisorTable.build(spectrum, K_max=max(K, 2), J_max=j_table)
     report = is_resonant(eps, params, table)
     if report.resonant:

@@ -215,6 +215,53 @@ def oracle_hill_eigs(q_samples, period: float, J_max: int) -> np.ndarray:
     return eigh(A, eigvals_only=True)
 
 
+def oracle_is_resonant(eps: float, params, table, k_range: int | None = None):
+    """Window membership of eps read off the full K x J divisor table.
+
+    Every tabulated center and halfwidth is compared with eps; the coverage
+    floor is the j = J_max column plus its halfwidth.  Reference for the
+    per-k window search in `is_resonant`.
+    """
+    from kgperiodic.divisors import CoverageError, ResonanceReport
+
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    ks = table.k_values
+    if k_range is not None:
+        if k_range > int(ks[-1]):
+            raise CoverageError(
+                f"table covers k <= {int(ks[-1])} but k_range = {k_range} requested")
+        keep = ks <= k_range
+    else:
+        keep = np.ones(ks.shape, dtype=bool)
+
+    last = table.eps[:, -1]
+    width = ks.astype(float) ** params.alpha / float(table.J_max) ** params.l
+    floor = np.where(np.isfinite(last), last + width, 0.0)[keep]
+    if np.any(eps <= floor):
+        k_bad = ks[keep][eps <= floor]
+        raise CoverageError(
+            f"eps = {eps:.6g} at or below certified floor for k in {k_bad.tolist()}; "
+            f"extend J_max beyond {table.J_max}")
+
+    K, J, centers, halfw = table.windows(params)
+    sel = np.isin(K, ks[keep])
+    K, J, centers, halfw = K[sel], J[sel], centers[sel], halfw[sel]
+    dist = np.abs(eps - centers)
+    inside = dist < halfw
+    if np.any(inside):
+        # report the deepest violation (smallest distance/halfwidth)
+        idx = np.argmin(np.where(inside, dist / halfw, np.inf))
+        res = True
+    else:
+        idx = int(np.argmin(dist))
+        res = False
+    return ResonanceReport(resonant=bool(res), eps=float(eps),
+                           nearest_k=int(K[idx]), nearest_j=int(J[idx]),
+                           center=float(centers[idx]), halfwidth=float(halfw[idx]),
+                           distance=float(dist[idx]))
+
+
 def oracle_newton_solve(V_traj, eps: float, N: int, J_max: int, model,
                         sys=None, tol: float = 1e-12, max_iters: int = 40,
                         fd_step: float = 1e-6):

@@ -308,6 +308,91 @@ def test_divisors_config_fuzz(tmp_path, capsys, cfg, corruption):
     assert elapsed < 10.0
 
 
+# models the pipeline accepts: the two named ones and small custom series
+# (c3 = 0 or a negative c3 with a large amplitude are documented failures)
+_MODEL = st.one_of(
+    st.sampled_from(["sine-gordon", "phi4"]),
+    st.fixed_dictionaries({"model": st.just("custom"),
+                           "odd_coeffs": st.lists(st.floats(-10.0, 10.0),
+                                                  min_size=1, max_size=3)}))
+# a top-level field replaced by an absent, ill-typed, non-finite, negative
+# or huge value; nested solver fields are left alone, since a huge
+# truncation is a valid (and arbitrarily expensive) request
+_BAD_VALUE = st.one_of(st.sampled_from([None, True, "3", [1], {}, math.nan, math.inf]),
+                       st.floats(max_value=0.0), st.integers(-10**30, 0),
+                       st.integers(10**7, 10**30))
+_SOLVE_CFG = st.fixed_dictionaries(
+    {"eps": st.floats(0.08, 0.3)},
+    optional={"model": st.sampled_from(["sine-gordon", "phi4"]),
+              "amplitude": st.floats(0.5, 1.0),
+              "resonance": st.fixed_dictionaries(
+                  {}, optional={"alpha": st.floats(0.0, 1.0),
+                                "l": st.floats(2.0, 3.0)}),
+              "solver": st.fixed_dictionaries(
+                  {}, optional={"N_cap": st.sampled_from([8, 16, 64]),
+                                "nf_steps": st.integers(0, 2),
+                                "max_stage_iters": st.integers(1, 12)})})
+_SWEEP_CFG = st.fixed_dictionaries(
+    {"eps_list": st.lists(st.floats(0.08, 0.3), min_size=1, max_size=2)},
+    optional={"model": st.sampled_from(["sine-gordon", "phi4"]),
+              "amplitude": st.floats(0.5, 1.0),
+              "residual_grid": st.integers(16, 96)})
+_LIMIT_ORBIT_CFG = st.fixed_dictionaries(
+    {"amplitude": st.floats(1e-3, 4.0)},
+    optional={"model": _MODEL, "tol": st.floats(0.0, 1.0),
+              "n_samples": st.integers(16, 4096)})
+
+
+def _fuzz_run(tmp_path, capsys, command, cfg, corruption):
+    """Run one config through `main`; the exit code must be documented."""
+    cfg = {**cfg, "out_dir": str(tmp_path)}
+    if corruption is not None:
+        key, value = corruption
+        if value is None:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    start = time.perf_counter()
+    code = run_cli(tmp_path, command, cfg)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in README_EXIT_CODES
+    assert "Traceback" not in err
+    assert elapsed < 30.0
+    return code, err
+
+
+# few, fixed examples: a valid solve costs about half a second
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_SOLVE_CFG, corruption=st.one_of(st.none(), st.tuples(
+    st.sampled_from(["model", "amplitude", "eps", "resonance", "solver"]),
+    _BAD_VALUE)))
+def test_solve_config_fuzz(tmp_path, capsys, cfg, corruption):
+    _fuzz_run(tmp_path, capsys, "solve", cfg, corruption)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_SWEEP_CFG, corruption=st.one_of(st.none(), st.tuples(
+    st.sampled_from(["model", "amplitude", "eps_list", "residual_grid"]),
+    _BAD_VALUE)))
+def test_sweep_config_fuzz(tmp_path, capsys, cfg, corruption):
+    code, _ = _fuzz_run(tmp_path, capsys, "sweep", cfg, corruption)
+    # at most two rows: the fit laws never have enough data
+    assert code in (EXIT_BAD_CONFIG, EXIT_INSUFFICIENT_DATA)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_LIMIT_ORBIT_CFG, corruption=st.one_of(st.none(), st.tuples(
+    st.sampled_from(["model", "amplitude", "tol", "n_samples"]), _BAD_VALUE)))
+def test_limit_orbit_config_fuzz(tmp_path, capsys, cfg, corruption):
+    code, _ = _fuzz_run(tmp_path, capsys, "limit-orbit", cfg, corruption)
+    assert code in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_NO_ORBIT)
+
+
 class TestSelftest:
     def test_default_run_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK

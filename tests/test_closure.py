@@ -16,6 +16,7 @@ from kgperiodic.closure import (
     integrate_v,
     solve_delta1,
 )
+from kgperiodic.divisors import DivisorTable, HillSpectrum, ResonanceParams
 from kgperiodic.planar import PlanarState, find_orbit
 
 # Frozen canonical shooting parameter at eps = 0.1, amplitude 0.9 (default
@@ -148,6 +149,40 @@ class TestSolveDelta1:
             assert not report.resonant
             assert (report.nearest_k, report.nearest_j) == (64, 617)
             assert report.distance == pytest.approx(1.397005e-6, rel=1e-6)
+
+    def test_canonical_verdict_certified_by_min_max(self, closure01,
+                                                     sine_gordon):
+        # (64, 617) lies past the computed Hill eigenvalues.  By min-max each
+        # eigenvalue of -d_tautau + q lies within ||q - mean q||_inf of the
+        # constant potential's (2 pi j / p)^2 + mean q; no window whose center
+        # sits anywhere in that enclosure contains eps
+        params = ResonanceParams()
+        report, spectrum, table = solver.resonance_gate(
+            closure01.V_traj, closure01.eps, sine_gordon, K=64, params=params)
+        assert report == closure01.resonance_final
+        assert report.nearest_j > spectrum.J_max
+        assert report.center == table.lookup(64, 617)
+        sup = np.sum(np.abs(spectrum.q_coeffs[1:]))       # >= ||q - mean q||_inf
+        assert 0.1 < sup < 0.12
+
+        def enclosure_edge(shift):
+            flat = HillSpectrum.flat(spectrum.period, 0)
+            return DivisorTable.build(
+                dataclasses.replace(flat, q_coeffs=np.array([spectrum.q_mean + shift])),
+                K_max=64, J_max=table.J_max)
+
+        # centers decrease in lambda: the upper eigenvalue gives the lower center
+        low, high = enclosure_edge(sup), enclosure_edge(-sup)
+        moved = max(report.center - low.lookup(64, 617),
+                    high.lookup(64, 617) - report.center)
+        assert 0.0 < moved < 1.5e-8
+        assert moved < report.distance - report.halfwidth
+        assert np.all(np.isfinite(low.eps)) and np.all(np.isfinite(high.eps))
+        ks = low.k_values.astype(float)[:, None]
+        js = np.arange(1, table.J_max + 1, dtype=float)[None, :]
+        half = ks**params.alpha / js**params.l
+        assert not np.any((low.eps - half < closure01.eps)
+                          & (closure01.eps < high.eps + half))
 
     def test_conormal_taken_from_orbit(self, closure01, orbit09):
         n = np.array([orbit09.conormal.p, orbit09.conormal.p_tau])

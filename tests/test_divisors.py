@@ -1,5 +1,6 @@
 """Hill spectrum, divisor roots, resonance windows, measure tests."""
 
+import math
 import time
 
 import numpy as np
@@ -21,7 +22,8 @@ from kgperiodic.divisors import (
 from kgperiodic.nonlinearity import Nonlinearity
 from kgperiodic.planar import find_orbit
 
-from oracles import divisor_root_exact, divisor_root_float, oracle_hill_eigs
+from oracles import (divisor_root_exact, divisor_root_float, oracle_hill_eigs,
+                     oracle_is_resonant)
 
 # Resonance value eps_{2,100} for the flat potential at period 2*pi, from
 # the exact-rational bisection oracle on -4 + 1/(1+e^2) + 1e4 e^2 = 0.
@@ -108,6 +110,30 @@ class TestBandedHillEigs:
         assert gap <= spec_banded.radius + 1e-13 * scale
         assert spec_banded.radius <= np.finfo(float).eps * scale
 
+    def test_generic_potential_unsplit(self):
+        # a p-periodic potential has odd harmonics: the whole matrix is solved
+        period = 6.0
+        taus = period * np.arange(128) / 128
+        q = 0.3 * np.cos(2 * np.pi * taus / period) - 0.1
+        spec = hill_eigs(q, period, 120)
+        dense = oracle_hill_eigs(q, period, 120)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(spec.eigenvalues - dense)) <= spec.radius + 1e-13 * scale
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 4, 17, 40])
+    def test_half_period_potential_split(self, J):
+        # only even harmonics: the even-j and odd-j classes are solved apart
+        # and interleaved, at every parity of the truncation
+        period = 5.0
+        taus = period * np.arange(64) / 64
+        q = 0.8 * np.cos(4 * np.pi * taus / period) - 0.3 * np.cos(8 * np.pi * taus / period)
+        spec = hill_eigs(q, period, J)
+        dense = oracle_hill_eigs(q, period, J)
+        assert spec.eigenvalues.shape == (J + 1,)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(spec.eigenvalues - dense)) <= spec.radius + 1e-13 * scale
+        assert spec.radius <= np.finfo(float).eps * scale
+
     def test_constant_potential_large_truncation(self):
         # J = 20000 is a 3.2 GB dense matrix; the constant's band is diagonal
         period, q = 200.0, 2.5
@@ -131,6 +157,15 @@ class TestEpsilonKJ:
             e = epsilon_kj(k, j, flat_2pi)
             lam = float(flat_2pi.lambda_at(j)[0])
             assert abs(-k * k + 1.0 / (1.0 + e * e) + e * e * lam) < 1e-12
+
+    def test_defining_equation_to_1e13(self):
+        # the docstring's claim, over k <= 8 and computed and asymptotic j
+        spec = hill_eigs(np.full(64, 0.7), 6.3, 400)
+        for k in range(2, 9):
+            for j in (*range(1, 401, 7), 400, 10**3, 10**4, 10**5):
+                e = epsilon_kj(k, j, spec)
+                lam = float(spec.lambda_at(j)[0])
+                assert abs(-k * k + 1.0 / (1.0 + e * e) + e * e * lam) < 1e-13
 
     def test_float_oracle_agreement(self, flat_2pi):
         for k, j in ((2, 37), (4, 211)):
@@ -191,12 +226,73 @@ class TestResonanceWindows:
         with pytest.raises(CoverageError):
             is_resonant(1e-4, ResonanceParams(), table)
 
+    def test_query_does_not_tabulate(self, flat_2pi):
+        table = DivisorTable.build(flat_2pi, K_max=64, J_max=4000)
+        is_resonant(0.1, ResonanceParams(), table)
+        assert "eps" not in vars(table)
+        assert table.eps.shape == (63, 4000)
+
     def test_params_invariants(self):
         params = ResonanceParams()
         assert 2.0 <= 2.0 + params.alpha < params.l < 3.0
         assert params.gamma == pytest.approx(params.l - params.alpha - 2.0)
         with pytest.raises(ValueError):
             ResonanceParams(alpha=1.5, l=2.5)   # violates 2 + alpha < l
+
+
+class TestWindowSearch:
+    """The per-k window search against the full-table oracle."""
+
+    @pytest.mark.parametrize("spec, amplitude", [("sine-gordon", 0.9),
+                                                 ("phi4", 0.8)])
+    @pytest.mark.parametrize("K", [6, 8, 64])
+    def test_matches_table_oracle(self, spec, amplitude, K):
+        # the gate's spectra and table extents on seeded eps draws
+        model = Nonlinearity.from_spec({"model": spec})
+        traj = find_orbit(model.f3, amplitude).trajectory(256)
+        params = ResonanceParams()
+        draws = np.random.default_rng(K).uniform(0.05, 0.2, 24)
+        verdicts = set()
+        for eps in (*draws, 0.05, 0.2, 0.1, 0.1396532019663832):
+            eps = float(eps)
+            j_table = math.ceil(2.5 * K * max(1.0, traj.period / (2 * np.pi)) / eps)
+            q = averaged_potential(traj, eps, model)
+            spectrum = hill_eigs(q, traj.period, min(400, j_table + 16))
+            table = DivisorTable.build(spectrum, K_max=K, J_max=j_table)
+            report = is_resonant(eps, params, table)
+            assert report == oracle_is_resonant(eps, params, table)
+            verdicts.add(report.resonant)
+        assert verdicts == {True, False}
+
+    def test_flat_spectrum_dense_scan(self, flat_2pi):
+        # many queries on one table, across window edges and centers
+        table = DivisorTable.build(flat_2pi, K_max=5, J_max=600)
+        params = ResonanceParams()
+        centers = [table.lookup(k, j) for k, j in ((2, 40), (3, 77), (5, 200))]
+        probes = [c + s * d for c in centers for s in (-1, 1)
+                  for d in (0.0, 1e-9, 1e-6, 1e-4)]
+        for eps in (*np.linspace(0.02, 0.5, 97), *probes):
+            assert is_resonant(float(eps), params, table) == oracle_is_resonant(
+                float(eps), params, table)
+
+    def test_k_range_matches_oracle(self, flat_2pi):
+        table = DivisorTable.build(flat_2pi, K_max=4, J_max=400)
+        params = ResonanceParams()
+        for k_range in (2, 3, 4):
+            for eps in np.linspace(0.03, 0.3, 41):
+                assert (is_resonant(float(eps), params, table, k_range=k_range)
+                        == oracle_is_resonant(float(eps), params, table,
+                                              k_range=k_range))
+
+    def test_coverage_errors_match_oracle(self, flat_2pi):
+        table = DivisorTable.build(flat_2pi, K_max=3, J_max=50)
+        params = ResonanceParams()
+        for query, kwargs in ((1e-4, {}), (0.05, {}), (0.1, {"k_range": 4})):
+            with pytest.raises(CoverageError) as ours:
+                is_resonant(query, params, table, **kwargs)
+            with pytest.raises(CoverageError) as theirs:
+                oracle_is_resonant(query, params, table, **kwargs)
+            assert str(ours.value) == str(theirs.value)
 
 
 class TestMeasure:

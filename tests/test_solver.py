@@ -1,14 +1,19 @@
 """Residual/linearization assembly and the nested-truncation solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
 from kgperiodic.divisors import (
+    DivisorTable,
     HillSpectrum,
     ResonanceError,
     ResonanceParams,
+    averaged_potential,
     epsilon_kj,
+    hill_eigs,
 )
 from kgperiodic.fourier import SpaceTimeField
 from kgperiodic.normalform import identity_system, transformed_g
@@ -28,7 +33,8 @@ from kgperiodic.solver import (
     sigma_min_law_samples,
 )
 
-from oracles import assemble_L, oracle_jacobian, oracle_newton_solve
+from oracles import (assemble_L, oracle_is_resonant, oracle_jacobian,
+                     oracle_newton_solve)
 
 EPS = 0.1
 
@@ -309,3 +315,28 @@ class TestResonanceGateEndToEnd:
                            params=ResonanceParams())
         assert info.value.report is not None
         assert (info.value.report.nearest_k, info.value.report.nearest_j) == (2, 12)
+
+    @pytest.mark.parametrize("K", [6, 64])
+    def test_sized_solve_keeps_the_verdict(self, traj, sine_gordon, K):
+        # the gate solves the Hill problem only 16 past its table; the full
+        # table over a J = 400 spectrum reports the same window, with the
+        # center moved only by the round-off between the two eigensolves
+        params = ResonanceParams()
+        draws = np.random.default_rng(2026).uniform(0.05, 0.2, 12)
+        for eps in (*draws, EPS, 0.1396532019663832):
+            eps = float(eps)
+            try:
+                report, spectrum, table = resonance_gate(traj, eps, sine_gordon,
+                                                         K=K, params=params)
+                assert spectrum.J_max == min(400, table.J_max + 16)
+            except ResonanceError as ex:
+                report = ex.report
+            q = averaged_potential(traj, eps, sine_gordon)
+            j_table = int(np.ceil(2.5 * K * max(1.0, traj.period / (2 * np.pi)) / eps))
+            full = DivisorTable.build(hill_eigs(q, traj.period, 400), K, j_table)
+            expected = oracle_is_resonant(eps, params, full)
+            assert report == dataclasses.replace(expected, center=report.center,
+                                                 distance=report.distance)
+            assert report.center == pytest.approx(expected.center, rel=1e-13)
+            assert report.distance == pytest.approx(expected.distance,
+                                                    abs=1e-13 * expected.center)

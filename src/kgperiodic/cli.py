@@ -55,6 +55,12 @@ MAX_DIVISOR_PAIRS = 10**6
 # `sweep` residual grid (n x n points, ~180 MB peak at the limit)
 MAX_ORBIT_SAMPLES = 2**16
 MAX_RESIDUAL_GRID = 1024
+# largest solver truncations: N_cap and schedule entries (spatial), N_tau and
+# N_tau_cap (temporal), and normal-form steps; a canonical solve at all the
+# limits together peaks at ~420 MB RSS and takes ~3 s
+MAX_SOLVER_N = 256
+MAX_SOLVER_N_TAU = 128
+MAX_NF_STEPS = 16
 
 
 class ConfigError(ValueError):
@@ -166,13 +172,17 @@ def _solver_config(cfg: dict, params: ResonanceParams) -> tuple[SolverConfig, di
     kwargs = {
         "resonance": params,
         "residual_tol": _get_number(sub, "residual_tol", 1e-10, lo=0.0),
-        "N_cap": _get_number(sub, "N_cap", 64, lo=2, integer=True),
-        "N_tau_cap": _get_number(sub, "N_tau_cap", 40, lo=4, integer=True),
-        "nf_steps": _get_number(sub, "nf_steps", 2, lo=0, integer=True),
+        "N_cap": _get_number(sub, "N_cap", 64, lo=2, hi=MAX_SOLVER_N,
+                             integer=True),
+        "N_tau_cap": _get_number(sub, "N_tau_cap", 40, lo=4,
+                                 hi=MAX_SOLVER_N_TAU, integer=True),
+        "nf_steps": _get_number(sub, "nf_steps", 2, lo=0, hi=MAX_NF_STEPS,
+                                integer=True),
         "max_stage_iters": _get_number(sub, "max_stage_iters", 12, lo=1,
                                        integer=True),
     }
-    n_tau = _get_number(sub, "N_tau", None, lo=4, integer=True)
+    n_tau = _get_number(sub, "N_tau", None, lo=4, hi=MAX_SOLVER_N_TAU,
+                        integer=True)
     if n_tau is not None:
         kwargs["N_tau"] = n_tau
     schedule = sub.get("schedule")
@@ -180,6 +190,9 @@ def _solver_config(cfg: dict, params: ResonanceParams) -> tuple[SolverConfig, di
         if (not isinstance(schedule, list)
                 or not all(isinstance(n, int) for n in schedule)):
             raise ConfigError("field 'solver.schedule' must be a list of ints")
+        if any(n > MAX_SOLVER_N for n in schedule):
+            raise ConfigError(f"field 'solver.schedule' entries must be "
+                              f"<= {MAX_SOLVER_N}, got {max(schedule)}")
         kwargs["schedule"] = tuple(schedule)
     try:
         solver = SolverConfig(**kwargs)

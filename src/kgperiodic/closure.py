@@ -11,6 +11,7 @@ by invariance of the Hamiltonian, and d and the H-mismatch are cross-checked.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +23,8 @@ from .fourier import (SpaceTimeField, cos_analyze, cos_synthesis_matrix,
                       project_P, sin_synthesis_matrix, x_grid)
 from .nonlinearity import Nonlinearity, TrustRadiusError, collocate
 from .planar import PlanarOrbit, PlanarState, VTrajectory, monodromy
-from .solver import SolverConfig, SolverRun, nash_moser_solve, validate_eps
+from .solver import (SolverConfig, SolverRun, nash_moser_solve, newton_solve,
+                     validate_eps)
 
 Array = NDArray[np.float64]
 
@@ -64,14 +66,20 @@ class OuterLoopError(RuntimeError):
         self.history = tuple(history)
 
 
-def integrate_v(V0: PlanarState, w: SpaceTimeField | None, eps: float,
-                model: Nonlinearity | None, period: float,
-                n_samples: int = 256, M_x: int = _M_X) -> tuple[VTrajectory, PlanarState]:
-    """Integrate the slow equation over one period with w as driving field.
+def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
+                eps: float, model: Nonlinearity | None, period: float,
+                n_samples: int = 256,
+                M_x: int = _M_X) -> list[tuple[VTrajectory, PlanarState]]:
+    """Integrate the slow equation over one period from each start state.
 
-    Returns the sampled trajectory (uniform grid on [0, period)) and the
-    exact end state V(period).
+    The starts are stacked into one DOP853 system, so they share one step
+    control: its RMS error norm runs over every component, and starts close
+    together take about the steps one of them would take alone, with
+    integration errors that largely cancel in their difference.  With w as
+    driving field, returns per start the sampled trajectory (uniform grid
+    on [0, period)) and the exact end state V(period).
     """
+    m = len(starts)
     # w(tau, x_m) = cos(omega tau) @ A on the M_x-point x grid
     A = omega = None
     if w is not None:
@@ -79,23 +87,27 @@ def integrate_v(V0: PlanarState, w: SpaceTimeField | None, eps: float,
         omega = 2.0 * np.pi * np.arange(w.band_tau + 1) / period
 
     def rhs(tau, y):
-        v, v_tau = y
+        v, v_tau = y[:m], y[m:]
         w_slice = None if A is None else np.cos(omega * tau) @ A
-        return [v_tau, -v / (1.0 + eps**2)
-                + project_P(collocate(model, eps, v, w_slice, M_x))]
+        return np.concatenate([v_tau, -v / (1.0 + eps**2)
+                               + project_P(collocate(model, eps, v, w_slice, M_x))])
 
     grid = np.linspace(0.0, period, n_samples, endpoint=False)
     t_eval = np.append(grid, period)
-    sol = solve_ivp(rhs, (0.0, period), [V0.p, V0.p_tau], t_eval=t_eval,
-                    dense_output=False, **_IVP_OPTS)
+    y0 = [s.p for s in starts] + [s.p_tau for s in starts]
+    sol = solve_ivp(rhs, (0.0, period), y0, t_eval=t_eval, dense_output=False,
+                    **_IVP_OPTS)
     if not sol.success:
         raise IntegrationError(f"slow-equation integration failed: {sol.message}")
-    traj = VTrajectory(period=period,
-                       v_samples=sol.y[0, :n_samples].copy(),
-                       v_tau_samples=sol.y[1, :n_samples].copy(),
-                       start=(V0.p, V0.p_tau),
-                       end=(float(sol.y[0, -1]), float(sol.y[1, -1])))
-    return traj, PlanarState(float(sol.y[0, -1]), float(sol.y[1, -1]))
+    out = []
+    for i, s in enumerate(starts):
+        v, v_tau = sol.y[i], sol.y[m + i]
+        end = PlanarState(float(v[-1]), float(v_tau[-1]))
+        traj = VTrajectory(period=period, v_samples=v[:n_samples].copy(),
+                           v_tau_samples=v_tau[:n_samples].copy(),
+                           start=(s.p, s.p_tau), end=(end.p, end.p_tau))
+        out.append((traj, end))
+    return out
 
 
 def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
@@ -261,16 +273,20 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
 
     Alternates (a) `galerkin_v` at frozen w on ``n_samples`` tau samples,
     started from the seed orbit and then from the previous round, with (b)
-    full fast-component solves on the updated trajectory, until delta_1 and
-    the w-update both move by at most ``tol_outer``.  Round 1 and every
-    round that can end the loop solve the fast field cold, with the
-    resonance gate; the rounds in between start Newton from the previous
-    round's w and skip the gate, so the reported run is always a cold, gated
-    solve on the reported trajectory ``V_traj``, the last Galerkin one.  Two
-    DOP853 integrations with the converged w certify the result: one from
-    the closed start point (return defects, end state, Hamiltonian drift),
-    one from delta_1 + 1e-6 (the shooting derivative, checked against
-    ``derivative_floor``).
+    fast-component solves on the updated trajectory, until delta_1 and the
+    w-update both move by at most ``tol_outer``.  Round 1 solves cold
+    behind the resonance gate; the rounds in between start Newton from the
+    previous round's w and skip the gate.  Both only need w, so they run
+    `newton_solve` and build no report.  A round that can end the loop
+    (round 2 on, delta moved by at most ``tol_outer``) runs the full
+    `nash_moser_solve` cold and gated, with its conditioning records and
+    certificate, so the reported run is always that solve on the reported
+    trajectory ``V_traj``, the last Galerkin one.  One stacked DOP853 pass
+    (`integrate_v`) with the converged w certifies the result from two
+    starts sharing one step control: the closed start point gives the
+    return defects, end state and Hamiltonian drift, and delta_1 + 1e-6
+    gives the shooting derivative by finite difference, checked against
+    ``derivative_floor``.
     """
     eps = validate_eps(eps)
     if solver is None:
@@ -281,13 +297,6 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     P0, t_hat, n_hat = _units(orbit)
     base = np.array([P0.p, P0.p_tau])
     period = orbit.period
-
-    def tangential_defect(delta: float, w: SpaceTimeField | None) -> tuple[float, VTrajectory, PlanarState]:
-        start = PlanarState(*(base + delta * n_hat))
-        traj, end = integrate_v(start, w, eps, model, period,
-                                n_samples=n_samples)
-        diff = np.array([end.p, end.p_tau]) - base
-        return float(diff @ t_hat), traj, end
 
     w_field: SpaceTimeField | None = None
     run: SolverRun | None = None
@@ -301,18 +310,19 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
         coeffs, r = galerkin_v(coeffs, w_field, eps, model, period)
         traj = VTrajectory.from_cos_coeffs(period, coeffs)
         delta = float((np.array(traj.start) - base) @ n_hat)
-        # (b) fast solve on the updated trajectory; a round whose delta has
-        # settled may be the reported one, so it solves cold and gated
+        # (b) fast solve on the updated trajectory; only a round whose delta
+        # has settled may be the reported one, so only it builds the report
         ddelta = abs(delta - history[-1][0]) if history else abs(delta)
-        if outer == 1 or ddelta <= tol_outer:
-            run = nash_moser_solve(traj, eps, solver, model)
+        if outer >= 2 and ddelta <= tol_outer:
+            fast = run = nash_moser_solve(traj, eps, solver, model)
+        elif outer == 1:
+            fast = newton_solve(traj, eps, solver, model)
+            first_gate = fast.resonance
         else:
-            run = nash_moser_solve(traj, eps,
-                                   replace(solver, check_resonance=False),
-                                   model, w0=run.w)
-        if outer == 1:
-            first_gate = run.resonance
-        w_new = run.w_physical
+            fast = newton_solve(traj, eps,
+                                replace(solver, check_resonance=False),
+                                model, w0=fast.w)
+        w_new = fast.w_physical
         dw = (w_new.norm(1.0) if w_field is None
               else (w_new - w_field).norm(1.0))
         history.append((delta, r, dw))
@@ -325,10 +335,14 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             history=history)
 
     # DOP853 certificate with the converged w, and the shooting derivative
-    t_fin, cert, end = tangential_defect(delta, w_field)
+    start_state = PlanarState(*(base + delta * n_hat))
+    (cert, end), (_, end_pert) = integrate_v(
+        [start_state, PlanarState(*(base + (delta + 1e-6) * n_hat))],
+        w_field, eps, model, period, n_samples=n_samples)
     diff = np.array([end.p, end.p_tau]) - base
+    t_fin = float(diff @ t_hat)
     d_val = float(diff @ n_hat) - delta
-    t_pert, _, _ = tangential_defect(delta + 1e-6, w_field)
+    t_pert = float((np.array([end_pert.p, end_pert.p_tau]) - base) @ t_hat)
     deriv = (t_pert - t_fin) / 1e-6
     if abs(deriv) < derivative_floor:
         raise DegenerateOrbitError(
@@ -336,7 +350,6 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             f"{derivative_floor:.1e}")
 
     # Hamiltonian along the certificate trajectory
-    start_state = PlanarState(*(base + delta * n_hat))
     H0 = _H_at(0.0, start_state, w_field, eps, model)
     H1 = _H_at(period, end, w_field, eps, model)
     taus = np.linspace(0.0, period, 17)

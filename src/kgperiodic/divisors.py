@@ -263,7 +263,9 @@ def _positive_roots_y(k: Array, lam: Array) -> Array:
     k = np.asarray(k, dtype=float)
     lam = np.asarray(lam, dtype=float)
     a, b, c = lam, lam - k**2, 1.0 - k**2
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # over: for tiny lam the root y ~ k^2/lam makes (1 + y)^2 overflow to
+    # inf, and the 1/(1 + y)^2 = 0 that follows is the right limit
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         disc = b * b - 4.0 * a * c
         sq = np.sqrt(np.maximum(disc, 0.0))
         qq = -0.5 * (b + np.sign(b) * sq)

@@ -39,24 +39,9 @@ __all__ = [
     "TransformedSystem",
     "nf_step",
     "nf_sequence",
-    "default_k_max",
     "transformed_g",
     "multiplier_values",
 ]
-
-# Largest constant c for which the drive-decay ratios stay below 1 when
-# running floor(c / eps) steps on the standard benchmark (calibrated on the
-# sine-Gordon amplitude-1 fixture; see the decay tests).
-C_EMP_DEFAULT = 0.8
-K_MAX_HARD = 8
-
-
-def default_k_max(eps: float, c_emp: float = C_EMP_DEFAULT) -> int:
-    """Step budget min(8, floor(c_emp / eps)) used when none is given."""
-    if eps <= 0:
-        return 0
-    return min(K_MAX_HARD, int(np.floor(c_emp / eps)))
-
 
 @dataclass(frozen=True)
 class TransformedSystem:
@@ -100,9 +85,6 @@ class TransformedSystem:
         """Map the transformed fast variable back to the physical one."""
         return w - self.shift
 
-    def to_transformed(self, w: SpaceTimeField) -> SpaceTimeField:
-        return w + self.shift
-
 
 def identity_system(model: Nonlinearity | None, eps: float, period: float,
                     N_x: int, N_tau: int) -> TransformedSystem:
@@ -130,15 +112,13 @@ def nf_step(sys: TransformedSystem, traj: VTrajectory, eps: float) -> Transforme
 
 
 def nf_sequence(traj: VTrajectory, eps: float, model: Nonlinearity | None,
-                N_x: int, N_tau: int, k_max: int | None = None) -> TransformedSystem:
+                N_x: int, N_tau: int, k_max: int) -> TransformedSystem:
     """Apply up to ``k_max`` averaging steps, stopping early on stagnation.
 
     Stops as soon as a step fails to decrease the drive norm (measured ratio
     >= 1), which happens near the roundoff floor; the step that failed to
     contract is rolled back.
     """
-    if k_max is None:
-        k_max = default_k_max(eps)
     sys = identity_system(model, eps, traj.period, N_x, N_tau)
     for _ in range(k_max):
         nxt = nf_step(sys, traj, eps)

@@ -52,6 +52,9 @@ __all__ = [
     "check_admissible",
     "schedule_for",
     "assemble_F",
+    "NewtonStage",
+    "NewtonSolve",
+    "newton_solve",
     "nash_moser_solve",
     "sigma_min_law_samples",
 ]
@@ -458,17 +461,68 @@ def resonance_gate(traj: VTrajectory, eps: float, model: Nonlinearity,
     return report, spectrum, table
 
 
-def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
-                     model: Nonlinearity | None,
-                     w0: SpaceTimeField | None = None) -> SolverRun:
+@dataclass(frozen=True)
+class NewtonStage:
+    """One stage of `newton_solve`: Newton steps taken, increment and
+    residual norms, the field it ended on, and the last linearization it
+    built (None when the stage took no Newton step)."""
+
+    N: int
+    newton_iters: int
+    increment_norm_s: float
+    residual_s: float
+    w: SpaceTimeField
+    operator: LinearizedOperator | None
+
+
+@dataclass(frozen=True)
+class NewtonSolve:
+    """The fast field of `newton_solve`, without conditioning or certificate."""
+
+    requested_schedule: tuple[int, ...]
+    effective_schedule: tuple[int, ...]
+    N_tau: int
+    stages: tuple[NewtonStage, ...]
+    w: SpaceTimeField                  # transformed (averaged) unknown
+    system: TransformedSystem
+    resonance: ResonanceReport | None  # verdict of the gate; None if not gated
+
+    @property
+    def w_physical(self) -> SpaceTimeField:
+        """The fast component in the original (pre-averaging) frame."""
+        return self.system.to_original(self.w)
+
+
+def _stage_record(stage: NewtonStage, V_traj: VTrajectory, eps: float,
+                  model: Nonlinearity | None, sys: TransformedSystem,
+                  N_tau: int, config: SolverConfig) -> StageRecord:
+    """The stage with its conditioning; a stage that took no Newton step
+    builds its linearization here, at the field it ended on."""
+    op = stage.operator
+    if op is None:
+        op = LinearizedOperator(V_traj, stage.w, eps, model, stage.N, sys=sys,
+                                N_tau=N_tau)
+    cond = op.report(config.resonance)
+    return StageRecord(N=stage.N, newton_iters=stage.newton_iters,
+                       increment_norm_s=stage.increment_norm_s,
+                       residual_s=stage.residual_s,
+                       sigma_min=cond.sigma_min,
+                       sigma_radius=cond.sigma_radius,
+                       law_constant=cond.law_constant)
+
+
+def newton_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
+                 model: Nonlinearity | None,
+                 w0: SpaceTimeField | None = None) -> NewtonSolve:
     """Solve F(w) = 0 over nested truncations with damped Newton stages.
 
-    The unknown lives in the averaged frame produced by ``config.nf_steps``
-    normal-form steps; `SolverRun.w_physical` undoes the shift.  Newton
-    starts from w = 0, or from the initial guess ``w0`` (same frame and
-    period; the coefficients it shares with this solve's band are copied).
-    Every stage records the increment norm, residual and an inverse-norm
-    estimate; the final residual is certified on a doubled collocation grid.
+    Runs the resonance gate (when ``config.check_resonance``), the
+    ``config.nf_steps`` normal-form steps and the stages, and stops there:
+    no conditioning beyond the operators the Newton steps built, and no
+    certificate.  Newton starts from w = 0, or from the initial guess
+    ``w0`` (same frame and period; the coefficients it shares with this
+    solve's band are copied).  A failing stage raises `NonConvergenceError`
+    carrying the completed stages as `StageRecord`s.
     """
     eps = validate_eps(eps)
     period = V_traj.period
@@ -496,7 +550,12 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
         sys = nf_sequence(V_traj, eps, model, N_x=N_final, N_tau=N_tau,
                           k_max=config.nf_steps)
 
-    stages: list[StageRecord] = []
+    stages: list[NewtonStage] = []
+
+    def failure(message: str) -> NonConvergenceError:
+        return NonConvergenceError(message, stages=[
+            _stage_record(s, V_traj, eps, model, sys, N_tau, config)
+            for s in stages])
 
     for N_i in effective:
         w_start = w
@@ -509,9 +568,9 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
             if res <= config.residual_tol:
                 break
             if iters >= config.max_stage_iters:
-                raise NonConvergenceError(
+                raise failure(
                     f"stage N = {N_i} exceeded {config.max_stage_iters} Newton "
-                    f"iterations (residual {res:.3e})", stages=stages)
+                    f"iterations (residual {res:.3e})")
             op = LinearizedOperator(V_traj, w, eps, model, N_i, sys=sys,
                                     N_tau=N_tau)
             op.check_collapse()
@@ -527,33 +586,47 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                     break
                 alpha *= 0.5
             if not accepted:
-                raise NonConvergenceError(
-                    f"damped Newton stalled at stage N = {N_i} "
-                    f"(residual {res:.3e})", stages=stages)
+                raise failure(f"damped Newton stalled at stage N = {N_i} "
+                              f"(residual {res:.3e})")
             iters += 1
-        if op is None:
-            # stage converged without a Newton step; still record conditioning
-            op = LinearizedOperator(V_traj, w, eps, model, N_i, sys=sys,
-                                    N_tau=N_tau)
-        cond = op.report(config.resonance)
-        inc = w - w_start
-        stages.append(StageRecord(N=N_i, newton_iters=iters,
-                                  increment_norm_s=inc.norm(config.s),
-                                  residual_s=float(res),
-                                  sigma_min=cond.sigma_min,
-                                  sigma_radius=cond.sigma_radius,
-                                  law_constant=cond.law_constant))
+        stages.append(NewtonStage(N=N_i, newton_iters=iters,
+                                  increment_norm_s=(w - w_start).norm(config.s),
+                                  residual_s=float(res), w=w, operator=op))
 
-    dM_tau, dM_x = _grids(N_final, N_tau)
-    F_cert = assemble_F(V_traj, w, eps, model, sys=sys,
+    return NewtonSolve(requested_schedule=requested,
+                       effective_schedule=effective, N_tau=N_tau,
+                       stages=tuple(stages), w=w, system=sys,
+                       resonance=resonance)
+
+
+def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
+                     model: Nonlinearity | None,
+                     w0: SpaceTimeField | None = None) -> SolverRun:
+    """`newton_solve`, then the report: conditioning and a certificate.
+
+    The unknown lives in the averaged frame produced by ``config.nf_steps``
+    normal-form steps; `SolverRun.w_physical` undoes the shift.  Every stage
+    records the increment norm, residual and an inverse-norm estimate, read
+    off the last linearization its Newton steps built; a stage that took no
+    step builds one for the record.  The final residual is certified on a
+    doubled collocation grid.
+    """
+    eps = validate_eps(eps)
+    fast = newton_solve(V_traj, eps, config, model, w0=w0)
+    sys, N_tau = fast.system, fast.N_tau
+    stages = tuple(_stage_record(s, V_traj, eps, model, sys, N_tau, config)
+                   for s in fast.stages)
+    dM_tau, dM_x = _grids(fast.effective_schedule[-1], N_tau)
+    F_cert = assemble_F(V_traj, fast.w, eps, model, sys=sys,
                         M_tau=2 * dM_tau, M_x=2 * dM_x)
     cert = F_cert.norm(config.s)
     converged = bool(cert <= 10.0 * config.residual_tol)
-    return SolverRun(config=config, eps=eps, period=period,
-                     requested_schedule=requested, effective_schedule=effective,
-                     N_tau=N_tau, stages=tuple(stages), w=w, system=sys,
+    return SolverRun(config=config, eps=eps, period=V_traj.period,
+                     requested_schedule=fast.requested_schedule,
+                     effective_schedule=fast.effective_schedule,
+                     N_tau=N_tau, stages=stages, w=fast.w, system=sys,
                      converged=converged, residual_certificate=float(cert),
-                     resonance=resonance)
+                     resonance=fast.resonance)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from kgperiodic import assembly
+from kgperiodic import assembly, cli
 from kgperiodic.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INSUFFICIENT_DATA,
@@ -19,6 +19,9 @@ from kgperiodic.cli import (
     EXIT_OK,
     EXIT_RESONANT,
     MAX_DIVISOR_PAIRS,
+    MAX_NF_STEPS,
+    MAX_SOLVER_N,
+    MAX_SOLVER_N_TAU,
     main,
 )
 from kgperiodic.solver import NonConvergenceError
@@ -286,6 +289,7 @@ _CORRUPTION = st.tuples(
               st.integers(-10**30, 1), st.integers(MAX_DIVISOR_PAIRS + 1, 10**30)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_DIVISORS_CFG, corruption=st.one_of(st.none(), _CORRUPTION))
@@ -316,11 +320,29 @@ _MODEL = st.one_of(
                            "odd_coeffs": st.lists(st.floats(-10.0, 10.0),
                                                   min_size=1, max_size=3)}))
 # a top-level field replaced by an absent, ill-typed, non-finite, negative
-# or huge value; nested solver fields are left alone, since a huge
-# truncation is a valid (and arbitrarily expensive) request
+# or huge value
 _BAD_VALUE = st.one_of(st.sampled_from([None, True, "3", [1], {}, math.nan, math.inf]),
                        st.floats(max_value=0.0), st.integers(-10**30, 0),
                        st.integers(10**7, 10**30))
+# upper limit of each nested solver field the CLI bounds
+_SOLVER_LIMITS = {"N_cap": MAX_SOLVER_N, "N_tau": MAX_SOLVER_N_TAU,
+                  "N_tau_cap": MAX_SOLVER_N_TAU, "nf_steps": MAX_NF_STEPS}
+
+
+def _small_or_past(small, limit):
+    """A cheap valid value, or an integer past ``limit`` (exact as a float)."""
+    return st.one_of(small, st.integers(limit + 1, 10**6))
+
+
+# nested solver fields: cheap valid truncations, or sizes past their limit
+_SOLVER_CFG = st.fixed_dictionaries(
+    {}, optional={"N_cap": _small_or_past(st.sampled_from([8, 16, 64]), MAX_SOLVER_N),
+                  "N_tau": _small_or_past(st.integers(8, 24), MAX_SOLVER_N_TAU),
+                  "N_tau_cap": _small_or_past(st.integers(8, 40), MAX_SOLVER_N_TAU),
+                  "nf_steps": _small_or_past(st.integers(0, 2), MAX_NF_STEPS),
+                  "max_stage_iters": st.integers(1, 12),
+                  "schedule": st.lists(st.sampled_from(
+                      [6, 16, 64, MAX_SOLVER_N + 1, 10**6]), min_size=1, max_size=2)})
 _SOLVE_CFG = st.fixed_dictionaries(
     {"eps": st.floats(0.08, 0.3)},
     optional={"model": st.sampled_from(["sine-gordon", "phi4"]),
@@ -328,19 +350,38 @@ _SOLVE_CFG = st.fixed_dictionaries(
               "resonance": st.fixed_dictionaries(
                   {}, optional={"alpha": st.floats(0.0, 1.0),
                                 "l": st.floats(2.0, 3.0)}),
-              "solver": st.fixed_dictionaries(
-                  {}, optional={"N_cap": st.sampled_from([8, 16, 64]),
-                                "nf_steps": st.integers(0, 2),
-                                "max_stage_iters": st.integers(1, 12)})})
+              "solver": _SOLVER_CFG})
 _SWEEP_CFG = st.fixed_dictionaries(
     {"eps_list": st.lists(st.floats(0.08, 0.3), min_size=1, max_size=2)},
     optional={"model": st.sampled_from(["sine-gordon", "phi4"]),
               "amplitude": st.floats(0.5, 1.0),
-              "residual_grid": st.integers(16, 96)})
+              "residual_grid": st.integers(16, 96),
+              "solver": _SOLVER_CFG})
 _LIMIT_ORBIT_CFG = st.fixed_dictionaries(
     {"amplitude": st.floats(1e-3, 4.0)},
     optional={"model": _MODEL, "tol": st.floats(0.0, 1.0),
               "n_samples": st.integers(16, 4096)})
+
+
+def _past_limit(cfg) -> bool:
+    """Whether a nested solver field of ``cfg`` exceeds its limit."""
+    sub = cfg.get("solver")
+    if not isinstance(sub, dict):
+        return False
+    return (any(sub.get(key, 0) > limit for key, limit in _SOLVER_LIMITS.items())
+            or any(n > MAX_SOLVER_N for n in sub.get("schedule", [])))
+
+
+def _forbid_work(monkeypatch, calls):
+    """Make every orbit search and closure solve of the CLI record a call
+    and fail."""
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("orbit or solve work past a solver limit")
+
+    for module in (cli, assembly):
+        monkeypatch.setattr(module, "find_orbit", forbidden)
+        monkeypatch.setattr(module, "solve_delta1", forbidden)
 
 
 def _fuzz_run(tmp_path, capsys, command, cfg, corruption):
@@ -352,19 +393,27 @@ def _fuzz_run(tmp_path, capsys, command, cfg, corruption):
             cfg.pop(key, None)
         else:
             cfg[key] = value
+    past = _past_limit(cfg)
+    calls = []
     start = time.perf_counter()
-    code = run_cli(tmp_path, command, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        if past:
+            _forbid_work(mp, calls)
+        code = run_cli(tmp_path, command, cfg)
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
-    event(f"exit {code}")
+    event(f"exit {code}" + (", solver field past its limit" if past else ""))
     assert code in README_EXIT_CODES
     assert "Traceback" not in err
     assert elapsed < 30.0
+    if past:
+        assert code == EXIT_BAD_CONFIG and err.count("\n") == 1 and not calls
     return code, err
 
 
-# few, fixed examples: a valid solve costs about half a second
-@settings(max_examples=8, deadline=None, derandomize=True,
+# few, fixed examples: a valid solve costs 0.1-0.5 s, and a config past a
+# solver limit none
+@settings(max_examples=24, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_SOLVE_CFG, corruption=st.one_of(st.none(), st.tuples(
     st.sampled_from(["model", "amplitude", "eps", "resonance", "solver"]),
@@ -373,7 +422,7 @@ def test_solve_config_fuzz(tmp_path, capsys, cfg, corruption):
     _fuzz_run(tmp_path, capsys, "solve", cfg, corruption)
 
 
-@settings(max_examples=5, deadline=None, derandomize=True,
+@settings(max_examples=12, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_SWEEP_CFG, corruption=st.one_of(st.none(), st.tuples(
     st.sampled_from(["model", "amplitude", "eps_list", "residual_grid"]),
@@ -382,6 +431,23 @@ def test_sweep_config_fuzz(tmp_path, capsys, cfg, corruption):
     code, _ = _fuzz_run(tmp_path, capsys, "sweep", cfg, corruption)
     # at most two rows: the fit laws never have enough data
     assert code in (EXIT_BAD_CONFIG, EXIT_INSUFFICIENT_DATA)
+
+
+@pytest.mark.parametrize("command, cfg", [("solve", {"eps": 0.1}),
+                                          ("sweep", {"eps_list": [0.1]})])
+@pytest.mark.parametrize("solver_cfg", [
+    {"N_cap": MAX_SOLVER_N + 1}, {"N_tau": MAX_SOLVER_N_TAU + 1},
+    {"N_tau_cap": MAX_SOLVER_N_TAU + 1}, {"nf_steps": MAX_NF_STEPS + 1},
+    {"schedule": [6, MAX_SOLVER_N + 1]}])
+def test_solver_field_past_its_limit_exits_1(tmp_path, capsys, monkeypatch,
+                                             command, cfg, solver_cfg):
+    calls = []
+    _forbid_work(monkeypatch, calls)
+    cfg = {**cfg, "solver": solver_cfg, "out_dir": str(tmp_path)}
+    assert run_cli(tmp_path, command, cfg) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: field ") and err.count("\n") == 1
+    assert not calls
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,

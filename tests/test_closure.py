@@ -29,7 +29,8 @@ class TestIntegrateV:
         # model=None leaves v_tautau = -v/omega^2: explicit solution
         eps, a, period = 0.1, 0.5, 3.7
         om = np.sqrt(1.0 + eps**2)
-        traj, end = integrate_v(PlanarState(a, 0.0), None, eps, None, period)
+        [(traj, end)] = integrate_v([PlanarState(a, 0.0)], None, eps, None,
+                                    period)
         grid = period * np.arange(256) / 256
         assert np.max(np.abs(traj.v_samples - a * np.cos(grid / om))) < 1e-10
         assert end.p == pytest.approx(a * np.cos(period / om), abs=1e-10)
@@ -38,8 +39,8 @@ class TestIntegrateV:
 
     def test_eps_zero_reproduces_seed_orbit(self, orbit09, sine_gordon):
         # at eps = 0 the slow equation is exactly the planar limit equation
-        traj, end = integrate_v(orbit09.base_point, None, 0.0, sine_gordon,
-                                orbit09.period)
+        [(traj, end)] = integrate_v([orbit09.base_point], None, 0.0,
+                                    sine_gordon, orbit09.period)
         seed = orbit09.trajectory(256)
         assert np.max(np.abs(traj.v_samples - seed.v_samples)) < 1e-8
         assert abs(end.p - orbit09.base_point.p) < 1e-9
@@ -47,7 +48,7 @@ class TestIntegrateV:
 
     def test_end_state_matches_trajectory(self, sine_gordon):
         V0 = PlanarState(0.7, 0.1)
-        traj, end = integrate_v(V0, None, 0.08, sine_gordon, 5.0)
+        [(traj, end)] = integrate_v([V0], None, 0.08, sine_gordon, 5.0)
         assert traj.start == (V0.p, V0.p_tau)
         assert traj.end == (end.p, end.p_tau)
         assert traj.v_samples[0] == V0.p and traj.v_tau_samples[0] == V0.p_tau
@@ -76,8 +77,9 @@ class TestGalerkinV:
         assert abs(delta - closure01.delta1) <= 1e-9
 
         def defect(d):
-            traj, end = integrate_v(PlanarState(orbit09.amplitude + d, 0.0),
-                                    w, eps, sine_gordon, period)
+            [(traj, end)] = integrate_v(
+                [PlanarState(orbit09.amplitude + d, 0.0)], w, eps, sine_gordon,
+                period)
             return end.p_tau, traj
 
         t_a, traj = defect(delta)
@@ -98,7 +100,7 @@ class TestHamiltonian:
     def test_slow_flow_conserves_H(self, sine_gordon):
         eps, period = 0.08, 5.0
         V0 = PlanarState(0.7, 0.1)
-        traj, end = integrate_v(V0, None, eps, sine_gordon, period)
+        [(traj, end)] = integrate_v([V0], None, eps, sine_gordon, period)
         H0 = hamiltonian_H(V0, None, None, eps, sine_gordon)
         H1 = hamiltonian_H(end, None, None, eps, sine_gordon)
         assert abs(H1 - H0) < 1e-10
@@ -190,9 +192,12 @@ class TestSolveDelta1:
 
     def test_loop_skips_repeated_work(self, orbit09, sine_gordon,
                                       monkeypatch):
-        # only round 1 and the reported round run the gate, and DOP853 runs
-        # only for the certificate and the measured derivative
-        calls = {"gate": 0, "integrate_v": 0}
+        # only round 1 and the reported round run the gate; only the
+        # reported round builds a report (operators for zero-step stages
+        # and the doubled-grid certificate); one stacked DOP853 pass serves
+        # the certificate and the measured derivative
+        calls = {"gate": 0, "integrate_v": 0, "operator": 0, "certificate": 0,
+                 "nash_moser_solve": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -200,15 +205,58 @@ class TestSolveDelta1:
                 return fn(*args, **kwargs)
             return wrapper
 
+        assemble_F = solver.assemble_F
+
+        def counted_F(*args, **kwargs):
+            calls["certificate"] += kwargs.get("M_tau") is not None
+            return assemble_F(*args, **kwargs)
+
         monkeypatch.setattr(solver, "resonance_gate",
                             counted("gate", solver.resonance_gate))
+        monkeypatch.setattr(solver, "LinearizedOperator",
+                            counted("operator", solver.LinearizedOperator))
+        monkeypatch.setattr(solver, "assemble_F", counted_F)
         monkeypatch.setattr(closure, "integrate_v",
                             counted("integrate_v", closure.integrate_v))
+        monkeypatch.setattr(closure, "nash_moser_solve",
+                            counted("nash_moser_solve", closure.nash_moser_solve))
         result = solve_delta1(orbit09, 0.1, sine_gordon)
-        assert calls["gate"] == 2
-        assert calls["integrate_v"] == 2
+        assert calls == {"gate": 2, "integrate_v": 1, "operator": 3,
+                         "certificate": 1, "nash_moser_solve": 1}
         assert result.outer_iters == 4
         assert result.delta1 == pytest.approx(DELTA1_01, abs=1e-9)
+
+    def test_reported_run_is_the_direct_solve(self, closure01, sine_gordon):
+        # the reported round is a cold, gated nash_moser_solve on V_traj
+        run = closure01.run
+        direct = solver.nash_moser_solve(closure01.V_traj, closure01.eps,
+                                         solver.SolverConfig(), sine_gordon)
+        assert run.stages == direct.stages
+        assert run.residual_certificate == direct.residual_certificate
+        assert np.array_equal(run.w.coeffs, direct.w.coeffs)
+        assert run.resonance == direct.resonance
+
+    def test_stacked_pass_matches_separate_passes(self, closure01, orbit09,
+                                                  sine_gordon):
+        # oracle: the stacked certificate pass against one pass per start
+        eps, w, period = closure01.eps, closure01.run.w_physical, orbit09.period
+        n_hat = np.array(closure01.conormal)
+        base = np.array([orbit09.base_point.p, orbit09.base_point.p_tau])
+        starts = [PlanarState(*(base + d * n_hat))
+                  for d in (closure01.delta1, closure01.delta1 + 1e-6)]
+        (traj, end), _ = integrate_v(starts, w, eps, sine_gordon, period)
+        [(traj_a, end_a)] = integrate_v(starts[:1], w, eps, sine_gordon, period)
+        [(_, end_b)] = integrate_v(starts[1:], w, eps, sine_gordon, period)
+        assert np.max(np.abs(traj.v_samples - traj_a.v_samples)) <= 1e-12
+        assert np.max(np.abs(traj.v_tau_samples - traj_a.v_tau_samples)) <= 1e-12
+        assert abs(end.p - end_a.p) <= 1e-12
+        assert abs(end.p_tau - end_a.p_tau) <= 1e-12
+        t_hat = np.array([orbit09.tangent.p, orbit09.tangent.p_tau])
+        t_hat /= np.linalg.norm(t_hat)
+        t_a = (np.array([end_a.p, end_a.p_tau]) - base) @ t_hat
+        t_b = (np.array([end_b.p, end_b.p_tau]) - base) @ t_hat
+        separate = (t_b - t_a) / 1e-6
+        assert closure01.derivative == pytest.approx(separate, rel=1e-7)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"),

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ class TestEpsilonKJ:
     def test_no_root_for_nonpositive_lambda(self, flat_2pi):
         # j = 0 has lambda = 0: no positive eps solves the equation
         assert epsilon_kj(2, 0, flat_2pi) is None
+
+    def test_tiny_lambda_root_without_overflow_warning(self):
+        # lambda_0 = 1e-300: the root y = eps^2 ~ (k^2 - 1/(1+y))/lambda is
+        # 4e300, so the Newton polish squares 1 + y past the float range;
+        # 1/(1 + y)^2 = 0 is the right limit and must not warn
+        spec = hill_eigs(np.full(2, 1e-300), 2.0 * np.pi, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = epsilon_kj(2, 0, spec)
+        assert eps == pytest.approx(2e150, rel=1e-14)
 
     def test_asymptotic_law(self, flat_2pi):
         # j * eps_{k,j} -> (p/2pi) sqrt(k^2 - 1); j beyond the computed

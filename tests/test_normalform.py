@@ -6,7 +6,6 @@ import pytest
 from kgperiodic.fourier import SpaceTimeField, cos_analyze
 from kgperiodic.nonlinearity import Nonlinearity
 from kgperiodic.normalform import (
-    default_k_max,
     identity_system,
     nf_sequence,
     nf_step,
@@ -115,22 +114,19 @@ class TestSequence:
 
     def test_terminal_drive_exponential_shape(self, traj_sg):
         # log(terminal drive) vs 1/eps: negative slope, correlation >= 0.9.
-        # The grid keeps the step budget floor(c_emp/eps) active while the
-        # terminal drive stays above the roundoff floor (~1e-16), where the
-        # exponential-smallness law is actually observable.
+        # The grid keeps the step budget min(8, floor(0.8/eps)) active while
+        # the terminal drive stays above the roundoff floor (~1e-16), where
+        # the exponential-smallness law is actually observable.
         sg = Nonlinearity.sine_gordon()
         inv_eps, logs = [], []
         for eps in (0.2, 0.16, 0.133, 0.114, 0.1):
-            sys = nf_sequence(traj_sg, eps, sg, N_x=5, N_tau=24)
+            sys = nf_sequence(traj_sg, eps, sg, N_x=5, N_tau=24,
+                              k_max=min(8, int(np.floor(0.8 / eps))))
             nxt = nf_step(sys, traj_sg, eps)
             inv_eps.append(1.0 / eps)
             logs.append(np.log(nxt.drive_norm_history[-1]))
         slope, r2 = log_fit(inv_eps, logs)
         assert slope < 0.0 and r2 >= 0.9
-
-    def test_default_budget(self):
-        assert default_k_max(0.1) == min(8, int(np.floor(0.8 / 0.1)))
-        assert default_k_max(0.0) == 0
 
 
 class TestExactSubstitution:
@@ -150,15 +146,20 @@ class TestExactSubstitution:
         rhs = assemble_F(traj_sg, sys.to_original(wbar), eps, sg)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-14
 
-    def test_roundtrip_frames(self, traj_sg, rng):
+    def test_to_original_subtracts_the_shift(self, traj_sg, rng):
+        # the physical field is the transformed one minus the cumulative
+        # shift, the sum of the correction stack
         eps = 0.1
         sg = Nonlinearity.sine_gordon()
-        sys = nf_sequence(traj_sg, eps, sg, N_x=4, N_tau=8, k_max=1)
+        sys = nf_sequence(traj_sg, eps, sg, N_x=4, N_tau=8, k_max=2)
+        assert sys.step >= 1
         coeffs = rng.standard_normal((9, 5))
         coeffs[:, :2] = 0.0
         w = SpaceTimeField(traj_sg.period, coeffs)
-        back = sys.to_transformed(sys.to_original(w))
-        assert np.allclose(back.coeffs, w.coeffs, atol=1e-15)
+        shift = sum(c.coeffs for c in sys.correction_stack)
+        assert np.allclose(sys.to_original(w).coeffs, coeffs - shift,
+                           atol=1e-15)
+        assert np.any(shift != 0.0)
 
 
 class TestProjectedG:

@@ -68,16 +68,18 @@ class OuterLoopError(RuntimeError):
 
 def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
                 eps: float, model: Nonlinearity | None, period: float,
-                n_samples: int = 256,
-                M_x: int = _M_X) -> list[tuple[VTrajectory, PlanarState]]:
+                M_x: int = _M_X) -> tuple[Array, Array]:
     """Integrate the slow equation over one period from each start state.
 
     The starts are stacked into one DOP853 system, so they share one step
     control: its RMS error norm runs over every component, and starts close
     together take about the steps one of them would take alone, with
     integration errors that largely cancel in their difference.  With w as
-    driving field, returns per start the sampled trajectory (uniform grid
-    on [0, period)) and the exact end state V(period).
+    driving field, returns the accepted step times ``tau`` (from 0 to
+    ``period``, shared by every start) and the states there,
+    ``states[i] = (v, v_tau)`` of start i, each of shape (2, len(tau)):
+    ``states[i][:, -1]`` is the exact end state V(period).  No dense output
+    is formed.
     """
     m = len(starts)
     # w(tau, x_m) = cos(omega tau) @ A on the M_x-point x grid
@@ -92,22 +94,11 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
         return np.concatenate([v_tau, -v / (1.0 + eps**2)
                                + project_P(collocate(model, eps, v, w_slice, M_x))])
 
-    grid = np.linspace(0.0, period, n_samples, endpoint=False)
-    t_eval = np.append(grid, period)
     y0 = [s.p for s in starts] + [s.p_tau for s in starts]
-    sol = solve_ivp(rhs, (0.0, period), y0, t_eval=t_eval, dense_output=False,
-                    **_IVP_OPTS)
+    sol = solve_ivp(rhs, (0.0, period), y0, **_IVP_OPTS)
     if not sol.success:
         raise IntegrationError(f"slow-equation integration failed: {sol.message}")
-    out = []
-    for i, s in enumerate(starts):
-        v, v_tau = sol.y[i], sol.y[m + i]
-        end = PlanarState(float(v[-1]), float(v_tau[-1]))
-        traj = VTrajectory(period=period, v_samples=v[:n_samples].copy(),
-                           v_tau_samples=v_tau[:n_samples].copy(),
-                           start=(s.p, s.p_tau), end=(end.p, end.p_tau))
-        out.append((traj, end))
-    return out
+    return sol.t, sol.y.reshape(2, m, -1).transpose(1, 0, 2)
 
 
 def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
@@ -213,7 +204,7 @@ class ClosureResult:
     d: float                   # conormal component minus delta1
     H_start: float
     H_end: float
-    H_drift: float             # max |H(tau) - H(0)| along the trajectory
+    H_drift: float             # max |H(tau) - H(0)| over the certificate's steps
     outer_iters: int
     closed: bool
     derivative: float          # finite-difference d(defect_t)/d(delta1)
@@ -284,9 +275,9 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     trajectory ``V_traj``, the last Galerkin one.  One stacked DOP853 pass
     (`integrate_v`) with the converged w certifies the result from two
     starts sharing one step control: the closed start point gives the
-    return defects, end state and Hamiltonian drift, and delta_1 + 1e-6
-    gives the shooting derivative by finite difference, checked against
-    ``derivative_floor``.
+    return defects, end state and Hamiltonian drift (read at the
+    integrator's accepted steps), and delta_1 + 1e-6 gives the shooting
+    derivative by finite difference, checked against ``derivative_floor``.
     """
     eps = validate_eps(eps)
     if solver is None:
@@ -336,28 +327,26 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
 
     # DOP853 certificate with the converged w, and the shooting derivative
     start_state = PlanarState(*(base + delta * n_hat))
-    (cert, end), (_, end_pert) = integrate_v(
+    taus, (cert, pert) = integrate_v(
         [start_state, PlanarState(*(base + (delta + 1e-6) * n_hat))],
-        w_field, eps, model, period, n_samples=n_samples)
-    diff = np.array([end.p, end.p_tau]) - base
+        w_field, eps, model, period)
+    end = PlanarState(float(cert[0, -1]), float(cert[1, -1]))
+    diff = cert[:, -1] - base
     t_fin = float(diff @ t_hat)
     d_val = float(diff @ n_hat) - delta
-    t_pert = float((np.array([end_pert.p, end_pert.p_tau]) - base) @ t_hat)
+    t_pert = float((pert[:, -1] - base) @ t_hat)
     deriv = (t_pert - t_fin) / 1e-6
     if abs(deriv) < derivative_floor:
         raise DegenerateOrbitError(
             f"shooting derivative {deriv:.3e} below floor "
             f"{derivative_floor:.1e}")
 
-    # Hamiltonian along the certificate trajectory
+    # Hamiltonian at the certificate's accepted steps
     H0 = _H_at(0.0, start_state, w_field, eps, model)
-    H1 = _H_at(period, end, w_field, eps, model)
-    taus = np.linspace(0.0, period, 17)
-    drift = 0.0
-    for tt in taus[1:-1]:
-        st = PlanarState(float(cert.v_at(tt)), float(cert.v_tau_at(tt)))
-        drift = max(drift, abs(_H_at(tt, st, w_field, eps, model) - H0))
-    drift = max(drift, abs(H1 - H0))
+    H = [_H_at(float(tt), PlanarState(float(v), float(v_tau)), w_field, eps,
+               model) for tt, v, v_tau in zip(taus[1:], *cert[:, 1:])]
+    H1 = H[-1]
+    drift = max(abs(h - H0) for h in H)
 
     closed = bool(abs(t_fin) <= 10 * tol_defect and abs(d_val) <= 1e-8
                   and abs(H1 - H0) <= 1e-8)

@@ -10,8 +10,14 @@ quantities divide out the amplitude scaling:
 
 each computed directly from the series in powers of ``(eps y)^2``, which is
 finite and smooth down to ``eps = 0`` (no catastrophic cancellation at any
-epsilon).  `collocate` samples the rescaled forcing of the slow/fast system
-and its w-derivative, the multiplier,
+epsilon).  Each call sums only the leading terms a double can see: at the
+sampled amplitude r = max|eps y| it keeps the fewest K terms whose dropped
+tail sum_{n>=K} |c_n| r^(2n) is at most 2^-64 of sum_{n<K} |c_n| r^(2n),
+far below Horner's own rounding error.  Non-finite samples, and samples
+past the trust radius, raise `TrustRadiusError`.
+
+`collocate` samples the rescaled forcing of the slow/fast system and its
+w-derivative, the multiplier,
 
 * order 0: ``-(1/omega^2) scaled_eval(xi, eps)``
 * order 1: ``-(1/omega^2) scaled_deriv(xi, eps)``
@@ -26,8 +32,10 @@ divisors.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import factorial, prod
+from functools import cached_property
+from math import factorial, isfinite, prod
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,6 +50,53 @@ __all__ = ["Nonlinearity", "TrustRadiusError", "collocate", "tilde_fg"]
 
 class TrustRadiusError(ValueError):
     """Argument outside the region where the series truncation is certified."""
+
+
+# Relative size of the dropped tail at which a series stops: far below the
+# 2 K 2^-53 rounding error of a K-term Horner evaluation.
+_TAIL_TOL = 2.0**-64
+
+
+class _Series:
+    """Coefficients of sum_n c[n] z^n and the table that truncates them.
+
+    ``z_max[K - 1]`` is the largest z at which the first K terms suffice:
+    the dropped tail sum_{n>=K} |c_n| z^n is at most ``_TAIL_TOL`` times
+    sum_{n<K} |c_n| z^n.  That ratio grows with z and falls with K, so the
+    table grows with K.  It is found once, by bisection in log z over the
+    256 octaves below ``radius**2`` (lower if the largest term could
+    overflow there): a K that suffices at the top gets the top, one that
+    fails at the bottom gets 0, and the last entry, with no tail, is
+    infinite.  `terms` picks K for a call by bisection on the table.
+    """
+
+    def __init__(self, coeffs, radius: float):
+        self.coeffs = tuple(coeffs)
+        a = np.abs(np.array(self.coeffs))
+        n = a.size
+        powers = np.arange(n)
+        kept = powers < np.arange(1, n)[:, None]          # row K - 1: n < K
+
+        def suffices(log_z: Array) -> Array:
+            terms = a * np.exp2(np.multiply.outer(log_z, powers))
+            head = np.where(kept, terms, 0.0).sum(axis=1)
+            tail = np.where(kept, 0.0, terms).sum(axis=1)
+            return tail <= _TAIL_TOL * head
+
+        # the top stays where the largest term cannot overflow
+        hi = np.full(n - 1, min(2.0 * np.log2(radius), 900.0 / max(n - 1, 1)))
+        lo = hi - 256.0
+        top, bottom = suffices(hi), suffices(lo)
+        for _ in range(24):
+            mid = 0.5 * (lo + hi)
+            ok = suffices(mid)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        z_max = np.where(top, np.exp2(hi), np.where(bottom, np.exp2(lo), 0.0))
+        self.z_max = tuple(z_max.tolist()) + (np.inf,)
+
+    def terms(self, z: float) -> tuple[float, ...]:
+        """The leading coefficients that suffice up to z."""
+        return self.coeffs[:bisect_left(self.z_max, z) + 1]
 
 
 @dataclass(frozen=True)
@@ -110,28 +165,57 @@ class Nonlinearity:
         """Third derivative at the origin, 6 * c3."""
         return 6.0 * self.odd_coeffs[0]
 
-    def _check_domain(self, u: Array | float) -> None:
-        m = np.abs(u).max() if np.ndim(u) else abs(u)
-        if m > self.trust_radius:
+    def _check_domain(self, u: Array) -> float:
+        """max|u|; raises unless it is finite and within the trust radius."""
+        r = float(np.abs(u).max())
+        if not isfinite(r):
+            raise TrustRadiusError(f"non-finite sample for model {self.name}")
+        if r > self.trust_radius:
             raise TrustRadiusError(
-                f"|u| = {m:.3g} exceeds trust radius {self.trust_radius:.3g}"
+                f"|u| = {r:.3g} exceeds trust radius {self.trust_radius:.3g}"
                 f" of model {self.name}")
+        return r
 
     def _series(self, y: Array | float, eps: float,
-                coeffs: tuple[float, ...]) -> tuple[Array, Array | float]:
-        """y as an array and sum_m coeffs[m] (eps*y)^(2m), by Horner's rule."""
+                series: _Series) -> tuple[Array, Array | float]:
+        """y as an array and sum_m coeffs[m] (eps*y)^(2m), by Horner's rule
+        over the terms that suffice at max|eps*y|."""
         y = np.asarray(y, dtype=float)
         ey = eps * y
-        self._check_domain(ey)
+        r = self._check_domain(ey)
         z = ey * ey
+        coeffs = series.terms(r * r)
         acc = coeffs[-1]
         for c in reversed(coeffs[:-1]):
             acc = acc * z + c
         return y, acc
 
+    # the series of each evaluation, built once per model
+    @cached_property
+    def _f_series(self) -> _Series:
+        return _Series(self.odd_coeffs, self.trust_radius)
+
+    @cached_property
+    def _deriv_series(self) -> dict[int, _Series]:
+        # u^n with n = 2m + 3 differentiates to n (n-1) ... u^(n - order)
+        return {order: _Series((prod(range(2 * m + 4 - order, 2 * m + 4)) * c
+                                for m, c in enumerate(self.odd_coeffs)),
+                               self.trust_radius)
+                for order in (1, 2, 3)}
+
+    @cached_property
+    def _scaled_deriv_series(self) -> _Series:
+        return _Series(((2 * m + 3) * c for m, c in enumerate(self.odd_coeffs)),
+                       self.trust_radius)
+
+    @cached_property
+    def _antideriv_series(self) -> _Series:
+        return _Series((c / (2 * m + 4) for m, c in enumerate(self.odd_coeffs)),
+                       self.trust_radius)
+
     def eval(self, u: Array | float):
         """f(u) by Horner evaluation of the odd series."""
-        u, acc = self._series(u, 1.0, self.odd_coeffs)
+        u, acc = self._series(u, 1.0, self._f_series)
         out = acc * (u * u) * u
         return float(out) if out.ndim == 0 else out
 
@@ -139,31 +223,26 @@ class Nonlinearity:
         """Derivative of f at u, order in {1, 2, 3}."""
         if order not in (1, 2, 3):
             raise ValueError("order must be 1, 2, or 3")
-        # u^n with n = 2m + 3 differentiates to n (n-1) ... u^(n - order)
-        u, acc = self._series(u, 1.0, tuple(
-            prod(range(2 * m + 4 - order, 2 * m + 4)) * c
-            for m, c in enumerate(self.odd_coeffs)))
+        u, acc = self._series(u, 1.0, self._deriv_series[order])
         out = acc * u ** (3 - order)
         return float(out) if out.ndim == 0 else out
 
     # -- rescaled forms (finite at eps = 0) ----------------------------------
     def scaled_eval(self, y: Array | float, eps: float):
         """f(eps*y)/eps^3 = y^3 * sum_m c_{2m+1} (eps*y)^(2m-2)."""
-        y, acc = self._series(y, eps, self.odd_coeffs)
+        y, acc = self._series(y, eps, self._f_series)
         out = acc * (y * y * y)
         return float(out) if out.ndim == 0 else out
 
     def scaled_deriv(self, y: Array | float, eps: float):
         """f'(eps*y)/eps^2 = y^2 * sum_m (2m+1) c_{2m+1} (eps*y)^(2m-2)."""
-        y, acc = self._series(y, eps, tuple(
-            (2 * m + 3) * c for m, c in enumerate(self.odd_coeffs)))
+        y, acc = self._series(y, eps, self._scaled_deriv_series)
         out = acc * y**2
         return float(out) if out.ndim == 0 else out
 
     def scaled_antideriv(self, y: Array | float, eps: float):
         """F(eps*y)/eps^4 with F' = f: y^4 * sum_m c_{2m+1} (eps*y)^(2m-2)/(2m+2)."""
-        y, acc = self._series(y, eps, tuple(
-            c / (2 * m + 4) for m, c in enumerate(self.odd_coeffs)))
+        y, acc = self._series(y, eps, self._antideriv_series)
         out = acc * y**4
         return float(out) if out.ndim == 0 else out
 

@@ -77,7 +77,8 @@ class VTrajectory:
 
     ``v_samples[m] = v(period * m / M)``; trajectories are even in tau, so a
     cosine series interpolates them spectrally (computed in ``__post_init__``
-    and used by ``v_at`` / ``v_tau_at``).
+    and used by ``v_at`` / ``v_tau_at``).  A trajectory is not changed after
+    ``__post_init__``, so `resample` keeps each grid it builds.
     """
 
     period: float
@@ -86,6 +87,8 @@ class VTrajectory:
     start: tuple[float, float]
     end: tuple[float, float]
     cos_coeffs: Array = field(init=False, repr=False)
+    _resampled: dict[int, Array] = field(init=False, repr=False,
+                                         compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.v_samples = np.asarray(self.v_samples, dtype=float)
@@ -120,10 +123,15 @@ class VTrajectory:
         return -np.sin(ang) @ (om * self.cos_coeffs)
 
     def resample(self, M: int) -> Array:
-        """v on the uniform M-point grid (spectral interpolation)."""
+        """v on the uniform M-point grid (spectral interpolation), read-only
+        and built once per M."""
         if M == self.n_samples:
             return self.v_samples
-        return self.v_at(self.period * np.arange(M) / M)
+        if M not in self._resampled:
+            v = self.v_at(self.period * np.arange(M) / M)
+            v.flags.writeable = False
+            self._resampled[M] = v
+        return self._resampled[M]
 
 
 # ---------------------------------------------------------------------------

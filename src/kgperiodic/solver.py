@@ -557,12 +557,14 @@ def newton_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
             _stage_record(s, V_traj, eps, model, sys, N_tau, config)
             for s in stages])
 
+    # F is the residual at w throughout: an accepted damped step hands over
+    # its trial residual, and a new stage keeps w (F does not depend on N_i)
+    F = assemble_F(V_traj, w, eps, model, sys=sys)
     for N_i in effective:
         w_start = w
         op = None
         iters = 0
         while True:
-            F = assemble_F(V_traj, w, eps, model, sys=sys)
             F_vec = _pack(F.coeffs, N_i)
             res = F.pi_N(N_i).norm(config.s) if N_i >= 2 else F.norm(config.s)
             if res <= config.residual_tol:
@@ -582,7 +584,7 @@ def newton_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                 F_try = assemble_F(V_traj, w_try, eps, model, sys=sys)
                 res_try = F_try.pi_N(N_i).norm(config.s)
                 if res_try < res:
-                    w, accepted = w_try, True
+                    w, F, accepted = w_try, F_try, True
                     break
                 alpha *= 0.5
             if not accepted:

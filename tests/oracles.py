@@ -129,6 +129,22 @@ def richardson_slope(eps_values, errors) -> float:
     return slope
 
 
+def horner_oracle(coeffs, x) -> tuple[np.ndarray, np.ndarray]:
+    """Full-series Horner value of sum_p coeffs[p] x^p and its error scale.
+
+    The second result is sum_p |coeffs[p]| |x|^p: Horner's rule of degree D
+    has rounding error at most about 2 D 2^-53 times it (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, section 5.1).
+    """
+    x = np.asarray(x, dtype=float)
+    value = np.zeros_like(x)
+    scale = np.zeros_like(x)
+    for c in reversed(coeffs):
+        value = value * x + c
+        scale = scale * np.abs(x) + abs(c)
+    return value, scale
+
+
 def quadrature_P(func, n: int = 4096) -> float:
     """(1/pi) * int_{-pi}^{pi} func(x) sin(x) dx by the trapezoid rule.
 

@@ -17,7 +17,7 @@ from kgperiodic.closure import (
     solve_delta1,
 )
 from kgperiodic.divisors import DivisorTable, HillSpectrum, ResonanceParams
-from kgperiodic.planar import PlanarState, find_orbit
+from kgperiodic.planar import PlanarState, VTrajectory, find_orbit
 
 # Frozen canonical shooting parameter at eps = 0.1, amplitude 0.9 (default
 # solver settings); the run is fully deterministic.
@@ -29,29 +29,29 @@ class TestIntegrateV:
         # model=None leaves v_tautau = -v/omega^2: explicit solution
         eps, a, period = 0.1, 0.5, 3.7
         om = np.sqrt(1.0 + eps**2)
-        [(traj, end)] = integrate_v([PlanarState(a, 0.0)], None, eps, None,
-                                    period)
-        grid = period * np.arange(256) / 256
-        assert np.max(np.abs(traj.v_samples - a * np.cos(grid / om))) < 1e-10
+        tau, [y] = integrate_v([PlanarState(a, 0.0)], None, eps, None, period)
+        assert np.max(np.abs(y[0] - a * np.cos(tau / om))) < 1e-10
+        end = PlanarState(*y[:, -1])
         assert end.p == pytest.approx(a * np.cos(period / om), abs=1e-10)
         assert end.p_tau == pytest.approx(-a / om * np.sin(period / om),
                                           abs=1e-10)
 
     def test_eps_zero_reproduces_seed_orbit(self, orbit09, sine_gordon):
         # at eps = 0 the slow equation is exactly the planar limit equation
-        [(traj, end)] = integrate_v([orbit09.base_point], None, 0.0,
-                                    sine_gordon, orbit09.period)
+        tau, [y] = integrate_v([orbit09.base_point], None, 0.0, sine_gordon,
+                               orbit09.period)
         seed = orbit09.trajectory(256)
-        assert np.max(np.abs(traj.v_samples - seed.v_samples)) < 1e-8
-        assert abs(end.p - orbit09.base_point.p) < 1e-9
-        assert abs(end.p_tau - orbit09.base_point.p_tau) < 1e-9
+        assert np.max(np.abs(y[0] - seed.v_at(tau))) < 1e-8
+        assert abs(y[0, -1] - orbit09.base_point.p) < 1e-9
+        assert abs(y[1, -1] - orbit09.base_point.p_tau) < 1e-9
 
     def test_end_state_matches_trajectory(self, sine_gordon):
+        # the states sit at the accepted steps, from the start to tau = p
         V0 = PlanarState(0.7, 0.1)
-        [(traj, end)] = integrate_v([V0], None, 0.08, sine_gordon, 5.0)
-        assert traj.start == (V0.p, V0.p_tau)
-        assert traj.end == (end.p, end.p_tau)
-        assert traj.v_samples[0] == V0.p and traj.v_tau_samples[0] == V0.p_tau
+        tau, states = integrate_v([V0], None, 0.08, sine_gordon, 5.0)
+        assert states.shape == (1, 2, tau.shape[0])
+        assert tau[0] == 0.0 and tau[-1] == 5.0 and np.all(np.diff(tau) > 0)
+        assert tuple(states[0][:, 0]) == (V0.p, V0.p_tau)
 
 
 class TestGalerkinV:
@@ -77,14 +77,15 @@ class TestGalerkinV:
         assert abs(delta - closure01.delta1) <= 1e-9
 
         def defect(d):
-            [(traj, end)] = integrate_v(
-                [PlanarState(orbit09.amplitude + d, 0.0)], w, eps, sine_gordon,
-                period)
-            return end.p_tau, traj
+            return integrate_v([PlanarState(orbit09.amplitude + d, 0.0)], w,
+                               eps, sine_gordon, period)
 
-        t_a, traj = defect(delta)
-        assert np.max(np.abs(traj.cos_coeffs - a)) <= 1e-11
-        t_b, _ = defect(delta + 1e-6)
+        tau, [y] = defect(delta)
+        galerkin = VTrajectory.from_cos_coeffs(period, a)
+        assert np.max(np.abs(y[0] - galerkin.v_at(tau))) <= 1e-11
+        assert np.max(np.abs(y[1] - galerkin.v_tau_at(tau))) <= 1e-11
+        t_a = y[1, -1]
+        t_b = defect(delta + 1e-6)[1][0][1, -1]
         shot = delta - t_a * 1e-6 / (t_b - t_a)
         assert abs(shot - delta) <= 1e-11
 
@@ -100,9 +101,10 @@ class TestHamiltonian:
     def test_slow_flow_conserves_H(self, sine_gordon):
         eps, period = 0.08, 5.0
         V0 = PlanarState(0.7, 0.1)
-        [(traj, end)] = integrate_v([V0], None, eps, sine_gordon, period)
+        _, [y] = integrate_v([V0], None, eps, sine_gordon, period)
         H0 = hamiltonian_H(V0, None, None, eps, sine_gordon)
-        H1 = hamiltonian_H(end, None, None, eps, sine_gordon)
+        H1 = hamiltonian_H(PlanarState(*y[:, -1]), None, None, eps,
+                           sine_gordon)
         assert abs(H1 - H0) < 1e-10
 
     def test_quadratic_fast_terms_parseval(self):
@@ -135,6 +137,11 @@ class TestSolveDelta1:
         assert 2 <= closure01.outer_iters <= 6
         assert abs(closure01.derivative) > 1e-3
         assert len(closure01.history) == closure01.outer_iters
+
+    def test_drift_at_the_accepted_steps(self, closure01):
+        # H read at DOP853's own states holds to round-off; interpolating
+        # a grid of samples would add its own error (3.3e-11 from 256)
+        assert closure01.H_drift <= 1e-12
 
     def test_json_dict_round(self, closure01):
         doc = closure01.to_json_dict()
@@ -194,10 +201,11 @@ class TestSolveDelta1:
                                       monkeypatch):
         # only round 1 and the reported round run the gate; only the
         # reported round builds a report (operators for zero-step stages
-        # and the doubled-grid certificate); one stacked DOP853 pass serves
-        # the certificate and the measured derivative
+        # and the doubled-grid certificate); each Newton step assembles one
+        # residual; one stacked DOP853 pass serves the certificate and the
+        # measured derivative
         calls = {"gate": 0, "integrate_v": 0, "operator": 0, "certificate": 0,
-                 "nash_moser_solve": 0}
+                 "assemble_F": 0, "nash_moser_solve": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -208,6 +216,7 @@ class TestSolveDelta1:
         assemble_F = solver.assemble_F
 
         def counted_F(*args, **kwargs):
+            calls["assemble_F"] += 1
             calls["certificate"] += kwargs.get("M_tau") is not None
             return assemble_F(*args, **kwargs)
 
@@ -222,7 +231,8 @@ class TestSolveDelta1:
                             counted("nash_moser_solve", closure.nash_moser_solve))
         result = solve_delta1(orbit09, 0.1, sine_gordon)
         assert calls == {"gate": 2, "integrate_v": 1, "operator": 3,
-                         "certificate": 1, "nash_moser_solve": 1}
+                         "certificate": 1, "assemble_F": 7,
+                         "nash_moser_solve": 1}
         assert result.outer_iters == 4
         assert result.delta1 == pytest.approx(DELTA1_01, abs=1e-9)
 
@@ -244,17 +254,23 @@ class TestSolveDelta1:
         base = np.array([orbit09.base_point.p, orbit09.base_point.p_tau])
         starts = [PlanarState(*(base + d * n_hat))
                   for d in (closure01.delta1, closure01.delta1 + 1e-6)]
-        (traj, end), _ = integrate_v(starts, w, eps, sine_gordon, period)
-        [(traj_a, end_a)] = integrate_v(starts[:1], w, eps, sine_gordon, period)
-        [(_, end_b)] = integrate_v(starts[1:], w, eps, sine_gordon, period)
-        assert np.max(np.abs(traj.v_samples - traj_a.v_samples)) <= 1e-12
-        assert np.max(np.abs(traj.v_tau_samples - traj_a.v_tau_samples)) <= 1e-12
-        assert abs(end.p - end_a.p) <= 1e-12
-        assert abs(end.p_tau - end_a.p_tau) <= 1e-12
+        tau, (y, _) = integrate_v(starts, w, eps, sine_gordon, period)
+        tau_a, [y_a] = integrate_v(starts[:1], w, eps, sine_gordon, period)
+        _, [y_b] = integrate_v(starts[1:], w, eps, sine_gordon, period)
+        # the passes take their own steps: compare their deviations from the
+        # Galerkin trajectory, the separate one carried to the stacked steps
+        V = closure01.V_traj
+        dev = y - np.array([V.v_at(tau), V.v_tau_at(tau)])
+        dev_a = y_a - np.array([V.v_at(tau_a), V.v_tau_at(tau_a)])
+        for k in range(2):
+            carried = np.interp(tau, tau_a, dev_a[k])
+            assert np.max(np.abs(dev[k] - carried)) <= 1e-12
+        end_a, end_b = y_a[:, -1], y_b[:, -1]
+        assert np.max(np.abs(y[:, -1] - end_a)) <= 1e-12
         t_hat = np.array([orbit09.tangent.p, orbit09.tangent.p_tau])
         t_hat /= np.linalg.norm(t_hat)
-        t_a = (np.array([end_a.p, end_a.p_tau]) - base) @ t_hat
-        t_b = (np.array([end_b.p, end_b.p_tau]) - base) @ t_hat
+        t_a = (end_a - base) @ t_hat
+        t_b = (end_b - base) @ t_hat
         separate = (t_b - t_a) / 1e-6
         assert closure01.derivative == pytest.approx(separate, rel=1e-7)
 

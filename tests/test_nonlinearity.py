@@ -1,5 +1,7 @@
 """Model evaluation and rescaled-forcing tests."""
 
+from math import perm
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from kgperiodic.nonlinearity import (
 )
 from kgperiodic.planar import find_orbit
 
-from oracles import quadrature_P, richardson_slope
+from oracles import horner_oracle, quadrature_P, richardson_slope
 
 
 class TestModels:
@@ -48,6 +50,26 @@ class TestModels:
         assert custom.f3 == 3.0
         with pytest.raises(ValueError):
             Nonlinearity.from_spec({"model": "quadratic"})
+
+    def test_non_finite_sample_rejected(self):
+        # max|u| > radius is False for NaN: the check must not let it pass
+        for model in (Nonlinearity.sine_gordon(), Nonlinearity.phi4()):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(TrustRadiusError, match="non-finite"):
+                    model.scaled_eval(np.array([0.1, bad]), 0.1)
+                with pytest.raises(TrustRadiusError):
+                    model.eval(bad)
+
+    def test_truncation_table(self):
+        # every term is kept at the trust radius, so the certified region
+        # is unchanged; sine-Gordon at amplitude eps |xi| <= 0.2 keeps six
+        sg = Nonlinearity.sine_gordon()
+        z_top = sg.trust_radius**2
+        for series in (sg._f_series, sg._scaled_deriv_series,
+                       sg._antideriv_series, *sg._deriv_series.values()):
+            assert series.terms(z_top) == series.coeffs
+            assert series.terms(0.0) == series.coeffs[:1]
+        assert len(sg._f_series.terms(0.2**2)) == 6
 
     def test_scaled_eval_exact_at_zero(self):
         # f(eps y)/eps^3 -> c3 y^3 with no cancellation at eps = 0
@@ -169,6 +191,46 @@ class TestCollocate:
     def test_order_2_rejected(self):
         with pytest.raises(ValueError):
             collocate(Nonlinearity.phi4(), 0.1, 1.0, None, 16, order=2)
+
+
+def _dense(terms: dict[int, float]) -> list[float]:
+    """Coefficients by power, zeros in the gaps."""
+    out = [0.0] * (max(terms) + 1)
+    for p, c in terms.items():
+        out[p] = c
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12).filter(
+           lambda c: c[0] != 0.0),
+       st.floats(0.05, 3.0), st.just(0.0) | st.floats(0.01, 0.99),
+       st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=16))
+def test_truncated_series_match_full_horner(coeffs, radius, eps, fractions):
+    # every series method against the full series by Horner's rule in the
+    # sample itself: the terms a call drops are below 2^-64 of what it keeps
+    model = Nonlinearity("custom", tuple(coeffs), trust_radius=radius)
+    t = np.array(fractions)
+    u = radius * t                                  # |u| inside the radius
+    y = u / eps if eps > 0 else u
+    n = range(len(coeffs))
+    cases = [
+        (model.eval(u), u, {2 * m + 3: coeffs[m] for m in n}),
+        (model.scaled_eval(y, eps), y,
+         {2 * m + 3: coeffs[m] * eps ** (2 * m) for m in n}),
+        (model.scaled_deriv(y, eps), y,
+         {2 * m + 2: (2 * m + 3) * coeffs[m] * eps ** (2 * m) for m in n}),
+        (model.scaled_antideriv(y, eps), y,
+         {2 * m + 4: coeffs[m] * eps ** (2 * m) / (2 * m + 4) for m in n}),
+    ] + [(model.deriv(u, order), u,
+          {2 * m + 3 - order: perm(2 * m + 3, order) * coeffs[m] for m in n})
+         for order in (1, 2, 3)]
+    for got, x, terms in cases:
+        want, scale = horner_oracle(_dense(terms), x)
+        # both Horner passes (degree <= 2 len(coeffs) + 2 in x), the powers
+        # of eps in the oracle's coefficients and the dropped tail
+        bound = 16 * (len(coeffs) + 2) * 2.0**-53 * scale + 1e-300
+        assert np.all(np.abs(got - want) <= bound)
 
 
 @settings(max_examples=40, deadline=None)

@@ -61,6 +61,8 @@ MAX_RESIDUAL_GRID = 1024
 MAX_SOLVER_N = 256
 MAX_SOLVER_N_TAU = 128
 MAX_NF_STEPS = 16
+# largest `selftest` battery: about 0.3 ms per field, ~3 s at the limit
+MAX_SELFTEST_FIELDS = 10**4
 
 
 class ConfigError(ValueError):
@@ -95,7 +97,9 @@ def _get_number(cfg: dict, key: str, default, lo=None, hi=None,
                 integer: bool = False):
     value = cfg.get(key, default)
     if value is None:
-        return None
+        if default is None:
+            return None
+        raise ConfigError(f"field {key!r} must be a number, not null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {key!r} must be a number")
     if isinstance(value, float) and not math.isfinite(value):
@@ -450,8 +454,9 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_selftest(cfg: dict) -> int:
     _reject_unknown(cfg, {"seed", "n_fields", "out_dir"})
-    seed = _get_number(cfg, "seed", DEFAULT_SEED, integer=True)
-    n_fields = _get_number(cfg, "n_fields", 1000, lo=10, integer=True)
+    seed = _get_number(cfg, "seed", DEFAULT_SEED, lo=0, integer=True)
+    n_fields = _get_number(cfg, "n_fields", 1000, lo=10, hi=MAX_SELFTEST_FIELDS,
+                           integer=True)
     results = run_all(seed=seed, n_fields=n_fields)
     for row in results:
         print(row.line())

@@ -23,8 +23,7 @@ from .fourier import (SpaceTimeField, cos_analyze, cos_synthesis_matrix,
                       project_P, sin_synthesis_matrix, x_grid)
 from .nonlinearity import Nonlinearity, TrustRadiusError, collocate
 from .planar import PlanarOrbit, PlanarState, VTrajectory, monodromy
-from .solver import (SolverConfig, SolverRun, nash_moser_solve, newton_solve,
-                     validate_eps)
+from .solver import SolverConfig, SolverRun, nash_moser_solve, validate_eps
 
 Array = NDArray[np.float64]
 
@@ -265,19 +264,18 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     Alternates (a) `galerkin_v` at frozen w on ``n_samples`` tau samples,
     started from the seed orbit and then from the previous round, with (b)
     fast-component solves on the updated trajectory, until delta_1 and the
-    w-update both move by at most ``tol_outer``.  Round 1 solves cold
-    behind the resonance gate; the rounds in between start Newton from the
-    previous round's w and skip the gate.  Both only need w, so they run
-    `newton_solve` and build no report.  A round that can end the loop
-    (round 2 on, delta moved by at most ``tol_outer``) runs the full
-    `nash_moser_solve` cold and gated, with its conditioning records and
-    certificate, so the reported run is always that solve on the reported
-    trajectory ``V_traj``, the last Galerkin one.  One stacked DOP853 pass
-    (`integrate_v`) with the converged w certifies the result from two
-    starts sharing one step control: the closed start point gives the
-    return defects, end state and Hamiltonian drift (read at the
-    integrator's accepted steps), and delta_1 + 1e-6 gives the shooting
-    derivative by finite difference, checked against ``derivative_floor``.
+    w-update both move by at most ``tol_outer``.  Round 1, and any round
+    that can end the loop (delta moved by at most ``tol_outer``), solves
+    cold behind the resonance gate; the rounds in between start Newton
+    from the previous round's w and skip the gate.  The run left when the
+    loop exits is the reported one: a cold, gated `nash_moser_solve` on
+    the reported trajectory ``V_traj``, the last Galerkin one, whose report
+    is built only when read.  One stacked DOP853 pass (`integrate_v`) with
+    the converged w certifies the result from two starts sharing one step
+    control: the closed start point gives the return defects, end state
+    and Hamiltonian drift (read at the integrator's accepted steps), and
+    delta_1 + 1e-6 gives the shooting derivative by finite difference,
+    checked against ``derivative_floor``.
     """
     eps = validate_eps(eps)
     if solver is None:
@@ -291,6 +289,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
 
     w_field: SpaceTimeField | None = None
     run: SolverRun | None = None
+    warm = replace(solver, check_resonance=False)
     first_gate: ResonanceReport | None = None
     coeffs = orbit.trajectory(n_samples).cos_coeffs
     history: list[tuple] = []
@@ -302,18 +301,14 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
         traj = VTrajectory.from_cos_coeffs(period, coeffs)
         delta = float((np.array(traj.start) - base) @ n_hat)
         # (b) fast solve on the updated trajectory; only a round whose delta
-        # has settled may be the reported one, so only it builds the report
+        # has settled may be the reported one, so it solves cold and gated
         ddelta = abs(delta - history[-1][0]) if history else abs(delta)
-        if outer >= 2 and ddelta <= tol_outer:
-            fast = run = nash_moser_solve(traj, eps, solver, model)
-        elif outer == 1:
-            fast = newton_solve(traj, eps, solver, model)
-            first_gate = fast.resonance
-        else:
-            fast = newton_solve(traj, eps,
-                                replace(solver, check_resonance=False),
-                                model, w0=fast.w)
-        w_new = fast.w_physical
+        cold = outer == 1 or ddelta <= tol_outer
+        run = nash_moser_solve(traj, eps, solver if cold else warm, model,
+                               w0=None if cold else run.w)
+        if outer == 1:
+            first_gate = run.resonance
+        w_new = run.w_physical
         dw = (w_new.norm(1.0) if w_field is None
               else (w_new - w_field).norm(1.0))
         history.append((delta, r, dw))
@@ -362,7 +357,6 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
 def _grad_H_conormal(result: ClosureResult, eps: float,
                      model: Nonlinearity | None, h: float = 1e-6) -> float:
     """|directional derivative of H along the conormal| at the start state."""
-    base = np.array([result.end_state.p, result.end_state.p_tau])
     s = np.array(result.V_traj.start)
     n_hat = np.array(result.conormal)
     w = None if result.run is None else result.run.w_physical

@@ -11,7 +11,7 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -71,30 +71,26 @@ def _unpack(state) -> tuple[float, float]:
 # trajectories of the slow variable
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VTrajectory:
     """One period of the slow variable on a uniform tau grid.
 
     ``v_samples[m] = v(period * m / M)``; trajectories are even in tau, so a
-    cosine series interpolates them spectrally (computed in ``__post_init__``
-    and used by ``v_at`` / ``v_tau_at``).  A trajectory is not changed after
-    ``__post_init__``, so `resample` keeps each grid it builds.
+    cosine series interpolates them spectrally (``cos_coeffs``, used by
+    ``v_at`` / ``v_tau_at``).  ``v_tau_samples`` are given, or with None the
+    series' derivative on the same grid, formed on first read.  A
+    trajectory is not changed after construction, so `resample` keeps each
+    grid it builds.
     """
 
-    period: float
-    v_samples: Array
-    v_tau_samples: Array
-    start: tuple[float, float]
-    end: tuple[float, float]
-    cos_coeffs: Array = field(init=False, repr=False)
-    _resampled: dict[int, Array] = field(init=False, repr=False,
-                                         compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self.v_samples = np.asarray(self.v_samples, dtype=float)
-        self.v_tau_samples = np.asarray(self.v_tau_samples, dtype=float)
-        M = self.v_samples.shape[0]
-        self.cos_coeffs = cos_analyze(self.v_samples, M // 2 - 1)
+    def __init__(self, period: float, v_samples: Array,
+                 v_tau_samples: Array | None, start: tuple[float, float]):
+        self.period = period
+        self.v_samples = np.asarray(v_samples, dtype=float)
+        self._v_tau_samples = (None if v_tau_samples is None
+                               else np.asarray(v_tau_samples, dtype=float))
+        self.start = start
+        self.cos_coeffs = cos_analyze(self.v_samples, self.n_samples // 2 - 1)
+        self._resampled: dict[int, Array] = {}
 
     @classmethod
     def from_cos_coeffs(cls, period: float, coeffs: Array) -> "VTrajectory":
@@ -102,10 +98,14 @@ class VTrajectory:
         sampled on 2 len(coeffs) points."""
         n = 2 * coeffs.shape[0]
         v = cos_synthesis_matrix(n, coeffs.shape[0] - 1) @ coeffs
-        state = (float(v[0]), 0.0)
-        traj = cls(period, v, np.zeros(n), start=state, end=state)
-        traj.v_tau_samples = traj.v_tau_at(period * np.arange(n) / n)
-        return traj
+        return cls(period, v, None, start=(float(v[0]), 0.0))
+
+    @property
+    def v_tau_samples(self) -> Array:
+        if self._v_tau_samples is None:
+            self._v_tau_samples = self.v_tau_at(
+                self.period * np.arange(self.n_samples) / self.n_samples)
+        return self._v_tau_samples
 
     @property
     def n_samples(self) -> int:
@@ -169,11 +169,11 @@ class PlanarOrbit:
     def trajectory(self, M: int | None = None) -> VTrajectory:
         M = M or self.p.shape[0]
         traj = VTrajectory(self.period, self.p, self.p_tau,
-                           start=(self.amplitude, 0.0), end=(self.amplitude, 0.0))
+                           start=(self.amplitude, 0.0))
         if M != traj.n_samples:
             grid = self.period * np.arange(M) / M
             traj = VTrajectory(self.period, traj.v_at(grid), traj.v_tau_at(grid),
-                               start=traj.start, end=traj.end)
+                               start=traj.start)
         return traj
 
     def to_json_dict(self) -> dict:

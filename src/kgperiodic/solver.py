@@ -6,8 +6,9 @@ The fast component solves, in the averaged frame,
 
 over fields in span{cos(2 pi j tau / p) sin(k x), k >= 2}.  The solver walks
 a nested sequence of spatial truncations N_1 < N_2 < ... (each stage a damped
-Newton iteration on the truncated system) and certifies the final residual by
-an independent re-evaluation on a doubled collocation grid.
+Newton iteration on the truncated system).  Its report, the conditioning of
+each stage and a certificate of the final residual by an independent
+re-evaluation on a doubled collocation grid, is built when first read.
 
 Each Newton step solves with the linearization L in the L^2-orthonormal
 basis (temporal cosines with the j = 0 row scaled by 1/sqrt(2)).  L is
@@ -19,8 +20,9 @@ block diagonal preconditions a GMRES solve.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,9 +54,6 @@ __all__ = [
     "check_admissible",
     "schedule_for",
     "assemble_F",
-    "NewtonStage",
-    "NewtonSolve",
-    "newton_solve",
     "nash_moser_solve",
     "sigma_min_law_samples",
 ]
@@ -380,13 +379,38 @@ class LinearizedOperator:
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One stage of `nash_moser_solve`: Newton steps taken, increment and
+    residual norms, and the conditioning of the stage's last linearization.
+
+    ``conditioning_source`` is that linearization's report, or, for a stage
+    that took no Newton step, a function building the linearization at the
+    field the stage ended on; it runs the first time the conditioning
+    (``sigma_min``, ``sigma_radius``, ``law_constant``) is read.
+    """
+
     N: int
     newton_iters: int
     increment_norm_s: float
     residual_s: float
-    sigma_min: float
-    sigma_radius: float
-    law_constant: float
+    conditioning_source: InversionReport | Callable[[], InversionReport] = field(
+        repr=False, compare=False)
+
+    @cached_property
+    def conditioning(self) -> InversionReport:
+        source = self.conditioning_source
+        return source if isinstance(source, InversionReport) else source()
+
+    @property
+    def sigma_min(self) -> float:
+        return self.conditioning.sigma_min
+
+    @property
+    def sigma_radius(self) -> float:
+        return self.conditioning.sigma_radius
+
+    @property
+    def law_constant(self) -> float:
+        return self.conditioning.law_constant
 
     def to_json_dict(self) -> dict:
         return {"N": self.N, "newton_iters": self.newton_iters,
@@ -398,6 +422,14 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class SolverRun:
+    """The fast field of `nash_moser_solve` and its report.
+
+    The report is computed the first time it is read, from the data the
+    run holds: the stages' conditioning (see `StageRecord`) and the
+    residual certificate, F(w) re-evaluated on a doubled collocation grid
+    (read by ``residual_certificate``, ``converged`` and `to_json_dict`).
+    """
+
     config: SolverConfig
     eps: float
     period: float
@@ -407,9 +439,8 @@ class SolverRun:
     stages: tuple[StageRecord, ...]
     w: SpaceTimeField                  # transformed (averaged) unknown
     system: TransformedSystem
-    converged: bool
-    residual_certificate: float
     resonance: ResonanceReport | None  # verdict of the gate; None if not gated
+    V_traj: VTrajectory = field(repr=False, compare=False)
 
     @property
     def resonance_checked(self) -> bool:
@@ -419,6 +450,18 @@ class SolverRun:
     def w_physical(self) -> SpaceTimeField:
         """The fast component in the original (pre-averaging) frame."""
         return self.system.to_original(self.w)
+
+    @cached_property
+    def residual_certificate(self) -> float:
+        """||F(w)||_s on the doubled collocation grid."""
+        M_tau, M_x = _grids(self.effective_schedule[-1], self.N_tau)
+        F = assemble_F(self.V_traj, self.w, self.eps, self.system.model,
+                       sys=self.system, M_tau=2 * M_tau, M_x=2 * M_x)
+        return float(F.norm(self.config.s))
+
+    @property
+    def converged(self) -> bool:
+        return self.residual_certificate <= 10.0 * self.config.residual_tol
 
     def to_json_dict(self) -> dict:
         return {
@@ -461,68 +504,27 @@ def resonance_gate(traj: VTrajectory, eps: float, model: Nonlinearity,
     return report, spectrum, table
 
 
-@dataclass(frozen=True)
-class NewtonStage:
-    """One stage of `newton_solve`: Newton steps taken, increment and
-    residual norms, the field it ended on, and the last linearization it
-    built (None when the stage took no Newton step)."""
-
-    N: int
-    newton_iters: int
-    increment_norm_s: float
-    residual_s: float
-    w: SpaceTimeField
-    operator: LinearizedOperator | None
+def _built_conditioning(params: ResonanceParams, *args,
+                        **kwargs) -> InversionReport:
+    """Report of a `LinearizedOperator` built from ``args``/``kwargs``."""
+    return LinearizedOperator(*args, **kwargs).report(params)
 
 
-@dataclass(frozen=True)
-class NewtonSolve:
-    """The fast field of `newton_solve`, without conditioning or certificate."""
-
-    requested_schedule: tuple[int, ...]
-    effective_schedule: tuple[int, ...]
-    N_tau: int
-    stages: tuple[NewtonStage, ...]
-    w: SpaceTimeField                  # transformed (averaged) unknown
-    system: TransformedSystem
-    resonance: ResonanceReport | None  # verdict of the gate; None if not gated
-
-    @property
-    def w_physical(self) -> SpaceTimeField:
-        """The fast component in the original (pre-averaging) frame."""
-        return self.system.to_original(self.w)
-
-
-def _stage_record(stage: NewtonStage, V_traj: VTrajectory, eps: float,
-                  model: Nonlinearity | None, sys: TransformedSystem,
-                  N_tau: int, config: SolverConfig) -> StageRecord:
-    """The stage with its conditioning; a stage that took no Newton step
-    builds its linearization here, at the field it ended on."""
-    op = stage.operator
-    if op is None:
-        op = LinearizedOperator(V_traj, stage.w, eps, model, stage.N, sys=sys,
-                                N_tau=N_tau)
-    cond = op.report(config.resonance)
-    return StageRecord(N=stage.N, newton_iters=stage.newton_iters,
-                       increment_norm_s=stage.increment_norm_s,
-                       residual_s=stage.residual_s,
-                       sigma_min=cond.sigma_min,
-                       sigma_radius=cond.sigma_radius,
-                       law_constant=cond.law_constant)
-
-
-def newton_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
-                 model: Nonlinearity | None,
-                 w0: SpaceTimeField | None = None) -> NewtonSolve:
+def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
+                     model: Nonlinearity | None,
+                     w0: SpaceTimeField | None = None) -> SolverRun:
     """Solve F(w) = 0 over nested truncations with damped Newton stages.
 
     Runs the resonance gate (when ``config.check_resonance``), the
-    ``config.nf_steps`` normal-form steps and the stages, and stops there:
-    no conditioning beyond the operators the Newton steps built, and no
-    certificate.  Newton starts from w = 0, or from the initial guess
+    ``config.nf_steps`` normal-form steps and the stages.  The unknown lives
+    in the averaged frame those steps produce; `SolverRun.w_physical`
+    undoes the shift.  Newton starts from w = 0, or from the initial guess
     ``w0`` (same frame and period; the coefficients it shares with this
-    solve's band are copied).  A failing stage raises `NonConvergenceError`
-    carrying the completed stages as `StageRecord`s.
+    solve's band are copied).  Every stage records the increment and
+    residual norms and the conditioning of its last linearization; the
+    report (a zero-step stage's linearization, the doubled-grid
+    certificate) is built when it is first read.  A failing stage raises
+    `NonConvergenceError` carrying the completed stages.
     """
     eps = validate_eps(eps)
     period = V_traj.period
@@ -550,13 +552,7 @@ def newton_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
         sys = nf_sequence(V_traj, eps, model, N_x=N_final, N_tau=N_tau,
                           k_max=config.nf_steps)
 
-    stages: list[NewtonStage] = []
-
-    def failure(message: str) -> NonConvergenceError:
-        return NonConvergenceError(message, stages=[
-            _stage_record(s, V_traj, eps, model, sys, N_tau, config)
-            for s in stages])
-
+    stages: list[StageRecord] = []
     # F is the residual at w throughout: an accepted damped step hands over
     # its trial residual, and a new stage keeps w (F does not depend on N_i)
     F = assemble_F(V_traj, w, eps, model, sys=sys)
@@ -570,9 +566,9 @@ def newton_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
             if res <= config.residual_tol:
                 break
             if iters >= config.max_stage_iters:
-                raise failure(
+                raise NonConvergenceError(
                     f"stage N = {N_i} exceeded {config.max_stage_iters} Newton "
-                    f"iterations (residual {res:.3e})")
+                    f"iterations (residual {res:.3e})", stages=stages)
             op = LinearizedOperator(V_traj, w, eps, model, N_i, sys=sys,
                                     N_tau=N_tau)
             op.check_collapse()
@@ -588,47 +584,23 @@ def newton_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                     break
                 alpha *= 0.5
             if not accepted:
-                raise failure(f"damped Newton stalled at stage N = {N_i} "
-                              f"(residual {res:.3e})")
+                raise NonConvergenceError(
+                    f"damped Newton stalled at stage N = {N_i} "
+                    f"(residual {res:.3e})", stages=stages)
             iters += 1
-        stages.append(NewtonStage(N=N_i, newton_iters=iters,
-                                  increment_norm_s=(w - w_start).norm(config.s),
-                                  residual_s=float(res), w=w, operator=op))
+        source = (op.report(config.resonance) if op is not None else
+                  partial(_built_conditioning, config.resonance, V_traj, w,
+                          eps, model, N_i, sys=sys, N_tau=N_tau))
+        stages.append(StageRecord(
+            N=N_i, newton_iters=iters,
+            increment_norm_s=(w - w_start).norm(config.s),
+            residual_s=float(res), conditioning_source=source))
 
-    return NewtonSolve(requested_schedule=requested,
-                       effective_schedule=effective, N_tau=N_tau,
-                       stages=tuple(stages), w=w, system=sys,
-                       resonance=resonance)
-
-
-def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
-                     model: Nonlinearity | None,
-                     w0: SpaceTimeField | None = None) -> SolverRun:
-    """`newton_solve`, then the report: conditioning and a certificate.
-
-    The unknown lives in the averaged frame produced by ``config.nf_steps``
-    normal-form steps; `SolverRun.w_physical` undoes the shift.  Every stage
-    records the increment norm, residual and an inverse-norm estimate, read
-    off the last linearization its Newton steps built; a stage that took no
-    step builds one for the record.  The final residual is certified on a
-    doubled collocation grid.
-    """
-    eps = validate_eps(eps)
-    fast = newton_solve(V_traj, eps, config, model, w0=w0)
-    sys, N_tau = fast.system, fast.N_tau
-    stages = tuple(_stage_record(s, V_traj, eps, model, sys, N_tau, config)
-                   for s in fast.stages)
-    dM_tau, dM_x = _grids(fast.effective_schedule[-1], N_tau)
-    F_cert = assemble_F(V_traj, fast.w, eps, model, sys=sys,
-                        M_tau=2 * dM_tau, M_x=2 * dM_x)
-    cert = F_cert.norm(config.s)
-    converged = bool(cert <= 10.0 * config.residual_tol)
-    return SolverRun(config=config, eps=eps, period=V_traj.period,
-                     requested_schedule=fast.requested_schedule,
-                     effective_schedule=fast.effective_schedule,
-                     N_tau=N_tau, stages=stages, w=fast.w, system=sys,
-                     converged=converged, residual_certificate=float(cert),
-                     resonance=fast.resonance)
+    return SolverRun(config=config, eps=eps, period=period,
+                     requested_schedule=requested,
+                     effective_schedule=effective, N_tau=N_tau,
+                     stages=tuple(stages), w=w, system=sys,
+                     resonance=resonance, V_traj=V_traj)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from kgperiodic.cli import (
     EXIT_RESONANT,
     MAX_DIVISOR_PAIRS,
     MAX_NF_STEPS,
+    MAX_SELFTEST_FIELDS,
     MAX_SOLVER_N,
     MAX_SOLVER_N_TAU,
     main,
@@ -450,6 +451,25 @@ def test_solver_field_past_its_limit_exits_1(tmp_path, capsys, monkeypatch,
     assert not calls
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("limit-orbit", {"amplitude": 0.9, "tol": None}),
+    ("solve", {"eps": 0.1, "amplitude": None}),
+    ("solve", {"eps": 0.1, "resonance": {"alpha": None}}),
+    ("solve", {"eps": 0.1, "solver": {"residual_tol": None}}),
+    ("sweep", {"eps_list": [0.1], "workers": None}),
+    ("selftest", {"n_fields": None})])
+def test_null_for_a_defaulted_field_exits_1(tmp_path, capsys, monkeypatch,
+                                            command, cfg):
+    # JSON null is not "use the default": it fails before any work
+    calls = []
+    _forbid_work(monkeypatch, calls)
+    cfg = {**cfg, "out_dir": str(tmp_path)}
+    assert run_cli(tmp_path, command, cfg) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.endswith("must be a number, not null\n") and err.count("\n") == 1
+    assert not calls
+
+
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_LIMIT_ORBIT_CFG, corruption=st.one_of(st.none(), st.tuples(
@@ -457,6 +477,23 @@ def test_solver_field_past_its_limit_exits_1(tmp_path, capsys, monkeypatch,
 def test_limit_orbit_config_fuzz(tmp_path, capsys, cfg, corruption):
     code, _ = _fuzz_run(tmp_path, capsys, "limit-orbit", cfg, corruption)
     assert code in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_NO_ORBIT)
+
+
+# a small battery with any non-negative seed
+_SELFTEST_CFG = st.fixed_dictionaries(
+    {}, optional={"seed": st.integers(0, 2**64), "n_fields": st.integers(10, 40)})
+
+
+# few, fixed examples: a valid battery of up to 1000 fields takes ~0.3 s
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_SELFTEST_CFG, corruption=st.one_of(st.none(), st.tuples(
+    st.sampled_from(["seed", "n_fields"]),
+    st.one_of(_BAD_VALUE, st.integers(MAX_SELFTEST_FIELDS + 1, 10**30)))))
+def test_selftest_config_fuzz(tmp_path, capsys, cfg, corruption):
+    code, err = _fuzz_run(tmp_path, capsys, "selftest", cfg, corruption)
+    assert code in (EXIT_OK, EXIT_BAD_CONFIG)
+    assert err.count("\n") == (0 if code == EXIT_OK else 1)
 
 
 class TestSelftest:
@@ -474,3 +511,10 @@ class TestSelftest:
         assert doc["ok"] is True
         assert len(doc["results"]) == 10
         assert doc["config"]["seed"] == 7
+
+    @pytest.mark.parametrize("cfg", [{"seed": -1},
+                                     {"n_fields": MAX_SELFTEST_FIELDS + 1}])
+    def test_bad_field_exits_1(self, tmp_path, capsys, cfg):
+        assert run_cli(tmp_path, "selftest", cfg) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: field") and err.count("\n") == 1

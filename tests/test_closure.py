@@ -199,11 +199,12 @@ class TestSolveDelta1:
 
     def test_loop_skips_repeated_work(self, orbit09, sine_gordon,
                                       monkeypatch):
-        # only round 1 and the reported round run the gate; only the
-        # reported round builds a report (operators for zero-step stages
-        # and the doubled-grid certificate); each Newton step assembles one
-        # residual; one stacked DOP853 pass serves the certificate and the
-        # measured derivative
+        # every round is one nash_moser_solve; only round 1 and the reported
+        # round run the gate; each Newton step builds one operator and
+        # assembles one residual; one stacked DOP853 pass serves the
+        # certificate and the measured derivative.  The report (operators
+        # for zero-step stages, the doubled-grid certificate) is built only
+        # when read
         calls = {"gate": 0, "integrate_v": 0, "operator": 0, "certificate": 0,
                  "assemble_F": 0, "nash_moser_solve": 0}
 
@@ -230,19 +231,23 @@ class TestSolveDelta1:
         monkeypatch.setattr(closure, "nash_moser_solve",
                             counted("nash_moser_solve", closure.nash_moser_solve))
         result = solve_delta1(orbit09, 0.1, sine_gordon)
-        assert calls == {"gate": 2, "integrate_v": 1, "operator": 3,
-                         "certificate": 1, "assemble_F": 7,
-                         "nash_moser_solve": 1}
+        assert calls == {"gate": 2, "integrate_v": 1, "operator": 2,
+                         "certificate": 0, "assemble_F": 6,
+                         "nash_moser_solve": 4}
         assert result.outer_iters == 4
         assert result.delta1 == pytest.approx(DELTA1_01, abs=1e-9)
+        result.to_json_dict()
+        assert calls == {"gate": 2, "integrate_v": 1, "operator": 3,
+                         "certificate": 1, "assemble_F": 7,
+                         "nash_moser_solve": 4}
 
     def test_reported_run_is_the_direct_solve(self, closure01, sine_gordon):
-        # the reported round is a cold, gated nash_moser_solve on V_traj
+        # the reported round is a cold, gated nash_moser_solve on V_traj;
+        # the report, built on read, is compared too
         run = closure01.run
         direct = solver.nash_moser_solve(closure01.V_traj, closure01.eps,
                                          solver.SolverConfig(), sine_gordon)
-        assert run.stages == direct.stages
-        assert run.residual_certificate == direct.residual_certificate
+        assert run.to_json_dict() == direct.to_json_dict()
         assert np.array_equal(run.w.coeffs, direct.w.coeffs)
         assert run.resonance == direct.resonance
 

@@ -135,3 +135,22 @@ class TestTrajectory:
         doc = find_orbit(1.0, 1.0).to_json_dict()
         assert set(doc) == {"f3", "amplitude", "period", "energy", "samples"}
         assert all(len(s) == 3 for s in doc["samples"])
+
+    def test_galerkin_derivative_formed_on_first_read(self, monkeypatch):
+        # a trajectory built from cosines differentiates its series only
+        # when v_tau_samples is read, and then once
+        calls = []
+        v_tau_at = planar.VTrajectory.v_tau_at
+
+        def counted(self, taus):
+            calls.append(1)
+            return v_tau_at(self, taus)
+
+        monkeypatch.setattr(planar.VTrajectory, "v_tau_at", counted)
+        traj = planar.VTrajectory.from_cos_coeffs(
+            6.0, np.array([0.9, 0.05, -0.01, 0.002]))
+        assert traj.start == (traj.v_samples[0], 0.0) and not calls
+        grid = 6.0 * np.arange(8) / 8
+        assert np.array_equal(traj.v_tau_samples, v_tau_at(traj, grid))
+        assert traj.v_tau_samples is traj.v_tau_samples
+        assert len(calls) == 1

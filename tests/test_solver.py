@@ -1,11 +1,14 @@
 """Residual/linearization assembly and the nested-truncation solver."""
 
 import dataclasses
+import json
+import pickle
 
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
+from kgperiodic import solver
 from kgperiodic.divisors import (
     DivisorTable,
     HillSpectrum,
@@ -196,8 +199,7 @@ class TestLinearizedOperator:
         spec = HillSpectrum.flat(period, 200)
         center = epsilon_kj(2, 115, spec)
         flat = VTrajectory(period=period, v_samples=np.zeros(16),
-                           v_tau_samples=np.zeros(16), start=(0.0, 0.0),
-                           end=(0.0, 0.0))
+                           v_tau_samples=np.zeros(16), start=(0.0, 0.0))
         w = SpaceTimeField.zeros(period, 120, 2)
         op = LinearizedOperator(flat, w, center, None, N=2)
         with pytest.raises(ResonanceError) as info:
@@ -278,6 +280,54 @@ class TestSolveOracle:
         again = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=run.w)
         assert [s.newton_iters for s in again.stages] == [0] * len(run.stages)
         assert np.max(np.abs(again.w.coeffs - run.w.coeffs)) < 1e-12
+
+    def test_report_is_built_once(self, traj, sine_gordon, monkeypatch):
+        # at the solution every stage takes no step: reading the run's
+        # fields builds nothing, the first report read builds one operator
+        # per stage and one certificate, and a second read builds nothing
+        cfg = SolverConfig(check_resonance=False)
+        run = nash_moser_solve(traj, EPS, cfg, sine_gordon)
+        again = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=run.w)
+        calls = {"operator": 0, "assemble_F": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "LinearizedOperator",
+                            counted("operator", solver.LinearizedOperator))
+        monkeypatch.setattr(solver, "assemble_F",
+                            counted("assemble_F", solver.assemble_F))
+        assert [s.newton_iters for s in again.stages] == [0] * len(again.stages)
+        assert again.requested_schedule and again.effective_schedule
+        assert again.w_physical.norm(1.0) > 0.0 and again.resonance is None
+        assert calls == {"operator": 0, "assemble_F": 0}
+        first = again.to_json_dict()
+        assert calls == {"operator": len(again.stages), "assemble_F": 1}
+        assert again.to_json_dict() == first
+        assert again.converged and again.stages[0].sigma_min > 0.0
+        assert calls == {"operator": len(again.stages), "assemble_F": 1}
+
+    def test_failure_carries_serializable_stages(self, traj, sine_gordon):
+        # a warm start at the (3, 6) solution passes those stages without a
+        # Newton step; with no step allowed, stage 12 fails and the error
+        # carries the two completed stages, which report their conditioning
+        base = dict(N_tau=8, nf_steps=0, residual_tol=1e-14,
+                    check_resonance=False)
+        small = nash_moser_solve(traj, EPS, SolverConfig(schedule=(3, 6), **base),
+                                 sine_gordon)
+        cfg = SolverConfig(schedule=(3, 6, 12), max_stage_iters=0, **base)
+        with pytest.raises(NonConvergenceError, match="stage N = 12") as info:
+            nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=small.w)
+        # the records also survive pickling with their conditioning unread
+        stages = pickle.loads(pickle.dumps(info.value.stages))
+        docs = json.loads(json.dumps([s.to_json_dict() for s in stages]))
+        assert [(d["N"], d["newton_iters"]) for d in docs] == [(3, 0), (6, 0)]
+        for d in docs:
+            assert 0.0 <= d["sigma_radius"] < d["sigma_min"]
+            assert d["law_constant"] >= FITTED_C
 
     def test_warm_start_copies_the_overlapping_band(self, traj, sine_gordon):
         # a guess on a smaller band seeds the larger solve; the answer is

@@ -204,7 +204,7 @@ def tail_norm(sol: AssembledSolution, limit_orbit: PlanarOrbit,
     u = sol.u_values(xs, ts) / sol.eps              # (M_t, n_x)
     y = sol.eps * sol.omega * xs
     # subtract the limit profile (constant in t per column)
-    vt = np.asarray(limit_orbit.trajectory(256).v_at(y), dtype=float)
+    vt, _ = limit_orbit.sample(y)
     u = u - vt[None, :]
     # project each column onto sin(k omega t), k >= 2
     theta = sol.omega * ts

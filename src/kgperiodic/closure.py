@@ -158,32 +158,33 @@ def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
 # ---------------------------------------------------------------------------
 
 def hamiltonian_H(state: PlanarState, w_slice, w_tau_slice, eps: float,
-                  model: Nonlinearity | None, M_x: int = 128) -> float:
+                  model: Nonlinearity | None, M_x: int = 128):
     """The conserved quantity of the coupled slow/fast system.
 
     Quadratic fast terms are summed exactly from sine coefficients
     (Parseval); the potential term integrates the scaled antiderivative of
     f by x-collocation.  ``w_slice``/``w_tau_slice`` are sine-coefficient
     arrays of the fast field and its tau-derivative at one tau (None = 0).
+    A state of arrays, with one coefficient row each, gives an array of H.
     """
     w2 = 1.0 + eps**2
     H = 0.5 * state.p_tau**2 + state.p**2 / (2.0 * w2)
     b = np.zeros(1) if w_slice is None else np.asarray(w_slice, dtype=float)
     bt = np.zeros(1) if w_tau_slice is None else np.asarray(w_tau_slice, dtype=float)
-    k = np.arange(b.shape[0], dtype=float)
-    H += 0.5 * float(np.sum(bt**2))
-    H += (0.5 / eps**2) * float(np.sum((k**2 - 1.0 / w2) * b[0:]**2 * (k >= 2)))
+    k = np.arange(b.shape[-1], dtype=float)
+    H += 0.5 * np.sum(bt**2, axis=-1)
+    H += (0.5 / eps**2) * np.sum((k**2 - 1.0 / w2) * b**2 * (k >= 2), axis=-1)
     if model is not None:
         xs = x_grid(M_x)
-        xi = state.p * np.sin(xs)
-        if b.shape[0] > 2:
-            xi = xi + sin_synthesis_matrix(M_x, b.shape[0] - 1) @ b
-        H += (2.0 / (M_x * w2)) * float(np.sum(model.scaled_antideriv(xi, eps)))
-    return H
+        xi = np.multiply.outer(state.p, np.sin(xs))
+        if b.shape[-1] > 2:
+            xi = xi + (sin_synthesis_matrix(M_x, b.shape[-1] - 1) @ b.T).T
+        H += (2.0 / (M_x * w2)) * np.sum(model.scaled_antideriv(xi, eps), axis=-1)
+    return float(H) if np.ndim(H) == 0 else H
 
 
-def _H_at(tau: float, traj_state: PlanarState, w: SpaceTimeField | None,
-          eps: float, model: Nonlinearity | None) -> float:
+def _H_at(tau, traj_state: PlanarState, w: SpaceTimeField | None,
+          eps: float, model: Nonlinearity | None):
     if w is None:
         return hamiltonian_H(traj_state, None, None, eps, model)
     return hamiltonian_H(traj_state, w.slice_coeffs(tau),
@@ -336,12 +337,13 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             f"shooting derivative {deriv:.3e} below floor "
             f"{derivative_floor:.1e}")
 
-    # Hamiltonian at the certificate's accepted steps
+    # Hamiltonian at the certificate's accepted steps: the interior ones in
+    # one evaluation, the two ends one at a time as `check_closure` does
     H0 = _H_at(0.0, start_state, w_field, eps, model)
-    H = [_H_at(float(tt), PlanarState(float(v), float(v_tau)), w_field, eps,
-               model) for tt, v, v_tau in zip(taus[1:], *cert[:, 1:])]
-    H1 = H[-1]
-    drift = max(abs(h - H0) for h in H)
+    H1 = _H_at(float(taus[-1]), end, w_field, eps, model)
+    H = _H_at(taus[1:-1], PlanarState(cert[0, 1:-1], cert[1, 1:-1]), w_field,
+              eps, model)
+    drift = max(float(np.max(np.abs(H - H0), initial=0.0)), abs(H1 - H0))
 
     closed = bool(abs(t_fin) <= 10 * tol_defect and abs(d_val) <= 1e-8
                   and abs(H1 - H0) <= 1e-8)

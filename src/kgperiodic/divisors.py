@@ -92,10 +92,14 @@ def averaged_potential(traj: VTrajectory, eps: float,
     The fast forcing differentiates to multiplication by
     ``m(tau, x) = -(1/omega^2) f'(eps v sin x)/eps^2`` (`collocate` of
     order 1); the Hill potential is its x-average (the k-diagonal part of
-    the multiplication operator in the sine basis).
+    the multiplication operator in the sine basis).  Rows are collocated 64
+    tau samples at a time, so the series' temporaries stay small enough for
+    the allocator to reuse instead of mapping and page-faulting them anew.
     """
-    return collocate(model, eps, traj.resample(M_tau), None, M_x,
-                     order=1).mean(axis=1)
+    v = traj.resample(M_tau)
+    return np.concatenate([collocate(model, eps, v[i:i + 64], None, M_x,
+                                     order=1).mean(axis=1)
+                           for i in range(0, v.shape[0], 64)])
 
 
 @dataclass(frozen=True)

@@ -268,17 +268,17 @@ class SpaceTimeField:
         S = sin_synthesis_matrix(M_x, self.band_x)
         return C @ self.coeffs @ S.T
 
-    def slice_coeffs(self, tau: float) -> Array:
-        """Spatial sine coefficients of w(tau, .)."""
+    def slice_coeffs(self, tau: Array | float) -> Array:
+        """Spatial sine coefficients of w(tau, .), one row per tau."""
         j = np.arange(self.band_tau + 1)
-        c = np.cos(2.0 * np.pi * j * tau / self.period)
+        c = np.cos(np.multiply.outer(tau, 2.0 * np.pi * j) / self.period)
         return c @ self.coeffs
 
-    def dtau_slice_coeffs(self, tau: float) -> Array:
-        """Spatial sine coefficients of (d/dtau) w(tau, .)."""
+    def dtau_slice_coeffs(self, tau: Array | float) -> Array:
+        """Spatial sine coefficients of (d/dtau) w(tau, .), one row per tau."""
         j = np.arange(self.band_tau + 1)
         om = 2.0 * np.pi * j / self.period
-        return (-om * np.sin(om * tau)) @ self.coeffs
+        return (-om * np.sin(np.multiply.outer(tau, om))) @ self.coeffs
 
     def d2_tau(self) -> "SpaceTimeField":
         """Second tau-derivative, computed spectrally."""

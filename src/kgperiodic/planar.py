@@ -7,6 +7,13 @@ bounded component around the origin carries orbits.  Shooting along the
 energy gradient requires the orbit to be non-degenerate: the monodromy
 matrix of the linearized flow has eigenvalue 1 with geometric multiplicity
 one.
+
+This Duffing equation has closed-form orbits (DLMF 22.19(ii)): with
+beta = f3/8, Omega^2 = 1 + beta a^2 and m = beta a^2 / (2 Omega^2), the orbit
+through (a, 0) is ``a cn(Omega tau | m)``, of period ``T = 4 K(m) / Omega``.
+For m < 0 (softening) ``cn(u | m) = cd(u s | mu)`` with s = sqrt(1 - m) and
+mu = -m / (1 - m) (DLMF 22.17).  The monodromy matrix follows from dT/da,
+with dK/dm from DLMF 19.4.1.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import solve_ivp
+from scipy.special import ellipe, ellipj, ellipk
 
 from .fourier import cos_analyze, cos_synthesis_matrix
 
@@ -33,12 +40,10 @@ __all__ = [
     "monodromy",
 ]
 
-_IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
-
 
 class NoPeriodicOrbitError(ValueError):
     """The requested amplitude does not lie on a bounded periodic level set,
-    or its orbit cannot be integrated to the requested energy tolerance."""
+    or its sampled orbit misses the requested energy tolerance."""
 
 
 @dataclass(frozen=True)
@@ -166,15 +171,15 @@ class PlanarOrbit:
         a = self.amplitude
         return PlanarState(a + (self.f3 / 8.0) * a**3, 0.0)
 
+    def sample(self, taus: Array | float) -> tuple[Array, Array]:
+        """Closed-form (p, p_tau) of the orbit at the given times."""
+        return _sample(self.f3, self.amplitude, taus)
+
     def trajectory(self, M: int | None = None) -> VTrajectory:
+        """The orbit on the uniform M-point grid (default: its own grid)."""
         M = M or self.p.shape[0]
-        traj = VTrajectory(self.period, self.p, self.p_tau,
-                           start=(self.amplitude, 0.0))
-        if M != traj.n_samples:
-            grid = self.period * np.arange(M) / M
-            traj = VTrajectory(self.period, traj.v_at(grid), traj.v_tau_at(grid),
-                               start=traj.start)
-        return traj
+        p, p_tau = self.sample(self.period * np.arange(M) / M)
+        return VTrajectory(self.period, p, p_tau, start=(self.amplitude, 0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,14 +192,51 @@ class PlanarOrbit:
         }
 
 
+def _parameter(f3: float, amplitude: float) -> tuple[float, float, float]:
+    """beta = f3/8, Omega and the elliptic parameter m of the orbit."""
+    beta = f3 / 8.0
+    omega2 = 1.0 + beta * amplitude**2
+    return beta, float(np.sqrt(omega2)), beta * amplitude**2 / (2.0 * omega2)
+
+
+def _sample(f3: float, amplitude: float, taus: Array | float) -> tuple[Array, Array]:
+    """(p, p_tau) of the orbit through (amplitude, 0) at the given times."""
+    _, omega, m = _parameter(f3, amplitude)
+    if m >= 0.0:
+        sn, cn, dn, _ = ellipj(omega * np.asarray(taus, dtype=float), m)
+        return amplitude * cn, -amplitude * omega * sn * dn
+    # cn(u | m) = cd(u s | mu), and d/du cd(u | mu) = -(1 - mu) sn / dn^2
+    mu, s = -m / (1.0 - m), float(np.sqrt(1.0 - m))
+    sn, cn, dn, _ = ellipj(omega * s * np.asarray(taus, dtype=float), mu)
+    return amplitude * cn / dn, -amplitude * omega * s * (1.0 - mu) * sn / dn**2
+
+
+def _period(f3: float, amplitude: float) -> tuple[float, float]:
+    """Period T = 4 K(m) / Omega and dT/da = 4 beta a (K'(m) / Omega^5
+    - K(m) / Omega^3), with K'(m) = (E - (1 - m) K) / (2 m (1 - m))
+    (DLMF 19.4.1), or its Maclaurin series where that cancels (|m| < 1e-3).
+    """
+    beta, omega, m = _parameter(f3, amplitude)
+    K = float(ellipk(m))
+    if abs(m) < 1e-3:
+        dK = 0.5 * np.pi * (0.25 + m * (9.0 / 32.0 + m * (75.0 / 256.0
+                                                          + m * 1225.0 / 4096.0)))
+    else:
+        dK = (float(ellipe(m)) - (1.0 - m) * K) / (2.0 * m * (1.0 - m))
+    slope = beta * amplitude / omega**3
+    return 4.0 * K / omega, 4.0 * slope * (dK / omega**2 - K)
+
+
 def find_orbit(f3: float, amplitude: float, tol: float = 1e-12,
                n_samples: int = 512) -> PlanarOrbit:
-    """Periodic orbit through (amplitude, 0), period located to tol.
+    """Periodic orbit through (amplitude, 0), sampled on ``n_samples`` points.
 
-    Integration is adaptive high-order Runge-Kutta; the first return to the
-    section {p_tau = 0, p > 0} is refined by root-finding on the dense
-    output.  For ``f3 < 0`` the amplitude must stay inside the bounded
-    component below the saddle at sqrt(-8/f3).
+    Period and samples come from the closed form in Jacobi elliptic
+    functions (DLMF 22.19(ii)).  For
+    ``f3 < 0`` the amplitude must stay inside the bounded component below
+    the saddle at sqrt(-8/f3); next to it the parameter mu of the
+    transformed functions approaches 1, so the samples' energy drift is
+    checked against ``tol`` (floored at 1e-10).
     """
     if not (np.isfinite(amplitude) and amplitude > 0):
         raise ValueError("amplitude must be a finite positive number")
@@ -203,44 +245,19 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-12,
             f"amplitude {amplitude:.6g} is outside the bounded component "
             f"(separatrix at {np.sqrt(-8.0 / f3):.6g})")
 
-    def rhs(_t, y):
-        return [y[1], -y[0] - (f3 / 8.0) * y[0] ** 3]
-
-    # p_tau starts at 0 and goes negative; its first upward crossing is the
-    # half period (the orbit is even in tau), which avoids the spurious
-    # event at tau = 0 that a full-return section would trigger.
-    def half_section(_t, y):
-        return y[1]
-
-    half_section.terminal = True
-    half_section.direction = 1.0
-
-    t_max = 1e4
-    sol = solve_ivp(rhs, (0.0, t_max), [amplitude, 0.0], events=half_section,
-                    dense_output=True, **_IVP_OPTS)
-    if sol.t_events[0].size == 0:
-        raise NoPeriodicOrbitError("no return detected (near-separatrix orbit?)")
-    period = 2.0 * float(sol.t_events[0][0])
-
-    if n_samples % 2:
+    period, _ = _period(f3, amplitude)
+    if n_samples % 2:       # an even grid samples the turning point T/2
         n_samples += 1
     grid = period * np.arange(n_samples) / n_samples
-    half = n_samples // 2
-    direct = sol.sol(grid[: half + 1])
-    states = np.empty((2, n_samples))
-    states[:, : half + 1] = direct
-    # reflect across the half period: p(T - t) = p(t), p_tau(T - t) = -p_tau(t)
-    states[0, half + 1:] = direct[0, 1:half][::-1]
-    states[1, half + 1:] = -direct[1, 1:half][::-1]
+    p, p_tau = _sample(f3, amplitude, grid)
     energy = h_star((amplitude, 0.0), f3)
-    drift = np.max(np.abs(0.5 * states[1] ** 2 + 0.5 * states[0] ** 2
-                          + (f3 / 32.0) * states[0] ** 4 - energy))
-    if drift > max(tol, 1e-10):
+    drift = np.max(np.abs(h_star(PlanarState(p, p_tau), f3) - energy))
+    if not drift <= max(tol, 1e-10):
         raise NoPeriodicOrbitError(
             f"energy drift {drift:.2e} on the sampled orbit exceeds the "
             f"tolerance {max(tol, 1e-10):.2e}; the orbit is not resolved")
     return PlanarOrbit(f3=f3, amplitude=amplitude, period=period, energy=energy,
-                       tau=grid, p=states[0], p_tau=states[1])
+                       tau=grid, p=p, p_tau=p_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -267,52 +284,26 @@ class MonodromyReport:
         }
 
 
-def monodromy(orbit: PlanarOrbit, eig_tol: float = 1e-8,
-              rank_gap: float = 1e-4) -> MonodromyReport:
+def monodromy(orbit: PlanarOrbit, rank_gap: float = 1e-4) -> MonodromyReport:
     """Monodromy matrix of the variational flow along one orbit period.
 
-    Non-degeneracy requires both eigenvalues equal to 1 (within ``eig_tol``)
-    with geometric multiplicity one, i.e. rank(M - I) = 1 detected through a
-    singular-value gap at ``rank_gap``.
-
-    The eigenvalue pair is recovered from the trace and determinant, which
-    are well conditioned; a direct eigensolve of the (generically defective)
-    monodromy matrix splits the double root by the square root of roundoff
-    and would be meaningless at these tolerances.  A discriminant below the
-    roundoff scale is therefore treated as an exact double root.
+    Along an orbit of a planar Hamiltonian flow the tangent v is carried to
+    itself, and the energy-gradient direction picks up the period's twist:
+    in (p, p_tau) coordinates at the base point (a, 0),
+    ``M = [[1, 0], [T'(a) (a + beta a^3), 1]]``, with T'(a) from the period
+    4 K(m) / Omega (DLMF 22.19(ii), dK/dm by DLMF 19.4.1).  Both
+    eigenvalues are exactly 1; the orbit is non-degenerate when
+    that eigenvalue has geometric multiplicity one, i.e. when the twist
+    |M[1, 0]| exceeds ``rank_gap``.
     """
-    f3 = orbit.f3
-
-    def rhs(_t, y):
-        p = y[0]
-        a21 = -1.0 - 0.375 * f3 * p * p
-        return [y[1], -p - (f3 / 8.0) * p**3,
-                y[4], y[5],
-                a21 * y[2], a21 * y[3]]
-
-    y0 = [orbit.amplitude, 0.0, 1.0, 0.0, 0.0, 1.0]
-    sol = solve_ivp(rhs, (0.0, orbit.period), y0, **_IVP_OPTS)
-    if not sol.success:
-        raise RuntimeError(f"variational integration failed: {sol.message}")
-    yf = sol.y[:, -1]
-    M = np.array([[yf[2], yf[3]], [yf[4], yf[5]]])
-    tr = M[0, 0] + M[1, 1]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    disc = 0.25 * tr * tr - det
-    if abs(disc) <= 1e-10:
-        eigs = (complex(0.5 * tr), complex(0.5 * tr))
-    else:
-        root = np.sqrt(complex(disc))
-        eigs = (complex(0.5 * tr + root), complex(0.5 * tr - root))
-    svals = np.linalg.svd(M - np.eye(2), compute_uv=False)
-    rank = int(np.sum(svals > rank_gap))
-    nondeg = bool(abs(eigs[0] - 1.0) <= eig_tol and abs(eigs[1] - 1.0) <= eig_tol
-                  and rank == 1)
+    _, slope = _period(orbit.f3, orbit.amplitude)
+    twist = slope * orbit.conormal.p          # T'(a) (a + beta a^3)
+    rank = int(abs(twist) > rank_gap)
     return MonodromyReport(
-        matrix=M,
-        eigenvalues=eigs,
-        det=float(det),
-        singular_values_M_minus_I=(float(svals[0]), float(svals[1])),
+        matrix=np.array([[1.0, 0.0], [twist, 1.0]]),
+        eigenvalues=(1.0 + 0.0j, 1.0 + 0.0j),
+        det=1.0,
+        singular_values_M_minus_I=(float(abs(twist)), 0.0),
         rank_deficiency_of_M_minus_I=2 - rank,
-        nondegenerate=nondeg,
+        nondegenerate=rank == 1,
     )

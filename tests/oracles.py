@@ -3,11 +3,12 @@
 Every derived expectation in the tests is pinned by one of these oracles
 rather than by the code under test: periods come from an energy quadrature,
 divisor roots from exact-rational bisection, derivatives from centered
-differences, and monodromy from a finite-difference flow map.  None of the
+differences, and orbits and monodromy from DOP853 integrations of the
+limit oscillator (the package itself uses the closed form).  None of the
 functions below import from the package's numerical core except where a
-plain trajectory integration is unavoidable (flow-map oracle), and there
-only through the public planar ODE right-hand side evaluated symbolically
-in place.  The exceptions are the dense references for the Newton solve:
+plain trajectory integration is unavoidable (orbit and flow-map oracles),
+and there only through the planar ODE right-hand side written in place.
+The exceptions are the dense references for the Newton solve:
 `assemble_L` reuses the package's multiplier samples and symbol but
 assembles every matrix entry by its own route, and `oracle_newton_solve`
 runs undamped Newton on the package's residual `assemble_F` with a
@@ -46,6 +47,52 @@ def duffing_period(amplitude: float, f3: float) -> float:
     value, err = quad(integrand, 0.0, np.pi / 2.0, epsabs=1e-14, epsrel=1e-13)
     assert err < 1e-10
     return 4.0 * value
+
+
+def duffing_period_slope(amplitude: float, f3: float) -> float:
+    """dT/da of `duffing_period`, differentiating its integrand in a:
+        dT/da = -(f3 a / 4) int_0^{pi/2} (1 + sin^2 theta)
+                  / (1 + f3 a^2 (1 + sin^2 theta)/16)^(3/2) dtheta.
+    """
+    a2 = amplitude * amplitude
+
+    def integrand(theta):
+        s2 = 1.0 + np.sin(theta) ** 2
+        return s2 / (1.0 + f3 * a2 * s2 / 16.0) ** 1.5
+
+    value, err = quad(integrand, 0.0, np.pi / 2.0, epsabs=1e-14, epsrel=1e-13)
+    assert err < 1e-10
+    return -0.25 * f3 * amplitude * value
+
+
+def oracle_orbit(f3: float, amplitude: float,
+                 n_samples: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Period and (p, p_tau) samples of the orbit through (a, 0) by DOP853.
+
+    Integrates p'' = -p - (f3/8) p^3 to the first upward crossing of
+    p_tau = 0, which is the half period (the orbit is even in tau), and
+    samples the dense output on the uniform ``n_samples``-point grid of the
+    first half, reflecting it into the second: p(T - t) = p(t),
+    p_tau(T - t) = -p_tau(t).  Independent of the package's closed form.
+    """
+    def rhs(_t, y):
+        return [y[1], -y[0] - (f3 / 8.0) * y[0] ** 3]
+
+    def half_section(_t, y):
+        return y[1]
+
+    half_section.terminal = True
+    half_section.direction = 1.0
+    sol = solve_ivp(rhs, (0.0, 1e4), [amplitude, 0.0], events=half_section,
+                    dense_output=True, method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.t_events[0].size == 1, "no half-period return detected"
+    period = 2.0 * float(sol.t_events[0][0])
+    assert n_samples % 2 == 0
+    half = n_samples // 2
+    direct = sol.sol(period * np.arange(half + 1) / n_samples)
+    p = np.concatenate([direct[0], direct[0, 1:half][::-1]])
+    p_tau = np.concatenate([direct[1], -direct[1, 1:half][::-1]])
+    return period, p, p_tau
 
 
 def divisor_root_exact(k: int, lam_num: int, lam_den: int = 1,

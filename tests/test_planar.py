@@ -13,7 +13,8 @@ from kgperiodic.planar import (
     monodromy,
 )
 
-from oracles import duffing_period, fd_monodromy
+from oracles import (duffing_period, duffing_period_slope, fd_monodromy,
+                     oracle_orbit)
 
 # Period of the a = 1, f3 = 1 orbit by the energy quadrature oracle.
 T_A1_ORACLE = 6.008794252858908
@@ -74,6 +75,15 @@ class TestFindOrbit:
         v, vp = orbit.tangent, orbit.conormal
         assert abs(v.p * vp.p + v.p_tau * vp.p_tau) <= 1e-12
 
+    @pytest.mark.parametrize("f3, amplitude", [(6.0, 1e-9), (-1.0, 2.828)])
+    def test_period_at_extreme_amplitudes(self, f3, amplitude):
+        # a tiny phi4 orbit (an absolute integrator tolerance would be a
+        # large share of the state) and a softening orbit 4e-4 inside the
+        # separatrix at sqrt(8)
+        orbit = find_orbit(f3, amplitude)
+        assert orbit.period == pytest.approx(duffing_period(amplitude, f3),
+                                             abs=1e-10)
+
     def test_soft_potential_well_boundary(self):
         # f3 < 0: bounded orbits only below the saddle amplitude sqrt(-8/f3)
         assert find_orbit(-1.0, 0.5).period > 2 * np.pi
@@ -81,13 +91,31 @@ class TestFindOrbit:
             find_orbit(-1.0, 3.0)
 
 
+# hardening (f3 = 1, 6) and softening (f3 = -1, -6) orbits, the softening ones
+# up to 0.88 of the separatrix amplitude sqrt(-8/f3)
+ORACLE_GRID = [(f3, a) for f3 in (1.0, 6.0) for a in (0.3, 0.9, 2.0)] \
+    + [(-1.0, 1.0), (-1.0, 2.5), (-6.0, 0.9)]
+
+
+@pytest.mark.parametrize("f3, amplitude", ORACLE_GRID)
+def test_closed_form_against_integrated_orbit(f3, amplitude):
+    orbit = find_orbit(f3, amplitude, n_samples=128)
+    period, p, p_tau = oracle_orbit(f3, amplitude, 128)
+    assert abs(orbit.period - period) <= 1e-11
+    assert np.max(np.abs(orbit.p - p)) <= 1e-10
+    assert np.max(np.abs(orbit.p_tau - p_tau)) <= 1e-10
+    fd = fd_monodromy(amplitude, f3, orbit.period)
+    assert np.max(np.abs(monodromy(orbit).matrix - fd)) <= 1e-5
+
+
 @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"),
                                        -float("inf"), 0.0, -1.0])
 def test_bad_amplitude_rejected_before_integration(amplitude, monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("solve_ivp called with an invalid amplitude")
+        raise AssertionError("orbit evaluated at an invalid amplitude")
 
-    monkeypatch.setattr(planar, "solve_ivp", fail)
+    for name in ("ellipj", "ellipk", "ellipe"):
+        monkeypatch.setattr(planar, name, fail)
     with pytest.raises(ValueError,
                        match="amplitude must be a finite positive number"):
         find_orbit(1.0, amplitude)
@@ -115,6 +143,16 @@ class TestMonodromy:
         rep = monodromy(orbit)
         fd = fd_monodromy(1.0, 1.0, orbit.period)
         assert np.max(np.abs(rep.matrix - fd)) < 1e-5
+
+    @pytest.mark.parametrize("amplitude", [1e-4, 0.1266, 0.1267])
+    def test_twist_against_quadrature(self, amplitude):
+        # M[1, 0] = T'(a) (a + a^3/8) at f3 = 1: a twist of 6e-9 at a = 1e-4,
+        # and the elliptic parameter just below and above the m = 1e-3
+        # switch from the series of dK/dm to its closed form
+        rep = monodromy(find_orbit(1.0, amplitude))
+        exact = duffing_period_slope(amplitude, 1.0) * (amplitude
+                                                        + amplitude**3 / 8.0)
+        assert rep.matrix[1, 0] == pytest.approx(exact, rel=2e-12, abs=0.0)
 
     def test_det_preserved_generic(self, rng):
         for a in rng.uniform(0.3, 1.5, 3):

@@ -63,7 +63,6 @@ from .closure import (
     DegenerateOrbitError,
     IntegrationError,
     OuterLoopError,
-    check_closure,
     hamiltonian_H,
     galerkin_v,
     integrate_v,
@@ -72,11 +71,13 @@ from .closure import (
 from .assembly import (
     AssembledSolution,
     AssemblyError,
+    SolvedPoint,
     SweepReport,
     SweepRow,
     assemble_u,
     epsilon_sweep,
     pde_residual,
+    solve_point,
     tail_norm,
 )
 from .properties import PropertyResult, run_all

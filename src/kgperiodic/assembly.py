@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.stats import linregress
 
 from .closure import (ClosureResult, DegenerateOrbitError, IntegrationError,
                       OuterLoopError, solve_delta1)
-from .divisors import ResonanceError
+from .divisors import ResonanceError, _linear_fit
 from .fourier import SpaceTimeField
 from .nonlinearity import Nonlinearity
 from .planar import NoPeriodicOrbitError, PlanarOrbit, find_orbit
@@ -36,13 +35,23 @@ Array = NDArray[np.float64]
 __all__ = [
     "AssembledSolution",
     "AssemblyError",
+    "SolvedPoint",
     "SweepRow",
     "SweepReport",
+    "SOLVE_FAILURES",
     "assemble_u",
     "pde_residual",
     "tail_norm",
+    "solve_point",
     "epsilon_sweep",
 ]
+
+# The documented solve failures; a resonant eps (`ResonanceError`) is
+# reported apart, and logic errors such as `AssemblyError` propagate.
+SOLVE_FAILURES = (NonConvergenceError, OuterLoopError, DegenerateOrbitError,
+                  NoPeriodicOrbitError, IntegrationError)
+_TAIL_N_X = 128    # x samples of `tail_norm`
+_PEAK_GRID = 192   # (x, t) samples a side of max|u|
 
 
 class AssemblyError(RuntimeError):
@@ -145,32 +154,18 @@ class AssembledSolution:
         odd = np.abs(u1 + self.u_values(xs, -ts)).max()
         return float(even), float(odd)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "omega": self.omega,
-            "t_period": self.t_period,
-            "x_period": self.x_period,
-            "slow_period": self.period,
-            "v_cos_coeffs": [float(c) for c in self.v_cos_coeffs],
-            "w": None if self.w is None else self.w.to_json_dict(),
-        }
 
-
-def assemble_u(closure: ClosureResult, w: SpaceTimeField | None,
-               eps: float) -> AssembledSolution:
-    """Build the evaluator from a converged closure and fast field.
+def assemble_u(closure: ClosureResult) -> AssembledSolution:
+    """Build the evaluator from a converged closure and its fast field.
 
     Symmetries (even in x, odd in t) are asserted on a 32 x 32 sample grid;
     a violation indicates an upstream convention bug, not a tolerance issue.
     """
-    if abs(closure.eps - eps) > 1e-14:
-        raise ValueError("closure result and eps disagree")
-    model = None if closure.run is None else closure.run.system.model
+    run = closure.run
     traj = closure.V_traj
-    sol = AssembledSolution(eps=eps, period=traj.period,
-                            v_cos_coeffs=traj.cos_coeffs.copy(), w=w,
-                            model=model)
+    sol = AssembledSolution(eps=closure.eps, period=traj.period,
+                            v_cos_coeffs=traj.cos_coeffs.copy(),
+                            w=run.w_physical, model=run.system.model)
     even, odd = sol.symmetry_defects()
     scale = max(1.0, np.abs(traj.v_samples).max())
     if even > 1e-12 * scale or odd > 1e-12 * scale:
@@ -187,8 +182,7 @@ def pde_residual(sol: AssembledSolution, grid: tuple[int, int] = (128, 128)) -> 
     return float(np.abs(sol.residual_values(xs, ts)).max())
 
 
-def tail_norm(sol: AssembledSolution, limit_orbit: PlanarOrbit,
-              n_x: int = 128, M_t: int | None = None) -> float:
+def tail_norm(sol: AssembledSolution, limit_orbit: PlanarOrbit) -> float:
     """sup_x of the C^0_t norm of Q_t[u(x, .)/eps - p(eps omega x)].
 
     Q_t projects onto span{sin(k omega t), k >= 2}; by construction the
@@ -198,9 +192,9 @@ def tail_norm(sol: AssembledSolution, limit_orbit: PlanarOrbit,
     if sol.w is None:
         return 0.0
     K = sol.w.band_x
-    M_t = M_t or max(64, 4 * (K + 2))
+    M_t = max(64, 4 * (K + 2))
     ts = np.arange(M_t) * sol.t_period / M_t
-    xs = np.linspace(0.0, sol.x_period, n_x, endpoint=False)
+    xs = np.linspace(0.0, sol.x_period, _TAIL_N_X, endpoint=False)
     u = sol.u_values(xs, ts) / sol.eps              # (M_t, n_x)
     y = sol.eps * sol.omega * xs
     # subtract the limit profile (constant in t per column)
@@ -213,6 +207,45 @@ def tail_norm(sol: AssembledSolution, limit_orbit: PlanarOrbit,
     coef[:2, :] = 0.0
     proj = S @ coef                                  # (M_t, n_x)
     return float(np.abs(proj).max())
+
+
+@dataclass(frozen=True)
+class SolvedPoint:
+    """One (amplitude, eps) point solved, assembled and measured."""
+
+    orbit: PlanarOrbit
+    closure: ClosureResult
+    solution: AssembledSolution
+    residual: float            # `pde_residual` on the requested grid
+    max_u: float               # max|u| on the `_PEAK_GRID` square grid
+    tail: float                # `tail_norm`
+
+    @property
+    def max_u_over_eps(self) -> float:
+        return self.max_u / self.closure.eps
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.closure.closed and self.closure.run.converged)
+
+
+def solve_point(model: Nonlinearity, amplitude: float, eps: float,
+                solver_cfg: SolverConfig,
+                residual_grid: tuple[int, int]) -> SolvedPoint:
+    """Limit orbit, closure, assembly and the measurements at one point.
+
+    Raises `ResonanceError` for a resonant eps and one of `SOLVE_FAILURES`
+    when the solve fails; logic errors propagate.
+    """
+    orbit = find_orbit(model.f3, amplitude)
+    closure = solve_delta1(orbit, eps, model, solver=solver_cfg)
+    sol = assemble_u(closure)
+    xs = np.linspace(0.0, sol.x_period, _PEAK_GRID, endpoint=False)
+    ts = np.linspace(0.0, sol.t_period, _PEAK_GRID, endpoint=False)
+    return SolvedPoint(orbit=orbit, closure=closure, solution=sol,
+                       residual=pde_residual(sol, residual_grid),
+                       max_u=float(np.abs(sol.u_values(xs, ts)).max()),
+                       tail=tail_norm(sol, orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -272,38 +305,21 @@ class SweepReport:
 def _sweep_one(args) -> SweepRow:
     model, amplitude, eps, solver_cfg, residual_grid = args
     try:
-        orbit = find_orbit(model.f3, amplitude)
-        closure = solve_delta1(orbit, eps, model, solver=solver_cfg)
-        w = closure.run.w_physical
-        sol = assemble_u(closure, w, eps)
-        res = pde_residual(sol, residual_grid)
-        xs = np.linspace(0.0, sol.x_period, 192, endpoint=False)
-        ts = np.linspace(0.0, sol.t_period, 192, endpoint=False)
-        max_u = float(np.abs(sol.u_values(xs, ts)).max())
-        tl = tail_norm(sol, orbit)
-        converged = bool(closure.closed and closure.run.converged)
-        return SweepRow(eps=eps, resonant_skip=False, converged=converged,
-                        residual=res, max_u_over_eps=max_u / eps, tail=tl,
-                        delta1=closure.delta1, w_norm_1=w.norm(1.0),
-                        message="" if converged else "closure tolerances not met")
-    except ResonanceError as ex:
-        return SweepRow(eps=eps, resonant_skip=True, converged=False,
+        point = solve_point(model, amplitude, eps, solver_cfg, residual_grid)
+    except (ResonanceError, *SOLVE_FAILURES) as ex:
+        resonant = isinstance(ex, ResonanceError)
+        return SweepRow(eps=eps, resonant_skip=resonant, converged=False,
                         residual=math.nan, max_u_over_eps=math.nan,
                         tail=math.nan, delta1=math.nan, w_norm_1=math.nan,
-                        message=str(ex))
-    except (NonConvergenceError, OuterLoopError, DegenerateOrbitError,
-            NoPeriodicOrbitError, IntegrationError) as ex:
-        return SweepRow(eps=eps, resonant_skip=False, converged=False,
-                        residual=math.nan, max_u_over_eps=math.nan,
-                        tail=math.nan, delta1=math.nan, w_norm_1=math.nan,
-                        message=f"{type(ex).__name__}: {ex}")
-
-
-def _fit(xs, ys) -> tuple[float, float]:
-    if len(xs) < 2 or np.ptp(xs) == 0.0:
-        return math.nan, math.nan
-    f = linregress(xs, ys)
-    return float(f.slope), float(f.rvalue**2)
+                        message=(str(ex) if resonant
+                                 else f"{type(ex).__name__}: {ex}"))
+    return SweepRow(eps=eps, resonant_skip=False, converged=point.converged,
+                    residual=point.residual,
+                    max_u_over_eps=point.max_u_over_eps, tail=point.tail,
+                    delta1=point.closure.delta1,
+                    w_norm_1=point.solution.w.norm(1.0),
+                    message=("" if point.converged
+                             else "closure tolerances not met"))
 
 
 def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
@@ -312,10 +328,10 @@ def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
                   workers: int = 1) -> SweepReport:
     """Run the full pipeline per eps and aggregate the theorem's fit laws.
 
-    Resonant entries are skipped with a report line; documented solve
-    failures (non-convergence, degenerate or missing orbit, failed
-    integration) become failed rows and the sweep continues, while logic
-    errors such as `ClosureConsistencyError` propagate.  Every skipped or
+    Each row is one `solve_point`.  Resonant entries are skipped with a
+    report line; documented solve failures (`SOLVE_FAILURES`) become failed
+    rows and the sweep continues, while logic errors such as
+    `ClosureConsistencyError` propagate.  Every skipped or
     failed row says why in `SweepRow.message`, and `summary_json` lists
     those reasons under ``failures``.  Rows are deterministic and emitted
     sorted by eps regardless of parallel schedule.
@@ -341,11 +357,11 @@ def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
         wn = np.array([r.w_norm_1 for r in conv])
         d1 = np.array([abs(r.delta1) for r in conv])
         if np.all(tails > 0):
-            tail_slope, tail_r2 = _fit(inv_eps, np.log(tails))
+            tail_slope, tail_r2 = _linear_fit(inv_eps, np.log(tails))
         if np.all(wn > 0):
-            w_slope, w_r2 = _fit(inv_eps, np.log(wn))
+            w_slope, w_r2 = _linear_fit(inv_eps, np.log(wn))
         if np.all(d1 > 0):
-            d_slope, _ = _fit(inv_eps, np.log(d1))
+            d_slope, _ = _linear_fit(inv_eps, np.log(d1))
         amps = np.array([r.max_u_over_eps for r in conv])
         amp_ratio = float(amps.max() / amps.min())
 

@@ -12,7 +12,8 @@ Exit codes:
     2  requested epsilon falls in a resonance window (window named), or the
        linearization's sigma_min enclosure collapses there (divisor named)
     3  degenerate or missing planar orbit
-    4  solver non-convergence (diagnostics written) or selftest failure
+    4  solver non-convergence or failed slow-equation integration
+       (diagnostics written), or selftest failure
     5  sweep finished with too few converged rows for the fit laws
 """
 
@@ -27,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import assemble_u, epsilon_sweep, pde_residual, tail_norm
-from .closure import DegenerateOrbitError, OuterLoopError, solve_delta1
+from .assembly import SOLVE_FAILURES, epsilon_sweep, solve_point
+from .closure import DegenerateOrbitError
 from .divisors import (
     CoverageError,
     DivisorTable,
@@ -39,8 +40,7 @@ from .divisors import (
 from .nonlinearity import Nonlinearity, TrustRadiusError
 from .planar import NoPeriodicOrbitError, find_orbit, monodromy
 from .properties import DEFAULT_SEED, run_all
-from .solver import (NonConvergenceError, SolverConfig, check_admissible,
-                     validate_eps)
+from .solver import SolverConfig, check_admissible, validate_eps
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -254,7 +254,7 @@ def cmd_limit_orbit(cfg: dict) -> int:
     amplitude = _get_number(cfg, "amplitude", None, lo=None)
     if amplitude is None or amplitude <= 0.0:
         raise ConfigError("field 'amplitude' must be a positive number")
-    tol = _get_number(cfg, "tol", 1e-12, lo=0.0)
+    tol = _get_number(cfg, "tol", 1e-10, lo=0.0)
     n_samples = _get_number(cfg, "n_samples", 512, lo=16, hi=MAX_ORBIT_SAMPLES,
                             integer=True)
     out = _out_dir(cfg)
@@ -339,19 +339,17 @@ def cmd_solve(cfg: dict) -> int:
                 "solver": resolved_solver, "out_dir": str(out)}
 
     try:
-        orbit = find_orbit(model.f3, amplitude)
-    except NoPeriodicOrbitError as ex:
-        print(f"no periodic orbit: {ex}", file=sys.stderr)
-        return EXIT_NO_ORBIT
-    try:
-        closure = solve_delta1(orbit, eps, model, solver=solver_cfg)
+        point = solve_point(model, amplitude, eps, solver_cfg, (128, 128))
     except ResonanceError as ex:
         print(f"resonant epsilon: {ex}", file=sys.stderr)
         return EXIT_RESONANT
+    except NoPeriodicOrbitError as ex:
+        print(f"no periodic orbit: {ex}", file=sys.stderr)
+        return EXIT_NO_ORBIT
     except DegenerateOrbitError as ex:
         print(f"degenerate orbit: {ex}", file=sys.stderr)
         return EXIT_NO_ORBIT
-    except (NonConvergenceError, OuterLoopError) as ex:
+    except SOLVE_FAILURES as ex:
         diag = {"config": resolved, "error": f"{type(ex).__name__}: {ex}"}
         stages = getattr(ex, "stages", None)
         if stages:
@@ -364,15 +362,7 @@ def cmd_solve(cfg: dict) -> int:
               f"(diagnostics -> {out / 'diagnostics.json'})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    run = closure.run
-    w = run.w_physical
-    sol = assemble_u(closure, w, eps)
-    residual = pde_residual(sol, (128, 128))
-    xs = np.linspace(0.0, sol.x_period, 192, endpoint=False)
-    ts = np.linspace(0.0, sol.t_period, 192, endpoint=False)
-    max_u = float(np.abs(sol.u_values(xs, ts)).max())
-    tail = tail_norm(sol, orbit)
-
+    closure, sol = point.closure, point.solution
     doc = {
         "config": resolved,
         "closure": closure.to_json_dict(),
@@ -380,17 +370,17 @@ def cmd_solve(cfg: dict) -> int:
             "omega": sol.omega,
             "t_period": sol.t_period,
             "x_period": sol.x_period,
-            "pde_residual_128": residual,
-            "max_u": max_u,
-            "max_u_over_eps": max_u / eps,
-            "tail_sup": tail,
-            "w_sup": w.sup_norm(),
+            "pde_residual_128": point.residual,
+            "max_u": point.max_u,
+            "max_u_over_eps": point.max_u_over_eps,
+            "tail_sup": point.tail,
+            "w_sup": sol.w.sup_norm(),
             "symmetry_defects": sol.symmetry_defects(),
         },
     }
     _write_json(out / "solve.json", doc)
     _write_json(out / "w_field.json", {"config": resolved,
-                                       "field": w.to_json_dict()})
+                                       "field": sol.w.to_json_dict()})
     traj = closure.V_traj
     grid = traj.period * np.arange(traj.v_samples.shape[0]) / traj.v_samples.shape[0]
     _write_json(out / "v_traj.json", {
@@ -402,10 +392,9 @@ def cmd_solve(cfg: dict) -> int:
                         zip(grid, traj.v_samples, traj.v_tau_samples)],
         },
     })
-    ok = bool(closure.closed and run.converged)
-    print(f"solve: eps {eps!r} converged {run.converged} closed {closure.closed} "
-          f"residual {residual!r} -> {out / 'solve.json'}")
-    if not ok:
+    print(f"solve: eps {eps!r} converged {closure.run.converged} closed "
+          f"{closure.closed} residual {point.residual!r} -> {out / 'solve.json'}")
+    if not point.converged:
         print("pipeline finished without meeting the closure tolerances",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE

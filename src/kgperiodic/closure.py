@@ -6,7 +6,8 @@ a periodic problem at the seed orbit's period p, solved by cosine Galerkin
 start point's offset along the conormal direction v_perp of the seed orbit.
 A DOP853 integration from that start point certifies the closure: the
 tangential return defect and the conormal defect d must vanish, the latter
-by invariance of the Hamiltonian, and d and the H-mismatch are cross-checked.
+by invariance of the Hamiltonian, and a nonzero d is cross-checked against
+the H-mismatch it must cause.
 """
 
 from __future__ import annotations
@@ -37,11 +38,18 @@ __all__ = [
     "galerkin_v",
     "solve_delta1",
     "hamiltonian_H",
-    "check_closure",
 ]
 
 _IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
 _M_X = 64      # x-collocation points of the slow equation's forcing
+_M_X_H = 128   # x-collocation points of the Hamiltonian's potential term
+_N_SAMPLES = 256           # tau samples of the seed trajectory
+_MAX_OUTER = 10            # rounds of the closure loop
+_TOL_OUTER = 1e-10         # settled delta_1 and w-update that end the loop
+_DERIVATIVE_FLOOR = 1e-3   # smallest |shooting derivative|
+_TOL_DEFECT = 1e-10        # a closed orbit's tangential defect is <= 10x this
+_TOL_D = 1e-8              # ... its conormal defect d at most this
+_TOL_H = 1e-8              # ... and its H-mismatch at most this
 
 
 class DegenerateOrbitError(RuntimeError):
@@ -66,8 +74,8 @@ class OuterLoopError(RuntimeError):
 
 
 def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
-                eps: float, model: Nonlinearity | None, period: float,
-                M_x: int = _M_X) -> tuple[Array, Array]:
+                eps: float, model: Nonlinearity | None,
+                period: float) -> tuple[Array, Array]:
     """Integrate the slow equation over one period from each start state.
 
     The starts are stacked into one DOP853 system, so they share one step
@@ -81,17 +89,17 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
     is formed.
     """
     m = len(starts)
-    # w(tau, x_m) = cos(omega tau) @ A on the M_x-point x grid
+    # w(tau, x_m) = cos(omega tau) @ A on the _M_X-point x grid
     A = omega = None
     if w is not None:
-        A = w.coeffs @ sin_synthesis_matrix(M_x, w.band_x).T
+        A = w.coeffs @ sin_synthesis_matrix(_M_X, w.band_x).T
         omega = 2.0 * np.pi * np.arange(w.band_tau + 1) / period
 
     def rhs(tau, y):
         v, v_tau = y[:m], y[m:]
         w_slice = None if A is None else np.cos(omega * tau) @ A
         return np.concatenate([v_tau, -v / (1.0 + eps**2)
-                               + project_P(collocate(model, eps, v, w_slice, M_x))])
+                               + project_P(collocate(model, eps, v, w_slice, _M_X))])
 
     y0 = [s.p for s in starts] + [s.p_tau for s in starts]
     sol = solve_ivp(rhs, (0.0, period), y0, **_IVP_OPTS)
@@ -158,7 +166,7 @@ def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
 # ---------------------------------------------------------------------------
 
 def hamiltonian_H(state: PlanarState, w_slice, w_tau_slice, eps: float,
-                  model: Nonlinearity | None, M_x: int = 128):
+                  model: Nonlinearity | None):
     """The conserved quantity of the coupled slow/fast system.
 
     Quadratic fast terms are summed exactly from sine coefficients
@@ -175,11 +183,12 @@ def hamiltonian_H(state: PlanarState, w_slice, w_tau_slice, eps: float,
     H += 0.5 * np.sum(bt**2, axis=-1)
     H += (0.5 / eps**2) * np.sum((k**2 - 1.0 / w2) * b**2 * (k >= 2), axis=-1)
     if model is not None:
-        xs = x_grid(M_x)
+        xs = x_grid(_M_X_H)
         xi = np.multiply.outer(state.p, np.sin(xs))
         if b.shape[-1] > 2:
-            xi = xi + (sin_synthesis_matrix(M_x, b.shape[-1] - 1) @ b.T).T
-        H += (2.0 / (M_x * w2)) * np.sum(model.scaled_antideriv(xi, eps), axis=-1)
+            xi = xi + (sin_synthesis_matrix(_M_X_H, b.shape[-1] - 1) @ b.T).T
+        H += (2.0 / (_M_X_H * w2)) * np.sum(model.scaled_antideriv(xi, eps),
+                                            axis=-1)
     return float(H) if np.ndim(H) == 0 else H
 
 
@@ -202,22 +211,16 @@ class ClosureResult:
     delta1: float
     defect_t: float            # tangential component of V(p) - P0
     d: float                   # conormal component minus delta1
-    H_start: float
-    H_end: float
+    H_mismatch: float          # |H(p) - H(0)| at the certificate's ends
     H_drift: float             # max |H(tau) - H(0)| over the certificate's steps
     outer_iters: int
     closed: bool
     derivative: float          # finite-difference d(defect_t)/d(delta1)
     V_traj: VTrajectory
-    end_state: PlanarState
     run: SolverRun | None
     history: tuple
     conormal: tuple[float, float]     # unit shooting direction n_hat
     resonance_first: ResonanceReport | None   # gate verdict of round 1
-
-    @property
-    def H_mismatch(self) -> float:
-        return abs(self.H_end - self.H_start)
 
     @property
     def resonance_final(self) -> ResonanceReport | None:
@@ -256,17 +259,14 @@ def _units(orbit: PlanarOrbit) -> tuple[PlanarState, Array, Array]:
 
 
 def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
-                 solver: SolverConfig | None = None,
-                 tol_defect: float = 1e-10, tol_outer: float = 1e-10,
-                 max_outer: int = 10, derivative_floor: float = 1e-3,
-                 n_samples: int = 256) -> ClosureResult:
+                 solver: SolverConfig | None = None) -> ClosureResult:
     """Couple the slow equation with fast solves until the orbit closes.
 
-    Alternates (a) `galerkin_v` at frozen w on ``n_samples`` tau samples,
+    Alternates (a) `galerkin_v` at frozen w on `_N_SAMPLES` tau samples,
     started from the seed orbit and then from the previous round, with (b)
     fast-component solves on the updated trajectory, until delta_1 and the
-    w-update both move by at most ``tol_outer``.  Round 1, and any round
-    that can end the loop (delta moved by at most ``tol_outer``), solves
+    w-update both move by at most `_TOL_OUTER`.  Round 1, and any round
+    that can end the loop (delta moved by at most `_TOL_OUTER`), solves
     cold behind the resonance gate; the rounds in between start Newton
     from the previous round's w and skip the gate.  The run left when the
     loop exits is the reported one: a cold, gated `nash_moser_solve` on
@@ -276,7 +276,13 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     control: the closed start point gives the return defects, end state
     and Hamiltonian drift (read at the integrator's accepted steps), and
     delta_1 + 1e-6 gives the shooting derivative by finite difference,
-    checked against ``derivative_floor``.
+    checked against `_DERIVATIVE_FLOOR`.
+
+    The orbit is ``closed`` when both return defects and the H-mismatch
+    are small.  By invariance of H a conormal defect d above `_TOL_D` must
+    change H by about |d| times the conormal H-gradient; a mismatch below
+    a quarter of that raises `ClosureConsistencyError`, a logic error and
+    not a tolerance issue.
     """
     eps = validate_eps(eps)
     if solver is None:
@@ -292,10 +298,10 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     run: SolverRun | None = None
     warm = replace(solver, check_resonance=False)
     first_gate: ResonanceReport | None = None
-    coeffs = orbit.trajectory(n_samples).cos_coeffs
+    coeffs = orbit.trajectory(_N_SAMPLES).cos_coeffs
     history: list[tuple] = []
 
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         # (a) the slow equation at frozen w; evenness puts V(0) on the
         # conormal line through the base point
         coeffs, r = galerkin_v(coeffs, w_field, eps, model, period)
@@ -304,7 +310,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
         # (b) fast solve on the updated trajectory; only a round whose delta
         # has settled may be the reported one, so it solves cold and gated
         ddelta = abs(delta - history[-1][0]) if history else abs(delta)
-        cold = outer == 1 or ddelta <= tol_outer
+        cold = outer == 1 or ddelta <= _TOL_OUTER
         run = nash_moser_solve(traj, eps, solver if cold else warm, model,
                                w0=None if cold else run.w)
         if outer == 1:
@@ -314,11 +320,11 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
               else (w_new - w_field).norm(1.0))
         history.append((delta, r, dw))
         w_field = w_new
-        if outer >= 2 and dw <= tol_outer and ddelta <= tol_outer:
+        if outer >= 2 and dw <= _TOL_OUTER and ddelta <= _TOL_OUTER:
             break
     else:
         raise OuterLoopError(
-            f"outer alternation did not converge in {max_outer} rounds",
+            f"outer alternation did not converge in {_MAX_OUTER} rounds",
             history=history)
 
     # DOP853 certificate with the converged w, and the shooting derivative
@@ -332,66 +338,35 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     d_val = float(diff @ n_hat) - delta
     t_pert = float((pert[:, -1] - base) @ t_hat)
     deriv = (t_pert - t_fin) / 1e-6
-    if abs(deriv) < derivative_floor:
+    if abs(deriv) < _DERIVATIVE_FLOOR:
         raise DegenerateOrbitError(
             f"shooting derivative {deriv:.3e} below floor "
-            f"{derivative_floor:.1e}")
+            f"{_DERIVATIVE_FLOOR:.1e}")
 
     # Hamiltonian at the certificate's accepted steps: the interior ones in
-    # one evaluation, the two ends one at a time as `check_closure` does
+    # one evaluation, the two ends one at a time
     H0 = _H_at(0.0, start_state, w_field, eps, model)
     H1 = _H_at(float(taus[-1]), end, w_field, eps, model)
     H = _H_at(taus[1:-1], PlanarState(cert[0, 1:-1], cert[1, 1:-1]), w_field,
               eps, model)
-    drift = max(float(np.max(np.abs(H - H0), initial=0.0)), abs(H1 - H0))
-
-    closed = bool(abs(t_fin) <= 10 * tol_defect and abs(d_val) <= 1e-8
-                  and abs(H1 - H0) <= 1e-8)
+    mismatch = abs(H1 - H0)
+    drift = max(float(np.max(np.abs(H - H0), initial=0.0)), mismatch)
+    if abs(d_val) > _TOL_D:
+        # the conormal H-gradient at the start state, by central difference
+        Hp, Hm = (_H_at(0.0, PlanarState(*(base + (delta + h) * n_hat)),
+                        w_field, eps, model) for h in (1e-6, -1e-6))
+        grad = abs(Hp - Hm) / 2e-6
+        if mismatch < 0.25 * abs(d_val) * grad:
+            raise ClosureConsistencyError(
+                f"conormal defect d = {d_val:.3e} with H-mismatch "
+                f"{mismatch:.3e} < 0.25 |d| grad_H = "
+                f"{0.25 * abs(d_val) * grad:.3e}: invariance argument violated")
+    closed = bool(abs(t_fin) <= 10 * _TOL_DEFECT and abs(d_val) <= _TOL_D
+                  and mismatch <= _TOL_H)
     return ClosureResult(eps=eps, amplitude=orbit.amplitude, delta1=delta,
-                         defect_t=t_fin, d=d_val, H_start=H0, H_end=H1,
+                         defect_t=t_fin, d=d_val, H_mismatch=mismatch,
                          H_drift=drift, outer_iters=outer, closed=closed,
-                         derivative=float(deriv), V_traj=traj, end_state=end,
-                         run=run, history=tuple(history),
+                         derivative=float(deriv), V_traj=traj, run=run,
+                         history=tuple(history),
                          conormal=(float(n_hat[0]), float(n_hat[1])),
                          resonance_first=first_gate)
-
-
-def _grad_H_conormal(result: ClosureResult, eps: float,
-                     model: Nonlinearity | None, h: float = 1e-6) -> float:
-    """|directional derivative of H along the conormal| at the start state."""
-    s = np.array(result.V_traj.start)
-    n_hat = np.array(result.conormal)
-    w = None if result.run is None else result.run.w_physical
-    Hp = _H_at(0.0, PlanarState(*(s + h * n_hat)), w, eps, model)
-    Hm = _H_at(0.0, PlanarState(*(s - h * n_hat)), w, eps, model)
-    return abs(Hp - Hm) / (2.0 * h)
-
-
-def check_closure(result: ClosureResult, eps: float,
-                  model: Nonlinearity | None,
-                  tol_d: float = 1e-8, tol_H: float = 1e-8,
-                  endpoint_perturbation: float = 0.0) -> bool:
-    """Closure verdict with the invariance cross-check.
-
-    A nonzero conormal defect d must show up as an H-mismatch of at least
-    ~|d|/2 times the conormal H-gradient; a large d with a matched H is a
-    logic error (raises), not a tolerance issue.  ``endpoint_perturbation``
-    shifts the end state along the conormal to exercise that check.
-    """
-    w = None if result.run is None else result.run.w_physical
-    base_start = np.array(result.V_traj.start)
-    end = np.array([result.end_state.p, result.end_state.p_tau])
-    n_hat = np.array(result.conormal)
-    if endpoint_perturbation:
-        end = end + endpoint_perturbation * n_hat
-    d_val = float((end - (base_start - result.delta1 * n_hat)) @ n_hat) - result.delta1
-    H_end = _H_at(result.V_traj.period, PlanarState(*end), w, eps, model)
-    mismatch = abs(H_end - result.H_start)
-    grad = _grad_H_conormal(result, eps, model)
-    closed = abs(d_val) <= tol_d and mismatch <= tol_H
-    if abs(d_val) > tol_d and mismatch < 0.25 * abs(d_val) * grad:
-        raise ClosureConsistencyError(
-            f"conormal defect d = {d_val:.3e} with H-mismatch {mismatch:.3e} "
-            f"< 0.25 |d| grad_H ({0.25 * abs(d_val) * grad:.3e}); "
-            "invariance argument violated — investigate")
-    return closed

@@ -15,6 +15,7 @@ measure O(eps0^(l-1)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -503,29 +504,38 @@ def window_measure(table: DivisorTable, params: ResonanceParams,
     return float(total)
 
 
+def _linear_fit(x: Array, y: Array) -> tuple[float, float]:
+    """Least-squares slope and R^2 of y against x, computed as
+    `scipy.stats.linregress` does (R^2 nan for a constant y); nan and nan
+    for fewer than two points or a constant x."""
+    if len(x) < 2 or np.ptp(x) == 0.0:
+        return math.nan, math.nan
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=True).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    return float(ssxym / ssxm), float(r**2)
+
+
 def measure_exponent_fit(table: DivisorTable, params: ResonanceParams,
                          eps0_list) -> tuple[float, float]:
     """Log-log slope and R^2 of window-union measure against eps0."""
-    from scipy.stats import linregress
-
     eps0 = np.asarray(sorted(eps0_list), dtype=float)
     meas = np.array([window_measure(table, params, e) for e in eps0])
     if np.any(meas <= 0.0):
         raise ValueError("window measure vanished; enlarge the table")
-    fit = linregress(np.log(eps0), np.log(meas))
-    return float(fit.slope), float(fit.rvalue**2)
+    return _linear_fit(np.log(eps0), np.log(meas))
 
 
-def divisor_min(eps: float, k: int, spectrum: HillSpectrum,
-                j_cap: int | None = None) -> tuple[float, int]:
+def divisor_min(eps: float, k: int, spectrum: HillSpectrum) -> tuple[float, int]:
     """Minimum over j of |D(k, j; eps)| and its argmin.
 
-    Scans j = 0..j_cap; the default cap 2k/eps + 16 safely brackets the
-    minimizer since divisors grow like eps^2 j^2 beyond j ~ k/eps.
+    Scans j up to the cap 2k/eps + 16, which safely brackets the minimizer
+    since divisors grow like eps^2 j^2 beyond j ~ k/eps.
     """
-    if j_cap is None:
-        cap_f = 2.0 * k / max(eps, 1e-6) * max(1.0, spectrum.period / (2.0 * np.pi))
-        j_cap = int(min(cap_f, 2e6)) + 16
+    cap_f = 2.0 * k / max(eps, 1e-6) * max(1.0, spectrum.period / (2.0 * np.pi))
+    j_cap = int(min(cap_f, 2e6)) + 16
     js = np.arange(j_cap + 1)
     lam = spectrum.lambda_at(js)
     vals = np.abs(_divisor(np.full(js.shape, eps**2), np.full(js.shape, float(k)), lam))

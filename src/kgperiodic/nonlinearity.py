@@ -55,6 +55,7 @@ class TrustRadiusError(ValueError):
 # Relative size of the dropped tail at which a series stops: far below the
 # 2 K 2^-53 rounding error of a K-term Horner evaluation.
 _TAIL_TOL = 2.0**-64
+_SINE_GORDON_TERMS = 12   # odd Taylor terms u^3 .. u^25 of u - sin(u)
 
 
 class _Series:
@@ -130,10 +131,10 @@ class Nonlinearity:
         return cls("phi4", (1.0,), trust_radius=10.0)
 
     @classmethod
-    def sine_gordon(cls, n_terms: int = 12) -> "Nonlinearity":
+    def sine_gordon(cls) -> "Nonlinearity":
         """f(u) = u - sin(u); truncation error below 1e-12 for |u| <= 3."""
         coeffs = tuple((-1.0) ** (m + 1) / factorial(2 * m + 1)
-                       for m in range(1, n_terms + 1))
+                       for m in range(1, _SINE_GORDON_TERMS + 1))
         return cls("sine-gordon", coeffs, trust_radius=3.0)
 
     @classmethod

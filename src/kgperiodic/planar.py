@@ -227,7 +227,7 @@ def _period(f3: float, amplitude: float) -> tuple[float, float]:
     return 4.0 * K / omega, 4.0 * slope * (dK / omega**2 - K)
 
 
-def find_orbit(f3: float, amplitude: float, tol: float = 1e-12,
+def find_orbit(f3: float, amplitude: float, tol: float = 1e-10,
                n_samples: int = 512) -> PlanarOrbit:
     """Periodic orbit through (amplitude, 0), sampled on ``n_samples`` points.
 
@@ -235,8 +235,9 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-12,
     functions (DLMF 22.19(ii)).  For
     ``f3 < 0`` the amplitude must stay inside the bounded component below
     the saddle at sqrt(-8/f3); next to it the parameter mu of the
-    transformed functions approaches 1, so the samples' energy drift is
-    checked against ``tol`` (floored at 1e-10).
+    transformed functions approaches 1.  The samples' energy drift is
+    checked against ``tol`` as given (round-off alone leaves 1e-15 to
+    1e-13 at amplitudes of order one) and a larger one raises.
     """
     if not (np.isfinite(amplitude) and amplitude > 0):
         raise ValueError("amplitude must be a finite positive number")
@@ -252,10 +253,10 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-12,
     p, p_tau = _sample(f3, amplitude, grid)
     energy = h_star((amplitude, 0.0), f3)
     drift = np.max(np.abs(h_star(PlanarState(p, p_tau), f3) - energy))
-    if not drift <= max(tol, 1e-10):
+    if not drift <= tol:
         raise NoPeriodicOrbitError(
             f"energy drift {drift:.2e} on the sampled orbit exceeds the "
-            f"tolerance {max(tol, 1e-10):.2e}; the orbit is not resolved")
+            f"tolerance {tol:.2e}; the orbit is not resolved")
     return PlanarOrbit(f3=f3, amplitude=amplitude, period=period, energy=energy,
                        tau=grid, p=p, p_tau=p_tau)
 
@@ -263,6 +264,8 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # Floquet non-degeneracy
 # ---------------------------------------------------------------------------
+
+_RANK_GAP = 1e-4   # smallest twist |M[1, 0]| of a non-degenerate orbit
 
 @dataclass(frozen=True)
 class MonodromyReport:
@@ -284,7 +287,7 @@ class MonodromyReport:
         }
 
 
-def monodromy(orbit: PlanarOrbit, rank_gap: float = 1e-4) -> MonodromyReport:
+def monodromy(orbit: PlanarOrbit) -> MonodromyReport:
     """Monodromy matrix of the variational flow along one orbit period.
 
     Along an orbit of a planar Hamiltonian flow the tangent v is carried to
@@ -294,11 +297,11 @@ def monodromy(orbit: PlanarOrbit, rank_gap: float = 1e-4) -> MonodromyReport:
     4 K(m) / Omega (DLMF 22.19(ii), dK/dm by DLMF 19.4.1).  Both
     eigenvalues are exactly 1; the orbit is non-degenerate when
     that eigenvalue has geometric multiplicity one, i.e. when the twist
-    |M[1, 0]| exceeds ``rank_gap``.
+    |M[1, 0]| exceeds `_RANK_GAP`.
     """
     _, slope = _period(orbit.f3, orbit.amplitude)
     twist = slope * orbit.conormal.p          # T'(a) (a + beta a^3)
-    rank = int(abs(twist) > rank_gap)
+    rank = int(abs(twist) > _RANK_GAP)
     return MonodromyReport(
         matrix=np.array([[1.0, 0.0], [twist, 1.0]]),
         eigenvalues=(1.0 + 0.0j, 1.0 + 0.0j),

@@ -36,7 +36,7 @@ from .fourier import (SpaceTimeField, cos_synthesis_matrix,
 from .nonlinearity import Nonlinearity
 from .normalform import (TransformedSystem, identity_system, multiplier_values,
                          nf_sequence, transformed_g)
-from .planar import VTrajectory
+from .planar import VTrajectory, find_orbit
 
 Array = NDArray[np.float64]
 
@@ -76,6 +76,12 @@ BAR_S = 8.0
 # Hill eigenvalues the resonance gate solves beyond its divisor table: the
 # top few eigenvalues of a Galerkin truncation are the inaccurate ones.
 _HILL_MARGIN = 16
+_J_HILL = 400              # the gate's Hill solve stops here regardless
+_SOBOLEV_S = 1.0           # index s of the residual and increment norms
+_LAW_AMPLITUDE = 0.9       # the `sigma_min_law_samples` battery: orbit,
+_LAW_N = 6                 # spatial truncation N,
+_LAW_EPS = (0.05, 0.2)     # eps range,
+_LAW_N_TRAJ = 256          # and tau samples of the orbit
 
 
 def validate_eps(eps: float) -> float:
@@ -108,7 +114,6 @@ class NonConvergenceError(RuntimeError):
 class SolverConfig:
     """Solve parameters; invariants mirror the admissibility hypotheses."""
 
-    s: float = 1.0
     resonance: ResonanceParams = field(default_factory=ResonanceParams)
     schedule: tuple[int, ...] | None = None
     residual_tol: float = 1e-10
@@ -457,7 +462,7 @@ class SolverRun:
         M_tau, M_x = _grids(self.effective_schedule[-1], self.N_tau)
         F = assemble_F(self.V_traj, self.w, self.eps, self.system.model,
                        sys=self.system, M_tau=2 * M_tau, M_x=2 * M_x)
-        return float(F.norm(self.config.s))
+        return float(F.norm(_SOBOLEV_S))
 
     @property
     def converged(self) -> bool:
@@ -483,12 +488,11 @@ class SolverRun:
 
 
 def resonance_gate(traj: VTrajectory, eps: float, model: Nonlinearity,
-                   K: int, params: ResonanceParams,
-                   J_hill: int = 400):
+                   K: int, params: ResonanceParams):
     """Build the averaged-potential divisor table and classify eps.
 
     The table reaches j_table = 2.5 K max(1, p / 2 pi) / eps; the Hill
-    solve stops `_HILL_MARGIN` past it (and at ``J_hill``), so the
+    solve stops `_HILL_MARGIN` past it (and at `_J_HILL`), so the
     eigenvalues the query reads are clear of the inaccurate top of the
     Galerkin truncation.  Returns (report, spectrum, table); raises
     ResonanceError when eps falls inside a window for some retained
@@ -496,7 +500,7 @@ def resonance_gate(traj: VTrajectory, eps: float, model: Nonlinearity,
     """
     q = averaged_potential(traj, eps, model)
     j_table = int(math.ceil(2.5 * K * max(1.0, traj.period / (2 * np.pi)) / eps))
-    spectrum = hill_eigs(q, traj.period, min(J_hill, j_table + _HILL_MARGIN))
+    spectrum = hill_eigs(q, traj.period, min(_J_HILL, j_table + _HILL_MARGIN))
     table = DivisorTable.build(spectrum, K_max=max(K, 2), J_max=j_table)
     report = is_resonant(eps, params, table)
     if report.resonant:
@@ -562,7 +566,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
         iters = 0
         while True:
             F_vec = _pack(F.coeffs, N_i)
-            res = F.pi_N(N_i).norm(config.s) if N_i >= 2 else F.norm(config.s)
+            res = (F.pi_N(N_i) if N_i >= 2 else F).norm(_SOBOLEV_S)
             if res <= config.residual_tol:
                 break
             if iters >= config.max_stage_iters:
@@ -578,7 +582,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
             for _ in range(9):
                 w_try = w + _unpack(alpha * delta, period, N_i, N_tau, N_final)
                 F_try = assemble_F(V_traj, w_try, eps, model, sys=sys)
-                res_try = F_try.pi_N(N_i).norm(config.s)
+                res_try = F_try.pi_N(N_i).norm(_SOBOLEV_S)
                 if res_try < res:
                     w, F, accepted = w_try, F_try, True
                     break
@@ -593,7 +597,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                           eps, model, N_i, sys=sys, N_tau=N_tau))
         stages.append(StageRecord(
             N=N_i, newton_iters=iters,
-            increment_norm_s=(w - w_start).norm(config.s),
+            increment_norm_s=(w - w_start).norm(_SOBOLEV_S),
             residual_s=float(res), conditioning_source=source))
 
     return SolverRun(config=config, eps=eps, period=period,
@@ -607,31 +611,27 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
 # inverse-norm law calibration
 # ---------------------------------------------------------------------------
 
-def sigma_min_law_samples(model: Nonlinearity, amplitude: float = 0.9,
-                          n_samples: int = 50, seed: int = 2026,
-                          N: int = 6, eps_lo: float = 0.05,
-                          eps_hi: float = 0.2,
-                          params: ResonanceParams | None = None,
-                          n_traj: int = 256) -> list[InversionReport]:
+def sigma_min_law_samples(model: Nonlinearity, n_samples: int = 50,
+                          seed: int = 2026) -> list[InversionReport]:
     """Seeded non-resonant eps samples with sigma_min law constants.
 
-    Draws eps uniformly from [eps_lo, eps_hi], rejects resonant draws with
-    the divisor gate, and reports the Hill-block sigma_min (with its
-    enclosure radius) of the truncated linearization at w = 0 together with
-    sigma_min * N^gamma / eps^(l-1).  The temporal band scales like N/eps so
-    every near-resonant temporal mode that the law is about is actually
+    Draws eps uniformly from `_LAW_EPS`, rejects resonant draws with the
+    divisor gate, and reports the Hill-block sigma_min (with its enclosure
+    radius) of the truncation N = `_LAW_N` of the linearization at w = 0
+    on the `_LAW_AMPLITUDE` orbit, together with
+    sigma_min * N^gamma / eps^(l-1).  The temporal band scales like N/eps
+    so every near-resonant temporal mode that the law is about is actually
     present in the operator.
     """
-    from .planar import find_orbit  # local import to avoid a cycle at load
-
-    params = params or ResonanceParams()
+    params = ResonanceParams()
     rng = np.random.default_rng(seed)
-    orbit = find_orbit(model.f3, amplitude)
-    traj = orbit.trajectory(n_traj)
+    orbit = find_orbit(model.f3, _LAW_AMPLITUDE)
+    traj = orbit.trajectory(_LAW_N_TRAJ)
     ratio = traj.period / (2.0 * np.pi)
+    N = _LAW_N
     reports: list[InversionReport] = []
     while len(reports) < n_samples:
-        eps = float(rng.uniform(eps_lo, eps_hi))
+        eps = float(rng.uniform(*_LAW_EPS))
         try:
             resonance_gate(traj, eps, model, K=N, params=params)
         except ResonanceError:
@@ -640,4 +640,3 @@ def sigma_min_law_samples(model: Nonlinearity, amplitude: float = 0.9,
         w0 = SpaceTimeField.zeros(traj.period, N_tau, N)
         reports.append(LinearizedOperator(traj, w0, eps, model, N).report(params))
     return reports
-

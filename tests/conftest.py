@@ -54,7 +54,7 @@ def closure01(sine_gordon, orbit09):
 
 @pytest.fixture(scope="session")
 def solution01(closure01):
-    return assemble_u(closure01, closure01.run.w_physical, FIXTURE_EPS)
+    return assemble_u(closure01)
 
 
 @pytest.fixture(scope="session")

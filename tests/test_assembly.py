@@ -10,9 +10,9 @@ from kgperiodic import assembly
 from kgperiodic.assembly import (
     AssembledSolution,
     SweepRow,
-    assemble_u,
     epsilon_sweep,
     pde_residual,
+    solve_point,
     tail_norm,
 )
 from kgperiodic.closure import (
@@ -22,7 +22,7 @@ from kgperiodic.closure import (
     OuterLoopError,
 )
 from kgperiodic.fourier import SpaceTimeField
-from kgperiodic.solver import NonConvergenceError
+from kgperiodic.solver import NonConvergenceError, SolverConfig
 
 # Frozen canonical values at eps = 0.1, amplitude 0.9 (deterministic run).
 T_PERIOD_01 = 6.252003053624663
@@ -121,15 +121,28 @@ class TestCanonicalSolution:
         # the peak is the shifted slow start value a + delta1, up to O(eps^2)
         assert ratio == pytest.approx(0.9 + closure01.delta1, abs=5e-3)
 
+    def test_reads_eps_and_field_from_closure(self, solution01, closure01):
+        assert solution01.eps == closure01.eps
+        assert np.array_equal(solution01.w.coeffs,
+                              closure01.run.w_physical.coeffs)
+        assert solution01.model is closure01.run.system.model
+
+    def test_solve_point_measures_the_assembly(self, solution01, closure01,
+                                               orbit09, sine_gordon):
+        point = solve_point(sine_gordon, 0.9, 0.1, SolverConfig(), (128, 128))
+        assert point.converged
+        assert point.closure.delta1 == closure01.delta1
+        assert point.residual == pde_residual(solution01, (128, 128))
+        assert point.tail == tail_norm(solution01, orbit09)
+        assert point.max_u_over_eps == pytest.approx(MAX_U_OVER_EPS_01,
+                                                     abs=1e-9)
+        assert np.array_equal(point.solution.w.coeffs, solution01.w.coeffs)
+
     def test_tail_equals_w_contribution(self, solution01, orbit09):
         tail = tail_norm(solution01, orbit09)
         w_sup = np.abs(solution01.w.values_grid(256, 256)).max()
         assert tail > 0.0
         assert 0.99 < tail / w_sup < 1.01
-
-    def test_eps_mismatch_rejected(self, closure01):
-        with pytest.raises(ValueError):
-            assemble_u(closure01, closure01.run.w_physical, 0.2)
 
 
 class TestSweep:

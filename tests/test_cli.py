@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from kgperiodic import assembly, cli
+from kgperiodic import assembly, cli, closure
 from kgperiodic.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INSUFFICIENT_DATA,
@@ -74,6 +74,21 @@ class TestLimitOrbit:
         assert run_cli(tmp_path, "limit-orbit",
                        {"out_dir": str(tmp_path)}) == EXIT_BAD_CONFIG
         assert "amplitude" in capsys.readouterr().err
+
+    def test_default_tolerance_recorded_and_checked(self, tmp_path, capsys):
+        # f3 = -0.75, a = 3.0 leaves a sampled energy drift of 8.3e-14
+        base = {"model": {"model": "custom", "odd_coeffs": [-0.125],
+                          "trust_radius": 10},
+                "amplitude": 3.0, "out_dir": str(tmp_path)}
+        assert run_cli(tmp_path, "limit-orbit", base) == EXIT_OK
+        doc = json.loads((tmp_path / "orbit.json").read_text())
+        assert doc["config"]["tol"] == 1e-10
+        (tmp_path / "orbit.json").unlink()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "limit-orbit",
+                       {**base, "tol": 1e-14}) == EXIT_NO_ORBIT
+        assert "energy drift" in capsys.readouterr().err
+        assert not (tmp_path / "orbit.json").exists()
 
 
 class TestDivisors:
@@ -173,6 +188,22 @@ class TestSolve:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert "NonConvergenceError" in diag["error"]
         assert diag["config"]["solver"]["max_stage_iters"] == 1
+
+    def test_integration_failure_writes_diagnostics(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a failed certificate integration is a documented solve failure:
+        # exit 4 with diagnostics, as the sweep turns it into a failed row
+        class Failed:
+            success, message = False, "step size fell below its floor"
+
+        monkeypatch.setattr(closure, "solve_ivp", lambda *a, **k: Failed())
+        cfg = {"eps": 0.1, "out_dir": str(tmp_path)}
+        assert run_cli(tmp_path, "solve", cfg) == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "step size fell below its floor" in err
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error"].startswith("IntegrationError: ")
+        assert not (tmp_path / "solve.json").exists()
 
     def test_canonical_point_full_artifacts(self, tmp_path):
         cfg = {"eps": 0.1, "amplitude": 0.9, "out_dir": str(tmp_path)}
@@ -380,9 +411,11 @@ def _forbid_work(monkeypatch, calls):
         calls.append(args)
         raise AssertionError("orbit or solve work past a solver limit")
 
-    for module in (cli, assembly):
-        monkeypatch.setattr(module, "find_orbit", forbidden)
-        monkeypatch.setattr(module, "solve_delta1", forbidden)
+    # `limit-orbit` calls find_orbit itself; solve and sweep go through
+    # `assembly.solve_point`
+    monkeypatch.setattr(cli, "find_orbit", forbidden)
+    monkeypatch.setattr(assembly, "find_orbit", forbidden)
+    monkeypatch.setattr(assembly, "solve_delta1", forbidden)
 
 
 def _fuzz_run(tmp_path, capsys, command, cfg, corruption):

@@ -10,7 +10,6 @@ from kgperiodic.assembly import epsilon_sweep
 from kgperiodic.closure import (
     ClosureConsistencyError,
     DegenerateOrbitError,
-    check_closure,
     galerkin_v,
     hamiltonian_H,
     integrate_v,
@@ -295,29 +294,70 @@ def test_bad_eps_rejected_before_integration(eps, orbit09, sine_gordon,
         epsilon_sweep(sine_gordon, 0.9, [0.1, eps])
 
 
+def shift_certificate_end(monkeypatch, n_hat, shift=1e-3):
+    """Make the certificate pass end ``shift`` further along n_hat."""
+    integrate = closure.integrate_v
+
+    def shifted(starts, *args):
+        taus, states = integrate(starts, *args)
+        states = states.copy()
+        states[0][:, -1] += shift * n_hat
+        return taus, states
+
+    monkeypatch.setattr(closure, "integrate_v", shifted)
+
+
 class TestCheckClosure:
-    def test_accepts_canonical(self, closure01, sine_gordon):
-        assert check_closure(closure01, closure01.eps, sine_gordon)
+    """The closure verdict and its invariance cross-check in `solve_delta1`."""
 
-    def test_perturbed_endpoint_fails_consistently(self, closure01,
-                                                   sine_gordon):
-        # a conormal shift of the endpoint shows up in both d and H: the
+    def test_accepts_canonical(self, closure01):
+        assert closure01.closed is True
+        assert abs(closure01.d) <= 1e-8 and closure01.H_mismatch <= 1e-8
+
+    def test_perturbed_endpoint_fails_consistently(self, closure01, orbit09,
+                                                   sine_gordon, monkeypatch):
+        # a conormal shift of the end state shows up in both d and H: the
         # verdict flips to False but the invariance cross-check still holds
-        verdict = check_closure(closure01, closure01.eps, sine_gordon,
-                                endpoint_perturbation=1e-3)
-        assert verdict is False
+        n_hat = np.array(closure01.conormal)
+        shift_certificate_end(monkeypatch, n_hat)
+        result = solve_delta1(orbit09, closure01.eps, sine_gordon)
+        assert result.closed is False
+        assert result.d == pytest.approx(closure01.d + 1e-3, abs=1e-12)
+        assert result.H_mismatch > 1e-6
+        assert result.delta1 == closure01.delta1
 
-    def test_tampered_invariance_raises(self, closure01, sine_gordon):
-        # fabricate a result whose d is large while H looks conserved: the
-        # check must flag the logic error instead of returning False
-        w = closure01.run.w_physical
-        p = closure01.V_traj.period
-        end = closure01.end_state
-        fake_end = PlanarState(end.p + 1e-3, end.p_tau)
-        H_fake = hamiltonian_H(fake_end, w.slice_coeffs(p),
-                               w.dtau_slice_coeffs(p), closure01.eps,
-                               sine_gordon)
-        bad = dataclasses.replace(closure01, end_state=fake_end,
-                                  H_start=H_fake)
+    def test_tampered_invariance_raises(self, closure01, orbit09,
+                                        sine_gordon, monkeypatch):
+        # the same shift, with H read at the unshifted end state: a large d
+        # with a matched H is a logic error, not an unclosed orbit
+        n_hat = np.array(closure01.conormal)
+        shift_certificate_end(monkeypatch, n_hat)
+        H_at = closure._H_at
+
+        def unshifted_end(tau, state, *args):
+            if np.ndim(tau) == 0 and tau > 0.0:
+                state = PlanarState(state.p - 1e-3 * n_hat[0],
+                                    state.p_tau - 1e-3 * n_hat[1])
+            return H_at(tau, state, *args)
+
+        monkeypatch.setattr(closure, "_H_at", unshifted_end)
+        with pytest.raises(ClosureConsistencyError, match="invariance"):
+            solve_delta1(orbit09, closure01.eps, sine_gordon)
+        # the sweep documents the error as one that propagates
         with pytest.raises(ClosureConsistencyError):
-            check_closure(bad, closure01.eps, sine_gordon)
+            epsilon_sweep(sine_gordon, orbit09.amplitude, [closure01.eps])
+
+    def test_gradient_read_only_for_a_large_defect(self, orbit09, sine_gordon,
+                                                   monkeypatch):
+        # a closing solve evaluates H at the certificate's steps only: the
+        # two ends and one call for the interior steps
+        calls = []
+        H_at = closure._H_at
+
+        def counted(tau, *args):
+            calls.append(np.ndim(tau))
+            return H_at(tau, *args)
+
+        monkeypatch.setattr(closure, "_H_at", counted)
+        assert solve_delta1(orbit09, 0.1, sine_gordon).closed
+        assert calls == [0, 0, 1]

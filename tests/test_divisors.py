@@ -9,6 +9,7 @@ import pytest
 
 from kgperiodic.divisors import (
     CoverageError,
+    _linear_fit,
     DivisorTable,
     HillSpectrum,
     ResonanceParams,
@@ -323,6 +324,34 @@ class TestMeasure:
             table, ResonanceParams(), [0.05, 0.075, 0.1, 0.15, 0.2])
         assert 1.3 <= slope <= 1.7
         assert r2 > 0.95
+
+
+class TestLinearFit:
+    @pytest.mark.parametrize("case", ["noisy", "exact line", "falling",
+                                      "two points", "constant y"])
+    def test_matches_linregress(self, case, rng):
+        from scipy.stats import linregress
+
+        x = np.sort(rng.uniform(2.0, 40.0, 7))
+        y = {"noisy": -0.3 * x + rng.normal(0.0, 0.5, 7),
+             "exact line": 1.5 * x - 2.0,
+             "falling": np.log(np.exp(-0.2 * x) + 1e-3 * rng.random(7)),
+             "two points": 0.7 * x,
+             "constant y": np.full(7, -3.25)}[case]
+        if case == "two points":
+            x, y = x[:2], y[:2]
+        slope, r2 = _linear_fit(x, y)
+        ref = linregress(x, y)
+        assert slope == pytest.approx(ref.slope, rel=1e-14, abs=0.0)
+        if case == "constant y":
+            assert math.isnan(r2) and math.isnan(ref.rvalue)
+        else:
+            assert r2 == pytest.approx(ref.rvalue**2, rel=1e-14, abs=0.0)
+
+    def test_degenerate_x_gives_nan(self):
+        for x in ([1.0], [2.0, 2.0, 2.0]):
+            slope, r2 = _linear_fit(np.array(x), np.arange(len(x), dtype=float))
+            assert math.isnan(slope) and math.isnan(r2)
 
 
 class TestDivisorMin:

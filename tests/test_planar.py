@@ -90,6 +90,13 @@ class TestFindOrbit:
         with pytest.raises(NoPeriodicOrbitError):
             find_orbit(-1.0, 3.0)
 
+    def test_tolerance_checked_as_given(self):
+        # the sampled energy drift at (-1, 2.5) is 5.2e-14: the default
+        # 1e-10 accepts it, 1e-14 is checked as given and rejects it
+        assert find_orbit(-1.0, 2.5).amplitude == 2.5
+        with pytest.raises(NoPeriodicOrbitError, match="1.00e-14"):
+            find_orbit(-1.0, 2.5, tol=1e-14)
+
 
 # hardening (f3 = 1, 6) and softening (f3 = -1, -6) orbits, the softening ones
 # up to 0.88 of the separatrix amplitude sqrt(-8/f3)

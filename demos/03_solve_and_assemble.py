@@ -48,6 +48,8 @@ def main() -> None:
           f"{closure.H_drift:.3e}")
     print(f"H-mismatch |H(p) - H(0)|     = {closure.H_mismatch:.3e} "
           f"(invariance cross-checked; closed = {closure.closed})")
+    print(f"resonance gate, reported round: "
+          f"{closure.resonance_final.message()}")
 
     banner("Inner nested Newton solve (final visit)")
     run = closure.run
@@ -60,7 +62,6 @@ def main() -> None:
               f"{st.sigma_min:>12.3e} {st.law_constant:>10.3f}")
     print(f"converged = {run.converged}, doubled-grid certificate = "
           f"{run.residual_certificate:.3e}")
-    print(f"resonance gate checked: {run.resonance_checked}")
 
     banner("Assembled solution u(x, t)")
     sol = assemble_u(closure)

@@ -52,6 +52,7 @@ SOLVE_FAILURES = (NonConvergenceError, OuterLoopError, DegenerateOrbitError,
                   NoPeriodicOrbitError, IntegrationError)
 _TAIL_N_X = 128    # x samples of `tail_norm`
 _PEAK_GRID = 192   # (x, t) samples a side of max|u|
+_SYMMETRY_GRID = 32  # (x, t) samples a side of the symmetry defects
 
 
 class AssemblyError(RuntimeError):
@@ -145,10 +146,13 @@ class AssembledSolution:
             res = res - self.model.eval(e * u)
         return res
 
-    def symmetry_defects(self, n: int = 32) -> tuple[float, float]:
-        """(max |u(x,t) - u(-x,t)|, max |u(x,t) + u(x,-t)|) on an n x n grid."""
-        xs = np.linspace(-0.37 * self.x_period, 0.41 * self.x_period, n)
-        ts = np.linspace(-0.43 * self.t_period, 0.39 * self.t_period, n)
+    def symmetry_defects(self) -> tuple[float, float]:
+        """(max |u(x,t) - u(-x,t)|, max |u(x,t) + u(x,-t)|) on a
+        `_SYMMETRY_GRID`-point grid a side."""
+        xs = np.linspace(-0.37 * self.x_period, 0.41 * self.x_period,
+                         _SYMMETRY_GRID)
+        ts = np.linspace(-0.43 * self.t_period, 0.39 * self.t_period,
+                         _SYMMETRY_GRID)
         u1 = self.u_values(xs, ts)
         even = np.abs(u1 - self.u_values(-xs, ts)).max()
         odd = np.abs(u1 + self.u_values(xs, -ts)).max()

@@ -33,9 +33,9 @@ from .closure import DegenerateOrbitError
 from .divisors import (
     CoverageError,
     DivisorTable,
+    HillSpectrum,
     ResonanceError,
     ResonanceParams,
-    hill_eigs,
 )
 from .nonlinearity import Nonlinearity, TrustRadiusError
 from .planar import NoPeriodicOrbitError, find_orbit, monodromy
@@ -309,9 +309,7 @@ def cmd_divisors(cfg: dict) -> int:
 
     rows = iter(())
     if j_max >= 1:
-        # two samples analyze a constant exactly (mean only, no round-off
-        # harmonics), so the Hill matrix stays diagonal at any j_max
-        spectrum = hill_eigs(np.full(2, q_const), period, j_hill)
+        spectrum = HillSpectrum(period, np.array([q_const]), lam, j_hill, 0.0)
         table = DivisorTable.build(spectrum, K_max=k_max, J_max=j_max)
         ks, js, centers, halfw = table.windows(params)
         order = np.lexsort((js, ks))

@@ -13,7 +13,7 @@ the H-mismatch it must cause.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,7 +24,8 @@ from .fourier import (SpaceTimeField, cos_analyze, cos_synthesis_matrix,
                       project_P, sin_synthesis_matrix, x_grid)
 from .nonlinearity import Nonlinearity, TrustRadiusError, collocate
 from .planar import PlanarOrbit, PlanarState, VTrajectory, monodromy
-from .solver import SolverConfig, SolverRun, nash_moser_solve, validate_eps
+from .solver import (SolverConfig, SolverRun, nash_moser_solve, resonance_gate,
+                     schedule_for, validate_eps)
 
 Array = NDArray[np.float64]
 
@@ -217,15 +218,11 @@ class ClosureResult:
     closed: bool
     derivative: float          # finite-difference d(defect_t)/d(delta1)
     V_traj: VTrajectory
-    run: SolverRun | None
+    run: SolverRun
     history: tuple
     conormal: tuple[float, float]     # unit shooting direction n_hat
-    resonance_first: ResonanceReport | None   # gate verdict of round 1
-
-    @property
-    def resonance_final(self) -> ResonanceReport | None:
-        """Gate verdict of the reported round (on its trajectory)."""
-        return None if self.run is None else self.run.resonance
+    resonance_first: ResonanceReport  # gate verdict of round 1
+    resonance_final: ResonanceReport  # ... and of the reported round
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,14 +238,10 @@ class ClosureResult:
             "derivative": self.derivative,
             "history": [list(h) for h in self.history],
             "conormal": list(self.conormal),
-            "resonance_first": _report_json(self.resonance_first),
-            "resonance_final": _report_json(self.resonance_final),
-            "solver": None if self.run is None else self.run.to_json_dict(),
+            "resonance_first": self.resonance_first.to_json_dict(),
+            "resonance_final": self.resonance_final.to_json_dict(),
+            "solver": self.run.to_json_dict(),
         }
-
-
-def _report_json(report: ResonanceReport | None) -> dict | None:
-    return None if report is None else report.to_json_dict()
 
 
 def _units(orbit: PlanarOrbit) -> tuple[PlanarState, Array, Array]:
@@ -265,18 +258,25 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     Alternates (a) `galerkin_v` at frozen w on `_N_SAMPLES` tau samples,
     started from the seed orbit and then from the previous round, with (b)
     fast-component solves on the updated trajectory, until delta_1 and the
-    w-update both move by at most `_TOL_OUTER`.  Round 1, and any round
-    that can end the loop (delta moved by at most `_TOL_OUTER`), solves
-    cold behind the resonance gate; the rounds in between start Newton
-    from the previous round's w and skip the gate.  The run left when the
-    loop exits is the reported one: a cold, gated `nash_moser_solve` on
-    the reported trajectory ``V_traj``, the last Galerkin one, whose report
-    is built only when read.  One stacked DOP853 pass (`integrate_v`) with
-    the converged w certifies the result from two starts sharing one step
-    control: the closed start point gives the return defects, end state
-    and Hamiltonian drift (read at the integrator's accepted steps), and
-    delta_1 + 1e-6 gives the shooting derivative by finite difference,
-    checked against `_DERIVATIVE_FLOOR`.
+    w-update both move by at most `_TOL_OUTER`.
+
+    This loop owns the resonance gate.  Round 1, and any round that can
+    end the loop (delta moved by at most `_TOL_OUTER`), runs
+    `resonance_gate` on its trajectory up to the final truncation's N
+    (a resonant eps raises `ResonanceError` before the solve) and then
+    solves cold; the rounds in between start Newton from the previous
+    round's w and skip the gate.  The run left when the loop exits is the
+    reported one: a cold, gated `nash_moser_solve` on the reported
+    trajectory ``V_traj``, the last Galerkin one, whose report is built
+    only when read.  ``resonance_first`` and ``resonance_final`` are the
+    verdicts of round 1 and of the reported round.
+
+    One stacked DOP853 pass (`integrate_v`) with the converged w certifies
+    the result from two starts sharing one step control: the closed start
+    point gives the return defects, end state and Hamiltonian drift (read
+    at the integrator's accepted steps), and delta_1 + 1e-6 gives the
+    shooting derivative by finite difference, checked against
+    `_DERIVATIVE_FLOOR`.
 
     The orbit is ``closed`` when both return defects and the H-mismatch
     are small.  By invariance of H a conormal defect d above `_TOL_D` must
@@ -294,10 +294,9 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     base = np.array([P0.p, P0.p_tau])
     period = orbit.period
 
+    K = schedule_for(eps, solver)[1][-1]
     w_field: SpaceTimeField | None = None
     run: SolverRun | None = None
-    warm = replace(solver, check_resonance=False)
-    first_gate: ResonanceReport | None = None
     coeffs = orbit.trajectory(_N_SAMPLES).cos_coeffs
     history: list[tuple] = []
 
@@ -311,10 +310,12 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
         # has settled may be the reported one, so it solves cold and gated
         ddelta = abs(delta - history[-1][0]) if history else abs(delta)
         cold = outer == 1 or ddelta <= _TOL_OUTER
-        run = nash_moser_solve(traj, eps, solver if cold else warm, model,
+        if cold:
+            gate, _, _ = resonance_gate(traj, eps, model, K, solver.resonance)
+            if outer == 1:
+                first_gate = gate
+        run = nash_moser_solve(traj, eps, solver, model,
                                w0=None if cold else run.w)
-        if outer == 1:
-            first_gate = run.resonance
         w_new = run.w_physical
         dw = (w_new.norm(1.0) if w_field is None
               else (w_new - w_field).norm(1.0))
@@ -369,4 +370,4 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
                          derivative=float(deriv), V_traj=traj, run=run,
                          history=tuple(history),
                          conormal=(float(n_hat[0]), float(n_hat[1])),
-                         resonance_first=first_gate)
+                         resonance_first=first_gate, resonance_final=gate)

@@ -401,8 +401,8 @@ def _crossing(eps: float, ks: Array, spectrum: HillSpectrum, J_max: int) -> Arra
     return j_star
 
 
-def is_resonant(eps: float, params: ResonanceParams, table: DivisorTable,
-                k_range: int | None = None) -> ResonanceReport:
+def is_resonant(eps: float, params: ResonanceParams,
+                table: DivisorTable) -> ResonanceReport:
     """Window membership of eps, with the nearest window for context.
 
     Searches each k instead of tabulating: centers eps_{k,j} decrease and
@@ -415,16 +415,13 @@ def is_resonant(eps: float, params: ResonanceParams, table: DivisorTable,
     fails, w doubles for that k.  The report equals the one read off the
     full table.
 
-    Raises `CoverageError` when the table cannot certify the answer (query
-    below the tabulated centers for some k, or k_range beyond the table):
-    guessing here would silently break solver preconditions.
+    Every k of the table is searched.  Raises `CoverageError` when the
+    table cannot certify the answer (query below the tabulated centers for
+    some k): guessing here would silently break solver preconditions.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if k_range is not None and k_range > table.K_max:
-        raise CoverageError(
-            f"table covers k <= {table.K_max} but k_range = {k_range} requested")
-    ks = np.arange(2, (table.K_max if k_range is None else k_range) + 1)
+    ks = np.arange(2, table.K_max + 1)
     spectrum, J = table.spectrum, table.J_max
 
     def halfwidth(k, j):

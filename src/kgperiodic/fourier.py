@@ -242,9 +242,9 @@ class SpaceTimeField:
         wk = spatial_weights(self.band_x, s)
         return float(np.sqrt(np.einsum("j,k,jk->", wj, wk, self.coeffs**2)))
 
-    def sup_norm(self, M_tau: int | None = None, M_x: int | None = None) -> float:
-        vals = self.values_grid(M_tau or max(4 * self.band_tau, 16),
-                                M_x or max(4 * self.band_x, 16))
+    def sup_norm(self) -> float:
+        vals = self.values_grid(max(4 * self.band_tau, 16),
+                                max(4 * self.band_x, 16))
         return float(np.max(np.abs(vals)))
 
     # -- band projections --------------------------------------------------

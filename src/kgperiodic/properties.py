@@ -31,6 +31,12 @@ from .nonlinearity import Nonlinearity, tilde_fg
 # (several seeds, bands up to 16x20, decays 1.5-2.5) is 4.92; the frozen
 # bound below carries a +60% margin and is stable under field refreshes.
 TAME_C = 8.0
+_TAME_S, _TAME_SBAR = 1.0, 8.0
+
+# The battery's random fields: period, band and coefficient decay exponent
+_FIELD_PERIOD = 6.0
+_FIELD_N_TAU, _FIELD_N_X = 10, 12
+_FIELD_DECAY = 2.0
 
 DEFAULT_SEED = 20260826
 
@@ -48,16 +54,14 @@ class PropertyResult:
         return f"[{mark}] {self.name}: {self.detail}"
 
 
-def random_field(rng: np.random.Generator, period: float = 6.0,
-                 N_tau: int = 10, N_x: int = 12,
-                 decay: float = 2.0) -> SpaceTimeField:
+def random_field(rng: np.random.Generator) -> SpaceTimeField:
     """Seeded random field with polynomially decaying coefficients."""
-    j = np.arange(N_tau + 1.0)[:, None]
-    k = np.arange(N_x + 1.0)[None, :]
-    scale = (1.0 + j) ** (-decay) * np.maximum(k, 1.0) ** (-decay)
-    coeffs = rng.standard_normal((N_tau + 1, N_x + 1)) * scale
+    j = np.arange(_FIELD_N_TAU + 1.0)[:, None]
+    k = np.arange(_FIELD_N_X + 1.0)[None, :]
+    scale = (1.0 + j) ** (-_FIELD_DECAY) * np.maximum(k, 1.0) ** (-_FIELD_DECAY)
+    coeffs = rng.standard_normal((_FIELD_N_TAU + 1, _FIELD_N_X + 1)) * scale
     coeffs[:, :2] = 0.0  # Q-space: no constant or sin(x) columns
-    return SpaceTimeField(period=period, coeffs=coeffs)
+    return SpaceTimeField(period=_FIELD_PERIOD, coeffs=coeffs)
 
 
 def check_j_bound() -> PropertyResult:
@@ -114,9 +118,9 @@ def check_norm_monotone(fields: list[SpaceTimeField]) -> PropertyResult:
                           f"max |h|_s1/|h|_s2 over s1<s2 = {worst:.6f}")
 
 
-def check_tame_product(fields: list[SpaceTimeField], s: float = 1.0,
-                       sbar: float = 8.0) -> PropertyResult:
+def check_tame_product(fields: list[SpaceTimeField]) -> PropertyResult:
     """|u1 u2|_sbar <= C (|u1|_s |u2|_sbar + |u1|_sbar |u2|_s), frozen C."""
+    s, sbar = _TAME_S, _TAME_SBAR
     worst = 0.0
     for u1, u2 in zip(fields[::2], fields[1::2]):
         prod = multiply_to_even(u1, u2)

@@ -29,8 +29,8 @@ from numpy.typing import NDArray
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .divisors import (DivisorTable, ResonanceError, ResonanceParams,
-                       ResonanceReport, averaged_potential, hill_eigs,
-                       is_resonant, multiplication_matrix)
+                       averaged_potential, hill_eigs, is_resonant,
+                       multiplication_matrix)
 from .fourier import (SpaceTimeField, cos_synthesis_matrix,
                       sin_synthesis_matrix, x_grid)
 from .nonlinearity import Nonlinearity
@@ -122,7 +122,6 @@ class SolverConfig:
     N_tau: int | None = None
     N_tau_cap: int = 40
     nf_steps: int = 2
-    check_resonance: bool = True
 
     def __post_init__(self):
         check_admissible(self.resonance)
@@ -243,12 +242,6 @@ class InversionReport:
     eps: float
     law_constant: float       # sigma_min * N^gamma / eps^(l-1)
     ratio_vs_fit: float       # law_constant / FITTED_C, expected >= 1
-
-    def to_json_dict(self) -> dict:
-        return {"sigma_min": self.sigma_min, "sigma_radius": self.sigma_radius,
-                "N": self.N, "size": self.size, "eps": self.eps,
-                "law_constant": self.law_constant,
-                "ratio_vs_fit": self.ratio_vs_fit}
 
 
 class LinearizedOperator:
@@ -444,12 +437,7 @@ class SolverRun:
     stages: tuple[StageRecord, ...]
     w: SpaceTimeField                  # transformed (averaged) unknown
     system: TransformedSystem
-    resonance: ResonanceReport | None  # verdict of the gate; None if not gated
     V_traj: VTrajectory = field(repr=False, compare=False)
-
-    @property
-    def resonance_checked(self) -> bool:
-        return self.resonance is not None
 
     @property
     def w_physical(self) -> SpaceTimeField:
@@ -479,9 +467,6 @@ class SolverRun:
             "stages": [s.to_json_dict() for s in self.stages],
             "converged": self.converged,
             "residual_certificate": self.residual_certificate,
-            "resonance_checked": self.resonance_checked,
-            "resonance": (None if self.resonance is None
-                          else self.resonance.to_json_dict()),
             "w_norm_1": self.w.norm(1.0),
             "w_physical_norm_1": self.w_physical.norm(1.0),
         }
@@ -519,16 +504,21 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                      w0: SpaceTimeField | None = None) -> SolverRun:
     """Solve F(w) = 0 over nested truncations with damped Newton stages.
 
-    Runs the resonance gate (when ``config.check_resonance``), the
-    ``config.nf_steps`` normal-form steps and the stages.  The unknown lives
-    in the averaged frame those steps produce; `SolverRun.w_physical`
-    undoes the shift.  Newton starts from w = 0, or from the initial guess
-    ``w0`` (same frame and period; the coefficients it shares with this
-    solve's band are copied).  Every stage records the increment and
-    residual norms and the conditioning of its last linearization; the
-    report (a zero-step stage's linearization, the doubled-grid
-    certificate) is built when it is first read.  A failing stage raises
-    `NonConvergenceError` carrying the completed stages.
+    Runs the ``config.nf_steps`` normal-form steps and the stages.  The
+    unknown lives in the averaged frame those steps produce;
+    `SolverRun.w_physical` undoes the shift.  Newton starts from w = 0, or
+    from the initial guess ``w0`` (same frame and period; the coefficients
+    it shares with this solve's band are copied).  Every stage records the
+    increment and residual norms and the conditioning of its last
+    linearization; the report (a zero-step stage's linearization, the
+    doubled-grid certificate) is built when it is first read.
+
+    The resonance-window gate (`resonance_gate`) belongs to the caller,
+    which decides the solves it guards: `closure.solve_delta1` gates round
+    1 and every cold round.  This solve raises `ResonanceError` only when a
+    linearization's sigma_min enclosure collapses, naming the culprit
+    divisor (k, j).  A failing stage raises `NonConvergenceError` carrying
+    the completed stages.
     """
     eps = validate_eps(eps)
     period = V_traj.period
@@ -543,11 +533,6 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
         j, k = min(N_tau, w0.band_tau) + 1, min(N_final, w0.band_x) + 1
         coeffs[:j, :k] = w0.coeffs[:j, :k]
     w = SpaceTimeField(period=period, coeffs=coeffs)
-
-    resonance = None
-    if config.check_resonance and model is not None:
-        resonance, _, _ = resonance_gate(V_traj, eps, model, N_final,
-                                         config.resonance)
 
     if model is None or config.nf_steps == 0:
         sys = identity_system(model=model, eps=eps, N_x=N_final,
@@ -603,8 +588,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
     return SolverRun(config=config, eps=eps, period=period,
                      requested_schedule=requested,
                      effective_schedule=effective, N_tau=N_tau,
-                     stages=tuple(stages), w=w, system=sys,
-                     resonance=resonance, V_traj=V_traj)
+                     stages=tuple(stages), w=w, system=sys, V_traj=V_traj)
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ def oracle_hill_eigs(q_samples, period: float, J_max: int) -> np.ndarray:
     return eigh(A, eigvals_only=True)
 
 
-def oracle_is_resonant(eps: float, params, table, k_range: int | None = None):
+def oracle_is_resonant(eps: float, params, table):
     """Window membership of eps read off the full K x J divisor table.
 
     Every tabulated center and halfwidth is compared with eps; the coverage
@@ -290,26 +290,16 @@ def oracle_is_resonant(eps: float, params, table, k_range: int | None = None):
     if not eps > 0:
         raise ValueError("eps must be positive")
     ks = table.k_values
-    if k_range is not None:
-        if k_range > int(ks[-1]):
-            raise CoverageError(
-                f"table covers k <= {int(ks[-1])} but k_range = {k_range} requested")
-        keep = ks <= k_range
-    else:
-        keep = np.ones(ks.shape, dtype=bool)
-
     last = table.eps[:, -1]
     width = ks.astype(float) ** params.alpha / float(table.J_max) ** params.l
-    floor = np.where(np.isfinite(last), last + width, 0.0)[keep]
+    floor = np.where(np.isfinite(last), last + width, 0.0)
     if np.any(eps <= floor):
-        k_bad = ks[keep][eps <= floor]
+        k_bad = ks[eps <= floor]
         raise CoverageError(
             f"eps = {eps:.6g} at or below certified floor for k in {k_bad.tolist()}; "
             f"extend J_max beyond {table.J_max}")
 
     K, J, centers, halfw = table.windows(params)
-    sel = np.isin(K, ks[keep])
-    K, J, centers, halfw = K[sel], J[sel], centers[sel], halfw[sel]
     dist = np.abs(eps - centers)
     inside = dist < halfw
     if np.any(inside):

@@ -132,7 +132,7 @@ def test_criterion_09_oracle_equivalence(orbit09, sine_gordon):
     # nested solver equals dense brute-force Newton on the miniature
     traj = orbit09.trajectory(256)
     cfg = SolverConfig(schedule=(3,), N_tau=4, nf_steps=0,
-                       check_resonance=False, residual_tol=1e-12)
+                       residual_tol=1e-12)
     run = nash_moser_solve(traj, FIXTURE_EPS, cfg, sine_gordon)
     ref = oracle_newton_solve(traj, FIXTURE_EPS, N=3, J_max=4,
                               model=sine_gordon, tol=1e-12)

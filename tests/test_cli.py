@@ -169,7 +169,9 @@ class TestSolve:
         cfg = {"eps": RESONANT_EPS, "out_dir": str(tmp_path)}
         assert run_cli(tmp_path, "solve", cfg) == EXIT_RESONANT
         err = capsys.readouterr().err
-        assert "resonant" in err and "k=2" in err
+        assert "resonant" in err and "(k=2, j=12)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "solve.json").exists()
 
     def test_damped_slow_solve_reaches_the_gate(self, tmp_path, capsys):
         # an undamped Newton step on the slow equation leaves the trust
@@ -214,6 +216,9 @@ class TestSolve:
         assert doc["solution"]["max_u_over_eps"] == pytest.approx(
             0.9621246777948442, abs=1e-9)
         assert doc["config"]["eps"] == 0.1
+        # the gate verdict is the closure's, written once
+        assert doc["closure"]["resonance_final"]["resonant"] is False
+        assert not {"resonance", "resonance_checked"} & set(doc["closure"]["solver"])
         field = json.loads((tmp_path / "w_field.json").read_text())["field"]
         vdoc = json.loads((tmp_path / "v_traj.json").read_text())
         assert field["period"] == vdoc["trajectory"]["period"]

@@ -15,7 +15,8 @@ from kgperiodic.closure import (
     integrate_v,
     solve_delta1,
 )
-from kgperiodic.divisors import DivisorTable, HillSpectrum, ResonanceParams
+from kgperiodic.divisors import (DivisorTable, HillSpectrum, ResonanceError,
+                                 ResonanceParams)
 from kgperiodic.planar import PlanarState, VTrajectory, find_orbit
 
 # Frozen canonical shooting parameter at eps = 0.1, amplitude 0.9 (default
@@ -148,15 +149,30 @@ class TestSolveDelta1:
             assert key in doc
         assert isinstance(doc["closed"], bool)
         assert doc["solver"]["converged"] is True
-        assert doc["resonance_final"] == doc["solver"]["resonance"]
+        # the verdict is written once, by the closure that owns the gate
+        assert doc["resonance_final"] == closure01.resonance_final.to_json_dict()
+        assert not {"resonance", "resonance_checked"} & set(doc["solver"])
 
     def test_gate_verdicts_of_first_and_reported_round(self, closure01):
         first, final = closure01.resonance_first, closure01.resonance_final
-        assert final is closure01.run.resonance
         for report in (first, final):
             assert not report.resonant
             assert (report.nearest_k, report.nearest_j) == (64, 617)
             assert report.distance == pytest.approx(1.397005e-6, rel=1e-6)
+
+    def test_resonant_eps_stops_before_any_solve(self, orbit09, sine_gordon,
+                                                  monkeypatch):
+        # the closure owns the gate: inside the (k=2, j=12) window round 1
+        # raises before its fast solve
+        calls = []
+        monkeypatch.setattr(closure, "nash_moser_solve",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ResonanceError, match=r"\(k=2, j=12\)") as info:
+            solve_delta1(orbit09, 0.1396532019663832, sine_gordon)
+        report = info.value.report
+        assert report.resonant
+        assert (report.nearest_k, report.nearest_j) == (2, 12)
+        assert calls == []
 
     def test_canonical_verdict_certified_by_min_max(self, closure01,
                                                      sine_gordon):
@@ -220,8 +236,8 @@ class TestSolveDelta1:
             calls["certificate"] += kwargs.get("M_tau") is not None
             return assemble_F(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "resonance_gate",
-                            counted("gate", solver.resonance_gate))
+        monkeypatch.setattr(closure, "resonance_gate",
+                            counted("gate", closure.resonance_gate))
         monkeypatch.setattr(solver, "LinearizedOperator",
                             counted("operator", solver.LinearizedOperator))
         monkeypatch.setattr(solver, "assemble_F", counted_F)
@@ -241,14 +257,13 @@ class TestSolveDelta1:
                          "nash_moser_solve": 4}
 
     def test_reported_run_is_the_direct_solve(self, closure01, sine_gordon):
-        # the reported round is a cold, gated nash_moser_solve on V_traj;
-        # the report, built on read, is compared too
+        # the reported round is a cold nash_moser_solve on V_traj; the
+        # report, built on read, is compared too
         run = closure01.run
         direct = solver.nash_moser_solve(closure01.V_traj, closure01.eps,
                                          solver.SolverConfig(), sine_gordon)
         assert run.to_json_dict() == direct.to_json_dict()
         assert np.array_equal(run.w.coeffs, direct.w.coeffs)
-        assert run.resonance == direct.resonance
 
     def test_stacked_pass_matches_separate_passes(self, closure01, orbit09,
                                                   sine_gordon):

@@ -228,7 +228,7 @@ class TestResonanceWindows:
         table = DivisorTable.build(flat_2pi, K_max=2, J_max=400)
         params = ResonanceParams()
         mid = 0.5 * (table.lookup(2, 100) + table.lookup(2, 101))
-        rep = is_resonant(mid, params, table, k_range=2)
+        rep = is_resonant(mid, params, table)
         assert not rep.resonant
         assert rep.distance > 0.0
 
@@ -288,22 +288,22 @@ class TestWindowSearch:
                 float(eps), params, table)
 
     def test_k_range_matches_oracle(self, flat_2pi):
-        table = DivisorTable.build(flat_2pi, K_max=4, J_max=400)
+        # the table's K_max is the range of k searched
         params = ResonanceParams()
-        for k_range in (2, 3, 4):
+        for k_max in (2, 3, 4):
+            table = DivisorTable.build(flat_2pi, K_max=k_max, J_max=400)
             for eps in np.linspace(0.03, 0.3, 41):
-                assert (is_resonant(float(eps), params, table, k_range=k_range)
-                        == oracle_is_resonant(float(eps), params, table,
-                                              k_range=k_range))
+                assert (is_resonant(float(eps), params, table)
+                        == oracle_is_resonant(float(eps), params, table))
 
     def test_coverage_errors_match_oracle(self, flat_2pi):
         table = DivisorTable.build(flat_2pi, K_max=3, J_max=50)
         params = ResonanceParams()
-        for query, kwargs in ((1e-4, {}), (0.05, {}), (0.1, {"k_range": 4})):
+        for query in (1e-4, 0.05):
             with pytest.raises(CoverageError) as ours:
-                is_resonant(query, params, table, **kwargs)
+                is_resonant(query, params, table)
             with pytest.raises(CoverageError) as theirs:
-                oracle_is_resonant(query, params, table, **kwargs)
+                oracle_is_resonant(query, params, table)
             assert str(ours.value) == str(theirs.value)
 
 
@@ -375,7 +375,7 @@ class TestDivisorMin:
         n = 0
         while n < 100:
             eps = float(gen.uniform(0.03, 0.2))
-            rep = is_resonant(eps, params, table, k_range=3)
+            rep = is_resonant(eps, params, table)
             if rep.resonant:
                 continue
             n += 1

@@ -241,7 +241,7 @@ class TestSchedule:
             SolverConfig(schedule=(1, 8))
 
     def test_eps_domain(self, traj):
-        cfg = SolverConfig(schedule=(3,), N_tau=2, check_resonance=False)
+        cfg = SolverConfig(schedule=(3,), N_tau=2)
         with pytest.raises(ValueError):
             nash_moser_solve(traj, 1.5, cfg, None)
 
@@ -249,7 +249,7 @@ class TestSchedule:
 class TestSolveOracle:
     def test_miniature_truncation_matches_oracle(self, traj, sine_gordon):
         cfg = SolverConfig(schedule=(3,), N_tau=4, nf_steps=0,
-                           check_resonance=False, residual_tol=1e-12)
+                           residual_tol=1e-12)
         run = nash_moser_solve(traj, EPS, cfg, sine_gordon)
         ref = oracle_newton_solve(traj, EPS, N=3, J_max=4, model=sine_gordon,
                                   tol=1e-12)
@@ -258,7 +258,7 @@ class TestSolveOracle:
 
     def test_canonical_run_reports(self, closure01):
         run = closure01.run
-        assert run.converged and run.resonance_checked
+        assert run.converged
         assert run.residual_certificate < 1e-9
         assert run.effective_schedule[-1] == 64
         # the Galerkin trajectory's cosines fall below 1e-13 of the largest
@@ -275,7 +275,7 @@ class TestSolveOracle:
 
     def test_warm_start_at_the_solution_takes_no_step(self, traj,
                                                       sine_gordon):
-        cfg = SolverConfig(check_resonance=False)
+        cfg = SolverConfig()
         run = nash_moser_solve(traj, EPS, cfg, sine_gordon)
         again = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=run.w)
         assert [s.newton_iters for s in again.stages] == [0] * len(run.stages)
@@ -285,7 +285,7 @@ class TestSolveOracle:
         # at the solution every stage takes no step: reading the run's
         # fields builds nothing, the first report read builds one operator
         # per stage and one certificate, and a second read builds nothing
-        cfg = SolverConfig(check_resonance=False)
+        cfg = SolverConfig()
         run = nash_moser_solve(traj, EPS, cfg, sine_gordon)
         again = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=run.w)
         calls = {"operator": 0, "assemble_F": 0}
@@ -302,7 +302,7 @@ class TestSolveOracle:
                             counted("assemble_F", solver.assemble_F))
         assert [s.newton_iters for s in again.stages] == [0] * len(again.stages)
         assert again.requested_schedule and again.effective_schedule
-        assert again.w_physical.norm(1.0) > 0.0 and again.resonance is None
+        assert again.w_physical.norm(1.0) > 0.0
         assert calls == {"operator": 0, "assemble_F": 0}
         first = again.to_json_dict()
         assert calls == {"operator": len(again.stages), "assemble_F": 1}
@@ -314,8 +314,7 @@ class TestSolveOracle:
         # a warm start at the (3, 6) solution passes those stages without a
         # Newton step; with no step allowed, stage 12 fails and the error
         # carries the two completed stages, which report their conditioning
-        base = dict(N_tau=8, nf_steps=0, residual_tol=1e-14,
-                    check_resonance=False)
+        base = dict(N_tau=8, nf_steps=0, residual_tol=1e-14)
         small = nash_moser_solve(traj, EPS, SolverConfig(schedule=(3, 6), **base),
                                  sine_gordon)
         cfg = SolverConfig(schedule=(3, 6, 12), max_stage_iters=0, **base)
@@ -332,10 +331,10 @@ class TestSolveOracle:
     def test_warm_start_copies_the_overlapping_band(self, traj, sine_gordon):
         # a guess on a smaller band seeds the larger solve; the answer is
         # the cold one
-        cfg = SolverConfig(schedule=(6,), N_tau=8, check_resonance=False)
+        cfg = SolverConfig(schedule=(6,), N_tau=8)
         cold = nash_moser_solve(traj, EPS, cfg, sine_gordon)
-        small = nash_moser_solve(traj, EPS, SolverConfig(
-            schedule=(4,), N_tau=5, check_resonance=False), sine_gordon)
+        small = nash_moser_solve(traj, EPS, SolverConfig(schedule=(4,), N_tau=5),
+                                 sine_gordon)
         warm = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=small.w)
         assert warm.w.coeffs.shape == cold.w.coeffs.shape
         assert warm.converged
@@ -343,6 +342,21 @@ class TestSolveOracle:
         with pytest.raises(ValueError, match="period mismatch"):
             nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=SpaceTimeField(
                 period=traj.period + 1.0, coeffs=small.w.coeffs))
+
+    def test_window_gate_left_to_the_caller(self, traj, sine_gordon,
+                                            monkeypatch):
+        # inside the (k=2, j=12) window the solve runs no gate: deciding
+        # which solves the gate guards is the closure's job
+        calls = []
+
+        def gate(*args, **kwargs):
+            calls.append(args)
+            return resonance_gate(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "resonance_gate", gate)
+        cfg = SolverConfig(schedule=(3,), N_tau=4, nf_steps=0)
+        run = nash_moser_solve(traj, 0.1396532019663832, cfg, sine_gordon)
+        assert run.converged and calls == []
 
     def test_inverse_norm_law_floor(self, sine_gordon):
         reports = sigma_min_law_samples(sine_gordon, n_samples=4, seed=7)

@@ -7,7 +7,6 @@ from .fourier import (
     AliasingError,
     EvenField,
     SpaceTimeField,
-    SpatialField,
     apply_J_eps,
     invert_J_eps,
     j_eps_symbol,
@@ -15,7 +14,7 @@ from .fourier import (
     project_P,
     project_Q,
 )
-from .nonlinearity import Nonlinearity, TrustRadiusError, collocate, tilde_fg
+from .nonlinearity import Nonlinearity, TrustRadiusError, collocate
 from .planar import (
     MonodromyReport,
     NoPeriodicOrbitError,

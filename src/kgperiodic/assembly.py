@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 from .closure import (ClosureResult, DegenerateOrbitError, IntegrationError,
                       OuterLoopError, solve_delta1)
 from .divisors import ResonanceError, _linear_fit
-from .fourier import SpaceTimeField
+from .fourier import SpaceTimeField, cos_series
 from .nonlinearity import Nonlinearity
 from .planar import NoPeriodicOrbitError, PlanarOrbit, find_orbit
 from .solver import NonConvergenceError, SolverConfig, validate_eps
@@ -91,54 +91,39 @@ class AssembledSolution:
         theta = self.omega * t
         return x, t, y, theta
 
-    def _v_of_y(self, y: Array, second_derivative: bool = False) -> Array:
-        j = np.arange(self.v_cos_coeffs.shape[0], dtype=float)
-        freq = 2.0 * np.pi * j / self.period
-        C = np.cos(np.outer(y, freq))
-        c = self.v_cos_coeffs if not second_derivative \
-            else -self.v_cos_coeffs * freq**2
-        return C @ c
-
     def u_values(self, x: Array, t: Array) -> Array:
         """u on the tensor grid, shape (len(t), len(x))."""
         x, t, y, theta = self._parts(x, t)
-        out = np.outer(np.sin(theta), self._v_of_y(y))
+        out = np.outer(np.sin(theta), cos_series(self.v_cos_coeffs, self.period, y))
         if self.w is not None:
             out = out + self._w_values(y, theta)
         return self.eps * out
 
-    def _w_values(self, y: Array, theta: Array,
-                  t_factor: Array | None = None,
-                  y_factor: Array | None = None) -> Array:
-        B = self.w.coeffs
-        J, K = B.shape
-        jf = 2.0 * np.pi * np.arange(J) / self.period
-        C = np.cos(np.outer(y, jf))                # (n_x, J)
-        S = np.sin(np.outer(theta, np.arange(K)))  # (n_t, K)
-        coefs = B.copy()
+    def _w_values(self, y: Array, theta: Array, y_order: int = 0,
+                  t_factor: Array | None = None) -> Array:
+        """The w series with its cosines in y differentiated ``y_order``
+        times and its sin(k theta) scaled by ``t_factor[k]``, (n_t, n_x)."""
+        S = np.sin(np.outer(theta, np.arange(self.w.band_x + 1)))
         if t_factor is not None:
-            coefs = coefs * t_factor[None, :]
-        if y_factor is not None:
-            coefs = coefs * y_factor[:, None]
-        return S @ coefs.T @ C.T                   # (n_t, n_x)
+            S = S * t_factor
+        return S @ cos_series(self.w.coeffs, self.period, y, y_order).T
 
     def residual_values(self, x: Array, t: Array) -> Array:
         """u_tt - u_xx + u - f(u) by exact term-wise differentiation."""
         x, t, y, theta = self._parts(x, t)
         w2 = self.omega**2
         e = self.eps
-        u = np.outer(np.sin(theta), self._v_of_y(y))
+        sin_t = np.sin(theta)
+        u = np.outer(sin_t, cos_series(self.v_cos_coeffs, self.period, y))
         lin = -w2 * u \
-            - (e * self.omega) ** 2 * np.outer(np.sin(theta), self._v_of_y(y, True)) \
+            - (e * self.omega) ** 2 * np.outer(
+                sin_t, cos_series(self.v_cos_coeffs, self.period, y, 2)) \
             + u
         if self.w is not None:
-            K = self.w.band_x
-            J = self.w.band_tau
-            k2 = (np.arange(K + 1, dtype=float) * self.omega) ** 2
-            jf2 = (2.0 * np.pi * np.arange(J + 1) * e * self.omega / self.period) ** 2
+            k2 = (np.arange(self.w.band_x + 1, dtype=float) * self.omega) ** 2
             u_w = self._w_values(y, theta)
             lin += -self._w_values(y, theta, t_factor=k2) \
-                + self._w_values(y, theta, y_factor=jf2) \
+                - (e * self.omega) ** 2 * self._w_values(y, theta, y_order=2) \
                 + u_w
             u = u + u_w
         res = e * lin

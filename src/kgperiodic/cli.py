@@ -63,6 +63,11 @@ MAX_SOLVER_N_TAU = 128
 MAX_NF_STEPS = 16
 # largest `selftest` battery: about 0.3 ms per field, ~3 s at the limit
 MAX_SELFTEST_FIELDS = 10**4
+# largest `sweep`: worker processes, all forked at once, each peaking at
+# ~70 MB RSS (~1.1 GB at the limit); and eps_list rows, each 0.01-0.15 s
+# at the default solver settings and up to ~3 s at the solver limits
+MAX_SWEEP_WORKERS = 16
+MAX_SWEEP_ROWS = 1000
 
 
 class ConfigError(ValueError):
@@ -410,10 +415,14 @@ def cmd_sweep(cfg: dict) -> int:
     if not isinstance(eps_list, list) or not eps_list:
         raise ConfigError("field 'eps_list' must be a non-empty list of "
                           "numbers in (0, 1)")
+    if len(eps_list) > MAX_SWEEP_ROWS:
+        raise ConfigError(f"field 'eps_list' must hold at most {MAX_SWEEP_ROWS} "
+                          f"entries, got {len(eps_list)}")
     eps_list = [_eps_from(e, "eps_list") for e in eps_list]
     params, resolved_res = _resonance_params(cfg)
     solver_cfg, resolved_solver = _solver_config(cfg, params)
-    workers = _get_number(cfg, "workers", 1, lo=1, integer=True)
+    workers = _get_number(cfg, "workers", 1, lo=1, hi=MAX_SWEEP_WORKERS,
+                          integer=True)
     grid_n = _get_number(cfg, "residual_grid", 96, lo=16, hi=MAX_RESIDUAL_GRID,
                          integer=True)
     out = _out_dir(cfg)

@@ -20,8 +20,9 @@ from numpy.typing import NDArray
 from scipy.integrate import solve_ivp
 
 from .divisors import ResonanceReport
-from .fourier import (SpaceTimeField, cos_analyze, cos_synthesis_matrix,
-                      project_P, sin_synthesis_matrix, x_grid)
+from .fourier import (SpaceTimeField, cos_analyze, cos_series,
+                      cos_synthesis_matrix, project_P, sin_synthesis_matrix,
+                      x_grid)
 from .nonlinearity import Nonlinearity, TrustRadiusError, collocate
 from .planar import PlanarOrbit, PlanarState, VTrajectory, monodromy
 from .solver import (SolverConfig, SolverRun, nash_moser_solve, resonance_gate,
@@ -197,8 +198,8 @@ def _H_at(tau, traj_state: PlanarState, w: SpaceTimeField | None,
           eps: float, model: Nonlinearity | None):
     if w is None:
         return hamiltonian_H(traj_state, None, None, eps, model)
-    return hamiltonian_H(traj_state, w.slice_coeffs(tau),
-                         w.dtau_slice_coeffs(tau), eps, model)
+    return hamiltonian_H(traj_state, cos_series(w.coeffs, w.period, tau),
+                         cos_series(w.coeffs, w.period, tau, order=1), eps, model)
 
 
 # ---------------------------------------------------------------------------

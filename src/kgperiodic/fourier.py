@@ -1,11 +1,9 @@
 """Fourier representations on odd-periodic function spaces.
 
-Fields are stored with real coefficients:
-
-* a spatial field is ``sum_k b[k] sin(k x)`` with ``k >= 2`` (the ``sin x``
-  direction is split off by the P/Q decomposition and handled separately),
-* a space-time field is ``sum_{j,k} B[j,k] cos(2*pi*j*tau/p) sin(k x)`` with
-  ``j >= 0`` and ``k >= 2``.
+Fields are stored with real coefficients: a space-time field is
+``sum_{j,k} B[j,k] cos(2*pi*j*tau/p) sin(k x)`` with ``j >= 0`` and
+``k >= 2`` (the ``sin x`` direction is split off by the P/Q decomposition
+and handled separately).  A purely spatial field is the one-row case.
 
 The real storage encodes the symmetry "even in tau, odd in x" exactly: the
 canonical complex coefficients satisfy ``w[j,k] = w[-j,k] = -w[j,-k]`` by
@@ -17,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-import json
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,7 +23,6 @@ Array = NDArray[np.float64]
 
 __all__ = [
     "AliasingError",
-    "SpatialField",
     "SpaceTimeField",
     "EvenField",
     "x_grid",
@@ -34,6 +30,7 @@ __all__ = [
     "cos_synthesis_matrix",
     "sin_analyze",
     "cos_analyze",
+    "cos_series",
     "project_P",
     "project_Q",
     "j_eps_symbol",
@@ -101,6 +98,26 @@ def cos_analyze(values: Array, N: int) -> Array:
     return a
 
 
+def cos_series(coeffs: Array, period: float, taus: Array | float,
+               order: int = 0) -> Array:
+    """The order-th tau-derivative of sum_j coeffs[j] cos(2 pi j tau / period).
+
+    ``coeffs`` runs over j on its first axis; further axes (the sine
+    wavenumbers of a space-time field) are kept, so the result has shape
+    ``shape(taus) + coeffs.shape[1:]``.  ``order`` is 0, 1 or 2.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
+    j = np.arange(coeffs.shape[0])
+    ang = 2.0 * np.pi * np.multiply.outer(np.asarray(taus, dtype=float), j) / period
+    if order == 0:
+        return np.cos(ang) @ coeffs
+    om = (2.0 * np.pi * j / period).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    if order == 1:
+        return -np.sin(ang) @ (om * coeffs)
+    return np.cos(ang) @ (-om**2 * coeffs)
+
+
 # ---------------------------------------------------------------------------
 # norm weights
 # ---------------------------------------------------------------------------
@@ -139,70 +156,6 @@ def _check_q_space(coeffs: Array) -> None:
     low = coeffs[..., :2]
     if np.any(low != 0.0):
         raise ValueError("modes k = 0, 1 are not part of the Q-space")
-
-
-@dataclass(frozen=True)
-class SpatialField:
-    """Odd 2*pi-periodic field sum_k coeffs[k] sin(k x), k >= 2 only."""
-
-    coeffs: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        _check_q_space(self.coeffs)
-
-    @classmethod
-    def zeros(cls, N_x: int) -> "SpatialField":
-        return cls(np.zeros(N_x + 1))
-
-    @classmethod
-    def from_modes(cls, modes: dict[int, float], N_x: int | None = None) -> "SpatialField":
-        N = max(modes) if N_x is None else N_x
-        b = np.zeros(max(N, 2) + 1)
-        for k, v in modes.items():
-            b[k] = v
-        return cls(b)
-
-    @property
-    def band(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def norm(self, s: float) -> float:
-        w = 0.5 * spatial_weights(self.band, s)
-        return float(np.sqrt(np.sum(w * self.coeffs**2)))
-
-    def values(self, x: Array) -> Array:
-        k = np.arange(self.band + 1)
-        return np.sin(np.outer(x, k)) @ self.coeffs
-
-    def sup_norm(self) -> float:
-        M = max(4 * self.band, 32)
-        return float(np.max(np.abs(self.values(x_grid(M)))))
-
-    def __add__(self, other: "SpatialField") -> "SpatialField":
-        a, b = _pad_pair(self.coeffs, other.coeffs)
-        return SpatialField(a + b)
-
-    def __sub__(self, other: "SpatialField") -> "SpatialField":
-        a, b = _pad_pair(self.coeffs, other.coeffs)
-        return SpatialField(a - b)
-
-    def __mul__(self, c: float) -> "SpatialField":
-        return SpatialField(c * self.coeffs)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpatialField":
-        return SpatialField(-self.coeffs)
-
-
-def _pad_pair(a: Array, b: Array) -> tuple[Array, Array]:
-    n = max(a.shape[-1], b.shape[-1])
-    if a.shape[-1] < n:
-        a = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, n - a.shape[-1])])
-    if b.shape[-1] < n:
-        b = np.pad(b, [(0, 0)] * (b.ndim - 1) + [(0, n - b.shape[-1])])
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -256,29 +209,12 @@ class SpaceTimeField:
         c[:, N + 1:] = 0.0
         return SpaceTimeField(self.period, c)
 
-    def pi_N_complement(self, N: int) -> "SpaceTimeField":
-        c = self.coeffs.copy()
-        c[:, : min(N, self.band_x) + 1] = 0.0
-        return SpaceTimeField(self.period, c)
-
     # -- evaluation ---------------------------------------------------------
     def values_grid(self, M_tau: int, M_x: int) -> Array:
         """Samples on the uniform (tau, x) collocation grid, shape (M_tau, M_x)."""
         C = cos_synthesis_matrix(M_tau, self.band_tau)
         S = sin_synthesis_matrix(M_x, self.band_x)
         return C @ self.coeffs @ S.T
-
-    def slice_coeffs(self, tau: Array | float) -> Array:
-        """Spatial sine coefficients of w(tau, .), one row per tau."""
-        j = np.arange(self.band_tau + 1)
-        c = np.cos(np.multiply.outer(tau, 2.0 * np.pi * j) / self.period)
-        return c @ self.coeffs
-
-    def dtau_slice_coeffs(self, tau: Array | float) -> Array:
-        """Spatial sine coefficients of (d/dtau) w(tau, .), one row per tau."""
-        j = np.arange(self.band_tau + 1)
-        om = 2.0 * np.pi * j / self.period
-        return (-om * np.sin(np.multiply.outer(tau, om))) @ self.coeffs
 
     def d2_tau(self) -> "SpaceTimeField":
         """Second tau-derivative, computed spectrally."""
@@ -320,9 +256,6 @@ class SpaceTimeField:
                        for j, k in zip(j_idx, k_idx)],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpaceTimeField":
         N_x, N_tau = doc["bands"]
@@ -330,10 +263,6 @@ class SpaceTimeField:
         for j, k, v in doc["coeffs"]:
             c[j, k] = v
         return cls(float(doc["period"]), c)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpaceTimeField":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -428,26 +357,16 @@ def _sym_vector(n: int, eps: float) -> Array:
     return sym
 
 
-def apply_J_eps(w: SpatialField | SpaceTimeField, eps: float):
+def apply_J_eps(w: SpaceTimeField, eps: float) -> SpaceTimeField:
     """Mode-wise action of J_eps (fields must live in the Q-space)."""
-    if isinstance(w, SpatialField):
-        sym = _sym_vector(w.band + 1, eps)
-        c = w.coeffs * sym
-        c[:2] = 0.0
-        return SpatialField(c)
     sym = _sym_vector(w.band_x + 1, eps)
     c = w.coeffs * sym[None, :]
     c[:, :2] = 0.0
     return SpaceTimeField(w.period, c)
 
 
-def invert_J_eps(w: SpatialField | SpaceTimeField, eps: float):
+def invert_J_eps(w: SpaceTimeField, eps: float) -> SpaceTimeField:
     """Entrywise inverse of J_eps; bounded map QH^s -> QH^(s+2) with norm <= 2."""
-    if isinstance(w, SpatialField):
-        sym = _sym_vector(w.band + 1, eps)
-        c = w.coeffs / sym
-        c[:2] = 0.0
-        return SpatialField(c)
     sym = _sym_vector(w.band_x + 1, eps)
     c = w.coeffs / sym[None, :]
     c[:, :2] = 0.0

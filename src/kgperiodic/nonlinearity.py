@@ -35,17 +35,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, isfinite, prod
+from math import factorial, isfinite
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .fourier import (SpatialField, project_P, project_Q,
-                      sin_synthesis_matrix, x_grid)
+from .fourier import sin_synthesis_matrix
 
 Array = NDArray[np.float64]
 
-__all__ = ["Nonlinearity", "TrustRadiusError", "collocate", "tilde_fg"]
+__all__ = ["Nonlinearity", "TrustRadiusError", "collocate"]
 
 
 class TrustRadiusError(ValueError):
@@ -197,14 +196,6 @@ class Nonlinearity:
         return _Series(self.odd_coeffs, self.trust_radius)
 
     @cached_property
-    def _deriv_series(self) -> dict[int, _Series]:
-        # u^n with n = 2m + 3 differentiates to n (n-1) ... u^(n - order)
-        return {order: _Series((prod(range(2 * m + 4 - order, 2 * m + 4)) * c
-                                for m, c in enumerate(self.odd_coeffs)),
-                               self.trust_radius)
-                for order in (1, 2, 3)}
-
-    @cached_property
     def _scaled_deriv_series(self) -> _Series:
         return _Series(((2 * m + 3) * c for m, c in enumerate(self.odd_coeffs)),
                        self.trust_radius)
@@ -218,14 +209,6 @@ class Nonlinearity:
         """f(u) by Horner evaluation of the odd series."""
         u, acc = self._series(u, 1.0, self._f_series)
         out = acc * (u * u) * u
-        return float(out) if out.ndim == 0 else out
-
-    def deriv(self, u: Array | float, order: int = 1):
-        """Derivative of f at u, order in {1, 2, 3}."""
-        if order not in (1, 2, 3):
-            raise ValueError("order must be 1, 2, or 3")
-        u, acc = self._series(u, 1.0, self._deriv_series[order])
-        out = acc * u ** (3 - order)
         return float(out) if out.ndim == 0 else out
 
     # -- rescaled forms (finite at eps = 0) ----------------------------------
@@ -272,19 +255,3 @@ def collocate(model: Nonlinearity | None, eps: float, v: Array | float,
     vals = model.scaled_eval(xi, eps) if order == 0 else model.scaled_deriv(xi, eps)
     return (-1.0 / (1.0 + eps**2)) * vals
 
-
-def tilde_fg(v: float, w: SpatialField | None, eps: float,
-             model: Nonlinearity | None, N_out: int | None = None,
-             M: int | None = None) -> tuple[float, SpatialField]:
-    """Slow and fast forcings (f~, g) at one tau-slice.
-
-    The P and Q parts of `collocate` at ``xi = v sin x + w``.  ``N_out``
-    sets the spatial band of the Q part (defaults to the band of ``w`` or 8
-    for w = 0); ``M`` overrides the collocation size.
-    """
-    band_in = w.band if w is not None else 1
-    N_out = N_out if N_out is not None else max(band_in, 8)
-    M = M if M is not None else 4 * max(3 * band_in, N_out, 8)
-    w_values = None if w is None else w.values(x_grid(M))
-    vals = collocate(model, eps, v, w_values, M)
-    return project_P(vals), SpatialField(project_Q(vals, N_out))

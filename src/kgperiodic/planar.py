@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ellipe, ellipj, ellipk
 
-from .fourier import cos_analyze, cos_synthesis_matrix
+from .fourier import cos_analyze, cos_series, cos_synthesis_matrix
 
 Array = NDArray[np.float64]
 
@@ -117,15 +117,10 @@ class VTrajectory:
         return self.v_samples.shape[0]
 
     def v_at(self, taus: Array | float) -> Array:
-        j = np.arange(self.cos_coeffs.shape[0])
-        ang = 2.0 * np.pi * np.multiply.outer(np.asarray(taus, dtype=float), j) / self.period
-        return np.cos(ang) @ self.cos_coeffs
+        return cos_series(self.cos_coeffs, self.period, taus)
 
     def v_tau_at(self, taus: Array | float) -> Array:
-        j = np.arange(self.cos_coeffs.shape[0])
-        om = 2.0 * np.pi * j / self.period
-        ang = np.multiply.outer(np.asarray(taus, dtype=float), om)
-        return -np.sin(ang) @ (om * self.cos_coeffs)
+        return cos_series(self.cos_coeffs, self.period, taus, order=1)
 
     def resample(self, M: int) -> Array:
         """v on the uniform M-point grid (spectral interpolation), read-only

@@ -31,7 +31,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .divisors import (DivisorTable, ResonanceError, ResonanceParams,
                        averaged_potential, hill_eigs, is_resonant,
                        multiplication_matrix)
-from .fourier import (SpaceTimeField, cos_synthesis_matrix,
+from .fourier import (SpaceTimeField, cos_synthesis_matrix, j_eps_symbol,
                       sin_synthesis_matrix, x_grid)
 from .nonlinearity import Nonlinearity
 from .normalform import (TransformedSystem, identity_system, multiplier_values,
@@ -125,6 +125,9 @@ class SolverConfig:
 
     def __post_init__(self):
         check_admissible(self.resonance)
+        if self.N_cap < 2:
+            raise ValueError(f"N_cap must be >= 2 (Q-space starts at k = 2), "
+                             f"got {self.N_cap}")
         if self.schedule is not None:
             sched = tuple(int(n) for n in self.schedule)
             if any(n < 2 for n in sched) or any(
@@ -191,10 +194,9 @@ def _unpack(vec: Array, period: float, N: int, N_tau: int,
 
 
 def _linear_symbol(period: float, eps: float, N_tau: int, K: int) -> Array:
-    k = np.arange(K + 1, dtype=float)
     j = np.arange(N_tau + 1, dtype=float)
-    sym_k = 1.0 / (1.0 + eps**2) - k**2
-    return sym_k[None, :] + eps**2 * (2.0 * np.pi * j[:, None] / period) ** 2
+    return (j_eps_symbol(np.arange(K + 1), eps)[None, :]
+            + eps**2 * (2.0 * np.pi * j[:, None] / period) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +553,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
         iters = 0
         while True:
             F_vec = _pack(F.coeffs, N_i)
-            res = (F.pi_N(N_i) if N_i >= 2 else F).norm(_SOBOLEV_S)
+            res = F.pi_N(N_i).norm(_SOBOLEV_S)
             if res <= config.residual_tol:
                 break
             if iters >= config.max_stage_iters:

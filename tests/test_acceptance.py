@@ -17,8 +17,8 @@ from kgperiodic.divisors import (
     hill_eigs,
     measure_exponent_fit,
 )
-from kgperiodic.fourier import j_eps_symbol
-from kgperiodic.nonlinearity import tilde_fg
+from kgperiodic.fourier import j_eps_symbol, project_P
+from kgperiodic.nonlinearity import collocate
 from kgperiodic.normalform import nf_sequence
 from kgperiodic.planar import h_star, limit_rhs, monodromy
 from kgperiodic.properties import DEFAULT_SEED, run_all
@@ -45,10 +45,12 @@ def test_criterion_01_j_eps_inverse_bound():
 
 def test_criterion_02_limit_coefficient_law(sine_gordon, phi4):
     # |tilde_f(v, 0, eps) + f3 v^3 / 8| = O(eps^2): Richardson slope 2 +- 0.1
+    # (tilde_f = P of the forcing collocated on 32 x points)
     eps_values = (1e-2, 5e-3, 2.5e-3)
     v = 1.0
     for model in (sine_gordon, phi4):
-        errs = [abs(tilde_fg(v, None, e, model)[0] + model.f3 * v**3 / 8.0)
+        errs = [abs(project_P(collocate(model, e, v, None, 32))
+                    + model.f3 * v**3 / 8.0)
                 for e in eps_values]
         slope = richardson_slope(eps_values, errs)
         assert abs(slope - 2.0) <= 0.1, f"{model.name}: slope {slope}"

@@ -195,6 +195,13 @@ class TestSweep:
         with pytest.raises(ClosureConsistencyError):
             epsilon_sweep(sine_gordon, 0.9, [0.1], workers=1)
 
+    def test_parallel_rows_match_serial(self, sine_gordon, sweep_report):
+        # two worker processes give the serial rows, sorted by eps
+        report = epsilon_sweep(sine_gordon, 0.9, [0.193, 0.148], workers=2)
+        assert [r.eps for r in report.rows] == [0.148, 0.193]
+        assert report.rows == tuple(r for r in sweep_report.rows
+                                    if r.eps in (0.148, 0.193))
+
     def test_five_point_report(self, sweep_report):
         rows = sweep_report.rows
         assert len(rows) == 5

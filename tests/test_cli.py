@@ -23,6 +23,8 @@ from kgperiodic.cli import (
     MAX_SELFTEST_FIELDS,
     MAX_SOLVER_N,
     MAX_SOLVER_N_TAU,
+    MAX_SWEEP_ROWS,
+    MAX_SWEEP_WORKERS,
     main,
 )
 from kgperiodic.solver import NonConvergenceError
@@ -487,6 +489,44 @@ def test_solver_field_past_its_limit_exits_1(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("invalid config: field ") and err.count("\n") == 1
     assert not calls
+
+
+def _forbid_pool(monkeypatch, calls):
+    """Make constructing the sweep's worker pool record a call and fail, so
+    that no process is started."""
+    def forbidden(*args, **kwargs):
+        calls.append(kwargs)
+        raise AssertionError("sweep worker pool constructed")
+
+    monkeypatch.setattr(assembly, "ProcessPoolExecutor", forbidden)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"eps_list": [0.1, 0.2], "workers": MAX_SWEEP_WORKERS + 1},
+    {"eps_list": [0.1] * (MAX_SWEEP_ROWS + 1), "workers": 2}])
+def test_sweep_past_its_limit_exits_1(tmp_path, capsys, monkeypatch, cfg):
+    calls = []
+    _forbid_work(monkeypatch, calls)
+    _forbid_pool(monkeypatch, calls)
+    cfg = {**cfg, "out_dir": str(tmp_path)}
+    assert run_cli(tmp_path, "sweep", cfg) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: field ") and err.count("\n") == 1
+    assert not calls
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_at_its_limits_reaches_the_pool(tmp_path, monkeypatch):
+    # both limits are accepted; the pool it then builds is forbidden
+    calls = []
+    _forbid_work(monkeypatch, calls)
+    _forbid_pool(monkeypatch, calls)
+    eps_list = [0.1 + 1e-4 * i for i in range(MAX_SWEEP_ROWS)]
+    cfg = {"eps_list": eps_list, "workers": MAX_SWEEP_WORKERS,
+           "out_dir": str(tmp_path)}
+    with pytest.raises(AssertionError, match="pool"):
+        run_cli(tmp_path, "sweep", cfg)
+    assert calls == [{"max_workers": MAX_SWEEP_WORKERS}]
 
 
 @pytest.mark.parametrize("command, cfg", [

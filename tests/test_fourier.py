@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from kgperiodic.fourier import (
     AliasingError,
     SpaceTimeField,
-    SpatialField,
     apply_J_eps,
+    cos_series,
     invert_J_eps,
     j_eps_symbol,
     multiply_to_even,
     project_P,
     project_Q,
+    sin_synthesis_matrix,
     x_grid,
 )
 
@@ -71,9 +72,12 @@ class TestProjections:
         assert np.array_equal(w.pi_N(7).coeffs[:, :6], w.coeffs)
 
     def test_complement_sums_back(self, rng):
+        # h - Pi_N h keeps exactly the modes k > N
         w = random_qfield(rng)
-        total = w.pi_N(4) + w.pi_N_complement(4)
-        assert np.allclose(total.coeffs, w.coeffs, atol=0.0)
+        tail = w - w.pi_N(4)
+        assert np.all(tail.coeffs[:, :5] == 0.0)
+        assert np.array_equal(tail.coeffs[:, 5:], w.coeffs[:, 5:])
+        assert np.array_equal((w.pi_N(4) + tail).coeffs, w.coeffs)
 
 
 class TestPQ:
@@ -113,11 +117,12 @@ class TestPQ:
 
 class TestJEps:
     def test_eps_zero_action(self):
-        w = SpatialField.from_modes({2: 1.0}, N_x=3)
+        # a spatial field is a one-row space-time field
+        w = field_from_modes(2 * np.pi, {(0, 2): 1.0}, N_tau=0, N_x=3)
         out = apply_J_eps(w, 0.0)
-        assert out.coeffs[2] == pytest.approx(-3.0, abs=1e-15)
+        assert out.coeffs[0, 2] == pytest.approx(-3.0, abs=1e-15)
         back = invert_J_eps(w, 0.0)
-        assert back.coeffs[2] == pytest.approx(-1.0 / 3.0, abs=1e-15)
+        assert back.coeffs[0, 2] == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
     def test_symbol_bound_exact(self):
         k = np.arange(2, 1001, dtype=float)[:, None]
@@ -126,29 +131,61 @@ class TestJEps:
         assert sup <= 2.0
 
     def test_inverse_identity(self, rng):
-        coeffs = rng.standard_normal(8)
-        coeffs[:2] = 0.0
-        w = SpatialField(coeffs)
+        w = random_qfield(rng, N_tau=0, N_x=7)
         for eps in (0.0, 0.1, 0.5):
             back = apply_J_eps(invert_J_eps(w, eps), eps)
             assert np.allclose(back.coeffs, w.coeffs, atol=1e-14)
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError):
-            SpatialField([0.0, 1.0, 0.5])
+            SpaceTimeField(2 * np.pi, [[0.0, 1.0, 0.5]])
 
 
 class TestSerialization:
     def test_roundtrip_exact(self, rng):
         w = random_qfield(rng)
-        back = SpaceTimeField.from_json(w.to_json())
+        back = SpaceTimeField.from_json_dict(
+            json.loads(json.dumps(w.to_json_dict())))
         assert back.period == w.period
         assert np.array_equal(back.coeffs, w.coeffs)
 
     def test_document_shape(self, rng):
-        doc = json.loads(random_qfield(rng).to_json())
+        doc = json.loads(json.dumps(random_qfield(rng).to_json_dict()))
         assert set(doc) == {"period", "bands", "coeffs"}
         assert all(len(entry) == 3 for entry in doc["coeffs"])
+
+
+class TestCosSeries:
+    def test_single_mode_derivatives(self):
+        # a cos(om tau), om = 2 pi 3 / p, and its first two tau-derivatives
+        p, a = 5.0, 0.7
+        tau = np.array([0.0, 0.3, 1.9, 4.2])
+        om = 2.0 * np.pi * 3.0 / p
+        c = np.zeros(5)
+        c[3] = a
+        assert np.allclose(cos_series(c, p, tau), a * np.cos(om * tau),
+                           atol=1e-15)
+        assert np.allclose(cos_series(c, p, tau, 1), -a * om * np.sin(om * tau),
+                           atol=1e-14)
+        assert np.allclose(cos_series(c, p, tau, 2),
+                           -a * om**2 * np.cos(om * tau), atol=1e-14)
+
+    def test_field_slices_match_grid(self, rng):
+        # the rows of a space-time field at the grid times synthesize its
+        # grid samples; a scalar time gives one row
+        w = random_qfield(rng)
+        M_tau, M_x = 24, 40
+        taus = w.period * np.arange(M_tau) / M_tau
+        slices = cos_series(w.coeffs, w.period, taus)
+        assert slices.shape == (M_tau, w.band_x + 1)
+        assert np.allclose(slices @ sin_synthesis_matrix(M_x, w.band_x).T,
+                           w.values_grid(M_tau, M_x), atol=1e-14)
+        assert np.allclose(cos_series(w.coeffs, w.period, taus[5]), slices[5],
+                           rtol=0.0, atol=1e-15)
+
+    def test_order_3_rejected(self):
+        with pytest.raises(ValueError):
+            cos_series(np.ones(3), 1.0, 0.0, order=3)
 
 
 class TestEvenProducts:
@@ -190,7 +227,7 @@ def test_lp1_projection_inequality(h, N, m1, extra):
        st.floats(0.0, 4.0), st.floats(0.0, 4.0))
 def test_lp2_projection_inequality(h, N, m1, extra):
     m2 = m1 + extra
-    assert (h.pi_N_complement(N).norm(m1)
+    assert ((h - h.pi_N(N)).norm(m1)
             <= N ** (m1 - m2) * h.norm(m2) * (1.0 + 1e-12))
 
 

@@ -240,6 +240,13 @@ class TestSchedule:
         with pytest.raises(ValueError):
             SolverConfig(schedule=(1, 8))
 
+    def test_N_cap_below_2_rejected(self):
+        # the Q-space starts at k = 2: no truncation below it
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match="N_cap"):
+                SolverConfig(N_cap=n)
+        assert schedule_for(0.5, SolverConfig(N_cap=2)) == ((3,), (2,))
+
     def test_eps_domain(self, traj):
         cfg = SolverConfig(schedule=(3,), N_tau=2)
         with pytest.raises(ValueError):

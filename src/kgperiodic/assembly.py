@@ -187,7 +187,7 @@ def tail_norm(sol: AssembledSolution, limit_orbit: PlanarOrbit) -> float:
     u = sol.u_values(xs, ts) / sol.eps              # (M_t, n_x)
     y = sol.eps * sol.omega * xs
     # subtract the limit profile (constant in t per column)
-    vt, _ = limit_orbit.sample(y)
+    vt = cos_series(limit_orbit.cos_coeffs, limit_orbit.period, y)
     u = u - vt[None, :]
     # project each column onto sin(k omega t), k >= 2
     theta = sol.omega * ts

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import solve_ivp
 
 from .divisors import ResonanceReport
 from .fourier import (SpaceTimeField, cos_analyze, cos_series,
@@ -45,7 +44,7 @@ __all__ = [
 _IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
 _M_X = 64      # x-collocation points of the slow equation's forcing
 _M_X_H = 128   # x-collocation points of the Hamiltonian's potential term
-_N_SAMPLES = 256           # tau samples of the seed trajectory
+_N_SAMPLES = 256           # tau collocation points of the Galerkin slow solve
 _MAX_OUTER = 10            # rounds of the closure loop
 _TOL_OUTER = 1e-10         # settled delta_1 and w-update that end the loop
 _DERIVATIVE_FLOOR = 1e-3   # smallest |shooting derivative|
@@ -102,6 +101,9 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
         w_slice = None if A is None else np.cos(omega * tau) @ A
         return np.concatenate([v_tau, -v / (1.0 + eps**2)
                                + project_P(collocate(model, eps, v, w_slice, _M_X))])
+
+    # imported here, so that runs which never certify skip its ~0.25 s import
+    from scipy.integrate import solve_ivp
 
     y0 = [s.p for s in starts] + [s.p_tau for s in starts]
     sol = solve_ivp(rhs, (0.0, period), y0, **_IVP_OPTS)
@@ -298,7 +300,8 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     K = schedule_for(eps, solver)[1][-1]
     w_field: SpaceTimeField | None = None
     run: SolverRun | None = None
-    coeffs = orbit.trajectory(_N_SAMPLES).cos_coeffs
+    # the seed orbit's series, zero-padded or cut to the Galerkin band
+    coeffs = np.pad(orbit.cos_coeffs, (0, _N_SAMPLES))[:_N_SAMPLES // 2]
     history: list[tuple] = []
 
     for outer in range(1, _MAX_OUTER + 1):

@@ -8,37 +8,34 @@ energy gradient requires the orbit to be non-degenerate: the monodromy
 matrix of the linearized flow has eigenvalue 1 with geometric multiplicity
 one.
 
-This Duffing equation has closed-form orbits (DLMF 22.19(ii)): with
-beta = f3/8, Omega^2 = 1 + beta a^2 and m = beta a^2 / (2 Omega^2), the orbit
-through (a, 0) is ``a cn(Omega tau | m)``, of period ``T = 4 K(m) / Omega``.
-For m < 0 (softening) ``cn(u | m) = cd(u s | mu)`` with s = sqrt(1 - m) and
-mu = -m / (1 - m) (DLMF 22.17).  The monodromy matrix follows from dT/da,
-with dK/dm from DLMF 19.4.1.
+This Duffing equation has closed-form orbits (DLMF 22.19(ii), 22.17).  With
+b = f3 a^2 / 8 the orbit through (a, 0) is ``a cn(nu tau | k^2)``, k^2 =
+b / (2 + 2b) and nu^2 = 1 + b, for f3 >= 0, and ``a cd(nu tau | k^2)``, k^2 =
+-b / (2 + b) and nu^2 = 1 + b/2, for f3 < 0, where 1 + b is formed exactly
+so that k'^2 = 1 - k^2 does not cancel next to the separatrix.  From
+K = pi / (2 AGM(1, k')) and K' = pi / (2 AGM(1, k)) (DLMF 19.8.1) follow the
+period T = 4 K / nu, K - E (DLMF 19.8.6) and so dK/dk^2 (DLMF 19.4.1) for
+the monodromy, and the nome q = exp(-pi K'/K).  The cosine coefficients sit
+at the odd harmonics 2n + 1 of T: a 2 pi/(k K) q^(n+1/2) / (1 + q^(2n+1))
+for cn (DLMF 22.11.2), and (-1)^n times that with 1 - q^(2n+1) for
+cd(u) = sn(u + K) (DLMF 22.11.1).  They are computed once per orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ellipe, ellipj, ellipk
 
 from .fourier import cos_analyze, cos_series, cos_synthesis_matrix
 
 Array = NDArray[np.float64]
 
-__all__ = [
-    "PlanarState",
-    "PlanarOrbit",
-    "VTrajectory",
-    "MonodromyReport",
-    "NoPeriodicOrbitError",
-    "limit_rhs",
-    "h_star",
-    "find_orbit",
-    "monodromy",
-]
+__all__ = ["PlanarState", "PlanarOrbit", "VTrajectory", "MonodromyReport",
+           "NoPeriodicOrbitError", "limit_rhs", "h_star", "find_orbit", "monodromy"]
 
 
 class NoPeriodicOrbitError(ValueError):
@@ -149,6 +146,8 @@ class PlanarOrbit:
     tau: Array
     p: Array
     p_tau: Array
+    cos_coeffs: Array      # the orbit's cosine series in tau, harmonics 0..
+    period_slope: float    # dT/da
 
     @property
     def base_point(self) -> PlanarState:
@@ -166,86 +165,87 @@ class PlanarOrbit:
         a = self.amplitude
         return PlanarState(a + (self.f3 / 8.0) * a**3, 0.0)
 
-    def sample(self, taus: Array | float) -> tuple[Array, Array]:
-        """Closed-form (p, p_tau) of the orbit at the given times."""
-        return _sample(self.f3, self.amplitude, taus)
-
     def trajectory(self, M: int | None = None) -> VTrajectory:
         """The orbit on the uniform M-point grid (default: its own grid)."""
         M = M or self.p.shape[0]
-        p, p_tau = self.sample(self.period * np.arange(M) / M)
+        p, p_tau = _grid_sample(self.cos_coeffs, self.period, M)
         return VTrajectory(self.period, p, p_tau, start=(self.amplitude, 0.0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "f3": self.f3,
-            "amplitude": self.amplitude,
-            "period": self.period,
-            "energy": self.energy,
-            "samples": [[float(t), float(p), float(q)]
-                        for t, p, q in zip(self.tau, self.p, self.p_tau)],
-        }
+        return {"f3": self.f3, "amplitude": self.amplitude, "period": self.period,
+                "energy": self.energy,
+                "samples": np.column_stack([self.tau, self.p, self.p_tau]).tolist()}
 
 
-def _parameter(f3: float, amplitude: float) -> tuple[float, float, float]:
-    """beta = f3/8, Omega and the elliptic parameter m of the orbit."""
+def _ellip_k(kp: float, k: float) -> tuple[float, float]:
+    """K = pi/(2 AGM(1, kp)) and sum_{n>=1} 2^(n-1) (c_n/k)^2, DLMF 19.8.1 and
+    19.8.6; c_1/k = k/(2 + 2 kp) and c_(n+1) = c_n^2/(4 a_(n+1)), so k may be 0."""
+    a, b, g, w, s = 1.0, kp, k / (2.0 * (1.0 + kp)), 1.0, 0.0
+    for _ in range(64):      # (a, b) = (a_(n-1), b_(n-1)) and g = c_n / k
+        s += w * g * g
+        a, b = 0.5 * (a + b), sqrt(a * b)
+        if a - b <= 1e-15 * a:
+            break
+        g, w = k * g * g / (2.0 * (a + b)), 2.0 * w
+    return np.pi / (a + b), s
+
+
+def _orbit_series(f3: float, amplitude: float) -> tuple[float, float, Array]:
+    """Period T, dT/da and the cosine coefficients (harmonics 0..2n+1, cut
+    where q^n falls below 2^-64) of the orbit through (amplitude, 0)."""
     beta = f3 / 8.0
-    omega2 = 1.0 + beta * amplitude**2
-    return beta, float(np.sqrt(omega2)), beta * amplitude**2 / (2.0 * omega2)
+    b = beta * amplitude**2
+    if f3 >= 0.0:     # a cn(nu tau | k^2)
+        sign, k2, kp2, nu2 = 1.0, b / (2 + 2 * b), (2 + b) / (2 + 2 * b), 1 + b
+    else:             # a cd(nu tau | k^2), with 1 + b formed exactly
+        omega2 = float(1 + Fraction(f3) / 8 * Fraction(amplitude) ** 2)
+        sign, k2, kp2, nu2 = -1.0, -b / (2 + b), 2 * omega2 / (2 + b), 1 + 0.5 * b
+    k, kp, nu = sqrt(k2), sqrt(kp2), sqrt(nu2)
+    K, s = _ellip_k(kp, k)
+    dK = K * (0.5 - s) / (2.0 * kp2)                       # dK/dk^2
+    # T = 4 K / nu; dk^2/da = sign beta a / nu^4, d(nu^2)/da = (3 + sign) beta a / 2
+    slope = (4.0 * beta * amplitude / (nu * nu2)
+             * (sign * dK / nu2 - 0.25 * (3.0 + sign) * K))
+    # q^(1/2) / k = exp(-pi K' / (2 K)) / k, which tends to 1/4 as k -> 0
+    ratio = (float(np.exp(-0.5 * np.pi * _ellip_k(k, kp)[0] / K - np.log(k)))
+             if k else 0.25)
+    q = (ratio * k) ** 2
+    n = np.arange(1 + int(np.log(2.0**-64) / np.log(q)) if 0.0 < q < 1.0 else 1)
+    coeffs = np.zeros(2 * n.size)
+    coeffs[1::2] = (2.0 * np.pi * amplitude * ratio / K * sign**n * q**n
+                    / (1.0 + sign * q ** (2 * n + 1)))
+    return 4.0 * K / nu, slope, coeffs
 
 
-def _sample(f3: float, amplitude: float, taus: Array | float) -> tuple[Array, Array]:
-    """(p, p_tau) of the orbit through (amplitude, 0) at the given times."""
-    _, omega, m = _parameter(f3, amplitude)
-    if m >= 0.0:
-        sn, cn, dn, _ = ellipj(omega * np.asarray(taus, dtype=float), m)
-        return amplitude * cn, -amplitude * omega * sn * dn
-    # cn(u | m) = cd(u s | mu), and d/du cd(u | mu) = -(1 - mu) sn / dn^2
-    mu, s = -m / (1.0 - m), float(np.sqrt(1.0 - m))
-    sn, cn, dn, _ = ellipj(omega * s * np.asarray(taus, dtype=float), mu)
-    return amplitude * cn / dn, -amplitude * omega * s * (1.0 - mu) * sn / dn**2
-
-
-def _period(f3: float, amplitude: float) -> tuple[float, float]:
-    """Period T = 4 K(m) / Omega and dT/da = 4 beta a (K'(m) / Omega^5
-    - K(m) / Omega^3), with K'(m) = (E - (1 - m) K) / (2 m (1 - m))
-    (DLMF 19.4.1), or its Maclaurin series where that cancels (|m| < 1e-3).
-    """
-    beta, omega, m = _parameter(f3, amplitude)
-    K = float(ellipk(m))
-    if abs(m) < 1e-3:
-        dK = 0.5 * np.pi * (0.25 + m * (9.0 / 32.0 + m * (75.0 / 256.0
-                                                          + m * 1225.0 / 4096.0)))
-    else:
-        dK = (float(ellipe(m)) - (1.0 - m) * K) / (2.0 * m * (1.0 - m))
-    slope = beta * amplitude / omega**3
-    return 4.0 * K / omega, 4.0 * slope * (dK / omega**2 - K)
+def _grid_sample(coeffs: Array, period: float, M: int) -> tuple[Array, Array]:
+    """(p, p_tau) of a cosine series on the M-point grid: folded FFT, exact."""
+    j = np.arange(coeffs.size)
+    z = M * np.fft.ifft([np.bincount(j % M, c, M)
+                         for c in (coeffs, (2.0 * np.pi / period) * j * coeffs)])
+    return z[0].real, -z[1].imag
 
 
 def find_orbit(f3: float, amplitude: float, tol: float = 1e-10,
                n_samples: int = 512) -> PlanarOrbit:
     """Periodic orbit through (amplitude, 0), sampled on ``n_samples`` points.
 
-    Period and samples come from the closed form in Jacobi elliptic
-    functions (DLMF 22.19(ii)).  For
+    Period and samples come from the nome series of the closed form.  For
     ``f3 < 0`` the amplitude must stay inside the bounded component below
-    the saddle at sqrt(-8/f3); next to it the parameter mu of the
-    transformed functions approaches 1.  The samples' energy drift is
-    checked against ``tol`` as given (round-off alone leaves 1e-15 to
-    1e-13 at amplitudes of order one) and a larger one raises.
+    the saddle at sqrt(-8/f3), where q -> 1, but slowly (0.71 at 1e-11 below
+    it).  The samples' energy drift is checked against ``tol`` as given
+    (round-off alone leaves about 1e-15 at amplitudes of order one).
     """
     if not (np.isfinite(amplitude) and amplitude > 0):
         raise ValueError("amplitude must be a finite positive number")
-    if f3 < 0 and amplitude >= np.sqrt(-8.0 / f3):
+    if f3 < 0 and 1 + Fraction(f3) / 8 * Fraction(amplitude) ** 2 <= 0:
         raise NoPeriodicOrbitError(
             f"amplitude {amplitude:.6g} is outside the bounded component "
             f"(separatrix at {np.sqrt(-8.0 / f3):.6g})")
 
-    period, _ = _period(f3, amplitude)
+    period, slope, coeffs = _orbit_series(f3, amplitude)
     if n_samples % 2:       # an even grid samples the turning point T/2
         n_samples += 1
-    grid = period * np.arange(n_samples) / n_samples
-    p, p_tau = _sample(f3, amplitude, grid)
+    p, p_tau = _grid_sample(coeffs, period, n_samples)
     energy = h_star((amplitude, 0.0), f3)
     drift = np.max(np.abs(h_star(PlanarState(p, p_tau), f3) - energy))
     if not drift <= tol:
@@ -253,7 +253,9 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-10,
             f"energy drift {drift:.2e} on the sampled orbit exceeds the "
             f"tolerance {tol:.2e}; the orbit is not resolved")
     return PlanarOrbit(f3=f3, amplitude=amplitude, period=period, energy=energy,
-                       tau=grid, p=p, p_tau=p_tau)
+                       tau=period * np.arange(n_samples) / n_samples, p=p,
+                       p_tau=p_tau, cos_coeffs=coeffs,
+                       period_slope=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +290,12 @@ def monodromy(orbit: PlanarOrbit) -> MonodromyReport:
     Along an orbit of a planar Hamiltonian flow the tangent v is carried to
     itself, and the energy-gradient direction picks up the period's twist:
     in (p, p_tau) coordinates at the base point (a, 0),
-    ``M = [[1, 0], [T'(a) (a + beta a^3), 1]]``, with T'(a) from the period
-    4 K(m) / Omega (DLMF 22.19(ii), dK/dm by DLMF 19.4.1).  Both
-    eigenvalues are exactly 1; the orbit is non-degenerate when
-    that eigenvalue has geometric multiplicity one, i.e. when the twist
-    |M[1, 0]| exceeds `_RANK_GAP`.
+    ``M = [[1, 0], [T'(a) (a + beta a^3), 1]]`` with T'(a) = ``period_slope``.
+    Both eigenvalues are exactly 1; the orbit is non-degenerate when that
+    eigenvalue has geometric multiplicity one, i.e. when the twist |M[1, 0]|
+    exceeds `_RANK_GAP`.
     """
-    _, slope = _period(orbit.f3, orbit.amplitude)
-    twist = slope * orbit.conormal.p          # T'(a) (a + beta a^3)
+    twist = orbit.period_slope * orbit.conormal.p          # T'(a) (a + beta a^3)
     rank = int(abs(twist) > _RANK_GAP)
     return MonodromyReport(
         matrix=np.array([[1.0, 0.0], [twist, 1.0]]),

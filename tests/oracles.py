@@ -4,10 +4,12 @@ Every derived expectation in the tests is pinned by one of these oracles
 rather than by the code under test: periods come from an energy quadrature,
 divisor roots from exact-rational bisection, derivatives from centered
 differences, and orbits and monodromy from DOP853 integrations of the
-limit oscillator (the package itself uses the closed form).  None of the
-functions below import from the package's numerical core except where a
-plain trajectory integration is unavoidable (orbit and flow-map oracles),
-and there only through the planar ODE right-hand side written in place.
+limit oscillator, from SciPy's Cephes Jacobi elliptic functions, and
+from 50-digit `mpmath` (the package sums the closed form's nome series).
+None of the functions below import from the package's numerical core
+except where a plain trajectory integration is unavoidable (orbit and
+flow-map oracles), and there only through the planar ODE right-hand side
+written in place.
 The exceptions are the dense references for the Newton solve:
 `assemble_L` reuses the package's multiplier samples and symbol but
 assembles every matrix entry by its own route, and `oracle_newton_solve`
@@ -21,9 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh
+from scipy.special import ellipe, ellipj, ellipk
 from scipy.stats import linregress
 
 from kgperiodic.fourier import cos_analyze, sin_synthesis_matrix
@@ -93,6 +97,66 @@ def oracle_orbit(f3: float, amplitude: float,
     p = np.concatenate([direct[0], direct[0, 1:half][::-1]])
     p_tau = np.concatenate([direct[1], -direct[1, 1:half][::-1]])
     return period, p, p_tau
+
+
+def ellipj_orbit(f3: float, amplitude: float,
+                 taus) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Period, dT/da and (p, p_tau) at ``taus`` from Cephes ellipj/ellipk/ellipe.
+
+    With beta = f3/8, Omega^2 = 1 + beta a^2 and m = beta a^2 / (2 Omega^2)
+    the orbit is a cn(Omega tau | m) of period 4 K(m) / Omega (DLMF
+    22.19(ii)), and for m < 0 cn(u | m) = cd(u s | mu) with s = sqrt(1 - m),
+    mu = -m / (1 - m) (DLMF 22.17).  dT/da = 4 beta a (K'(m) / Omega^5 -
+    K(m) / Omega^3) with K'(m) = (E - (1 - m) K) / (2 m (1 - m)) (DLMF
+    19.4.1), or its Maclaurin series for |m| < 1e-3.  Every parameter is
+    rounded as a double, which limits it next to the separatrix.
+    """
+    beta = f3 / 8.0
+    omega2 = 1.0 + beta * amplitude**2
+    omega, m = float(np.sqrt(omega2)), beta * amplitude**2 / (2.0 * omega2)
+    taus = np.asarray(taus, dtype=float)
+    if m >= 0.0:
+        sn, cn, dn, _ = ellipj(omega * taus, m)
+        p, p_tau = amplitude * cn, -amplitude * omega * sn * dn
+    else:   # d/du cd(u | mu) = -(1 - mu) sn / dn^2
+        mu, s = -m / (1.0 - m), float(np.sqrt(1.0 - m))
+        sn, cn, dn, _ = ellipj(omega * s * taus, mu)
+        p = amplitude * cn / dn
+        p_tau = -amplitude * omega * s * (1.0 - mu) * sn / dn**2
+    K = float(ellipk(m))
+    if abs(m) < 1e-3:
+        dK = 0.5 * np.pi * (0.25 + m * (9.0 / 32.0 + m * (75.0 / 256.0
+                                                          + m * 1225.0 / 4096.0)))
+    else:
+        dK = (float(ellipe(m)) - (1.0 - m) * K) / (2.0 * m * (1.0 - m))
+    slope = 4.0 * beta * amplitude / omega**3 * (dK / omega2 - K)
+    return 4.0 * K / omega, slope, p, p_tau
+
+
+def mpmath_orbit(f3: float, amplitude: float, taus,
+                 dps: int = 50) -> tuple[float, float, np.ndarray]:
+    """Period, dT/da and p at ``taus`` of the orbit through the double
+    ``amplitude``, all in ``dps``-digit arithmetic: a cn(Omega tau | m) for
+    f3 >= 0, and a cd(nu tau | mu), mu = -b / (2 + b), nu^2 = 1 + b/2 with
+    b = f3 a^2 / 8 for f3 < 0 (DLMF 22.19(ii), 22.17); dT/da by mpmath's
+    numerical differentiation of the period."""
+    with mpmath.workdps(dps):
+        def orbit(a):
+            b = mpmath.mpf(f3) / 8 * a * a
+            if f3 >= 0:
+                return b / (2 + 2 * b), mpmath.sqrt(1 + b), "cn"
+            return -b / (2 + b), mpmath.sqrt(1 + b / 2), "cd"
+
+        def period(a):
+            m, nu, _ = orbit(a)
+            return 4 * mpmath.ellipk(m) / nu
+
+        a = mpmath.mpf(amplitude)
+        m, nu, kind = orbit(a)
+        p = [amplitude * mpmath.ellipfun(kind, nu * mpmath.mpf(float(t)), m=m)
+             for t in np.asarray(taus, dtype=float)]
+        return (float(period(a)), float(mpmath.diff(period, a)),
+                np.array([float(v) for v in p]))
 
 
 def divisor_root_exact(k: int, lam_num: int, lam_den: int = 1,

@@ -7,10 +7,11 @@ import time
 from pathlib import Path
 
 import pytest
+import scipy.integrate
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from kgperiodic import assembly, cli, closure
+from kgperiodic import assembly, cli
 from kgperiodic.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INSUFFICIENT_DATA,
@@ -78,7 +79,7 @@ class TestLimitOrbit:
         assert "amplitude" in capsys.readouterr().err
 
     def test_default_tolerance_recorded_and_checked(self, tmp_path, capsys):
-        # f3 = -0.75, a = 3.0 leaves a sampled energy drift of 8.3e-14
+        # f3 = -0.75, a = 3.0 leaves a sampled energy drift of about 3e-15
         base = {"model": {"model": "custom", "odd_coeffs": [-0.125],
                           "trust_radius": 10},
                 "amplitude": 3.0, "out_dir": str(tmp_path)}
@@ -88,7 +89,7 @@ class TestLimitOrbit:
         (tmp_path / "orbit.json").unlink()
         capsys.readouterr()
         assert run_cli(tmp_path, "limit-orbit",
-                       {**base, "tol": 1e-14}) == EXIT_NO_ORBIT
+                       {**base, "tol": 1e-17}) == EXIT_NO_ORBIT
         assert "energy drift" in capsys.readouterr().err
         assert not (tmp_path / "orbit.json").exists()
 
@@ -200,7 +201,7 @@ class TestSolve:
         class Failed:
             success, message = False, "step size fell below its floor"
 
-        monkeypatch.setattr(closure, "solve_ivp", lambda *a, **k: Failed())
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: Failed())
         cfg = {"eps": 0.1, "out_dir": str(tmp_path)}
         assert run_cli(tmp_path, "solve", cfg) == EXIT_NO_CONVERGENCE
         err = capsys.readouterr().err

@@ -13,8 +13,8 @@ from kgperiodic.planar import (
     monodromy,
 )
 
-from oracles import (duffing_period, duffing_period_slope, fd_monodromy,
-                     oracle_orbit)
+from oracles import (duffing_period, duffing_period_slope, ellipj_orbit,
+                     fd_monodromy, mpmath_orbit, oracle_orbit)
 
 # Period of the a = 1, f3 = 1 orbit by the energy quadrature oracle.
 T_A1_ORACLE = 6.008794252858908
@@ -91,11 +91,37 @@ class TestFindOrbit:
             find_orbit(-1.0, 3.0)
 
     def test_tolerance_checked_as_given(self):
-        # the sampled energy drift at (-1, 2.5) is 5.2e-14: the default
-        # 1e-10 accepts it, 1e-14 is checked as given and rejects it
+        # the sampled energy drift at (-1, 2.5) is about 3e-15: the default
+        # 1e-10 accepts it, 1e-17 is checked as given and rejects it
         assert find_orbit(-1.0, 2.5).amplitude == 2.5
-        with pytest.raises(NoPeriodicOrbitError, match="1.00e-14"):
-            find_orbit(-1.0, 2.5, tol=1e-14)
+        with pytest.raises(NoPeriodicOrbitError, match="1.00e-17"):
+            find_orbit(-1.0, 2.5, tol=1e-17)
+
+    @pytest.mark.parametrize("d", [1e-7, 1e-9, 1e-11])
+    def test_next_to_the_separatrix(self, d):
+        # a = sqrt(8) - d at f3 = -1: k'^2 ~ d, and the series still sums
+        # to round-off against 50-digit elliptic functions
+        amplitude = np.sqrt(8.0) - d
+        orbit = find_orbit(-1.0, amplitude)
+        H = h_star(PlanarState(orbit.p, orbit.p_tau), -1.0)
+        assert np.max(np.abs(H - orbit.energy)) <= 1e-13
+        period, slope, p = mpmath_orbit(-1.0, amplitude, orbit.tau[::37])
+        assert orbit.period == pytest.approx(period, rel=1e-12, abs=0.0)
+        assert orbit.period_slope == pytest.approx(slope, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(orbit.p[::37] - p)) <= 1e-12
+
+    @pytest.mark.parametrize("f3", [1.0, -1.0, 6.0])
+    def test_small_amplitude_limit(self, f3):
+        # k -> 0: q^(1/2) / k -> 1/4 and K -> pi/2, so the first harmonic's
+        # coefficient a 2 pi/(k K) q^(1/2)/(1 + q) tends to a itself
+        amplitude = 1e-9
+        orbit = find_orbit(f3, amplitude)
+        assert orbit.cos_coeffs[1] == pytest.approx(amplitude, rel=1e-12)
+        assert np.all(np.abs(orbit.cos_coeffs[2:]) <= 1e-17 * amplitude)
+        period, slope, p = mpmath_orbit(f3, amplitude, orbit.tau[::37])
+        assert orbit.period == pytest.approx(period, rel=1e-14, abs=0.0)
+        assert orbit.period_slope == pytest.approx(slope, rel=1e-12)
+        assert np.max(np.abs(orbit.p[::37] - p)) <= 1e-14 * amplitude
 
 
 # hardening (f3 = 1, 6) and softening (f3 = -1, -6) orbits, the softening ones
@@ -113,6 +139,12 @@ def test_closed_form_against_integrated_orbit(f3, amplitude):
     assert np.max(np.abs(orbit.p_tau - p_tau)) <= 1e-10
     fd = fd_monodromy(amplitude, f3, orbit.period)
     assert np.max(np.abs(monodromy(orbit).matrix - fd)) <= 1e-5
+    # the nome series against Cephes' Jacobi elliptic functions
+    period, slope, p, p_tau = ellipj_orbit(f3, amplitude, orbit.tau)
+    assert abs(orbit.period - period) <= 1e-11
+    assert orbit.period_slope == pytest.approx(slope, rel=1e-11, abs=0.0)
+    assert np.max(np.abs(orbit.p - p)) <= 1e-10
+    assert np.max(np.abs(orbit.p_tau - p_tau)) <= 1e-10
 
 
 @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"),
@@ -121,8 +153,7 @@ def test_bad_amplitude_rejected_before_integration(amplitude, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("orbit evaluated at an invalid amplitude")
 
-    for name in ("ellipj", "ellipk", "ellipe"):
-        monkeypatch.setattr(planar, name, fail)
+    monkeypatch.setattr(planar, "_orbit_series", fail)
     with pytest.raises(ValueError,
                        match="amplitude must be a finite positive number"):
         find_orbit(1.0, amplitude)

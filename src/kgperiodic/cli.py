@@ -233,9 +233,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1, allow_nan=True,
-                               default=_json_default) + "\n")
+def _write_json(path: Path, doc: dict, indent: int | None = 1) -> None:
+    """``doc`` as sorted-key JSON; ``indent=None`` writes one line through
+    the json module's C encoder, for the large coefficient artifacts."""
+    path.write_text(json.dumps(doc, sort_keys=True, indent=indent,
+                               allow_nan=True, default=_json_default) + "\n")
 
 
 def _write_csv(path: Path, resolved_config: dict, header: str,
@@ -383,7 +385,8 @@ def cmd_solve(cfg: dict) -> int:
     }
     _write_json(out / "solve.json", doc)
     _write_json(out / "w_field.json", {"config": resolved,
-                                       "field": sol.w.to_json_dict()})
+                                       "field": sol.w.to_json_dict()},
+                indent=None)
     traj = closure.V_traj
     grid = traj.period * np.arange(traj.v_samples.shape[0]) / traj.v_samples.shape[0]
     _write_json(out / "v_traj.json", {
@@ -394,7 +397,7 @@ def cmd_solve(cfg: dict) -> int:
             "samples": [[float(t), float(v), float(vt)] for t, v, vt in
                         zip(grid, traj.v_samples, traj.v_tau_samples)],
         },
-    })
+    }, indent=None)
     print(f"solve: eps {eps!r} converged {closure.run.converged} closed "
           f"{closure.closed} residual {point.residual!r} -> {out / 'solve.json'}")
     if not point.converged:

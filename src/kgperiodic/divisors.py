@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 from scipy.linalg import eigvals_banded
 
 from .fourier import cos_analyze
-from .nonlinearity import Nonlinearity, collocate
+from .nonlinearity import Nonlinearity
 from .planar import VTrajectory
 
 Array = NDArray[np.float64]
@@ -86,21 +86,24 @@ class ResonanceParams:
 # ---------------------------------------------------------------------------
 
 def averaged_potential(traj: VTrajectory, eps: float,
-                       model: Nonlinearity | None,
-                       M_tau: int = 256, M_x: int = 128) -> Array:
+                       model: Nonlinearity | None, M_tau: int = 256) -> Array:
     """x-mean of the derivative multiplier at w = 0, on the uniform tau grid.
 
     The fast forcing differentiates to multiplication by
     ``m(tau, x) = -(1/omega^2) f'(eps v sin x)/eps^2`` (`collocate` of
     order 1); the Hill potential is its x-average (the k-diagonal part of
-    the multiplication operator in the sine basis).  Rows are collocated 64
-    tau samples at a time, so the series' temporaries stay small enough for
-    the allocator to reuse instead of mapping and page-faulting them anew.
+    the multiplication operator in the sine basis).  m is a series in
+    (v sin x)^2, and sin^(2n) x has the x-mean C(2n, n)/4^n, so the
+    average is a series in v^2 with those moments folded into its
+    coefficients (`Nonlinearity.scaled_deriv_x_mean`).  It equals the mean
+    over any uniform x grid of more than 2n points, n the highest power
+    kept, and costs one series evaluation per tau sample.  ``model=None``
+    (the test hook of `collocate`) gives zeros.
     """
     v = traj.resample(M_tau)
-    return np.concatenate([collocate(model, eps, v[i:i + 64], None, M_x,
-                                     order=1).mean(axis=1)
-                           for i in range(0, v.shape[0], 64)])
+    if model is None:
+        return np.zeros_like(v)
+    return (-1.0 / (1.0 + eps**2)) * model.scaled_deriv_x_mean(v, eps)
 
 
 @dataclass(frozen=True)
@@ -157,9 +160,13 @@ def multiplication_matrix(e: Array, J: int) -> Array:
     n = 0, half the cosine coefficient beyond).  Entry (j, j') is
     ``e[j + j'] + e[|j - j'|]`` (Toeplitz plus Hankel), with the j = 0 row
     and column scaled by 1/sqrt(2); leading axes of ``e`` are batch axes.
+    Both parts are sliding windows: the Hankel one over ``e``, the Toeplitz
+    one over ``e`` mirrored about n = 0.
     """
-    j = np.arange(J + 1)
-    E = e[..., j[:, None] + j[None, :]] + e[..., np.abs(j[:, None] - j[None, :])]
+    e = e[..., :2 * J + 1]
+    mirrored = np.concatenate([e[..., J:0:-1], e[..., :J + 1]], axis=-1)
+    window = np.lib.stride_tricks.sliding_window_view
+    E = window(e, J + 1, axis=-1) + window(mirrored, J + 1, axis=-1)[..., ::-1, :]
     E[..., 0, :] /= np.sqrt(2.0)
     E[..., :, 0] /= np.sqrt(2.0)
     return E

@@ -26,8 +26,9 @@ at ``xi = v sin x + w`` on the uniform x grid, with ``omega^2 = 1 + eps^2``.
 Every forcing of the pipeline is one `collocate` call followed by the sin-x
 projection pair of `fourier`: ``project_P`` gives the slow forcing f~ (the
 part along sin x), ``project_Q`` the fast forcing g (the part orthogonal to
-it), and the x-mean of the multiplier is the Hill potential of the small
-divisors.
+it).  The x-mean of the multiplier at w = 0 is the Hill potential of the
+small divisors; `Nonlinearity.scaled_deriv_x_mean` sums it exactly, with
+the x-means C(2n, n)/4^n of sin^(2n) x folded into the series.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, isfinite
+from math import comb, factorial, isfinite
 
 import numpy as np
 from numpy.typing import NDArray
@@ -201,6 +202,14 @@ class Nonlinearity:
                        self.trust_radius)
 
     @cached_property
+    def _deriv_x_mean_series(self) -> _Series:
+        # scaled_deriv's coefficients times the x-means of sin^(2m+2) x,
+        # C(2m+2, m+1) / 4^(m+1)
+        return _Series(((2 * m + 3) * c * (comb(2 * m + 2, m + 1) / 4 ** (m + 1))
+                        for m, c in enumerate(self.odd_coeffs)),
+                       self.trust_radius)
+
+    @cached_property
     def _antideriv_series(self) -> _Series:
         return _Series((c / (2 * m + 4) for m, c in enumerate(self.odd_coeffs)),
                        self.trust_radius)
@@ -221,6 +230,13 @@ class Nonlinearity:
     def scaled_deriv(self, y: Array | float, eps: float):
         """f'(eps*y)/eps^2 = y^2 * sum_m (2m+1) c_{2m+1} (eps*y)^(2m-2)."""
         y, acc = self._series(y, eps, self._scaled_deriv_series)
+        out = acc * y**2
+        return float(out) if out.ndim == 0 else out
+
+    def scaled_deriv_x_mean(self, y: Array | float, eps: float):
+        """x-mean of scaled_deriv(y sin x, eps), exactly:
+        y^2 * sum_m (2m+1) c_{2m+1} C(2m, m)/4^m (eps*y)^(2m-2)."""
+        y, acc = self._series(y, eps, self._deriv_x_mean_series)
         out = acc * y**2
         return float(out) if out.ndim == 0 else out
 

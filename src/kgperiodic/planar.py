@@ -40,7 +40,8 @@ __all__ = ["PlanarState", "PlanarOrbit", "VTrajectory", "MonodromyReport",
 
 class NoPeriodicOrbitError(ValueError):
     """The requested amplitude does not lie on a bounded periodic level set,
-    or its sampled orbit misses the requested energy tolerance."""
+    its orbit's energy overflows a double, or its sampled orbit misses the
+    requested energy tolerance."""
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,13 @@ class VTrajectory:
 
     def resample(self, M: int) -> Array:
         """v on the uniform M-point grid (spectral interpolation), read-only
-        and built once per M."""
+        and built once per M by the folded inverse FFT of `_grid_sample`,
+        which samples the cosine series exactly on any M."""
         if M == self.n_samples:
             return self.v_samples
         if M not in self._resampled:
-            v = self.v_at(self.period * np.arange(M) / M)
+            v = np.ascontiguousarray(
+                _grid_sample(self.cos_coeffs, self.period, M)[0])
             v.flags.writeable = False
             self._resampled[M] = v
         return self._resampled[M]
@@ -233,10 +236,19 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-10,
     ``f3 < 0`` the amplitude must stay inside the bounded component below
     the saddle at sqrt(-8/f3), where q -> 1, but slowly (0.71 at 1e-11 below
     it).  The samples' energy drift is checked against ``tol`` as given
-    (round-off alone leaves about 1e-15 at amplitudes of order one).
+    (round-off alone leaves about 1e-15 at amplitudes of order one).  An
+    amplitude whose orbit energy overflows a double raises
+    `NoPeriodicOrbitError`, like one whose drift misses ``tol``.
     """
     if not (np.isfinite(amplitude) and amplitude > 0):
         raise ValueError("amplitude must be a finite positive number")
+    try:
+        energy = h_star((amplitude, 0.0), f3)
+    except OverflowError:       # a float power past the largest double
+        energy = np.inf
+    if not np.isfinite(energy):
+        raise NoPeriodicOrbitError(
+            f"amplitude {amplitude:.6g}: the orbit's energy overflows a double")
     if f3 < 0 and 1 + Fraction(f3) / 8 * Fraction(amplitude) ** 2 <= 0:
         raise NoPeriodicOrbitError(
             f"amplitude {amplitude:.6g} is outside the bounded component "
@@ -246,7 +258,6 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-10,
     if n_samples % 2:       # an even grid samples the turning point T/2
         n_samples += 1
     p, p_tau = _grid_sample(coeffs, period, n_samples)
-    energy = h_star((amplitude, 0.0), f3)
     drift = np.max(np.abs(h_star(PlanarState(p, p_tau), f3) - energy))
     if not drift <= tol:
         raise NoPeriodicOrbitError(

@@ -251,9 +251,13 @@ class LinearizedOperator:
 
     Vectors run over (j = 0..N_tau, k = 2..N) in the orthonormal temporal
     basis of `_pack`.  `apply` is matrix-free on the collocation grid:
-    synthesize, multiply by the derivative multiplier m, analyze.
+    synthesize, multiply by the derivative multiplier m, analyze.  Its
+    synthesis tables and scaled multiplier are built on the first
+    `apply` or `solve`, so a build that only reports (the law battery, a
+    zero-step stage's conditioning) never makes them.
 
-    The matrix is fixed by the 2-d cosine coefficients c[n, p] of eps^2 m:
+    The matrix is fixed by the 2-d cosine coefficients c[n, p] of eps^2 m,
+    analyzed by a small cosine table in x and a real FFT in tau:
     since sin(kx) sin(lx) = (cos((k-l)x) - cos((k+l)x))/2, the multiplication
     part has (k, l) block A[|k-l|] - A[k+l] with A[p] the Toeplitz-plus-Hankel
     matrix of c[:, p] (`multiplication_matrix`, as in `hill_eigs`).  The
@@ -263,6 +267,20 @@ class LinearizedOperator:
     eigenvalue within block k names the culprit divisor (k, j).  The
     off-block remainder E = L - B obeys ||E||_2 <= ||(||E_kl||_F)_kl||_2, so
     by Weyl |sigma_min(L) - sigma_min(B)| <= ``sigma_radius``.
+
+    Parity split: entry (j, j') of A[p] involves only c[j + j', p] and
+    c[|j - j'|, p], so without odd tau-harmonics in m each block decouples
+    into its even-j and odd-j cosines, as in `hill_eigs`.  An odd model on
+    a half-period antisymmetric v and w (odd j only, as the orbit and the
+    solves produce) has round-off odd harmonics.  Dropping them moves each
+    block's eigenvalues by at most their Weyl mass, three times the sum of
+    the odd |c[n, 0]| + |c[n, 2k]|.  When the largest such mass fits the
+    round-off budget ``eps_mach * (max |symbol| + 3 max_k sum_n (|c[n, 0]|
+    + |c[n, 2k]|))``, the two classes are solved separately, for sigma_min,
+    the culprit (its rank among the signed eigenvalues of both classes) and
+    the preconditioner; ``parity_radius`` holds that mass and is added to
+    ``sigma_radius``.  Otherwise the whole blocks are solved and
+    ``parity_radius`` is None.
     """
 
     def __init__(self, V_traj: VTrajectory, w: SpaceTimeField, eps: float,
@@ -286,22 +304,29 @@ class LinearizedOperator:
         self._sym = _linear_symbol(w.period, eps, N_tau, N)[:, 2:]
         self._row_scale = np.ones((N_tau + 1, 1))
         self._row_scale[0] = 1.0 / np.sqrt(2.0)
-        self._C = cos_synthesis_matrix(M_tau, N_tau)
-        self._S = sin_synthesis_matrix(M_x, N)[:, 2:]
-        m = multiplier_values(sys, V_traj, w.values_grid(M_tau, M_x),
-                              M_tau=M_tau, M_x=M_x)
-        self._m = (4.0 * eps**2 / (M_tau * M_x)) * m
+        w_values = w.values_grid(M_tau, M_x) if w.coeffs.any() else None
+        self._m = multiplier_values(sys, V_traj, w_values, M_tau=M_tau, M_x=M_x)
 
-        c = (cos_synthesis_matrix(M_tau, 2 * N_tau).T @ m
-             @ np.cos(np.outer(x_grid(M_x), np.arange(2 * N + 1))))
-        A = multiplication_matrix((eps**2 / (M_tau * M_x)) * c.T, N_tau)
+        cos_x = np.cos(np.outer(x_grid(M_x), np.arange(2 * N + 1)))
+        c = np.fft.rfft(self._m @ cos_x, axis=0).real[:2 * N_tau + 1]
+        e = (eps**2 / (M_tau * M_x)) * c.T
+        A = multiplication_matrix(e, N_tau)
         ks = np.arange(2, N + 1)
         blocks = A[0] - A[2 * ks]
         j = np.arange(N_tau + 1)
         blocks[:, j, j] += self._sym.T
-        self._blocks = blocks
 
-        abs_lam = np.abs(np.linalg.eigvalsh(blocks))
+        mass = np.abs(e[0]) + np.abs(e[2 * ks])
+        odd = 3.0 * float(mass[:, 1::2].sum(axis=1).max())
+        roundoff = np.finfo(float).eps * (np.abs(self._sym).max()
+                                          + 3.0 * mass.sum(axis=1).max())
+        self.parity_radius = odd if odd <= roundoff else None
+        classes = ((slice(None),) if self.parity_radius is None
+                   else (slice(0, None, 2), slice(1, None, 2)))
+        self._class_blocks = [(part, blocks[:, part, part]) for part in classes]
+        lam = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b in
+                                      self._class_blocks], axis=1), axis=1)
+        abs_lam = np.abs(lam)
         k_i, j_i = np.unravel_index(np.argmin(abs_lam), abs_lam.shape)
         self.sigma_min = float(abs_lam[k_i, j_i])
         self.culprit = (int(ks[k_i]), int(j_i))
@@ -314,27 +339,41 @@ class LinearizedOperator:
         s = ks[:, None] + ks[None, :]
         off2 = G[d, d] + G[s, s] - 2.0 * G[d, s]
         np.fill_diagonal(off2, 0.0)
-        self.sigma_radius = float(
-            np.linalg.eigvalsh(np.sqrt(np.maximum(off2, 0.0)))[-1])
+        self.sigma_radius = (
+            float(np.linalg.eigvalsh(np.sqrt(np.maximum(off2, 0.0)))[-1])
+            + (self.parity_radius or 0.0))
+
+    @cached_property
+    def _apply_factors(self) -> tuple[Array, Array, Array]:
+        """tau and x synthesis tables of `apply`, and its output row scale
+        with the analysis weight 4 eps^2 / (M_tau M_x) folded in."""
+        M_tau, M_x = self._m.shape
+        return (cos_synthesis_matrix(M_tau, self._sym.shape[0] - 1),
+                sin_synthesis_matrix(M_x, self.N)[:, 2:],
+                (4.0 * self.eps**2 / (M_tau * M_x)) * self._row_scale)
 
     def apply(self, u: Array) -> Array:
         """L u, matrix-free."""
+        C, S, out_scale = self._apply_factors
         U = u.reshape(self._sym.shape)
-        vals = self._C @ (self._row_scale * U) @ self._S.T
-        mult = self._row_scale * (self._C.T @ (self._m * vals) @ self._S)
+        vals = C @ (self._row_scale * U) @ S.T
+        mult = out_scale * (C.T @ (self._m * vals) @ S)
         return (self._sym * U + mult).ravel()
 
     @cached_property
-    def _eig(self) -> tuple[Array, Array]:
-        """Eigenpairs of the Hill blocks, computed on the first solve."""
-        return np.linalg.eigh(self._blocks)
+    def _eig(self) -> list[tuple[slice, Array, Array]]:
+        """Eigenpairs of the Hill blocks per parity class, computed on the
+        first solve."""
+        return [(part, *np.linalg.eigh(b)) for part, b in self._class_blocks]
 
     def _block_solve(self, r: Array) -> Array:
         """B^{-1} r through the Hill-block eigendecomposition."""
-        lam, vec = self._eig
         R = r.reshape(self._sym.shape).T
-        y = np.einsum("kij,ki->kj", vec, R) / lam
-        return np.einsum("kij,kj->ki", vec, y).T.ravel()
+        out = np.empty_like(R)
+        for part, lam, vec in self._eig:
+            y = np.einsum("kij,ki->kj", vec, R[:, part]) / lam
+            out[:, part] = np.einsum("kij,kj->ki", vec, y)
+        return out.T.ravel()
 
     def solve(self, rhs: Array) -> Array:
         """L^{-1} rhs by block-preconditioned GMRES to relative residual 1e-14."""
@@ -466,6 +505,7 @@ class SolverRun:
             "effective_schedule": list(self.effective_schedule),
             "N_tau": self.N_tau,
             "nf_steps": self.system.step,
+            "drive_norm_history": list(self.system.drive_norm_history),
             "stages": [s.to_json_dict() for s in self.stages],
             "converged": self.converged,
             "residual_certificate": self.residual_certificate,

@@ -16,7 +16,9 @@ assembles every matrix entry by its own route, and `oracle_newton_solve`
 runs undamped Newton on the package's residual `assemble_F` with a
 finite-difference Jacobian; and the dense Hill reference
 `oracle_hill_eigs`, which reuses the package's cosine analysis of the
-potential but assembles and diagonalizes the full Galerkin matrix.
+potential but assembles and diagonalizes the full Galerkin matrix; and the
+collocated Hill potential `oracle_averaged_potential`, which averages the
+package's `collocate` multiplier over an x grid.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from scipy.special import ellipe, ellipj, ellipk
 from scipy.stats import linregress
 
 from kgperiodic.fourier import cos_analyze, sin_synthesis_matrix
+from kgperiodic.nonlinearity import collocate
 from kgperiodic.normalform import identity_system, multiplier_values
 from kgperiodic.solver import (NonConvergenceError, _grids, _linear_symbol,
                                _pack, _unpack, assemble_F)
@@ -314,6 +317,20 @@ def assemble_L(V_traj, w, eps, model, N, sys=None, N_tau=None,
     mult = blocks.transpose(0, 2, 1, 3).reshape(n, n)
     L += (eps**2) * mult
     return L
+
+
+def oracle_averaged_potential(traj, eps: float, model, M_tau: int = 256,
+                              M_x: int = 128) -> np.ndarray:
+    """x-mean of the collocated derivative multiplier at w = 0.
+
+    Samples ``-(1/omega^2) f'(eps v sin x)/eps^2`` on the M_tau x M_x grid
+    with `collocate` and averages over x, 64 tau rows at a time.
+    Reference for the closed-form moments of `averaged_potential`.
+    """
+    v = traj.resample(M_tau)
+    return np.concatenate([collocate(model, eps, v[i:i + 64], None, M_x,
+                                     order=1).mean(axis=1)
+                           for i in range(0, v.shape[0], 64)])
 
 
 def oracle_hill_eigs(q_samples, period: float, J_max: int) -> np.ndarray:

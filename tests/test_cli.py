@@ -222,8 +222,15 @@ class TestSolve:
         # the gate verdict is the closure's, written once
         assert doc["closure"]["resonance_final"]["resonant"] is False
         assert not {"resonance", "resonance_checked"} & set(doc["closure"]["solver"])
-        field = json.loads((tmp_path / "w_field.json").read_text())["field"]
-        vdoc = json.loads((tmp_path / "v_traj.json").read_text())
+        # the normal form's drive norms, one per averaging step, contracting
+        run = doc["closure"]["solver"]
+        hist = run["drive_norm_history"]
+        assert len(hist) == run["nf_steps"] == 2 and hist[1] < hist[0]
+        # the coefficient artifacts are written compactly, one line each
+        texts = [(tmp_path / n).read_text() for n in ("w_field.json", "v_traj.json")]
+        assert [t.count("\n") for t in texts] == [1, 1]
+        field = json.loads(texts[0])["field"]
+        vdoc = json.loads(texts[1])
         assert field["period"] == vdoc["trajectory"]["period"]
         samples = vdoc["trajectory"]["samples"]
         assert len(samples) == 256 and len(samples[0]) == 3
@@ -309,6 +316,31 @@ def test_nonfinite_or_out_of_range_numbers_exit_1(tmp_path, capsys, command, cfg
     err = capsys.readouterr().err
     assert err.startswith("invalid config: field ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("limit-orbit", {"amplitude": 1e200}),
+    ("limit-orbit", {"model": "phi4", "amplitude": 1e100}),
+    ("solve", {"eps": 0.1, "amplitude": 1e200}),
+])
+def test_overflowing_amplitude_exits_3(tmp_path, capsys, command, cfg):
+    # finite, but the orbit's energy a^2/2 + f3 a^4/32 overflows a double
+    cfg = {**cfg, "out_dir": str(tmp_path)}
+    assert run_cli(tmp_path, command, cfg) == EXIT_NO_ORBIT
+    err = capsys.readouterr().err
+    assert "energy overflows a double" in err and "Traceback" not in err
+    assert not (tmp_path / "orbit.json").exists()
+    assert not (tmp_path / "solve.json").exists()
+
+
+def test_overflowing_amplitude_fails_every_sweep_row(tmp_path):
+    cfg = {"eps_list": [0.148, 0.193], "amplitude": 1e200,
+           "out_dir": str(tmp_path)}
+    assert run_cli(tmp_path, "sweep", cfg) == EXIT_INSUFFICIENT_DATA
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert [f["eps"] for f in doc["failures"]] == [0.148, 0.193]
+    assert all("energy overflows a double" in f["message"]
+               for f in doc["failures"])
 
 
 README_EXIT_CODES = {

@@ -24,7 +24,8 @@ from kgperiodic.divisors import (
 from kgperiodic.nonlinearity import Nonlinearity
 from kgperiodic.planar import find_orbit
 
-from oracles import (divisor_root_exact, divisor_root_float, oracle_hill_eigs,
+from oracles import (divisor_root_exact, divisor_root_float,
+                     oracle_averaged_potential, oracle_hill_eigs,
                      oracle_is_resonant)
 
 # Resonance value eps_{2,100} for the flat potential at period 2*pi, from
@@ -51,6 +52,24 @@ class TestAveragedPotential:
         v = traj.resample(64)
         expected = -(1.5 / (1.0 + eps**2)) * v**2
         assert np.max(np.abs(q - expected)) < 1e-13
+
+    @pytest.mark.parametrize("model", [
+        Nonlinearity.sine_gordon(), Nonlinearity.phi4(),
+        Nonlinearity("custom", (1.0, -0.5, 0.25), trust_radius=2.0)],
+        ids=["sine-gordon", "phi4", "custom"])
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    def test_closed_form_moments_match_collocation(self, model, eps):
+        # the x-moments C(2n, n)/4^n summed in closed form against the mean
+        # over the 128-point x grid of the collocated multiplier: a few ulp
+        traj = find_orbit(model.f3, 0.9).trajectory(256)
+        q = averaged_potential(traj, eps, model)
+        ref = oracle_averaged_potential(traj, eps, model)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(q - ref)) <= 4.0 * np.finfo(float).eps * scale
+
+    def test_model_none_is_zero(self):
+        traj = find_orbit(1.0, 0.9).trajectory(64)
+        assert np.array_equal(averaged_potential(traj, 0.1, None), np.zeros(256))
 
     def test_even_and_periodic(self):
         traj = find_orbit(1.0, 0.9).trajectory(128)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import pickle
 
 import numpy as np
@@ -36,8 +37,8 @@ from kgperiodic.solver import (
     sigma_min_law_samples,
 )
 
-from oracles import (assemble_L, oracle_is_resonant, oracle_jacobian,
-                     oracle_newton_solve)
+from oracles import (assemble_L, oracle_averaged_potential,
+                     oracle_is_resonant, oracle_jacobian, oracle_newton_solve)
 
 EPS = 0.1
 
@@ -214,6 +215,80 @@ class TestLinearizedOperator:
             op.solve(np.full(op.size, np.nan))
 
 
+def block_eigvalsh(L, N):
+    """Eigenvalues of the whole k = l blocks of a dense linearization, the
+    packed index running over j * (N - 1) + (k - 2)."""
+    return np.linalg.eigvalsh(np.stack([L[i::N - 1, i::N - 1]
+                                        for i in range(N - 1)]))
+
+
+class TestParitySplit:
+    """Hill blocks solved per parity class against whole-block eigvalsh."""
+
+    def law_operator(self, traj, model, eps, N=6):
+        N_tau = int(np.ceil(1.2 * traj.period / (2 * np.pi) * N / eps))
+        w0 = SpaceTimeField.zeros(traj.period, N_tau, N)
+        return (LinearizedOperator(traj, w0, eps, model, N),
+                assemble_L(traj, w0, eps, model, N))
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    def test_law_operator_splits(self, traj, sine_gordon, eps):
+        # the orbit's even harmonics are round-off, so the blocks split;
+        # the culprit and sigma_min are those of the whole blocks, and the
+        # enclosure, which adds the dropped mass, holds
+        op, L = self.law_operator(traj, sine_gordon, eps)
+        assert op.parity_radius is not None
+        assert 0.0 <= op.parity_radius <= op.sigma_radius
+        lam = block_eigvalsh(L, op.N)
+        k_i, j_i = np.unravel_index(np.argmin(np.abs(lam)), lam.shape)
+        assert op.culprit == (k_i + 2, j_i)
+        assert op.sigma_min == pytest.approx(abs(lam[k_i, j_i]), rel=1e-12)
+        assert abs(svdvals(L)[-1] - op.sigma_min) <= op.sigma_radius
+
+    def test_single_block_radius_is_the_dropped_mass(self, traj, sine_gordon):
+        # N = 2 has no off-block part, so the enclosure is exactly the Weyl
+        # mass of the dropped round-off odd harmonics, and it is not zero
+        w = SpaceTimeField.zeros(traj.period, 40, 2)
+        op = LinearizedOperator(traj, w, EPS, sine_gordon, 2)
+        assert op.parity_radius is not None and op.parity_radius > 0.0
+        assert op.sigma_radius == op.parity_radius
+
+    def test_split_preconditioner_solves(self, traj, sine_gordon, rng):
+        op, L = self.law_operator(traj, sine_gordon, 0.2)
+        rhs = rng.standard_normal(op.size)
+        assert np.allclose(L @ op.solve(rhs), rhs, atol=1e-12)
+
+    def test_even_harmonic_solves_whole_blocks(self, sine_gordon, rng):
+        # a j = 2 harmonic in v puts odd harmonics in m, far above round-off
+        traj = VTrajectory.from_cos_coeffs(6.0, np.array([0.0, 0.9, 0.05, 0.01]))
+        w = SpaceTimeField.zeros(traj.period, 24, 4)
+        op = LinearizedOperator(traj, w, EPS, sine_gordon, 4)
+        L = assemble_L(traj, w, EPS, sine_gordon, 4)
+        assert op.parity_radius is None
+        lam = block_eigvalsh(L, 4)
+        k_i, j_i = np.unravel_index(np.argmin(np.abs(lam)), lam.shape)
+        assert op.culprit == (k_i + 2, j_i)
+        assert op.sigma_min == pytest.approx(abs(lam[k_i, j_i]), rel=1e-12)
+        assert abs(svdvals(L)[-1] - op.sigma_min) <= op.sigma_radius
+        rhs = rng.standard_normal(op.size)
+        assert np.allclose(L @ op.solve(rhs), rhs, atol=1e-12)
+
+    def test_law_battery_keeps_its_draws(self, sine_gordon):
+        # the seeded battery of the frozen FITTED_C; the eps draws and law
+        # constants are pinned from whole-block eigensolves on the
+        # collocated potential
+        reports = sigma_min_law_samples(sine_gordon, n_samples=50, seed=2026)
+        eps = [r.eps for r in reports]
+        law = [r.law_constant for r in reports]
+        assert (eps[0], eps[-1]) == (0.07684022205131544, 0.08236858641261785)
+        assert math.fsum(eps) == pytest.approx(5.608553157295508, rel=1e-15)
+        assert law[0] == pytest.approx(4.970758409864892, rel=1e-10)
+        assert law[-1] == pytest.approx(3.945701442044645, rel=1e-10)
+        assert eps[int(np.argmin(law))] == 0.051928683161739556
+        assert min(law) == pytest.approx(2.4093972403749406, rel=1e-10)
+        assert min(law) >= FITTED_C
+
+
 class TestSchedule:
     def test_growth_and_cap(self):
         cfg = SolverConfig()
@@ -386,6 +461,35 @@ class TestResonanceGateEndToEnd:
                            params=ResonanceParams())
         assert info.value.report is not None
         assert (info.value.report.nearest_k, info.value.report.nearest_j) == (2, 12)
+
+    def test_closed_form_potential_keeps_the_verdicts(self, traj, sine_gordon,
+                                                      monkeypatch):
+        # 3000 seeded draws, gated at K = 6 and 64 in turn: the closed-form
+        # x-moments and the collocated oracle potential reach the same
+        # verdict at the same window, with centers equal to round-off
+        params = ResonanceParams()
+        draws = np.random.default_rng(2026).uniform(0.05, 0.2, 3000).tolist()
+        Ks = [6, 64] * (len(draws) // 2)
+
+        def verdicts():
+            out = []
+            for eps, K in zip(draws, Ks):
+                try:
+                    out.append(resonance_gate(traj, eps, sine_gordon, K=K,
+                                              params=params)[0])
+                except ResonanceError as ex:
+                    out.append(ex.report)
+            return out
+
+        closed = verdicts()
+        monkeypatch.setattr(solver, "averaged_potential", oracle_averaged_potential)
+        collocated = verdicts()
+        for K in (6, 64):
+            assert 0 < sum(r.resonant for r, k in zip(closed, Ks) if k == K) < 1500
+        for a, b in zip(closed, collocated):
+            assert (a.resonant, a.nearest_k, a.nearest_j) == (
+                b.resonant, b.nearest_k, b.nearest_j)
+            assert a.center == pytest.approx(b.center, rel=1e-13)
 
     @pytest.mark.parametrize("K", [6, 64])
     def test_sized_solve_keeps_the_verdict(self, traj, sine_gordon, K):

@@ -434,6 +434,12 @@ def cmd_sweep(cfg: dict) -> int:
                 "solver": resolved_solver, "workers": workers,
                 "residual_grid": grid_n, "out_dir": str(out)}
 
+    # every row solves on the same orbit: without one the sweep stops here
+    try:
+        find_orbit(model.f3, amplitude)
+    except NoPeriodicOrbitError as ex:
+        print(f"no periodic orbit: {ex}", file=sys.stderr)
+        return EXIT_NO_ORBIT
     report = epsilon_sweep(model, amplitude, eps_list, solver_cfg=solver_cfg,
                            residual_grid=(grid_n, grid_n), workers=workers)
     header = "eps,resonant_skip,residual,max_u_over_eps,tail,delta1,converged"

@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigvals_banded
 
 from .fourier import cos_analyze
 from .nonlinearity import Nonlinearity
@@ -85,6 +84,16 @@ class ResonanceParams:
 # the averaged potential and its Hill spectrum
 # ---------------------------------------------------------------------------
 
+# classes of fewer cosines go straight to the banded LAPACK solve, which is
+# faster there (the crossover lies between 46 and 64; see `hill_eigs`)
+_CERTIFY_MIN_SIZE = 64
+# Brillouin-Wigner sweeps before the certified path falls back to LAPACK,
+# and the smallest half-width of their windows: a potential of one or two
+# harmonics has b <= 2 but eigenvectors reaching about 6 cosines out
+_BW_SWEEPS = 6
+_MIN_WINDOW = 6
+
+
 def averaged_potential(traj: VTrajectory, eps: float,
                        model: Nonlinearity | None, M_tau: int = 256) -> Array:
     """x-mean of the derivative multiplier at w = 0, on the uniform tau grid.
@@ -111,8 +120,10 @@ class HillSpectrum:
     """Eigenvalues of -d_tautau + q(tau) on even period-periodic functions.
 
     ``radius`` bounds how far each computed eigenvalue may sit from the
-    eigenvalue of the J_max Galerkin matrix (a Weyl bound on the couplings
-    the banded solve drops).  It does not bound the truncation error of the
+    eigenvalue of the J_max Galerkin matrix: the Weyl bound on the
+    couplings the band drops, plus, on the certified path of `hill_eigs`,
+    the largest Kato-Temple bound between a Rayleigh quotient and the band
+    matrix's eigenvalue.  It does not bound the truncation error of the
     Galerkin matrix itself, which is largest at the top: J_max = 400 and
     1600 solves of the canonical potential differ by 1.5e-6 at j = 399 and
     by at most 1.1e-9 for j <= 398, so `resonance_gate` solves 16 past the
@@ -173,18 +184,15 @@ def multiplication_matrix(e: Array, J: int) -> Array:
 
 
 def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
-    """Banded, eigenvalue-only cosine-Galerkin eigensolve of -d_tautau + q.
+    """Eigenvalue-only cosine-Galerkin eigensolve of -d_tautau + q.
 
     The Galerkin matrix is ``diag((2 pi j / p)^2)`` plus the
     `multiplication_matrix` of ``e`` (``e[n]`` = the mean at n = 0, half
     the n-th cosine coefficient of q beyond).  Outside the band
     |j - j'| <= b its entries involve only ``e[n]`` with n > b, each at
     most three times per row, so dropping them moves every eigenvalue by at
-    most ``3 sum_{n>b} |e[n]|`` (Weyl).  b is the smallest bandwidth whose
-    bound is at or below the round-off a dense solve commits,
-    ``eps_mach * (max |diagonal| + 3 sum |e|)``; the bound is returned as
-    `HillSpectrum.radius`.  The band is assembled straight into LAPACK
-    upper storage, symmetric by construction.
+    most ``3 sum_{n>b} |e[n]|`` (Weyl).  The error budget is the round-off
+    a dense solve commits, ``eps_mach * (max |diagonal| + 3 sum |e|)``.
 
     Parity split: entry (j, j') involves only ``e[j + j']`` and
     ``e[|j - j'|]``, so without odd harmonics the matrix decouples into the
@@ -193,17 +201,41 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     the bandwidth.  The potential of an odd model on a trajectory with
     v(tau + p/2) = -v(tau) has round-off odd harmonics only; when their
     Weyl mass ``3 sum_odd |e[n]|`` plus the off-band even tail fits the
-    same round-off budget, the two classes are solved separately and
-    interleaved (Neumann and Dirichlet conditions at p/4 alternate,
-    lambda_0 < lambda_1 < ..., even j from the even class), which the
-    ascending check below confirms.  Otherwise the whole matrix is solved.
+    budget, the two classes are solved separately and interleaved (Neumann
+    and Dirichlet conditions at p/4 alternate, lambda_0 < lambda_1 < ...,
+    even j from the even class), which the ascending check below confirms.
+    Otherwise the whole matrix is one class.
 
-    Cost: with b = 0 the matrix is diagonal and cheap, but once b > 0 the
-    band reduction chases bulges along the whole matrix and the cost grows
-    superlinearly in ``J_max``.  A constant potential sampled 64 times
-    (round-off harmonics, b = 31) took 0.27 s at J_max = 2000 and 122 s at
-    J_max = 20000 on two cores with OpenBLAS; the gate's J_max = 400
-    takes 6 to 10 ms.
+    The classes are solved together, one of two ways.
+
+    * Certified Rayleigh quotients (`_certified_eigvals`), when the smaller
+      class has at least `_CERTIFY_MIN_SIZE` cosines.  The diagonal of a
+      class is widely spaced against its couplings, so every eigenvector
+      is local: Brillouin-Wigner sweeps on a window around each index give
+      it, and its Rayleigh quotient and residual against the whole band
+      give an interval holding an eigenvalue.  When the intervals are
+      disjoint, Kato-Temple bounds the error of each quotient.  b is the
+      smallest bandwidth whose dropped mass is at most half the budget,
+      and the largest Kato-Temple term must fit the rest.
+    * The banded LAPACK solve (`_banded_eigvals`), class by class, with the
+      smallest b whose dropped mass fits the whole budget: for smaller
+      classes, where it is faster, and wherever the certificate fails
+      (overlapping intervals, or a Kato-Temple term over budget after
+      `_BW_SWEEPS` sweeps, as for strong potentials).  SciPy is imported
+      only here.
+
+    `HillSpectrum.radius` is the dropped mass plus the largest Kato-Temple
+    term (zero on the LAPACK path), at most the budget either way.
+
+    Cost at the canonical potential (sine-Gordon, a = 0.9, eps = 0.1) on
+    two cores with OpenBLAS, medians of 80 calls in each of two sessions:
+    at J_max = 400 (classes of 201 and 200 cosines) 0.8 to 1.2 ms
+    certified against 2.4 to 3.1 ms by LAPACK; at J_max = 127 (64 and 64)
+    0.45 to 0.73 ms against 0.54 to 0.86 ms; at J_max = 91 (46 and 46)
+    LAPACK is faster, 0.47 to 0.70 ms against 0.53 to 0.83 ms.  The
+    certified path is linear in J_max; the LAPACK band reduction is not
+    once b > 0 (a constant 2.5 sampled 64 times, period 5, J_max = 2000:
+    1.6 ms certified, 0.22 s by LAPACK).
     """
     q_samples = np.asarray(q_samples, dtype=float)
     M = q_samples.shape[0]
@@ -217,45 +249,142 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     kinetic = (2.0 * np.pi * j / period) ** 2
     diagonal = kinetic + e[0] + e[2 * j]
     diagonal[0] = kinetic[0] + e[0]
-    roundoff = np.finfo(float).eps * (np.max(np.abs(diagonal)) + 3.0 * np.sum(np.abs(e)))
-    # tail[b] = 3 sum_{n > b} |e[n]| for b < J_max; the full band drops nothing
-    tail = np.append(3.0 * np.cumsum(np.abs(e[::-1]))[::-1][1:J_max + 1], 0.0)
+    budget = np.finfo(float).eps * (np.max(np.abs(diagonal)) + 3.0 * np.sum(np.abs(e)))
     # split[b] = 3 sum_{n odd} |e[n]| + 3 sum_{n even > 2b} |e[n]|
     even = np.abs(e[::2])
     split = (3.0 * np.sum(np.abs(e[1::2]))
              + np.append(3.0 * np.cumsum(even[::-1])[::-1][1:], 0.0))
-    if J_max >= 1 and split[-1] <= roundoff:
-        b = int(np.argmax(split <= roundoff))
-        lam = np.empty(J_max + 1)
-        lam[0::2] = _banded_eigvals(e, diagonal, 0, 2, b)
-        lam[1::2] = _banded_eigvals(e, diagonal, 1, 2, b)
-        radius = float(split[b])
+    if J_max >= 1 and split[-1] <= budget:
+        stride, dropped = 2, split
     else:
-        b = int(np.argmax(tail <= roundoff))
-        lam = _banded_eigvals(e, diagonal, 0, 1, b)
-        radius = float(tail[b])
+        # dropped[b] = 3 sum_{n > b} |e[n]| for b < J_max; the full band drops nothing
+        stride = 1
+        dropped = np.append(3.0 * np.cumsum(np.abs(e[::-1]))[::-1][1:J_max + 1], 0.0)
+
+    found = None
+    if (J_max + 1) // stride >= _CERTIFY_MIN_SIZE and dropped[-1] <= 0.5 * budget:
+        b = int(np.argmax(dropped <= 0.5 * budget))
+        found = _certified_eigvals(e, diagonal, stride, b, budget - dropped[b])
+    if found is None:
+        b = int(np.argmax(dropped <= budget))
+        j, G = _stacked_band(e, diagonal, stride, b)
+        lam = np.empty(J_max + 1)
+        classes = np.split(G, np.flatnonzero(np.diff(j) != stride) + 1, axis=1)
+        for start, U in enumerate(classes):
+            lam[start::stride] = _banded_eigvals(U[:b + 1])
+        radius = float(dropped[b])
+    else:
+        lam, kato_temple = found
+        radius = float(dropped[b]) + kato_temple
     if np.any(np.diff(lam) <= 0.0):
         raise AssertionError("Hill eigenvalues are not simple/ascending")
     return HillSpectrum(period=period, q_coeffs=q_hat, eigenvalues=lam,
                         J_max=J_max, radius=radius)
 
 
-def _banded_eigvals(e: Array, diagonal: Array, start: int, stride: int,
-                    b: int) -> Array:
-    """Eigenvalues of the Galerkin matrix restricted to j = start::stride.
+def _stacked_band(e: Array, diagonal: Array, stride: int, b: int) -> tuple[Array, Array]:
+    """The parity classes of the Galerkin matrix, stacked block-diagonally.
 
-    The restriction keeps the couplings |j - j'| <= stride * b; row b - d
-    of the LAPACK upper storage holds the d-th superdiagonal A[j - s d, j].
+    Stacked index k runs over class 0 (j = 0, stride, ...), then class 1
+    and so on; ``j[k]`` is its cosine index.  Diagonal storage: row b + d
+    holds the couplings of k to k + d, ``G[b + d, k] = A[j[k], j[k + d]]``
+    for |d| <= b, zero where k + d leaves the class of k.  By symmetry rows
+    0..b of a class are its LAPACK upper storage.
     """
-    j = np.arange(start, diagonal.shape[0], stride)
-    d = np.arange(min(b, j.shape[0] - 1) + 1)[:, None]
-    band = e[stride * d] + e[np.abs(2 * j - stride * d)]
-    band[0] = diagonal[j]
-    if start == 0:
-        row0 = np.arange(1, d.shape[0])
-        band[row0, row0] /= np.sqrt(2.0)
-    band[d > np.arange(j.shape[0])] = 0.0
-    return eigvals_banded(band[::-1], lower=False)
+    n = diagonal.shape[0]
+    j = np.concatenate([np.arange(start, n, stride) for start in range(stride)])
+    d = np.arange(-b, b + 1)[:, None]
+    jd = j + stride * d                 # the cosine index of k + d, if in the class
+    G = e[stride * np.abs(d)] + e[np.clip(j + jd, 0, e.shape[0] - 1)]
+    G[:, 0] /= np.sqrt(2.0)             # the j = 0 row (k = 0) and column
+    col0 = np.arange(1, min(b, n - 1) + 1)
+    G[b - col0, col0] /= np.sqrt(2.0)
+    G[b] = diagonal[j]
+    G[j[np.clip(np.arange(n) + d, 0, n - 1)] != jd] = 0.0
+    return j, G
+
+
+def _banded_eigvals(U: Array) -> Array:
+    """Eigenvalues of a symmetric band matrix in LAPACK upper storage."""
+    from scipy.linalg import eigvals_banded
+
+    return eigvals_banded(U[max(0, U.shape[0] - U.shape[1]):], lower=False)
+
+
+def _certified_eigvals(e: Array, diagonal: Array, stride: int, b: int,
+                       budget: float) -> tuple[Array, float] | None:
+    """Eigenvalues of the band-b classes as certified Rayleigh quotients.
+
+    On the `_stacked_band` classes, every index i gets a local eigenvector
+    x supported on the window i - w .. i + w, w = max(b, `_MIN_WINDOW`)
+    (0 for a diagonal), with x_i = 1.  From x = e_i,
+    Brillouin-Wigner sweeps x_k <- (A x - D_k x)_k / ((A x)_i - D_k)
+    converge geometrically when the couplings are small against the
+    spacing of the diagonal D.  After each sweep from the second on, the
+    Rayleigh quotient rho_i and the residual s_i = ||A x - rho_i x|| / ||x||
+    against the whole band give intervals [rho_i - s_i, rho_i + s_i], each
+    holding an eigenvalue.  When they are disjoint within each class
+    (which also orders them), each holds exactly one, and Kato-Temple
+    bounds |lambda_i - rho_i| by s_i^2 / min(rho_i - rho_{i-1} - s_{i-1},
+    rho_{i+1} - s_{i+1} - rho_i).  Returns the quotients by cosine index
+    and the largest such bound, or None when no sweep up to `_BW_SWEEPS`
+    brings it within ``budget``.
+    """
+    j, G_band = _stacked_band(e, diagonal, stride, b)
+    n, w = j.shape[0], max(b, _MIN_WINDOW) if b else 0   # b = 0: a diagonal
+    W, m = 2 * w + 1, w + b             # m: reach of A x past the window centre
+    G = np.zeros((2 * b + 1, n + 2 * m))
+    G[:, m:m + n] = G_band
+    D = G_band[b]
+    G[b] = 0.0                          # off-diagonal couplings only
+    # D on the window of row i: zero past the ends for the quotient,
+    # infinite for the sweep, so that x stays zero there
+    D_pad = np.zeros((2, n + 2 * m))
+    D_pad[1] = np.inf
+    D_pad[:, m:m + n] = D
+    view = np.lib.stride_tricks.as_strided
+    D_win, D_sweep = view(D_pad[:, b:], (2, n, W), D_pad.strides + D_pad.strides[1:])
+    # V[c, i, a] = G[c, i + a] and X_view[i, c, a] = X_pad[i, c + a]: A x of
+    # row i on the window and b past either end (a = 0..2m) is sum_c V * X_view
+    V = view(G, (2 * b + 1, n, 2 * m + 1), G.strides + G.strides[1:])
+    X_pad = np.zeros((n, 2 * m + 1 + 2 * b))     # x of row i at 2b .. 2b + 2w
+    X_view = view(X_pad, (n, 2 * b + 1, 2 * m + 1), X_pad.strides + X_pad.strides[1:])
+    x = X_pad[:, 2 * b:2 * b + W]
+    x[:, w] = 1.0
+    V_win, X_win = V[:, :, b:b + W], X_view[:, :, b:b + W]
+    ends = np.flatnonzero(np.diff(j) != stride)  # last index of each class but the final one
+    Y_win = np.einsum("cia,ica->ia", V_win, X_win)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(1, _BW_SWEEPS + 1):
+            x[:] = Y_win / ((D + Y_win[:, w])[:, None] - D_sweep)
+            x[:, w] = 1.0
+            if sweep < 2:
+                Y_win = np.einsum("cia,ica->ia", V_win, X_win)
+                continue
+            Y = np.einsum("cia,ica->ia", V, X_view)   # off-diagonal part of A x
+            Y_win = Y[:, b:b + W]
+            Ax = Y_win + D_win * x
+            xx = np.einsum("ia,ia->i", x, x)
+            rho = np.einsum("ia,ia->i", x, Ax) / xx
+            R = Y.copy()
+            R[:, b:b + W] = Ax - rho[:, None] * x
+            s2 = np.einsum("ia,ia->i", R, R) / xx
+            s = np.sqrt(s2)
+            lo, hi = rho - s, rho + s
+            apart = lo[1:] > hi[:-1]
+            apart[ends] = True
+            if not np.all(apart):
+                continue
+            below, above = rho[1:] - hi[:-1], lo[1:] - rho[:-1]
+            below[ends] = above[ends] = np.inf
+            # max_i s_i^2 / min(below_i, above_i)
+            kato_temple = max(float(np.max(s2[1:] / below, initial=0.0)),
+                              float(np.max(s2[:-1] / above, initial=0.0)))
+            if kato_temple <= budget:
+                lam = np.empty(n)
+                lam[j] = rho
+                return lam, kato_temple
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from functools import cached_property, partial
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .divisors import (DivisorTable, ResonanceError, ResonanceParams,
                        averaged_potential, hill_eigs, is_resonant,
@@ -377,6 +376,8 @@ class LinearizedOperator:
 
     def solve(self, rhs: Array) -> Array:
         """L^{-1} rhs by block-preconditioned GMRES to relative residual 1e-14."""
+        from scipy.sparse.linalg import LinearOperator, gmres
+
         # the preconditioned operator is I + O(eps^2): a handful of
         # iterations suffices, and 10 restart cycles bound a failing solve
         n = self.size

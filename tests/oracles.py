@@ -359,6 +359,38 @@ def oracle_hill_eigs(q_samples, period: float, J_max: int) -> np.ndarray:
     return eigh(A, eigvals_only=True)
 
 
+def mpmath_low_hill_eigs(q_samples, period: float, n_low: int,
+                         n_modes: int = 40, dps: int = 40) -> np.ndarray:
+    """Lowest ``n_low`` Hill eigenvalues in ``dps``-digit `mpmath`.
+
+    The leading ``n_modes`` cosines of the Galerkin matrix of
+    `oracle_hill_eigs` (the same cosine coefficients of q), solved by
+    `mpmath.eigsy`.  Dropping the higher cosines moves the lowest
+    eigenvalues by far less than a double's round-off when the couplings
+    decay away from the diagonal, so this is a reference for the
+    low end of the spectrum well below the error of a dense solve.
+    Reference for the Kato-Temple radius of `hill_eigs`.
+    """
+    q_samples = np.asarray(q_samples, dtype=float)
+    n_q = min(2 * n_modes, q_samples.shape[0] // 2 - 1)
+    q_hat = np.zeros(2 * n_modes + 1)
+    q_hat[: n_q + 1] = cos_analyze(q_samples, n_q)
+    with mpmath.workdps(dps):
+        e = [mpmath.mpf(float(c)) / 2 for c in q_hat]
+        e[0] = mpmath.mpf(float(q_hat[0]))
+        A = mpmath.matrix(n_modes, n_modes)
+        for j in range(n_modes):
+            for k in range(n_modes):
+                A[j, k] = e[abs(j - k)] + e[j + k]
+                if j == 0:
+                    A[j, k] /= mpmath.sqrt(2)
+                if k == 0:
+                    A[j, k] /= mpmath.sqrt(2)
+            A[j, j] += (2 * mpmath.pi * j / mpmath.mpf(period)) ** 2
+        lam = sorted(mpmath.eigsy(A, eigvals_only=True))
+        return np.array([float(x) for x in lam[:n_low]])
+
+
 def oracle_is_resonant(eps: float, params, table):
     """Window membership of eps read off the full K x J divisor table.
 

@@ -28,6 +28,7 @@ from kgperiodic.cli import (
     MAX_SWEEP_WORKERS,
     main,
 )
+from kgperiodic.planar import find_orbit
 from kgperiodic.solver import NonConvergenceError
 
 RESONANT_EPS = 0.1396532019663832   # center of the (k=2, j=12) window, a = 0.9
@@ -322,25 +323,17 @@ def test_nonfinite_or_out_of_range_numbers_exit_1(tmp_path, capsys, command, cfg
     ("limit-orbit", {"amplitude": 1e200}),
     ("limit-orbit", {"model": "phi4", "amplitude": 1e100}),
     ("solve", {"eps": 0.1, "amplitude": 1e200}),
+    ("sweep", {"eps_list": [0.1, 0.12, 0.15], "amplitude": 1e200}),
 ])
 def test_overflowing_amplitude_exits_3(tmp_path, capsys, command, cfg):
-    # finite, but the orbit's energy a^2/2 + f3 a^4/32 overflows a double
+    # finite, but the orbit's energy a^2/2 + f3 a^4/32 overflows a double;
+    # a sweep stops at its one orbit check, before any row
     cfg = {**cfg, "out_dir": str(tmp_path)}
     assert run_cli(tmp_path, command, cfg) == EXIT_NO_ORBIT
     err = capsys.readouterr().err
     assert "energy overflows a double" in err and "Traceback" not in err
-    assert not (tmp_path / "orbit.json").exists()
-    assert not (tmp_path / "solve.json").exists()
-
-
-def test_overflowing_amplitude_fails_every_sweep_row(tmp_path):
-    cfg = {"eps_list": [0.148, 0.193], "amplitude": 1e200,
-           "out_dir": str(tmp_path)}
-    assert run_cli(tmp_path, "sweep", cfg) == EXIT_INSUFFICIENT_DATA
-    doc = json.loads((tmp_path / "summary.json").read_text())
-    assert [f["eps"] for f in doc["failures"]] == [0.148, 0.193]
-    assert all("energy overflows a double" in f["message"]
-               for f in doc["failures"])
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 README_EXIT_CODES = {
@@ -451,8 +444,8 @@ def _forbid_work(monkeypatch, calls):
         calls.append(args)
         raise AssertionError("orbit or solve work past a solver limit")
 
-    # `limit-orbit` calls find_orbit itself; solve and sweep go through
-    # `assembly.solve_point`
+    # `limit-orbit` calls find_orbit itself and `sweep` checks its orbit
+    # once; solve and the sweep rows go through `assembly.solve_point`
     monkeypatch.setattr(cli, "find_orbit", forbidden)
     monkeypatch.setattr(assembly, "find_orbit", forbidden)
     monkeypatch.setattr(assembly, "solve_delta1", forbidden)
@@ -503,8 +496,9 @@ def test_solve_config_fuzz(tmp_path, capsys, cfg, corruption):
     _BAD_VALUE)))
 def test_sweep_config_fuzz(tmp_path, capsys, cfg, corruption):
     code, _ = _fuzz_run(tmp_path, capsys, "sweep", cfg, corruption)
-    # at most two rows: the fit laws never have enough data
-    assert code in (EXIT_BAD_CONFIG, EXIT_INSUFFICIENT_DATA)
+    # at most two rows: the fit laws never have enough data, unless a
+    # corrupted amplitude has no orbit and stops the sweep before its rows
+    assert code in (EXIT_BAD_CONFIG, EXIT_NO_ORBIT, EXIT_INSUFFICIENT_DATA)
 
 
 @pytest.mark.parametrize("command, cfg", [("solve", {"eps": 0.1}),
@@ -550,9 +544,11 @@ def test_sweep_past_its_limit_exits_1(tmp_path, capsys, monkeypatch, cfg):
 
 
 def test_sweep_at_its_limits_reaches_the_pool(tmp_path, monkeypatch):
-    # both limits are accepted; the pool it then builds is forbidden
+    # both limits are accepted and the one orbit check before the rows
+    # runs; the pool the sweep then builds is forbidden
     calls = []
     _forbid_work(monkeypatch, calls)
+    monkeypatch.setattr(cli, "find_orbit", find_orbit)
     _forbid_pool(monkeypatch, calls)
     eps_list = [0.1 + 1e-4 * i for i in range(MAX_SWEEP_ROWS)]
     cfg = {"eps_list": eps_list, "workers": MAX_SWEEP_WORKERS,

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kgperiodic import divisors
 from kgperiodic.divisors import (
     CoverageError,
     _linear_fit,
@@ -25,8 +26,8 @@ from kgperiodic.nonlinearity import Nonlinearity
 from kgperiodic.planar import find_orbit
 
 from oracles import (divisor_root_exact, divisor_root_float,
-                     oracle_averaged_potential, oracle_hill_eigs,
-                     oracle_is_resonant)
+                     mpmath_low_hill_eigs, oracle_averaged_potential,
+                     oracle_hill_eigs, oracle_is_resonant)
 
 # Resonance value eps_{2,100} for the flat potential at period 2*pi, from
 # the exact-rational bisection oracle on -4 + 1/(1+e^2) + 1e4 e^2 = 0.
@@ -110,8 +111,32 @@ class TestHillEigs:
         assert np.min(np.diff(lam)) > 0.0
 
 
+def _lapack_calls(monkeypatch):
+    """Record the classes handed to the banded LAPACK solve."""
+    calls = []
+    lapack = divisors._banded_eigvals
+
+    def spy(U):
+        calls.append(U.shape[1])
+        return lapack(U)
+
+    monkeypatch.setattr(divisors, "_banded_eigvals", spy)
+    return calls
+
+
 class TestBandedHillEigs:
-    """The banded eigenvalue-only solve against the dense Galerkin oracle."""
+    """The Hill eigensolve against the dense Galerkin oracle.
+
+    Every case runs with the size selection off and the LAPACK fallback
+    forbidden, so each is shown to take the certified path.
+    """
+
+    @pytest.fixture(autouse=True)
+    def certified_only(self, monkeypatch):
+        monkeypatch.setattr(divisors, "_CERTIFY_MIN_SIZE", 1)
+        calls = _lapack_calls(monkeypatch)
+        yield
+        assert calls == []
 
     @pytest.mark.parametrize("spec, amplitude, eps", [
         ("sine-gordon", 0.9, 0.05),
@@ -165,6 +190,80 @@ class TestBandedHillEigs:
         expected = (2 * np.pi * js / period) ** 2 + q
         assert np.max(np.abs(spec.eigenvalues - expected)) < 1e-8
         assert elapsed < 1.0
+
+
+def _canonical_potential():
+    model = Nonlinearity.sine_gordon()
+    traj = find_orbit(model.f3, 0.9).trajectory(256)
+    return averaged_potential(traj, 0.1, model), traj.period
+
+
+class TestHillPaths:
+    """Which classes take the certified path and which the LAPACK solve."""
+
+    @pytest.mark.parametrize("smallest_class", [divisors._CERTIFY_MIN_SIZE - 1,
+                                                divisors._CERTIFY_MIN_SIZE])
+    def test_size_selection(self, monkeypatch, smallest_class):
+        # the canonical potential splits into classes of (J + 2) // 2 and
+        # (J + 1) // 2 cosines; below the size constant LAPACK solves them
+        q, period = _canonical_potential()
+        J = 2 * smallest_class - 1
+        calls = _lapack_calls(monkeypatch)
+        spec = hill_eigs(q, period, J)
+        certified = smallest_class >= divisors._CERTIFY_MIN_SIZE
+        assert calls == ([] if certified else [J // 2 + 1, (J + 1) // 2])
+        dense = oracle_hill_eigs(q, period, J)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(spec.eigenvalues - dense)) <= spec.radius + 1e-13 * scale
+        assert spec.radius <= np.finfo(float).eps * scale
+
+    def test_strong_potential_falls_back(self, monkeypatch):
+        # couplings of 1.5 against a diagonal spacing of 0.1 at the bottom:
+        # the local eigenvectors do not exist, the intervals overlap, and
+        # the whole matrix (odd harmonics) goes to LAPACK
+        period, J = 20.0, 150
+        taus = period * np.arange(256) / 256
+        q = 3.0 * np.cos(2 * np.pi * taus / period)
+        calls = _lapack_calls(monkeypatch)
+        spec = hill_eigs(q, period, J)
+        assert calls == [J + 1]
+        dense = oracle_hill_eigs(q, period, J)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(spec.eigenvalues - dense)) <= spec.radius + 1e-13 * scale
+        assert spec.radius <= np.finfo(float).eps * scale
+
+    def test_kato_temple_term_in_radius(self, monkeypatch):
+        # a single harmonic: the band drops only round-off harmonics, and
+        # the radius is almost all Kato-Temple term from the slowly
+        # converging bottom of the spectrum
+        period, J = 6.0, 120
+        taus = period * np.arange(128) / 128
+        q = 0.3 * np.cos(2 * np.pi * taus / period) - 0.1
+        calls = _lapack_calls(monkeypatch)
+        spec = hill_eigs(q, period, J)
+        assert calls == []
+        # the dropped mass is at most three times the sum of |e[n]| past n = 1
+        dropped = 1.5 * np.sum(np.abs(spec.q_coeffs[2:]))
+        assert spec.radius > 10.0 * dropped
+        dense = oracle_hill_eigs(q, period, J)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(spec.eigenvalues - dense)) <= spec.radius + 1e-13 * scale
+        assert spec.radius <= np.finfo(float).eps * scale
+        _assert_low_end_within_radius(spec, q, period)
+
+    def test_canonical_low_end_within_radius(self):
+        # the gate's J = 400 solve, certified; its Kato-Temple term comes
+        # from j = 0 and is tight there to a factor of two
+        q, period = _canonical_potential()
+        _assert_low_end_within_radius(hill_eigs(q, period, 400), q, period)
+
+
+def _assert_low_end_within_radius(spec, q, period, n_low=8):
+    """The lowest eigenvalues against 40-digit ones, where a dense solve's
+    round-off would hide a radius that is too small."""
+    ref = mpmath_low_hill_eigs(q, period, n_low)
+    roundoff = 16 * np.finfo(float).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(spec.eigenvalues[:n_low] - ref)) <= spec.radius + roundoff
 
 
 class TestEpsilonKJ:

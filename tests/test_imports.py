@@ -1,4 +1,4 @@
-"""Importing the package loads only the SciPy modules every run uses."""
+"""Importing the package loads no SciPy module; each run loads only what it uses."""
 
 import json
 import os
@@ -6,30 +6,59 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kgperiodic
 
-# loaded only by a run that needs them: scipy.integrate (with scipy.optimize
-# under it) at the first DOP853 certificate, the others never
-DEFERRED = ("scipy.stats", "scipy.special", "scipy.integrate", "scipy.optimize")
-
-SCRIPT = f"""
+# One process walks the stages of a run and records the SciPy modules loaded
+# after each: the import, a K = 64 resonance gate at eps = 0.1 (the J = 400
+# Hill solve), the first linear solve and the first DOP853 certificate.
+SCRIPT = """
 import json, sys
-from kgperiodic import Nonlinearity, PlanarState, integrate_v
 
 def loaded():
-    return [m for m in {DEFERRED!r} if m in sys.modules]
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-print(json.dumps(loaded()))
-integrate_v([PlanarState(0.9, 0.0)], None, 0.1, Nonlinearity.sine_gordon(), 6.3)
-print(json.dumps(loaded()))
+stages = {}
+import kgperiodic
+stages["import"] = loaded()
+import numpy as np
+from kgperiodic import (LinearizedOperator, Nonlinearity, PlanarState,
+                        ResonanceParams, SpaceTimeField, find_orbit,
+                        integrate_v, resonance_gate)
+model = Nonlinearity.sine_gordon()
+traj = find_orbit(model.f3, 0.9).trajectory(256)
+resonance_gate(traj, 0.1, model, K=64, params=ResonanceParams())
+stages["gate"] = loaded()
+op = LinearizedOperator(traj, SpaceTimeField.zeros(traj.period, 12, 6), 0.1,
+                        model, 6)
+op.solve(np.ones(op.size))
+stages["solve"] = loaded()
+integrate_v([PlanarState(0.9, 0.0)], None, 0.1, model, 6.3)
+stages["certificate"] = loaded()
+print(json.dumps(stages))
 """
 
 
-def test_scipy_integrate_loaded_at_first_certificate():
+@pytest.fixture(scope="module")
+def stages():
     env = {**os.environ,
            "PYTHONPATH": str(Path(kgperiodic.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    at_import, after_integration = (json.loads(line) for line in out.splitlines())
-    assert at_import == []
-    assert {"scipy.integrate", "scipy.optimize"} <= set(after_integration)
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_and_gate_load_no_scipy(stages):
+    assert stages["import"] == []
+    assert stages["gate"] == []
+
+
+def test_scipy_sparse_linalg_loaded_at_first_solve(stages):
+    assert "scipy.sparse.linalg" in stages["solve"]
+    assert "scipy.integrate" not in stages["solve"]
+
+
+def test_scipy_integrate_loaded_at_first_certificate(stages):
+    assert "scipy.integrate" not in stages["solve"]
+    assert {"scipy.integrate", "scipy.optimize"} <= set(stages["certificate"])

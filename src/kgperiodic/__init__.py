@@ -7,7 +7,6 @@ from .fourier import (
     AliasingError,
     EvenField,
     SpaceTimeField,
-    apply_J_eps,
     invert_J_eps,
     j_eps_symbol,
     multiply_to_even,
@@ -27,10 +26,8 @@ from .planar import (
     monodromy,
 )
 from .normalform import (
-    TransformedSystem,
-    identity_system,
+    AveragedStart,
     nf_sequence,
-    nf_step,
 )
 from .divisors import (
     CoverageError,

@@ -16,7 +16,6 @@ the eps-uniform claims over a non-resonant grid.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +153,7 @@ def assemble_u(closure: ClosureResult) -> AssembledSolution:
     traj = closure.V_traj
     sol = AssembledSolution(eps=closure.eps, period=traj.period,
                             v_cos_coeffs=traj.cos_coeffs.copy(),
-                            w=run.w_physical, model=run.system.model)
+                            w=run.w, model=run.model)
     even, odd = sol.symmetry_defects()
     scale = max(1.0, np.abs(traj.v_samples).max())
     if even > 1e-12 * scale or odd > 1e-12 * scale:
@@ -331,6 +330,9 @@ def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
              for e in eps_sorted]
     workers = max(1, min(workers, len(tasks))) if tasks else 1
     if workers > 1:
+        # imported here, so that `import kgperiodic` skips multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:

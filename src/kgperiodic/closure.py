@@ -267,8 +267,9 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     end the loop (delta moved by at most `_TOL_OUTER`), runs
     `resonance_gate` on its trajectory up to the final truncation's N
     (a resonant eps raises `ResonanceError` before the solve) and then
-    solves cold; the rounds in between start Newton from the previous
-    round's w and skip the gate.  The run left when the loop exits is the
+    solves cold; the rounds in between skip the gate and start Newton from
+    their own averaged start plus the previous round's Newton correction
+    (`SolverRun.correction`).  The run left when the loop exits is the
     reported one: a cold, gated `nash_moser_solve` on the reported
     trajectory ``V_traj``, the last Galerkin one, whose report is built
     only when read.  ``resonance_first`` and ``resonance_final`` are the
@@ -319,8 +320,8 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             if outer == 1:
                 first_gate = gate
         run = nash_moser_solve(traj, eps, solver, model,
-                               w0=None if cold else run.w)
-        w_new = run.w_physical
+                               w0=None if cold else run.correction)
+        w_new = run.w
         dw = (w_new.norm(1.0) if w_field is None
               else (w_new - w_field).norm(1.0))
         history.append((delta, r, dw))

@@ -34,7 +34,6 @@ __all__ = [
     "project_P",
     "project_Q",
     "j_eps_symbol",
-    "apply_J_eps",
     "invert_J_eps",
     "multiply_to_even",
 ]
@@ -216,11 +215,6 @@ class SpaceTimeField:
         S = sin_synthesis_matrix(M_x, self.band_x)
         return C @ self.coeffs @ S.T
 
-    def d2_tau(self) -> "SpaceTimeField":
-        """Second tau-derivative, computed spectrally."""
-        om2 = (2.0 * np.pi * np.arange(self.band_tau + 1) / self.period) ** 2
-        return SpaceTimeField(self.period, -om2[:, None] * self.coeffs)
-
     # -- arithmetic ----------------------------------------------------------
     def _binary(self, other: "SpaceTimeField", sign: float) -> "SpaceTimeField":
         if abs(other.period - self.period) > 1e-12 * max(1.0, self.period):
@@ -350,24 +344,10 @@ def j_eps_symbol(k: Array | int, eps: float) -> Array | float:
     return 1.0 / (1.0 + eps**2) - np.asarray(k, dtype=float) ** 2
 
 
-def _sym_vector(n: int, eps: float) -> Array:
-    sym = j_eps_symbol(np.arange(n), eps)
-    sym[0] = 1.0  # unused entries; avoid spurious zeros
-    sym[1] = 1.0
-    return sym
-
-
-def apply_J_eps(w: SpaceTimeField, eps: float) -> SpaceTimeField:
-    """Mode-wise action of J_eps (fields must live in the Q-space)."""
-    sym = _sym_vector(w.band_x + 1, eps)
-    c = w.coeffs * sym[None, :]
-    c[:, :2] = 0.0
-    return SpaceTimeField(w.period, c)
-
-
 def invert_J_eps(w: SpaceTimeField, eps: float) -> SpaceTimeField:
     """Entrywise inverse of J_eps; bounded map QH^s -> QH^(s+2) with norm <= 2."""
-    sym = _sym_vector(w.band_x + 1, eps)
+    sym = j_eps_symbol(np.arange(w.band_x + 1), eps)
+    sym[:2] = 1.0  # the k = 0, 1 entries are zeroed below; avoid spurious zeros
     c = w.coeffs / sym[None, :]
     c[:, :2] = 0.0
     return SpaceTimeField(w.period, c)

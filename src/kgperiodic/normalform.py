@@ -1,174 +1,108 @@
-"""Partial normal-form (averaging) transformation of the fast equation.
+"""The fast equation F and its averaging (partial normal form) stage.
 
-The fast field obeys ``(J_eps - eps^2 d_tautau) w + eps^2 g(v, w) = 0`` with
-``g(v, w) = -(1/omega^2) Q[f(eps(v sin x + w))/eps^3]``.  Substituting
-``w_new = w + shift`` for a known trajectory-dependent shift S(tau) turns the
-equation into the same form with
+The fast field obeys
 
-    g_new(v, w_new) = g(v, w_new - S) - J_eps S / eps^2 + S_tautau,
+    F(w) = (J_eps - eps^2 d_tautau) w + eps^2 g(v, w) = 0,
+    g(v, w) = -(1/omega^2) Q[f(eps(v sin x + w))/eps^3],
 
-an exact change of variables.  Each averaging step removes the current
-inhomogeneous drive ``d_k = g_k(v, 0)`` by adding ``eps^2 J_eps^{-1} d_k`` to
-the cumulative shift, which contracts the drive by a factor O(eps^2) per
-step.  The implementation keeps only the cumulative shift: the accumulated
-linear terms ``J_eps S / eps^2`` and ``S_tautau`` are recomputed exactly
-(diagonally resp. spectrally), so the telescoped drive is evaluated without
-finite differences and the variable change stays exact to roundoff.
+over fields in span{cos(2 pi j tau / p) sin(k x), k >= 2}; `assemble_F`
+evaluates it by collocation, and is the only place it is written.
+
+Averaging substitutes ``w = w_new - S`` for a trajectory-dependent shift S,
+an exact change of variables: the transformed residual satisfies
+F_new(w_new) = F(w_new - S).  Each step removes the inhomogeneous drive
+d_k = F_new(0)/eps^2 by adding eps^2 J_eps^{-1} d_k to S, which contracts
+the drive by a factor O(eps^2).  Newton's method is affine invariant, so
+solving F_new = 0 from w_new = 0 gives the same iterates as solving F = 0
+from w = -S.  The stage therefore stays in the physical frame: step k
+evaluates d_k = F(w_k)/eps^2 and takes the diagonal solve
+w_{k+1} = w_k - eps^2 J_eps^{-1} d_k from w_0 = 0, and its result is the
+start of the Newton solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .fourier import (
-    SpaceTimeField,
-    apply_J_eps,
-    cos_analyze,
-    invert_J_eps,
-    project_Q,
-)
+from .fourier import (SpaceTimeField, cos_analyze, invert_J_eps, j_eps_symbol,
+                      project_Q)
 from .nonlinearity import Nonlinearity, collocate
 from .planar import VTrajectory
 
 Array = NDArray[np.float64]
 
 __all__ = [
-    "TransformedSystem",
-    "nf_step",
+    "AveragedStart",
+    "assemble_F",
     "nf_sequence",
-    "transformed_g",
-    "multiplier_values",
 ]
 
+
+def _grids(N_x: int, N_tau: int) -> tuple[int, int]:
+    M_tau = 4 * N_tau + 8
+    M_x = max(4 * N_x + 8, 32)
+    return M_tau, M_x
+
+
+def _linear_symbol(period: float, eps: float, N_tau: int, K: int) -> Array:
+    j = np.arange(N_tau + 1, dtype=float)
+    return (j_eps_symbol(np.arange(K + 1), eps)[None, :]
+            + eps**2 * (2.0 * np.pi * j[:, None] / period) ** 2)
+
+
+def assemble_F(V_traj: VTrajectory, w: SpaceTimeField, eps: float,
+               model: Nonlinearity | None,
+               M_tau: int | None = None, M_x: int | None = None) -> SpaceTimeField:
+    """Residual field F(w) = (J_eps - eps^2 d_tautau) w + eps^2 g(V, w).
+
+    Collocated on an (M_tau, M_x) grid, by default `_grids` of the field's
+    band; the result has the band of ``w``.  ``model=None`` suppresses the
+    nonlinearity (test hook), leaving the diagonal action alone.
+    """
+    N_tau, K = w.band_tau, w.band_x
+    dM_tau, dM_x = _grids(K, N_tau)
+    M_tau = M_tau or dM_tau
+    M_x = M_x or dM_x
+    lin = SpaceTimeField(period=w.period,
+                         coeffs=w.coeffs * _linear_symbol(w.period, eps, N_tau, K))
+    vals = collocate(model, eps, V_traj.resample(M_tau),
+                     w.values_grid(M_tau, M_x), M_x)
+    g = SpaceTimeField(w.period, cos_analyze(project_Q(vals, K).T, N_tau).T)
+    return lin + (eps**2) * g
+
+
 @dataclass(frozen=True)
-class TransformedSystem:
-    """State of the averaging sequence after ``step`` eliminations.
+class AveragedStart:
+    """The averaging steps kept: the field ``w`` they end on (the Newton
+    start) and the Sobolev-1 norm of the drive each step removed."""
 
-    ``correction_stack[k]`` is the field added to the fast variable at step
-    k (the shift ``w -> w + eps^2 J_eps^{-1} d_k``); ``shift`` is their sum.
-    ``drive_norm_history[k]`` records the Sobolev-1 norm of the drive that
-    step k eliminated.  The step-0 system has an empty stack and reproduces
-    the untransformed equation.
-    """
+    w: SpaceTimeField
+    drive_norm_history: tuple[float, ...]
 
-    model: Nonlinearity | None
-    eps: float
-    N_x: int
-    N_tau: int
-    period: float
-    step: int = 0
-    correction_stack: tuple[SpaceTimeField, ...] = ()
-    drive_norm_history: tuple[float, ...] = ()
-    shift: SpaceTimeField = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.shift is None:
-            object.__setattr__(
-                self, "shift", SpaceTimeField.zeros(self.period, self.N_tau, self.N_x))
-
-    # -- exact linear bookkeeping -------------------------------------------
-    def linear_drive(self) -> SpaceTimeField:
-        """-J_eps S / eps^2 + S_tautau, the linear part of the shifted g."""
-        if self.eps == 0.0:
-            return SpaceTimeField.zeros(self.period, self.N_tau, self.N_x)
-        return self.shift.d2_tau() - (1.0 / self.eps**2) * apply_J_eps(self.shift, self.eps)
-
-    def drive(self, traj: VTrajectory) -> SpaceTimeField:
-        """Current inhomogeneous drive d_step = g_step(v, 0)."""
-        return transformed_g(self, traj, None, 4 * max(self.N_tau, 1),
-                             4 * max(self.N_x, 2))
-
-    def to_original(self, w: SpaceTimeField) -> SpaceTimeField:
-        """Map the transformed fast variable back to the physical one."""
-        return w - self.shift
-
-
-def identity_system(model: Nonlinearity | None, eps: float, period: float,
-                    N_x: int, N_tau: int) -> TransformedSystem:
-    """The step-0 (untransformed) system."""
-    return TransformedSystem(model=model, eps=eps, N_x=N_x, N_tau=N_tau, period=period)
-
-
-def nf_step(sys: TransformedSystem, traj: VTrajectory, eps: float) -> TransformedSystem:
-    """One averaging step: remove the current drive via the diagonal solve.
-
-    Appends the correction ``eps^2 J_eps^{-1} d_k`` to the stack and records
-    the norm of the drive it eliminated.
-    """
-    if abs(eps - sys.eps) > 1e-15:
-        raise ValueError("eps mismatch between system and step")
-    d = sys.drive(traj)
-    correction = (eps**2) * invert_J_eps(d, eps)
-    return replace(
-        sys,
-        step=sys.step + 1,
-        correction_stack=sys.correction_stack + (correction,),
-        drive_norm_history=sys.drive_norm_history + (d.norm(1.0),),
-        shift=sys.shift + correction,
-    )
+    @property
+    def step(self) -> int:
+        return len(self.drive_norm_history)
 
 
 def nf_sequence(traj: VTrajectory, eps: float, model: Nonlinearity | None,
-                N_x: int, N_tau: int, k_max: int) -> TransformedSystem:
-    """Apply up to ``k_max`` averaging steps, stopping early on stagnation.
+                N_x: int, N_tau: int, k_max: int) -> AveragedStart:
+    """Apply up to ``k_max`` averaging steps from w = 0 on the (N_tau, N_x) band.
 
-    Stops as soon as a step fails to decrease the drive norm (measured ratio
-    >= 1), which happens near the roundoff floor; the step that failed to
-    contract is rolled back.
+    Each drive is collocated on the (4 N_tau, 4 N_x) grid.  Stops as soon
+    as a step fails to decrease the drive norm, which happens near the
+    round-off floor; the step that failed to contract is not taken.
     """
-    sys = identity_system(model, eps, traj.period, N_x, N_tau)
+    M_tau, M_x = 4 * max(N_tau, 1), 4 * max(N_x, 2)
+    w = SpaceTimeField.zeros(traj.period, N_tau, N_x)
+    history: list[float] = []
     for _ in range(k_max):
-        nxt = nf_step(sys, traj, eps)
-        hist = nxt.drive_norm_history
-        if len(hist) >= 2 and hist[-1] >= hist[-2]:
-            return sys
-        sys = nxt
-    return sys
-
-
-# ---------------------------------------------------------------------------
-# hooks used by the Galerkin solver
-# ---------------------------------------------------------------------------
-
-def _w_minus_shift(sys: TransformedSystem, w_values: Array | None,
-                   M_tau: int, M_x: int) -> Array | None:
-    """Grid samples of w - S, the physical fast field (None when both vanish)."""
-    if sys.step == 0:
-        return w_values
-    S = sys.shift.values_grid(M_tau, M_x)
-    return -S if w_values is None else w_values - S
-
-
-def transformed_g(sys: TransformedSystem, traj: VTrajectory,
-                  w_values: Array | None, M_tau: int, M_x: int,
-                  N_x: int | None = None,
-                  N_tau: int | None = None) -> SpaceTimeField:
-    """g of the transformed system at grid samples ``w_values`` of w.
-
-    Evaluates ``g(v, w - S) - J_eps S/eps^2 + S_tautau`` on the collocation
-    grid; ``w_values=None`` means w = 0.  Output bands default to the
-    system's but can be overridden (e.g. for residual certificates).
-    """
-    N_x = sys.N_x if N_x is None else N_x
-    N_tau = sys.N_tau if N_tau is None else N_tau
-    vals = collocate(sys.model, sys.eps, traj.resample(M_tau),
-                     _w_minus_shift(sys, w_values, M_tau, M_x), M_x)
-    g = SpaceTimeField(traj.period,
-                       cos_analyze(project_Q(vals, N_x).T, N_tau).T)
-    return g + sys.linear_drive() if sys.step > 0 else g
-
-
-def multiplier_values(sys: TransformedSystem, traj: VTrajectory,
-                      w_values: Array | None, M_tau: int, M_x: int) -> Array:
-    """Grid samples of the derivative multiplier of the transformed g.
-
-    D_w g acts as h -> Q[m h] with ``m = -(1/omega^2) f'(eps xi)/eps^2`` and
-    ``xi = v sin x + (w - S)``; the shift contributes no w-dependence, so the
-    multiplier of the transformed system equals the original one at the
-    shifted argument.
-    """
-    return collocate(sys.model, sys.eps, traj.resample(M_tau),
-                     _w_minus_shift(sys, w_values, M_tau, M_x), M_x, order=1)
+        d = (1.0 / eps**2) * assemble_F(traj, w, eps, model, M_tau=M_tau, M_x=M_x)
+        norm = d.norm(1.0)
+        if history and norm >= history[-1]:
+            break
+        history.append(norm)
+        w = w - (eps**2) * invert_J_eps(d, eps)
+    return AveragedStart(w=w, drive_norm_history=tuple(history))

@@ -16,8 +16,8 @@ import numpy as np
 from .divisors import DivisorTable, HillSpectrum
 from .fourier import (
     SpaceTimeField,
-    apply_J_eps,
     invert_J_eps,
+    j_eps_symbol,
     multiply_to_even,
     project_P,
     project_Q,
@@ -177,15 +177,18 @@ def check_pq_identity() -> PropertyResult:
 
 
 def check_j_inverse_identity(rng: np.random.Generator) -> PropertyResult:
-    """J_eps(J_eps^-1 w) = w on random spatial (one-row) fields."""
+    """J_eps^-1 divides by `j_eps_symbol`: symbol * (J_eps^-1 w) = w on
+    random spatial (one-row) fields, at a random eps in [0, 0.5) and at
+    eps = 0, 0.1 and 0.5."""
+    k = np.arange(10)
     worst = 0.0
     for _ in range(50):
         coeffs = rng.standard_normal(10)
         coeffs[:2] = 0.0
         w = SpaceTimeField(period=_FIELD_PERIOD, coeffs=coeffs[None, :])
-        eps = float(rng.uniform(0.0, 0.5))
-        back = apply_J_eps(invert_J_eps(w, eps), eps)
-        worst = max(worst, float(np.max(np.abs(back.coeffs - w.coeffs))))
+        for eps in (float(rng.uniform(0.0, 0.5)), 0.0, 0.1, 0.5):
+            back = j_eps_symbol(k, eps) * invert_J_eps(w, eps).coeffs
+            worst = max(worst, float(np.max(np.abs(back - w.coeffs))))
     ok = worst <= 1e-13
     return PropertyResult("j_eps_inverse_identity", ok,
                           f"max |J(J^-1 w) - w| = {worst:.3e}")

@@ -1,11 +1,12 @@
-"""Nonlinear residual F, its linearization L, and the nested-truncation solve.
+"""The linearization L of the fast residual F, and the nested-truncation solve.
 
-The fast component solves, in the averaged frame,
+The fast component solves
 
-    F(w) = (J_eps - eps^2 d_tautau) w + eps^2 gbar(V, w, eps) = 0
+    F(w) = (J_eps - eps^2 d_tautau) w + eps^2 g(V, w, eps) = 0
 
-over fields in span{cos(2 pi j tau / p) sin(k x), k >= 2}.  The solver walks
-a nested sequence of spatial truncations N_1 < N_2 < ... (each stage a damped
+(`normalform.assemble_F`) over fields in span{cos(2 pi j tau / p) sin(k x),
+k >= 2}.  Starting from the averaging stage's field, the solver walks a
+nested sequence of spatial truncations N_1 < N_2 < ... (each stage a damped
 Newton iteration on the truncated system).  Its report, the conditioning of
 each stage and a certificate of the final residual by an independent
 re-evaluation on a doubled collocation grid, is built when first read.
@@ -30,11 +31,11 @@ from numpy.typing import NDArray
 from .divisors import (DivisorTable, ResonanceError, ResonanceParams,
                        averaged_potential, hill_eigs, is_resonant,
                        multiplication_matrix)
-from .fourier import (SpaceTimeField, cos_synthesis_matrix, j_eps_symbol,
+from .fourier import (SpaceTimeField, cos_synthesis_matrix,
                       sin_synthesis_matrix, x_grid)
-from .nonlinearity import Nonlinearity
-from .normalform import (TransformedSystem, identity_system, multiplier_values,
-                         nf_sequence, transformed_g)
+from .nonlinearity import Nonlinearity, collocate
+from .normalform import (AveragedStart, _grids, _linear_symbol, assemble_F,
+                         nf_sequence)
 from .planar import VTrajectory, find_orbit
 
 Array = NDArray[np.float64]
@@ -167,12 +168,6 @@ def _default_N_tau(traj: VTrajectory, config: SolverConfig) -> int:
     return int(min(config.N_tau_cap, max(24, math.ceil(1.3 * j_dec))))
 
 
-def _grids(N_x: int, N_tau: int) -> tuple[int, int]:
-    M_tau = 4 * N_tau + 8
-    M_x = max(4 * N_x + 8, 32)
-    return M_tau, M_x
-
-
 # ---------------------------------------------------------------------------
 # packing between fields and solve vectors (orthonormal temporal coordinates)
 # ---------------------------------------------------------------------------
@@ -192,41 +187,9 @@ def _unpack(vec: Array, period: float, N: int, N_tau: int,
     return SpaceTimeField(period=period, coeffs=coeffs)
 
 
-def _linear_symbol(period: float, eps: float, N_tau: int, K: int) -> Array:
-    j = np.arange(N_tau + 1, dtype=float)
-    return (j_eps_symbol(np.arange(K + 1), eps)[None, :]
-            + eps**2 * (2.0 * np.pi * j[:, None] / period) ** 2)
-
-
 # ---------------------------------------------------------------------------
-# F and L
+# the linearization L
 # ---------------------------------------------------------------------------
-
-def assemble_F(V_traj: VTrajectory, w: SpaceTimeField, eps: float,
-               model: Nonlinearity | None,
-               sys: TransformedSystem | None = None,
-               M_tau: int | None = None, M_x: int | None = None) -> SpaceTimeField:
-    """Residual field F(w) = (J_eps - eps^2 d_tautau) w + eps^2 gbar(V, w).
-
-    ``sys`` carries the averaging transformation; when omitted the identity
-    system is used (gbar = g).  ``model=None`` suppresses the nonlinearity
-    (test hook), leaving the diagonal action alone.
-    """
-    N_tau, K = w.band_tau, w.band_x
-    if sys is None:
-        sys = identity_system(model=model, eps=eps, N_x=K, N_tau=N_tau,
-                              period=w.period)
-    if abs(sys.period - w.period) > 1e-12 * max(1.0, abs(w.period)):
-        raise ValueError("period mismatch between system and field")
-    dM_tau, dM_x = _grids(K, N_tau)
-    M_tau = M_tau or dM_tau
-    M_x = M_x or dM_x
-    lin = SpaceTimeField(period=w.period,
-                         coeffs=w.coeffs * _linear_symbol(w.period, eps, N_tau, K))
-    g = transformed_g(sys, V_traj, w.values_grid(M_tau, M_x), M_tau=M_tau,
-                      M_x=M_x, N_x=K, N_tau=N_tau)
-    return lin + (eps**2) * g
-
 
 @dataclass(frozen=True)
 class InversionReport:
@@ -246,7 +209,7 @@ class InversionReport:
 
 
 class LinearizedOperator:
-    """L = J_eps + eps^2(-d_tautau + D_w gbar) at w, truncated to k <= N.
+    """L = J_eps + eps^2(-d_tautau + D_w g) at w, truncated to k <= N.
 
     Vectors run over (j = 0..N_tau, k = 2..N) in the orthonormal temporal
     basis of `_pack`.  `apply` is matrix-free on the collocation grid:
@@ -284,15 +247,11 @@ class LinearizedOperator:
 
     def __init__(self, V_traj: VTrajectory, w: SpaceTimeField, eps: float,
                  model: Nonlinearity | None, N: int,
-                 sys: TransformedSystem | None = None,
                  N_tau: int | None = None,
                  M_tau: int | None = None, M_x: int | None = None):
         N_tau = w.band_tau if N_tau is None else N_tau
         if N > w.band_x:
             raise ValueError("truncation N exceeds the field band")
-        if sys is None:
-            sys = identity_system(model=model, eps=eps, N_x=w.band_x,
-                                  N_tau=N_tau, period=w.period)
         dM_tau, dM_x = _grids(N, N_tau)
         M_tau = M_tau or dM_tau
         M_x = M_x or dM_x
@@ -304,7 +263,8 @@ class LinearizedOperator:
         self._row_scale = np.ones((N_tau + 1, 1))
         self._row_scale[0] = 1.0 / np.sqrt(2.0)
         w_values = w.values_grid(M_tau, M_x) if w.coeffs.any() else None
-        self._m = multiplier_values(sys, V_traj, w_values, M_tau=M_tau, M_x=M_x)
+        self._m = collocate(model, eps, V_traj.resample(M_tau), w_values, M_x,
+                            order=1)
 
         cos_x = np.cos(np.outer(x_grid(M_x), np.arange(2 * N + 1)))
         c = np.fft.rfft(self._m @ cos_x, axis=0).real[:2 * N_tau + 1]
@@ -464,10 +424,14 @@ class StageRecord:
 class SolverRun:
     """The fast field of `nash_moser_solve` and its report.
 
-    The report is computed the first time it is read, from the data the
-    run holds: the stages' conditioning (see `StageRecord`) and the
-    residual certificate, F(w) re-evaluated on a doubled collocation grid
-    (read by ``residual_certificate``, ``converged`` and `to_json_dict`).
+    ``w`` is the physical fast field and ``start`` the averaging stage it
+    started from.  In `to_json_dict`, ``w_norm_1`` is the Sobolev-1 norm of
+    the Newton correction ``w - start.w`` (`correction`) and
+    ``w_physical_norm_1`` that of ``w``.  The report is computed the first
+    time it is read, from the data the run holds: the stages' conditioning
+    (see `StageRecord`) and the residual certificate, F(w) re-evaluated on
+    a doubled collocation grid (read by ``residual_certificate``,
+    ``converged`` and `to_json_dict`).
     """
 
     config: SolverConfig
@@ -477,21 +441,22 @@ class SolverRun:
     effective_schedule: tuple[int, ...]
     N_tau: int
     stages: tuple[StageRecord, ...]
-    w: SpaceTimeField                  # transformed (averaged) unknown
-    system: TransformedSystem
+    w: SpaceTimeField
+    start: AveragedStart
+    model: Nonlinearity | None
     V_traj: VTrajectory = field(repr=False, compare=False)
 
     @property
-    def w_physical(self) -> SpaceTimeField:
-        """The fast component in the original (pre-averaging) frame."""
-        return self.system.to_original(self.w)
+    def correction(self) -> SpaceTimeField:
+        """w - start.w, what a warm start passes on as ``w0``."""
+        return self.w - self.start.w
 
     @cached_property
     def residual_certificate(self) -> float:
         """||F(w)||_s on the doubled collocation grid."""
         M_tau, M_x = _grids(self.effective_schedule[-1], self.N_tau)
-        F = assemble_F(self.V_traj, self.w, self.eps, self.system.model,
-                       sys=self.system, M_tau=2 * M_tau, M_x=2 * M_x)
+        F = assemble_F(self.V_traj, self.w, self.eps, self.model,
+                       M_tau=2 * M_tau, M_x=2 * M_x)
         return float(F.norm(_SOBOLEV_S))
 
     @property
@@ -505,13 +470,13 @@ class SolverRun:
             "requested_schedule": list(self.requested_schedule),
             "effective_schedule": list(self.effective_schedule),
             "N_tau": self.N_tau,
-            "nf_steps": self.system.step,
-            "drive_norm_history": list(self.system.drive_norm_history),
+            "nf_steps": self.start.step,
+            "drive_norm_history": list(self.start.drive_norm_history),
             "stages": [s.to_json_dict() for s in self.stages],
             "converged": self.converged,
             "residual_certificate": self.residual_certificate,
-            "w_norm_1": self.w.norm(1.0),
-            "w_physical_norm_1": self.w_physical.norm(1.0),
+            "w_norm_1": self.correction.norm(1.0),
+            "w_physical_norm_1": self.w.norm(1.0),
         }
 
 
@@ -547,11 +512,11 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                      w0: SpaceTimeField | None = None) -> SolverRun:
     """Solve F(w) = 0 over nested truncations with damped Newton stages.
 
-    Runs the ``config.nf_steps`` normal-form steps and the stages.  The
-    unknown lives in the averaged frame those steps produce;
-    `SolverRun.w_physical` undoes the shift.  Newton starts from w = 0, or
-    from the initial guess ``w0`` (same frame and period; the coefficients
-    it shares with this solve's band are copied).  Every stage records the
+    Runs the ``config.nf_steps`` averaging steps (`nf_sequence`, none for
+    ``model=None``) and the stages.  Newton starts from the averaged start,
+    plus ``w0`` when given: the Newton correction of an earlier run
+    (`SolverRun.correction`, same period), of which the coefficients in
+    this solve's band are added.  Every stage records the
     increment and residual norms and the conditioning of its last
     linearization; the report (a zero-step stage's linearization, the
     doubled-grid certificate) is built when it is first read.
@@ -569,25 +534,21 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
     N_final = effective[-1]
     N_tau = _default_N_tau(V_traj, config)
 
-    coeffs = np.zeros((N_tau + 1, N_final + 1))
+    start = nf_sequence(V_traj, eps, model, N_x=N_final, N_tau=N_tau,
+                        k_max=0 if model is None else config.nf_steps)
+    w = start.w
     if w0 is not None:
         if abs(w0.period - period) > 1e-12 * max(1.0, abs(period)):
             raise ValueError("period mismatch between w0 and the trajectory")
         j, k = min(N_tau, w0.band_tau) + 1, min(N_final, w0.band_x) + 1
-        coeffs[:j, :k] = w0.coeffs[:j, :k]
-    w = SpaceTimeField(period=period, coeffs=coeffs)
-
-    if model is None or config.nf_steps == 0:
-        sys = identity_system(model=model, eps=eps, N_x=N_final,
-                              N_tau=N_tau, period=period)
-    else:
-        sys = nf_sequence(V_traj, eps, model, N_x=N_final, N_tau=N_tau,
-                          k_max=config.nf_steps)
+        coeffs = w.coeffs.copy()
+        coeffs[:j, :k] += w0.coeffs[:j, :k]
+        w = SpaceTimeField(period=period, coeffs=coeffs)
 
     stages: list[StageRecord] = []
     # F is the residual at w throughout: an accepted damped step hands over
     # its trial residual, and a new stage keeps w (F does not depend on N_i)
-    F = assemble_F(V_traj, w, eps, model, sys=sys)
+    F = assemble_F(V_traj, w, eps, model)
     for N_i in effective:
         w_start = w
         op = None
@@ -601,15 +562,14 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                 raise NonConvergenceError(
                     f"stage N = {N_i} exceeded {config.max_stage_iters} Newton "
                     f"iterations (residual {res:.3e})", stages=stages)
-            op = LinearizedOperator(V_traj, w, eps, model, N_i, sys=sys,
-                                    N_tau=N_tau)
+            op = LinearizedOperator(V_traj, w, eps, model, N_i, N_tau=N_tau)
             op.check_collapse()
             delta = op.solve(-F_vec)
             # damped update: halve until the truncated residual decreases
             alpha, accepted = 1.0, False
             for _ in range(9):
                 w_try = w + _unpack(alpha * delta, period, N_i, N_tau, N_final)
-                F_try = assemble_F(V_traj, w_try, eps, model, sys=sys)
+                F_try = assemble_F(V_traj, w_try, eps, model)
                 res_try = F_try.pi_N(N_i).norm(_SOBOLEV_S)
                 if res_try < res:
                     w, F, accepted = w_try, F_try, True
@@ -622,7 +582,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
             iters += 1
         source = (op.report(config.resonance) if op is not None else
                   partial(_built_conditioning, config.resonance, V_traj, w,
-                          eps, model, N_i, sys=sys, N_tau=N_tau))
+                          eps, model, N_i, N_tau=N_tau))
         stages.append(StageRecord(
             N=N_i, newton_iters=iters,
             increment_norm_s=(w - w_start).norm(_SOBOLEV_S),
@@ -631,7 +591,8 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
     return SolverRun(config=config, eps=eps, period=period,
                      requested_schedule=requested,
                      effective_schedule=effective, N_tau=N_tau,
-                     stages=tuple(stages), w=w, system=sys, V_traj=V_traj)
+                     stages=tuple(stages), w=w, start=start, model=model,
+                     V_traj=V_traj)
 
 
 # ---------------------------------------------------------------------------

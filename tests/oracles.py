@@ -11,7 +11,8 @@ except where a plain trajectory integration is unavoidable (orbit and
 flow-map oracles), and there only through the planar ODE right-hand side
 written in place.
 The exceptions are the dense references for the Newton solve:
-`assemble_L` reuses the package's multiplier samples and symbol but
+`assemble_L` reuses the package's multiplier samples (`collocate`) and
+symbol but
 assembles every matrix entry by its own route, and `oracle_newton_solve`
 runs undamped Newton on the package's residual `assemble_F` with a
 finite-difference Jacobian; and the dense Hill reference
@@ -34,9 +35,8 @@ from scipy.stats import linregress
 
 from kgperiodic.fourier import cos_analyze, sin_synthesis_matrix
 from kgperiodic.nonlinearity import collocate
-from kgperiodic.normalform import identity_system, multiplier_values
-from kgperiodic.solver import (NonConvergenceError, _grids, _linear_symbol,
-                               _pack, _unpack, assemble_F)
+from kgperiodic.normalform import _grids, _linear_symbol, assemble_F
+from kgperiodic.solver import NonConvergenceError, _pack, _unpack
 
 
 def duffing_period(amplitude: float, f3: float) -> float:
@@ -269,9 +269,9 @@ def quadrature_P(func, n: int = 4096) -> float:
     return float(np.mean(func(x) * np.sin(x)) * 2.0)
 
 
-def assemble_L(V_traj, w, eps, model, N, sys=None, N_tau=None,
+def assemble_L(V_traj, w, eps, model, N, N_tau=None,
                M_tau=None, M_x=None) -> np.ndarray:
-    """Dense symmetric matrix of L = J_eps + eps^2(-d_tautau + D_w gbar).
+    """Dense symmetric matrix of L = J_eps + eps^2(-d_tautau + D_w g).
 
     Rows/columns run over (j = 0..N_tau, k = 2..N) in the orthonormal
     temporal basis.  The multiplication part is assembled per tau-slice in
@@ -282,9 +282,6 @@ def assemble_L(V_traj, w, eps, model, N, sys=None, N_tau=None,
     N_tau = w.band_tau if N_tau is None else N_tau
     if N > w.band_x:
         raise ValueError("truncation N exceeds the field band")
-    if sys is None:
-        sys = identity_system(model=model, eps=eps, N_x=w.band_x,
-                              N_tau=N_tau, period=w.period)
     dM_tau, dM_x = _grids(N, N_tau)
     M_tau = M_tau or dM_tau
     M_x = M_x or dM_x
@@ -297,11 +294,11 @@ def assemble_L(V_traj, w, eps, model, N, sys=None, N_tau=None,
     idx = np.arange(n)
     L[idx, idx] = sym.ravel()
 
-    if sys.model is None:
+    if model is None:
         return L
 
-    w_values = w.values_grid(M_tau, M_x)
-    m_vals = multiplier_values(sys, V_traj, w_values, M_tau=M_tau, M_x=M_x)
+    m_vals = collocate(model, eps, V_traj.resample(M_tau),
+                       w.values_grid(M_tau, M_x), M_x, order=1)
 
     X = sin_synthesis_matrix(M_x, N)[:, 2:]                # (M_x, N-1)
     B = np.einsum("mi,ik,il->mkl", m_vals, X, X, optimize=True) * (2.0 / M_x)
@@ -429,7 +426,7 @@ def oracle_is_resonant(eps: float, params, table):
 
 
 def oracle_newton_solve(V_traj, eps: float, N: int, J_max: int, model,
-                        sys=None, tol: float = 1e-12, max_iters: int = 40,
+                        tol: float = 1e-12, max_iters: int = 40,
                         fd_step: float = 1e-6):
     """Brute-force reference solve of the fully truncated system.
 
@@ -443,7 +440,7 @@ def oracle_newton_solve(V_traj, eps: float, N: int, J_max: int, model,
 
     def F_vec(u: np.ndarray) -> np.ndarray:
         w = _unpack(u, period, N, J_max, N)
-        F = assemble_F(V_traj, w, eps, model, sys=sys)
+        F = assemble_F(V_traj, w, eps, model)
         return _pack(F.coeffs, N)
 
     u = np.zeros(n)

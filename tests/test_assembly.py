@@ -123,9 +123,8 @@ class TestCanonicalSolution:
 
     def test_reads_eps_and_field_from_closure(self, solution01, closure01):
         assert solution01.eps == closure01.eps
-        assert np.array_equal(solution01.w.coeffs,
-                              closure01.run.w_physical.coeffs)
-        assert solution01.model is closure01.run.system.model
+        assert np.array_equal(solution01.w.coeffs, closure01.run.w.coeffs)
+        assert solution01.model is closure01.run.model
 
     def test_solve_point_measures_the_assembly(self, solution01, closure01,
                                                orbit09, sine_gordon):

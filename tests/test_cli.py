@@ -1,5 +1,6 @@
 """Exit codes, artifacts, and determinism of the batch front end."""
 
+import concurrent.futures
 import json
 import math
 import re
@@ -520,12 +521,13 @@ def test_solver_field_past_its_limit_exits_1(tmp_path, capsys, monkeypatch,
 
 def _forbid_pool(monkeypatch, calls):
     """Make constructing the sweep's worker pool record a call and fail, so
-    that no process is started."""
+    that no process is started (`epsilon_sweep` imports the pool class from
+    `concurrent.futures` when it builds one)."""
     def forbidden(*args, **kwargs):
         calls.append(kwargs)
         raise AssertionError("sweep worker pool constructed")
 
-    monkeypatch.setattr(assembly, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
 
 
 @pytest.mark.parametrize("cfg", [

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kgperiodic import closure, solver
+from kgperiodic import closure, normalform, solver
 from kgperiodic.assembly import epsilon_sweep
 from kgperiodic.closure import (
     ClosureConsistencyError,
@@ -68,7 +68,7 @@ class TestGalerkinV:
         # oracle: at the converged w the Galerkin coefficients are those of
         # the DOP853 trajectory from the same start, and the secant on the
         # DOP853 tangential defect lands on the same delta1
-        eps, w = closure01.eps, closure01.run.w_physical
+        eps, w = closure01.eps, closure01.run.w
         period = orbit09.period
         a, r = galerkin_v(orbit09.trajectory(256).cos_coeffs, w, eps,
                           sine_gordon, period)
@@ -216,12 +216,12 @@ class TestSolveDelta1:
                                       monkeypatch):
         # every round is one nash_moser_solve; only round 1 and the reported
         # round run the gate; each Newton step builds one operator and
-        # assembles one residual; one stacked DOP853 pass serves the
-        # certificate and the measured derivative.  The report (operators
-        # for zero-step stages, the doubled-grid certificate) is built only
-        # when read
+        # assembles one residual; each averaging step evaluates one drive;
+        # one stacked DOP853 pass serves the certificate and the measured
+        # derivative.  The report (operators for zero-step stages, the
+        # doubled-grid certificate) is built only when read
         calls = {"gate": 0, "integrate_v": 0, "operator": 0, "certificate": 0,
-                 "assemble_F": 0, "nash_moser_solve": 0}
+                 "assemble_F": 0, "drive": 0, "nash_moser_solve": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -241,19 +241,21 @@ class TestSolveDelta1:
         monkeypatch.setattr(solver, "LinearizedOperator",
                             counted("operator", solver.LinearizedOperator))
         monkeypatch.setattr(solver, "assemble_F", counted_F)
+        monkeypatch.setattr(normalform, "assemble_F",
+                            counted("drive", normalform.assemble_F))
         monkeypatch.setattr(closure, "integrate_v",
                             counted("integrate_v", closure.integrate_v))
         monkeypatch.setattr(closure, "nash_moser_solve",
                             counted("nash_moser_solve", closure.nash_moser_solve))
         result = solve_delta1(orbit09, 0.1, sine_gordon)
         assert calls == {"gate": 2, "integrate_v": 1, "operator": 2,
-                         "certificate": 0, "assemble_F": 6,
+                         "certificate": 0, "assemble_F": 6, "drive": 8,
                          "nash_moser_solve": 4}
         assert result.outer_iters == 4
         assert result.delta1 == pytest.approx(DELTA1_01, abs=1e-9)
         result.to_json_dict()
         assert calls == {"gate": 2, "integrate_v": 1, "operator": 3,
-                         "certificate": 1, "assemble_F": 7,
+                         "certificate": 1, "assemble_F": 7, "drive": 8,
                          "nash_moser_solve": 4}
 
     def test_reported_run_is_the_direct_solve(self, closure01, sine_gordon):
@@ -268,7 +270,7 @@ class TestSolveDelta1:
     def test_stacked_pass_matches_separate_passes(self, closure01, orbit09,
                                                   sine_gordon):
         # oracle: the stacked certificate pass against one pass per start
-        eps, w, period = closure01.eps, closure01.run.w_physical, orbit09.period
+        eps, w, period = closure01.eps, closure01.run.w, orbit09.period
         n_hat = np.array(closure01.conormal)
         base = np.array([orbit09.base_point.p, orbit09.base_point.p_tau])
         starts = [PlanarState(*(base + d * n_hat))

@@ -1,4 +1,5 @@
-"""Importing the package loads no SciPy module; each run loads only what it uses."""
+"""Importing the package loads no SciPy module and no process pool; each run
+loads only what it uses."""
 
 import json
 import os
@@ -12,7 +13,8 @@ import kgperiodic
 
 # One process walks the stages of a run and records the SciPy modules loaded
 # after each: the import, a K = 64 resonance gate at eps = 0.1 (the J = 400
-# Hill solve), the first linear solve and the first DOP853 certificate.
+# Hill solve), the first linear solve and the first DOP853 certificate;
+# "pool" lists the process-pool modules loaded by the import.
 SCRIPT = """
 import json, sys
 
@@ -22,6 +24,8 @@ def loaded():
 stages = {}
 import kgperiodic
 stages["import"] = loaded()
+stages["pool"] = [m for m in ("multiprocessing", "concurrent.futures.process")
+                  if m in sys.modules]
 import numpy as np
 from kgperiodic import (LinearizedOperator, Nonlinearity, PlanarState,
                         ResonanceParams, SpaceTimeField, find_orbit,
@@ -52,6 +56,11 @@ def stages():
 def test_import_and_gate_load_no_scipy(stages):
     assert stages["import"] == []
     assert stages["gate"] == []
+
+
+def test_import_loads_no_process_pool(stages):
+    # `epsilon_sweep` imports its pool only for a sweep with workers > 1
+    assert stages["pool"] == []
 
 
 def test_scipy_sparse_linalg_loaded_at_first_solve(stages):

@@ -19,15 +19,15 @@ from kgperiodic.divisors import (
     epsilon_kj,
     hill_eigs,
 )
-from kgperiodic.fourier import SpaceTimeField
-from kgperiodic.normalform import identity_system, transformed_g
+from kgperiodic.fourier import SpaceTimeField, cos_analyze, project_Q
+from kgperiodic.nonlinearity import collocate
+from kgperiodic.normalform import _linear_symbol
 from kgperiodic.planar import VTrajectory
 from kgperiodic.solver import (
     FITTED_C,
     LinearizedOperator,
     NonConvergenceError,
     SolverConfig,
-    _linear_symbol,
     _pack,
     _unpack,
     assemble_F,
@@ -78,14 +78,15 @@ class TestAssembleF:
         assert np.max(np.abs(F.coeffs)) == 0.0
 
     def test_zero_field_gives_scaled_drive(self, traj, sine_gordon):
-        # F(0) = eps^2 * g(v, 0): the linear part vanishes at w = 0
+        # F(0) = eps^2 * g(v, 0): the linear part vanishes at w = 0, and the
+        # zero field's samples act as no w at all
         N_tau, N_x = 8, 6
         w = SpaceTimeField(period=traj.period,
                            coeffs=np.zeros((N_tau + 1, N_x + 1)))
         F = assemble_F(traj, w, EPS, sine_gordon, M_tau=128, M_x=64)
-        sys0 = identity_system(sine_gordon, EPS, traj.period, N_x, N_tau)
-        g = transformed_g(sys0, traj, None, M_tau=128, M_x=64)
-        assert np.max(np.abs(F.coeffs - EPS**2 * g.coeffs)) < 1e-15
+        vals = collocate(sine_gordon, EPS, traj.resample(128), None, 64)
+        g = cos_analyze(project_Q(vals, N_x).T, N_tau).T
+        assert np.max(np.abs(F.coeffs - EPS**2 * g)) < 1e-15
 
 
 class TestAssembleL:
@@ -151,8 +152,8 @@ class TestLinearizedOperator:
         """Operator and dense oracle at the converged canonical point (N = 64)."""
         run = closure01.run
         N = run.effective_schedule[-1]
-        args = (closure01.V_traj, run.w, run.eps, run.system.model, N)
-        kw = dict(sys=run.system, N_tau=run.N_tau)
+        args = (closure01.V_traj, run.w, run.eps, run.model, N)
+        kw = dict(N_tau=run.N_tau)
         return (LinearizedOperator(*args, **kw), assemble_L(*args, **kw),
                 run.stages[-1])
 
@@ -354,12 +355,16 @@ class TestSolveOracle:
         # increments contract between nested truncations
         incs = [s.increment_norm_s for s in run.stages]
         assert incs[-1] < incs[0]
+        # the two averaging steps that made the Newton start
+        assert run.start.drive_norm_history == pytest.approx(
+            (0.09916584090578624, 0.0006596266992260916), rel=1e-12)
 
     def test_warm_start_at_the_solution_takes_no_step(self, traj,
                                                       sine_gordon):
         cfg = SolverConfig()
         run = nash_moser_solve(traj, EPS, cfg, sine_gordon)
-        again = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=run.w)
+        again = nash_moser_solve(traj, EPS, cfg, sine_gordon,
+                                 w0=run.correction)
         assert [s.newton_iters for s in again.stages] == [0] * len(run.stages)
         assert np.max(np.abs(again.w.coeffs - run.w.coeffs)) < 1e-12
 
@@ -369,7 +374,8 @@ class TestSolveOracle:
         # per stage and one certificate, and a second read builds nothing
         cfg = SolverConfig()
         run = nash_moser_solve(traj, EPS, cfg, sine_gordon)
-        again = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=run.w)
+        again = nash_moser_solve(traj, EPS, cfg, sine_gordon,
+                                 w0=run.correction)
         calls = {"operator": 0, "assemble_F": 0}
 
         def counted(name, fn):
@@ -384,7 +390,7 @@ class TestSolveOracle:
                             counted("assemble_F", solver.assemble_F))
         assert [s.newton_iters for s in again.stages] == [0] * len(again.stages)
         assert again.requested_schedule and again.effective_schedule
-        assert again.w_physical.norm(1.0) > 0.0
+        assert again.w.norm(1.0) > 0.0
         assert calls == {"operator": 0, "assemble_F": 0}
         first = again.to_json_dict()
         assert calls == {"operator": len(again.stages), "assemble_F": 1}
@@ -401,7 +407,7 @@ class TestSolveOracle:
                                  sine_gordon)
         cfg = SolverConfig(schedule=(3, 6, 12), max_stage_iters=0, **base)
         with pytest.raises(NonConvergenceError, match="stage N = 12") as info:
-            nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=small.w)
+            nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=small.correction)
         # the records also survive pickling with their conditioning unread
         stages = pickle.loads(pickle.dumps(info.value.stages))
         docs = json.loads(json.dumps([s.to_json_dict() for s in stages]))
@@ -411,13 +417,14 @@ class TestSolveOracle:
             assert d["law_constant"] >= FITTED_C
 
     def test_warm_start_copies_the_overlapping_band(self, traj, sine_gordon):
-        # a guess on a smaller band seeds the larger solve; the answer is
-        # the cold one
+        # a correction on a smaller band, added to the larger solve's
+        # averaged start, seeds it; the answer is the cold one
         cfg = SolverConfig(schedule=(6,), N_tau=8)
         cold = nash_moser_solve(traj, EPS, cfg, sine_gordon)
         small = nash_moser_solve(traj, EPS, SolverConfig(schedule=(4,), N_tau=5),
                                  sine_gordon)
-        warm = nash_moser_solve(traj, EPS, cfg, sine_gordon, w0=small.w)
+        warm = nash_moser_solve(traj, EPS, cfg, sine_gordon,
+                                w0=small.correction)
         assert warm.w.coeffs.shape == cold.w.coeffs.shape
         assert warm.converged
         assert np.max(np.abs(warm.w.coeffs - cold.w.coeffs)) < 1e-10

@@ -11,6 +11,7 @@ from kgperiodic.fourier import (
     AliasingError,
     SpaceTimeField,
     cos_series,
+    invert_J_eps,
     j_eps_symbol,
     multiply_to_even,
     project_P,
@@ -114,13 +115,28 @@ class TestPQ:
 
 
 class TestJEps:
-    # J_eps^-1 against the symbol: properties.check_j_inverse_identity
+    # J_eps acts diagonally on sin(k x) by j_eps_symbol(k, eps)
+
+    def test_eps_zero_action(self):
+        # a spatial field is a one-row space-time field
+        w = field_from_modes(2 * np.pi, {(0, 2): 1.0}, N_tau=0, N_x=3)
+        out = j_eps_symbol(np.arange(4), 0.0) * w.coeffs
+        assert out[0, 2] == pytest.approx(-3.0, abs=1e-15)
+        back = invert_J_eps(w, 0.0)
+        assert back.coeffs[0, 2] == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
     def test_symbol_bound_exact(self):
         k = np.arange(2, 1001, dtype=float)[:, None]
         eps = np.linspace(0.0, 0.5, 201)[None, :]
         sup = np.max(1.0 / np.abs(j_eps_symbol(k, eps)))
         assert sup <= 2.0
+
+    def test_inverse_identity(self, rng):
+        w = random_qfield(rng, N_tau=0, N_x=7)
+        k = np.arange(w.band_x + 1)
+        for eps in (0.0, 0.1, 0.5):
+            back = j_eps_symbol(k, eps) * invert_J_eps(w, eps).coeffs
+            assert np.allclose(back, w.coeffs, atol=1e-14)
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError):

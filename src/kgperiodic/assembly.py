@@ -249,7 +249,7 @@ class SweepRow:
     max_u_over_eps: float
     tail: float
     delta1: float
-    w_norm_1: float
+    w_physical_norm_1: float
     message: str = ""
 
     def csv_cells(self) -> list[str]:
@@ -298,14 +298,15 @@ def _sweep_one(args) -> SweepRow:
         resonant = isinstance(ex, ResonanceError)
         return SweepRow(eps=eps, resonant_skip=resonant, converged=False,
                         residual=math.nan, max_u_over_eps=math.nan,
-                        tail=math.nan, delta1=math.nan, w_norm_1=math.nan,
+                        tail=math.nan, delta1=math.nan,
+                        w_physical_norm_1=math.nan,
                         message=(str(ex) if resonant
                                  else f"{type(ex).__name__}: {ex}"))
     return SweepRow(eps=eps, resonant_skip=False, converged=point.converged,
                     residual=point.residual,
                     max_u_over_eps=point.max_u_over_eps, tail=point.tail,
                     delta1=point.closure.delta1,
-                    w_norm_1=point.solution.w.norm(1.0),
+                    w_physical_norm_1=point.solution.w.norm(1.0),
                     message=("" if point.converged
                              else "closure tolerances not met"))
 
@@ -345,7 +346,7 @@ def epsilon_sweep(model: Nonlinearity, amplitude: float, eps_list,
     amp_ratio = math.nan
     if len(conv) >= 2:
         tails = np.array([r.tail for r in conv])
-        wn = np.array([r.w_norm_1 for r in conv])
+        wn = np.array([r.w_physical_norm_1 for r in conv])
         d1 = np.array([abs(r.delta1) for r in conv])
         if np.all(tails > 0):
             tail_slope, tail_r2 = _linear_fit(inv_eps, np.log(tails))

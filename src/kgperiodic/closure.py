@@ -4,10 +4,10 @@ At frozen fast field w the slow equation v_tautau + v/omega^2 = f~(v, w) is
 a periodic problem at the seed orbit's period p, solved by cosine Galerkin
 (`galerkin_v`) alternating with full fast-component solves.  delta_1 is the
 start point's offset along the conormal direction v_perp of the seed orbit.
-A DOP853 integration from that start point certifies the closure: the
-tangential return defect and the conormal defect d must vanish, the latter
-by invariance of the Hamiltonian, and a nonzero d is cross-checked against
-the H-mismatch it must cause.
+A Chebyshev-Picard integration from that start point certifies the
+closure: the tangential return defect and the conormal defect d must
+vanish, the latter by invariance of the Hamiltonian, and a nonzero d is
+cross-checked against the H-mismatch it must cause.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ __all__ = [
     "hamiltonian_H",
 ]
 
-_IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
+_NODES = 33          # Chebyshev-Lobatto nodes per certificate segment
+_SEGMENTS = 4        # segments per period the certificate starts from
+_PICARD_TOL = 1e-15  # relative Picard update that accepts a segment
+_MIN_SEGMENT = 1e-6  # shortest certificate segment, in periods
 _M_X = 64      # x-collocation points of the slow equation's forcing
 _M_X_H = 128   # x-collocation points of the Hamiltonian's potential term
 _N_SAMPLES = 256           # tau collocation points of the Galerkin slow solve
@@ -79,37 +82,82 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
                 period: float) -> tuple[Array, Array]:
     """Integrate the slow equation over one period from each start state.
 
-    The starts are stacked into one DOP853 system, so they share one step
-    control: its RMS error norm runs over every component, and starts close
-    together take about the steps one of them would take alone, with
-    integration errors that largely cancel in their difference.  With w as
-    driving field, returns the accepted step times ``tau`` (from 0 to
-    ``period``, shared by every start) and the states there,
-    ``states[i] = (v, v_tau)`` of start i, each of shape (2, len(tau)):
-    ``states[i][:, -1]`` is the exact end state V(period).  No dense output
-    is formed.
+    Chebyshev-Picard iteration (Clenshaw & Norton, Comput. J. 6, 1963; Bai
+    & Junkins, J. Astronaut. Sci. 58, 2011) on segments of [0, period],
+    first `_SEGMENTS`, each with `_NODES` Chebyshev-Lobatto nodes.  On
+    [a, b] all nodes update at once, ``v_tau <- v_tau(a) + (b-a)/2 Q f~``,
+    then ``v <- v(a) + (b-a)/2 Q v_tau`` (Q the integration matrix), the
+    forcing of every node and start in one `collocate` call.  A segment is
+    accepted once the update is `_PICARD_TOL` relative (or stalls below
+    100x that) and its last two Chebyshev coefficients are at most 10x
+    that relative; otherwise, or past the trust radius, it is halved.  A
+    non-finite iterate or a segment below `_MIN_SEGMENT` periods raises
+    `IntegrationError` (a `TrustRadiusError` there is re-raised).
+
+    The starts are stacked and share segments and acceptance, so starts
+    close together carry errors that largely cancel in their difference.
+    Returns the node times ``tau`` (0 to exactly ``period``, shared by
+    every start) and the states there, ``states[i] = (v, v_tau)`` of start
+    i, each of shape (2, len(tau)): ``states[i][:, 0]`` is start i and
+    ``states[i][:, -1]`` its end state V(period).
     """
-    m = len(starts)
     # w(tau, x_m) = cos(omega tau) @ A on the _M_X-point x grid
     A = omega = None
     if w is not None:
         A = w.coeffs @ sin_synthesis_matrix(_M_X, w.band_x).T
         omega = 2.0 * np.pi * np.arange(w.band_tau + 1) / period
-
-    def rhs(tau, y):
-        v, v_tau = y[:m], y[m:]
-        w_slice = None if A is None else np.cos(omega * tau) @ A
-        return np.concatenate([v_tau, -v / (1.0 + eps**2)
-                               + project_P(collocate(model, eps, v, w_slice, _M_X))])
-
-    # imported here, so that runs which never certify skip its ~0.25 s import
-    from scipy.integrate import solve_ivp
-
-    y0 = [s.p for s in starts] + [s.p_tau for s in starts]
-    sol = solve_ivp(rhs, (0.0, period), y0, **_IVP_OPTS)
-    if not sol.success:
-        raise IntegrationError(f"slow-equation integration failed: {sol.message}")
-    return sol.t, sol.y.reshape(2, m, -1).transpose(1, 0, 2)
+    # nodes s on [-1, 1], samples -> Chebyshev coefficients, and Q: (Q g)_k
+    # integrates the interpolant of g from -1 to s_k; imported here, so that
+    # runs which never certify skip its ~1 MB
+    from numpy.polynomial import chebyshev
+    s = np.cos(np.pi * np.arange(_NODES - 1, -1, -1) / (_NODES - 1))
+    to_coeffs = np.linalg.inv(chebyshev.chebvander(s, _NODES - 1))
+    Q = (chebyshev.chebvander(s, _NODES)
+         @ chebyshev.chebint(np.eye(_NODES), lbnd=-1) @ to_coeffs)
+    floor = _MIN_SEGMENT * period
+    y = np.array([[st.p, st.p_tau] for st in starts], float).T[..., None]
+    taus, states = [np.zeros(1)], [y]
+    a, h = 0.0, period / _SEGMENTS
+    while a < period:
+        b = period if a + h > period - floor else a + h
+        half = 0.5 * (b - a)
+        tau = a + half * (s + 1.0)
+        tau[-1] = b
+        w_nodes = None if A is None else np.cos(np.outer(tau, omega)) @ A
+        Y, prev, accepted = np.repeat(y, _NODES, axis=2), np.inf, False
+        for _ in range(64):
+            if not np.all(np.isfinite(Y)):
+                raise IntegrationError(
+                    "slow-equation integration failed: non-finite iterate "
+                    f"at tau = {a:.6g}")
+            try:
+                f = project_P(collocate(model, eps, Y[0], w_nodes, _M_X))
+            except TrustRadiusError:
+                if half < floor:
+                    raise
+                break
+            v_tau = y[1] + half * (f - Y[0] / (1.0 + eps**2)) @ Q.T
+            new = np.stack([y[0] + half * v_tau @ Q.T, v_tau])
+            update, scale = np.abs(new - Y).max(), np.abs(new).max()
+            Y = new
+            if update <= _PICARD_TOL * scale or update >= prev:
+                c = np.abs(Y @ to_coeffs.T)
+                accepted = (update <= 100.0 * _PICARD_TOL * scale and
+                            c[..., -2:].max() <= 10.0 * _PICARD_TOL * c.max())
+                break
+            prev = update
+        if not accepted:
+            if half < floor:
+                raise IntegrationError(
+                    "slow-equation integration failed: segment at tau = "
+                    f"{a:.6g} fell below {_MIN_SEGMENT:.0e} periods")
+            h = half
+            continue
+        taus.append(tau[1:])
+        states.append(Y[:, :, 1:])
+        y, a = Y[:, :, -1:], b
+    states = np.concatenate(states, axis=2)
+    return np.concatenate(taus), states.transpose(1, 0, 2)
 
 
 def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
@@ -216,7 +264,7 @@ class ClosureResult:
     defect_t: float            # tangential component of V(p) - P0
     d: float                   # conormal component minus delta1
     H_mismatch: float          # |H(p) - H(0)| at the certificate's ends
-    H_drift: float             # max |H(tau) - H(0)| over the certificate's steps
+    H_drift: float             # max |H(tau) - H(0)| over the certificate's nodes
     outer_iters: int
     closed: bool
     derivative: float          # finite-difference d(defect_t)/d(delta1)
@@ -275,10 +323,10 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     only when read.  ``resonance_first`` and ``resonance_final`` are the
     verdicts of round 1 and of the reported round.
 
-    One stacked DOP853 pass (`integrate_v`) with the converged w certifies
-    the result from two starts sharing one step control: the closed start
-    point gives the return defects, end state and Hamiltonian drift (read
-    at the integrator's accepted steps), and delta_1 + 1e-6 gives the
+    One stacked Chebyshev-Picard pass (`integrate_v`) with the converged w
+    certifies the result from two starts sharing its segments: the closed
+    start point gives the return defects, end state and Hamiltonian drift
+    (read at the integrator's own nodes), and delta_1 + 1e-6 gives the
     shooting derivative by finite difference, checked against
     `_DERIVATIVE_FLOOR`.
 
@@ -333,7 +381,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             f"outer alternation did not converge in {_MAX_OUTER} rounds",
             history=history)
 
-    # DOP853 certificate with the converged w, and the shooting derivative
+    # the certificate with the converged w, and the shooting derivative
     start_state = PlanarState(*(base + delta * n_hat))
     taus, (cert, pert) = integrate_v(
         [start_state, PlanarState(*(base + (delta + 1e-6) * n_hat))],
@@ -349,8 +397,8 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             f"shooting derivative {deriv:.3e} below floor "
             f"{_DERIVATIVE_FLOOR:.1e}")
 
-    # Hamiltonian at the certificate's accepted steps: the interior ones in
-    # one evaluation, the two ends one at a time
+    # Hamiltonian at the certificate's nodes: the interior ones in one
+    # evaluation, the two ends one at a time
     H0 = _H_at(0.0, start_state, w_field, eps, model)
     H1 = _H_at(float(taus[-1]), end, w_field, eps, model)
     H = _H_at(taus[1:-1], PlanarState(cert[0, 1:-1], cert[1, 1:-1]), w_field,

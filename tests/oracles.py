@@ -17,9 +17,11 @@ assembles every matrix entry by its own route, and `oracle_newton_solve`
 runs undamped Newton on the package's residual `assemble_F` with a
 finite-difference Jacobian; and the dense Hill reference
 `oracle_hill_eigs`, which reuses the package's cosine analysis of the
-potential but assembles and diagonalizes the full Galerkin matrix; and the
+potential but assembles and diagonalizes the full Galerkin matrix; the
 collocated Hill potential `oracle_averaged_potential`, which averages the
-package's `collocate` multiplier over an x grid.
+package's `collocate` multiplier over an x grid; and `dop853_slow_flow`,
+which integrates the slow equation's collocated forcing one tau at a time
+with SciPy's DOP853 instead of the package's Chebyshev-Picard segments.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from scipy.linalg import eigh
 from scipy.special import ellipe, ellipj, ellipk
 from scipy.stats import linregress
 
-from kgperiodic.fourier import cos_analyze, sin_synthesis_matrix
+from kgperiodic.fourier import cos_analyze, project_P, sin_synthesis_matrix
 from kgperiodic.nonlinearity import collocate
 from kgperiodic.normalform import _grids, _linear_symbol, assemble_F
 from kgperiodic.solver import NonConvergenceError, _pack, _unpack
@@ -226,6 +228,33 @@ def fd_monodromy(amplitude: float, f3: float, period: float,
         minus = flow(amplitude - dp, -dq)
         cols.append((plus - minus) / (2.0 * h))
     return np.column_stack(cols)
+
+
+def dop853_slow_flow(starts, w, eps: float, model, period: float,
+                     M_x: int = 64) -> np.ndarray:
+    """End states (v, v_tau)(period), shape (len(starts), 2), of the slow
+    equation v_tautau = -v/omega^2 + P[collocate(v sin x + w)].
+
+    One stacked DOP853 pass at rtol 1e-13 and atol 1e-15, with w summed
+    from its coefficients at each step's own tau.
+    """
+    m = len(starts)
+    A = omega = None
+    if w is not None:
+        A = w.coeffs @ sin_synthesis_matrix(M_x, w.band_x).T
+        omega = 2.0 * np.pi * np.arange(w.band_tau + 1) / period
+
+    def rhs(tau, y):
+        v, v_tau = y[:m], y[m:]
+        w_slice = None if A is None else np.cos(omega * tau) @ A
+        forcing = project_P(collocate(model, eps, v, w_slice, M_x))
+        return np.concatenate([v_tau, -v / (1.0 + eps**2) + forcing])
+
+    y0 = [s.p for s in starts] + [s.p_tau for s in starts]
+    sol = solve_ivp(rhs, (0.0, period), y0, method="DOP853", rtol=1e-13,
+                    atol=1e-15)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(2, m).T
 
 
 def log_fit(x, y) -> tuple[float, float]:

@@ -148,7 +148,7 @@ class TestSweep:
     def test_row_csv_cells(self):
         row = SweepRow(eps=0.125, resonant_skip=False, converged=True,
                        residual=1e-11, max_u_over_eps=0.96, tail=2e-5,
-                       delta1=0.05, w_norm_1=3e-4)
+                       delta1=0.05, w_physical_norm_1=3e-4)
         cells = row.csv_cells()
         assert cells == [repr(0.125), "0", repr(1e-11), repr(0.96),
                          repr(2e-5), repr(0.05), "1"]

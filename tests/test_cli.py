@@ -8,11 +8,10 @@ import time
 from pathlib import Path
 
 import pytest
-import scipy.integrate
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from kgperiodic import assembly, cli
+from kgperiodic import assembly, cli, closure
 from kgperiodic.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INSUFFICIENT_DATA,
@@ -199,15 +198,14 @@ class TestSolve:
     def test_integration_failure_writes_diagnostics(self, tmp_path, capsys,
                                                     monkeypatch):
         # a failed certificate integration is a documented solve failure:
-        # exit 4 with diagnostics, as the sweep turns it into a failed row
-        class Failed:
-            success, message = False, "step size fell below its floor"
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: Failed())
+        # exit 4 with diagnostics, as the sweep turns it into a failed row.
+        # With a Picard tolerance of 0 no certificate segment is accepted,
+        # so each is halved down to the floor
+        monkeypatch.setattr(closure, "_PICARD_TOL", 0.0)
         cfg = {"eps": 0.1, "out_dir": str(tmp_path)}
         assert run_cli(tmp_path, "solve", cfg) == EXIT_NO_CONVERGENCE
         err = capsys.readouterr().err
-        assert "step size fell below its floor" in err
+        assert "fell below 1e-06 periods" in err
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["error"].startswith("IntegrationError: ")
         assert not (tmp_path / "solve.json").exists()

@@ -10,6 +10,7 @@ from kgperiodic.assembly import epsilon_sweep
 from kgperiodic.closure import (
     ClosureConsistencyError,
     DegenerateOrbitError,
+    IntegrationError,
     galerkin_v,
     hamiltonian_H,
     integrate_v,
@@ -17,11 +18,41 @@ from kgperiodic.closure import (
 )
 from kgperiodic.divisors import (DivisorTable, HillSpectrum, ResonanceError,
                                  ResonanceParams)
+from kgperiodic.nonlinearity import TrustRadiusError
 from kgperiodic.planar import PlanarState, VTrajectory, find_orbit
+
+from oracles import dop853_slow_flow
 
 # Frozen canonical shooting parameter at eps = 0.1, amplitude 0.9 (default
 # solver settings); the run is fully deterministic.
 DELTA1_01 = 0.06217070272995722
+
+
+@pytest.fixture(scope="module")
+def closure0193(orbit09, sine_gordon):
+    """The closure of the eps = 0.193 sweep row."""
+    return solve_delta1(orbit09, 0.193, sine_gordon)
+
+
+def certificate_starts(result, orbit):
+    """The certificate's two starts: delta1 and delta1 + 1e-6 along n_hat."""
+    n_hat = np.array(result.conormal)
+    base = np.array([orbit.base_point.p, orbit.base_point.p_tau])
+    return [PlanarState(*(base + d * n_hat))
+            for d in (result.delta1, result.delta1 + 1e-6)]
+
+
+def count_forcing(monkeypatch) -> list:
+    """Record each `collocate` call of the closure module."""
+    calls = []
+    collocate = closure.collocate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return collocate(*args, **kwargs)
+
+    monkeypatch.setattr(closure, "collocate", counted)
+    return calls
 
 
 class TestIntegrateV:
@@ -46,12 +77,74 @@ class TestIntegrateV:
         assert abs(y[1, -1] - orbit09.base_point.p_tau) < 1e-9
 
     def test_end_state_matches_trajectory(self, sine_gordon):
-        # the states sit at the accepted steps, from the start to tau = p
+        # the states sit at the segments' nodes, from the start to tau = p
         V0 = PlanarState(0.7, 0.1)
         tau, states = integrate_v([V0], None, 0.08, sine_gordon, 5.0)
         assert states.shape == (1, 2, tau.shape[0])
         assert tau[0] == 0.0 and tau[-1] == 5.0 and np.all(np.diff(tau) > 0)
         assert tuple(states[0][:, 0]) == (V0.p, V0.p_tau)
+
+    @pytest.mark.parametrize("case", ["one_start", "canonical", "eps_0193",
+                                      "long_period"])
+    def test_end_states_match_dop853(self, case, request, orbit09,
+                                     sine_gordon):
+        # oracle: SciPy's DOP853 at rtol 1e-13 from the same starts; its own
+        # error is about 4e-14 over one period and 3e-13 over period 40
+        if case in ("one_start", "long_period"):
+            args = ([PlanarState(0.7, 0.1)], None, 0.08, sine_gordon,
+                    5.0 if case == "one_start" else 40.0)
+        else:
+            result = request.getfixturevalue(
+                "closure01" if case == "canonical" else "closure0193")
+            args = (certificate_starts(result, orbit09), result.run.w,
+                    result.eps, sine_gordon, orbit09.period)
+        tau, states = integrate_v(*args)
+        ends = dop853_slow_flow(*args)
+        assert np.max(np.abs(states[:, :, -1] - ends)) <= 1e-12
+        if case == "long_period":
+            # 4 segments of length 10 do not converge, so they were halved
+            assert len(tau) > 4 * (closure._NODES - 1) + 1
+
+    def test_unresolved_segments_are_halved(self, sine_gordon, monkeypatch):
+        # 9 nodes do not resolve a quarter period to round-off: the
+        # Chebyshev tail test halves the segments, and the end state holds
+        monkeypatch.setattr(closure, "_NODES", 9)
+        args = ([PlanarState(0.7, 0.1)], None, 0.08, sine_gordon, 5.0)
+        tau, states = integrate_v(*args)
+        assert len(tau) > 4 * 8 + 1
+        ends = dop853_slow_flow(*args)
+        assert np.max(np.abs(states[:, :, -1] - ends)) <= 1e-12
+
+    def test_canonical_certificate_cost(self, closure01, orbit09,
+                                        sine_gordon, monkeypatch):
+        # one vectorized forcing evaluation per Picard iteration, over every
+        # node of a segment and both starts (one DOP853 pass took 686)
+        calls = count_forcing(monkeypatch)
+        integrate_v(certificate_starts(closure01, orbit09), closure01.run.w,
+                    closure01.eps, sine_gordon, orbit09.period)
+        assert 0 < len(calls) <= 120
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_non_finite_start_fails_fast(self, bad, with_model, sine_gordon,
+                                         monkeypatch):
+        # the iterate is checked before each forcing evaluation, also where
+        # model=None would carry a NaN through without any domain check
+        calls = count_forcing(monkeypatch)
+        model = sine_gordon if with_model else None
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_v([PlanarState(0.7, bad)], None, 0.08, model, 5.0)
+        assert calls == []
+
+    def test_start_past_trust_radius_reraised_at_the_floor(self, sine_gordon,
+                                                          monkeypatch):
+        # each halving from p/4 down to the 1e-6 p floor costs one
+        # evaluation, which leaves the trust radius again
+        calls = count_forcing(monkeypatch)
+        with pytest.raises(TrustRadiusError, match="trust radius"):
+            integrate_v([PlanarState(100.0, 0.0)], None, 0.08, sine_gordon,
+                        5.0)
+        assert 0 < len(calls) <= 20
 
 
 class TestGalerkinV:
@@ -66,8 +159,8 @@ class TestGalerkinV:
     def test_matches_dop853_at_converged_w(self, closure01, orbit09,
                                           sine_gordon):
         # oracle: at the converged w the Galerkin coefficients are those of
-        # the DOP853 trajectory from the same start, and the secant on the
-        # DOP853 tangential defect lands on the same delta1
+        # the integrated trajectory from the same start, and the secant on
+        # its tangential defect lands on the same delta1
         eps, w = closure01.eps, closure01.run.w
         period = orbit09.period
         a, r = galerkin_v(orbit09.trajectory(256).cos_coeffs, w, eps,
@@ -139,8 +232,9 @@ class TestSolveDelta1:
         assert len(closure01.history) == closure01.outer_iters
 
     def test_drift_at_the_accepted_steps(self, closure01):
-        # H read at DOP853's own states holds to round-off; interpolating
-        # a grid of samples would add its own error (3.3e-11 from 256)
+        # H read at the integrator's own nodes holds to round-off;
+        # interpolating a grid of samples would add its own error (3.3e-11
+        # from 256)
         assert closure01.H_drift <= 1e-12
 
     def test_json_dict_round(self, closure01):
@@ -217,7 +311,7 @@ class TestSolveDelta1:
         # every round is one nash_moser_solve; only round 1 and the reported
         # round run the gate; each Newton step builds one operator and
         # assembles one residual; each averaging step evaluates one drive;
-        # one stacked DOP853 pass serves the certificate and the measured
+        # one stacked integration serves the certificate and the measured
         # derivative.  The report (operators for zero-step stages, the
         # doubled-grid certificate) is built only when read
         calls = {"gate": 0, "integrate_v": 0, "operator": 0, "certificate": 0,
@@ -271,15 +365,14 @@ class TestSolveDelta1:
                                                   sine_gordon):
         # oracle: the stacked certificate pass against one pass per start
         eps, w, period = closure01.eps, closure01.run.w, orbit09.period
-        n_hat = np.array(closure01.conormal)
         base = np.array([orbit09.base_point.p, orbit09.base_point.p_tau])
-        starts = [PlanarState(*(base + d * n_hat))
-                  for d in (closure01.delta1, closure01.delta1 + 1e-6)]
+        starts = certificate_starts(closure01, orbit09)
         tau, (y, _) = integrate_v(starts, w, eps, sine_gordon, period)
         tau_a, [y_a] = integrate_v(starts[:1], w, eps, sine_gordon, period)
         _, [y_b] = integrate_v(starts[1:], w, eps, sine_gordon, period)
-        # the passes take their own steps: compare their deviations from the
-        # Galerkin trajectory, the separate one carried to the stacked steps
+        # the passes may cut their own segments: compare their deviations
+        # from the Galerkin trajectory, the separate one carried to the
+        # stacked nodes
         V = closure01.V_traj
         dev = y - np.array([V.v_at(tau), V.v_tau_at(tau)])
         dev_a = y_a - np.array([V.v_at(tau_a), V.v_tau_at(tau_a)])

@@ -22,7 +22,6 @@ from .planar import (
     VTrajectory,
     find_orbit,
     h_star,
-    limit_rhs,
     monodromy,
 )
 from .normalform import (

@@ -84,14 +84,13 @@ class ResonanceParams:
 # the averaged potential and its Hill spectrum
 # ---------------------------------------------------------------------------
 
-# classes of fewer cosines go straight to the banded LAPACK solve, which is
-# faster there (the crossover lies between 46 and 64; see `hill_eigs`)
-_CERTIFY_MIN_SIZE = 64
-# Brillouin-Wigner sweeps before the certified path falls back to LAPACK,
-# and the smallest half-width of their windows: a potential of one or two
-# harmonics has b <= 2 but eigenvectors reaching about 6 cosines out
+# Brillouin-Wigner sweeps before the certified path falls back to a dense
+# solve, and the smallest half-width of their windows: a potential of one or
+# two harmonics has b <= 2 but eigenvectors reaching about 6 cosines out
 _BW_SWEEPS = 6
 _MIN_WINDOW = 6
+# the dense fallback's largest Galerkin matrix: 2048 cosines, 32 MB
+_DENSE_MAX_SIZE = 2048
 
 
 def averaged_potential(traj: VTrajectory, eps: float,
@@ -206,36 +205,27 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     even j from the even class), which the ascending check below confirms.
     Otherwise the whole matrix is one class.
 
-    The classes are solved together, one of two ways.
-
-    * Certified Rayleigh quotients (`_certified_eigvals`), when the smaller
-      class has at least `_CERTIFY_MIN_SIZE` cosines.  The diagonal of a
-      class is widely spaced against its couplings, so every eigenvector
-      is local: Brillouin-Wigner sweeps on a window around each index give
-      it, and its Rayleigh quotient and residual against the whole band
-      give an interval holding an eigenvalue.  When the intervals are
-      disjoint, Kato-Temple bounds the error of each quotient.  b is the
-      smallest bandwidth whose dropped mass is at most half the budget,
-      and the largest Kato-Temple term must fit the rest.
-    * The banded LAPACK solve (`_banded_eigvals`), class by class, with the
-      smallest b whose dropped mass fits the whole budget: for smaller
-      classes, where it is faster, and wherever the certificate fails
-      (overlapping intervals, or a Kato-Temple term over budget after
-      `_BW_SWEEPS` sweeps, as for strong potentials).  SciPy is imported
-      only here.
+    The certified path (`_certified_eigvals`) solves the classes together.
+    The diagonal of a class is widely spaced against its couplings, so
+    every eigenvector is local: Brillouin-Wigner sweeps on a window around
+    each index give it, and its Rayleigh quotient and residual against the
+    whole band give an interval holding an eigenvalue.  When the intervals
+    are disjoint, Kato-Temple bounds the error of each quotient.  b is the
+    smallest bandwidth whose dropped mass is at most half the budget, and
+    the largest Kato-Temple term must fit the rest.  Where the certificate
+    fails (overlapping intervals, or a Kato-Temple term over budget after
+    `_BW_SWEEPS` sweeps, as for strong potentials), `_dense_eigvals` solves
+    each class of the whole Galerkin matrix by `np.linalg.eigvalsh`.
 
     `HillSpectrum.radius` is the dropped mass plus the largest Kato-Temple
-    term (zero on the LAPACK path), at most the budget either way.
+    term on the certified path, and the dropped parity mass alone on the
+    dense one, at most the budget either way.
 
-    Cost at the canonical potential (sine-Gordon, a = 0.9, eps = 0.1) on
-    two cores with OpenBLAS, medians of 80 calls in each of two sessions:
-    at J_max = 400 (classes of 201 and 200 cosines) 0.8 to 1.2 ms
-    certified against 2.4 to 3.1 ms by LAPACK; at J_max = 127 (64 and 64)
-    0.45 to 0.73 ms against 0.54 to 0.86 ms; at J_max = 91 (46 and 46)
-    LAPACK is faster, 0.47 to 0.70 ms against 0.53 to 0.83 ms.  The
-    certified path is linear in J_max; the LAPACK band reduction is not
-    once b > 0 (a constant 2.5 sampled 64 times, period 5, J_max = 2000:
-    1.6 ms certified, 0.22 s by LAPACK).
+    The certified path costs time linear in J_max: 0.8 to 1.2 ms at the
+    canonical potential (sine-Gordon, a = 0.9, eps = 0.1) at J_max = 400 on
+    two cores with OpenBLAS, and 1.6 ms for a constant 2.5 sampled 64
+    times, period 5, J_max = 2000.  The dense fallback is cubic, and
+    raises `ValueError` past `_DENSE_MAX_SIZE` cosines instead.
     """
     q_samples = np.asarray(q_samples, dtype=float)
     M = q_samples.shape[0]
@@ -262,17 +252,11 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
         dropped = np.append(3.0 * np.cumsum(np.abs(e[::-1]))[::-1][1:J_max + 1], 0.0)
 
     found = None
-    if (J_max + 1) // stride >= _CERTIFY_MIN_SIZE and dropped[-1] <= 0.5 * budget:
+    if dropped[-1] <= 0.5 * budget:
         b = int(np.argmax(dropped <= 0.5 * budget))
         found = _certified_eigvals(e, diagonal, stride, b, budget - dropped[b])
     if found is None:
-        b = int(np.argmax(dropped <= budget))
-        j, G = _stacked_band(e, diagonal, stride, b)
-        lam = np.empty(J_max + 1)
-        classes = np.split(G, np.flatnonzero(np.diff(j) != stride) + 1, axis=1)
-        for start, U in enumerate(classes):
-            lam[start::stride] = _banded_eigvals(U[:b + 1])
-        radius = float(dropped[b])
+        lam, radius = _dense_eigvals(e, diagonal, stride), float(dropped[-1])
     else:
         lam, kato_temple = found
         radius = float(dropped[b]) + kato_temple
@@ -288,8 +272,7 @@ def _stacked_band(e: Array, diagonal: Array, stride: int, b: int) -> tuple[Array
     Stacked index k runs over class 0 (j = 0, stride, ...), then class 1
     and so on; ``j[k]`` is its cosine index.  Diagonal storage: row b + d
     holds the couplings of k to k + d, ``G[b + d, k] = A[j[k], j[k + d]]``
-    for |d| <= b, zero where k + d leaves the class of k.  By symmetry rows
-    0..b of a class are its LAPACK upper storage.
+    for |d| <= b, zero where k + d leaves the class of k.
     """
     n = diagonal.shape[0]
     j = np.concatenate([np.arange(start, n, stride) for start in range(stride)])
@@ -304,11 +287,19 @@ def _stacked_band(e: Array, diagonal: Array, stride: int, b: int) -> tuple[Array
     return j, G
 
 
-def _banded_eigvals(U: Array) -> Array:
-    """Eigenvalues of a symmetric band matrix in LAPACK upper storage."""
-    from scipy.linalg import eigvals_banded
-
-    return eigvals_banded(U[max(0, U.shape[0] - U.shape[1]):], lower=False)
+def _dense_eigvals(e: Array, diagonal: Array, stride: int) -> Array:
+    """`np.linalg.eigvalsh` on each parity class of the Galerkin matrix
+    (`multiplication_matrix` of ``e``, ``diagonal`` on its diagonal)."""
+    n = diagonal.shape[0]
+    if n > _DENSE_MAX_SIZE:
+        raise ValueError(f"the Hill certificate failed on {n} cosines, and the "
+                         f"dense fallback stops at {_DENSE_MAX_SIZE}")
+    A = multiplication_matrix(e, n - 1)
+    A[np.diag_indices(n)] = diagonal
+    lam = np.empty(n)
+    for start in range(stride):
+        lam[start::stride] = np.linalg.eigvalsh(A[start::stride, start::stride])
+    return lam
 
 
 def _certified_eigvals(e: Array, diagonal: Array, stride: int, b: int,

@@ -35,7 +35,7 @@ from .fourier import cos_analyze, cos_series, cos_synthesis_matrix
 Array = NDArray[np.float64]
 
 __all__ = ["PlanarState", "PlanarOrbit", "VTrajectory", "MonodromyReport",
-           "NoPeriodicOrbitError", "limit_rhs", "h_star", "find_orbit", "monodromy"]
+           "NoPeriodicOrbitError", "h_star", "find_orbit", "monodromy"]
 
 
 class NoPeriodicOrbitError(ValueError):
@@ -48,13 +48,6 @@ class NoPeriodicOrbitError(ValueError):
 class PlanarState:
     p: float
     p_tau: float
-
-
-def limit_rhs(state, f3: float):
-    """Right-hand side (p_tau, -p - (f3/8) p^3) of the limit oscillator."""
-    p, p_tau = _unpack(state)
-    return type(state)(p_tau, -p - (f3 / 8.0) * p**3) if isinstance(state, PlanarState) \
-        else np.array([p_tau, -p - (f3 / 8.0) * p**3])
 
 
 def h_star(state, f3: float) -> float:
@@ -79,7 +72,7 @@ class VTrajectory:
 
     ``v_samples[m] = v(period * m / M)``; trajectories are even in tau, so a
     cosine series interpolates them spectrally (``cos_coeffs``, used by
-    ``v_at`` / ``v_tau_at``).  ``v_tau_samples`` are given, or with None the
+    ``v_tau_at``).  ``v_tau_samples`` are given, or with None the
     series' derivative on the same grid, formed on first read.  A
     trajectory is not changed after construction, so `resample` keeps each
     grid it builds.
@@ -113,9 +106,6 @@ class VTrajectory:
     @property
     def n_samples(self) -> int:
         return self.v_samples.shape[0]
-
-    def v_at(self, taus: Array | float) -> Array:
-        return cos_series(self.cos_coeffs, self.period, taus)
 
     def v_tau_at(self, taus: Array | float) -> Array:
         return cos_series(self.cos_coeffs, self.period, taus, order=1)

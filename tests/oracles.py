@@ -22,6 +22,9 @@ collocated Hill potential `oracle_averaged_potential`, which averages the
 package's `collocate` multiplier over an x grid; and `dop853_slow_flow`,
 which integrates the slow equation's collocated forcing one tau at a time
 with SciPy's DOP853 instead of the package's Chebyshev-Picard segments.
+Two helpers are not oracles: `limit_rhs`, the limit oscillator's
+right-hand side, and `v_at`, which evaluates a trajectory through the
+package's `cos_series`.
 """
 
 from __future__ import annotations
@@ -35,10 +38,27 @@ from scipy.linalg import eigh
 from scipy.special import ellipe, ellipj, ellipk
 from scipy.stats import linregress
 
-from kgperiodic.fourier import cos_analyze, project_P, sin_synthesis_matrix
+from kgperiodic.fourier import (cos_analyze, cos_series, project_P,
+                               sin_synthesis_matrix)
 from kgperiodic.nonlinearity import collocate
 from kgperiodic.normalform import _grids, _linear_symbol, assemble_F
+from kgperiodic.planar import PlanarState
 from kgperiodic.solver import NonConvergenceError, _pack, _unpack
+
+
+def limit_rhs(state, f3: float):
+    """Right-hand side (p_tau, -p - (f3/8) p^3) of the limit oscillator, as
+    a `PlanarState` for one and as an array for a (p, p_tau) pair."""
+    if isinstance(state, PlanarState):
+        p, p_tau = state.p, state.p_tau
+        return PlanarState(p_tau, -p - (f3 / 8.0) * p**3)
+    p, p_tau = state
+    return np.array([p_tau, -p - (f3 / 8.0) * p**3])
+
+
+def v_at(traj, taus):
+    """The slow variable of a `VTrajectory` at ``taus``, by its cosine series."""
+    return cos_series(traj.cos_coeffs, traj.period, taus)
 
 
 def duffing_period(amplitude: float, f3: float) -> float:
@@ -365,7 +385,7 @@ def oracle_hill_eigs(q_samples, period: float, J_max: int) -> np.ndarray:
     Every entry of the (J_max+1)^2 matrix is assembled from the cosine
     coefficients of q (entry (j, j') couples through q_hat[|j-j'|] and
     q_hat[j+j']), checked for symmetry, and handed to a dense `eigh`.
-    Reference for the banded `hill_eigs`.
+    Reference for `hill_eigs`.
     """
     q_samples = np.asarray(q_samples, dtype=float)
     n_q = min(2 * J_max, q_samples.shape[0] // 2 - 1)

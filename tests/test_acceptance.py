@@ -20,7 +20,7 @@ from kgperiodic.divisors import (
 from kgperiodic.fourier import j_eps_symbol, project_P
 from kgperiodic.nonlinearity import collocate
 from kgperiodic.normalform import nf_sequence
-from kgperiodic.planar import h_star, limit_rhs, monodromy
+from kgperiodic.planar import h_star, monodromy
 from kgperiodic.properties import DEFAULT_SEED, run_all
 from kgperiodic.solver import (
     FITTED_C,
@@ -30,7 +30,7 @@ from kgperiodic.solver import (
 )
 
 from conftest import FIXTURE_EPS
-from oracles import (divisor_root_exact, oracle_newton_solve,
+from oracles import (divisor_root_exact, limit_rhs, oracle_newton_solve,
                      richardson_slope)
 
 

@@ -111,30 +111,29 @@ class TestHillEigs:
         assert np.min(np.diff(lam)) > 0.0
 
 
-def _lapack_calls(monkeypatch):
-    """Record the classes handed to the banded LAPACK solve."""
+def _dense_calls(monkeypatch):
+    """Record the matrix sizes handed to the dense fallback."""
     calls = []
-    lapack = divisors._banded_eigvals
+    dense = divisors._dense_eigvals
 
-    def spy(U):
-        calls.append(U.shape[1])
-        return lapack(U)
+    def spy(e, diagonal, stride):
+        calls.append(diagonal.shape[0])
+        return dense(e, diagonal, stride)
 
-    monkeypatch.setattr(divisors, "_banded_eigvals", spy)
+    monkeypatch.setattr(divisors, "_dense_eigvals", spy)
     return calls
 
 
 class TestBandedHillEigs:
     """The Hill eigensolve against the dense Galerkin oracle.
 
-    Every case runs with the size selection off and the LAPACK fallback
-    forbidden, so each is shown to take the certified path.
+    Every case runs with the dense fallback forbidden, so each is shown to
+    take the certified path.
     """
 
     @pytest.fixture(autouse=True)
     def certified_only(self, monkeypatch):
-        monkeypatch.setattr(divisors, "_CERTIFY_MIN_SIZE", 1)
-        calls = _lapack_calls(monkeypatch)
+        calls = _dense_calls(monkeypatch)
         yield
         assert calls == []
 
@@ -199,19 +198,17 @@ def _canonical_potential():
 
 
 class TestHillPaths:
-    """Which classes take the certified path and which the LAPACK solve."""
+    """Which solves take the certified path and which the dense fallback."""
 
-    @pytest.mark.parametrize("smallest_class", [divisors._CERTIFY_MIN_SIZE - 1,
-                                                divisors._CERTIFY_MIN_SIZE])
+    @pytest.mark.parametrize("smallest_class", [63, 64])
     def test_size_selection(self, monkeypatch, smallest_class):
         # the canonical potential splits into classes of (J + 2) // 2 and
-        # (J + 1) // 2 cosines; below the size constant LAPACK solves them
+        # (J + 1) // 2 cosines; small classes are certified as well
         q, period = _canonical_potential()
         J = 2 * smallest_class - 1
-        calls = _lapack_calls(monkeypatch)
+        calls = _dense_calls(monkeypatch)
         spec = hill_eigs(q, period, J)
-        certified = smallest_class >= divisors._CERTIFY_MIN_SIZE
-        assert calls == ([] if certified else [J // 2 + 1, (J + 1) // 2])
+        assert calls == []
         dense = oracle_hill_eigs(q, period, J)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(spec.eigenvalues - dense)) <= spec.radius + 1e-13 * scale
@@ -220,17 +217,29 @@ class TestHillPaths:
     def test_strong_potential_falls_back(self, monkeypatch):
         # couplings of 1.5 against a diagonal spacing of 0.1 at the bottom:
         # the local eigenvectors do not exist, the intervals overlap, and
-        # the whole matrix (odd harmonics) goes to LAPACK
+        # the whole matrix (odd harmonics) goes to the dense solve
         period, J = 20.0, 150
         taus = period * np.arange(256) / 256
         q = 3.0 * np.cos(2 * np.pi * taus / period)
-        calls = _lapack_calls(monkeypatch)
+        calls = _dense_calls(monkeypatch)
         spec = hill_eigs(q, period, J)
         assert calls == [J + 1]
         dense = oracle_hill_eigs(q, period, J)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(spec.eigenvalues - dense)) <= spec.radius + 1e-13 * scale
         assert spec.radius <= np.finfo(float).eps * scale
+
+    def test_oversize_fallback_raises(self):
+        # the strong potential past the dense fallback's size: the failed
+        # certificate raises instead of starting a cubic solve
+        period = 20.0
+        J = divisors._DENSE_MAX_SIZE
+        taus = period * np.arange(256) / 256
+        q = 3.0 * np.cos(2 * np.pi * taus / period)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="dense fallback stops at"):
+            hill_eigs(q, period, J)
+        assert time.perf_counter() - start < 1.0
 
     def test_kato_temple_term_in_radius(self, monkeypatch):
         # a single harmonic: the band drops only round-off harmonics, and
@@ -239,7 +248,7 @@ class TestHillPaths:
         period, J = 6.0, 120
         taus = period * np.arange(128) / 128
         q = 0.3 * np.cos(2 * np.pi * taus / period) - 0.1
-        calls = _lapack_calls(monkeypatch)
+        calls = _dense_calls(monkeypatch)
         spec = hill_eigs(q, period, J)
         assert calls == []
         # the dropped mass is at most three times the sum of |e[n]| past n = 1

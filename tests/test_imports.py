@@ -1,5 +1,5 @@
-"""Importing the package loads no SciPy module and no process pool; each run
-loads only what it uses."""
+"""Importing the package loads no SciPy module and no process pool, and
+neither does a run: the library is NumPy only."""
 
 import json
 import os
@@ -13,8 +13,9 @@ import kgperiodic
 
 # One process walks the stages of a run and records the SciPy modules loaded
 # after each: the import, a K = 64 resonance gate at eps = 0.1 (the J = 400
-# Hill solve), the first linear solve and the first closure certificate;
-# "pool" lists the process-pool modules loaded by the import.
+# Hill solve), a K = 6 gate at eps = 0.193 (J = 94, classes of 48 and 47
+# cosines), a full closure solve and the first closure certificate; "pool"
+# lists the process-pool modules loaded by the import.
 SCRIPT = """
 import json, sys
 
@@ -26,17 +27,17 @@ import kgperiodic
 stages["import"] = loaded()
 stages["pool"] = [m for m in ("multiprocessing", "concurrent.futures.process")
                   if m in sys.modules]
-import numpy as np
-from kgperiodic import (LinearizedOperator, Nonlinearity, PlanarState,
-                        ResonanceParams, SpaceTimeField, find_orbit,
-                        integrate_v, resonance_gate)
+from kgperiodic import (Nonlinearity, PlanarState, ResonanceParams,
+                        find_orbit, integrate_v, resonance_gate, solve_delta1)
 model = Nonlinearity.sine_gordon()
 traj = find_orbit(model.f3, 0.9).trajectory(256)
 resonance_gate(traj, 0.1, model, K=64, params=ResonanceParams())
 stages["gate"] = loaded()
-op = LinearizedOperator(traj, SpaceTimeField.zeros(traj.period, 12, 6), 0.1,
-                        model, 6)
-op.solve(np.ones(op.size))
+_, spectrum, _ = resonance_gate(traj, 0.193, model, K=6,
+                                params=ResonanceParams())
+assert spectrum.J_max < 127, spectrum.J_max
+stages["small_gate"] = loaded()
+assert solve_delta1(find_orbit(model.f3, 0.9), 0.1, model).closed
 stages["solve"] = loaded()
 integrate_v([PlanarState(0.9, 0.0)], None, 0.1, model, 6.3)
 stages["certificate"] = loaded()
@@ -63,9 +64,11 @@ def test_import_loads_no_process_pool(stages):
     assert stages["pool"] == []
 
 
-def test_scipy_sparse_linalg_loaded_at_first_solve(stages):
-    assert "scipy.sparse.linalg" in stages["solve"]
-    assert "scipy.integrate" not in stages["solve"]
+def test_closure_solve_loads_no_scipy(stages):
+    # the Newton solve is a preconditioned Richardson iteration, and small
+    # Hill classes are certified or solved by NumPy
+    assert stages["small_gate"] == []
+    assert stages["solve"] == []
 
 
 def test_certificate_loads_no_scipy_integrate(stages):

@@ -8,7 +8,7 @@ from kgperiodic.nonlinearity import Nonlinearity
 from kgperiodic.normalform import assemble_F, nf_sequence
 from kgperiodic.planar import find_orbit
 
-from oracles import log_fit
+from oracles import log_fit, v_at
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ class TestSteps:
 
         M_tau, M_x = 256, 128
         taus = traj_sg.period * np.arange(M_tau) / M_tau
-        v = np.array([traj_sg.v_at(t) for t in taus])
+        v = np.array([v_at(traj_sg, t) for t in taus])
         x = np.pi * (2.0 * np.arange(M_x) / M_x - 1.0)
         vals = sg.scaled_eval(np.outer(v, np.sin(x)), eps) / (-(1.0 + eps**2))
         # project onto sin(kx), k >= 2 then cos(j tau)

@@ -172,6 +172,18 @@ class TestLinearizedOperator:
         ref = np.linalg.solve(L, rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_solve_takes_few_steps(self, canonical, rng, monkeypatch):
+        # sigma_radius / sigma_min bounds the contraction of each
+        # preconditioned step; at the canonical point a handful suffice
+        op, _, stage = canonical
+        assert stage.sigma_radius / stage.sigma_min < 0.5
+        steps = []
+        block_solve = op._block_solve
+        monkeypatch.setattr(op, "_block_solve",
+                            lambda r: steps.append(1) or block_solve(r))
+        op.solve(rng.standard_normal(op.size))
+        assert len(steps) <= 6
+
     def test_stage_sigma_min_inside_enclosure(self, canonical):
         op, L, stage = canonical
         sigma = svdvals(L)[-1]
@@ -209,11 +221,22 @@ class TestLinearizedOperator:
         assert info.value.culprit == (2, 115)
         assert "(k, j)" in str(info.value)
 
-    def test_failed_solve_raises(self, traj):
+    def test_failed_solve_raises(self, traj, monkeypatch):
+        # a non-finite residual stops the iteration at once, not at its cap
         w = SpaceTimeField.zeros(traj.period, 4, 3)
         op = LinearizedOperator(traj, w, EPS, None, N=3)
+        applies = []
+        apply = op.apply
+        monkeypatch.setattr(op, "apply", lambda u: applies.append(1) or apply(u))
         with pytest.raises(NonConvergenceError):
             op.solve(np.full(op.size, np.nan))
+        assert 1 <= len(applies) <= 2
+
+    def test_step_cap_raises(self, canonical, rng, monkeypatch):
+        op, _, _ = canonical
+        monkeypatch.setattr(solver, "_SOLVE_STEPS", 1)
+        with pytest.raises(NonConvergenceError, match=r"step cap 1\)"):
+            op.solve(rng.standard_normal(op.size))
 
 
 def block_eigvalsh(L, N):

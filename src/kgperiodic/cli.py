@@ -122,6 +122,14 @@ def _get_number(cfg: dict, key: str, default, lo=None, hi=None,
     return value
 
 
+def _amplitude(cfg: dict, default: float | None) -> float:
+    """The positive ``amplitude`` field; ``default=None`` makes it required."""
+    amplitude = _get_number(cfg, "amplitude", default)
+    if amplitude is None or amplitude <= 0.0:
+        raise ConfigError("field 'amplitude' must be a positive number")
+    return amplitude
+
+
 def _eps_from(value, key: str) -> float:
     """An eps entry checked by `validate_eps`, failing as a config error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -258,9 +266,7 @@ def _write_csv(path: Path, resolved_config: dict, header: str,
 def cmd_limit_orbit(cfg: dict) -> int:
     _reject_unknown(cfg, {"model", "amplitude", "tol", "n_samples", "out_dir"})
     model, model_spec = _model_from(cfg)
-    amplitude = _get_number(cfg, "amplitude", None, lo=None)
-    if amplitude is None or amplitude <= 0.0:
-        raise ConfigError("field 'amplitude' must be a positive number")
+    amplitude = _amplitude(cfg, None)
     tol = _get_number(cfg, "tol", 1e-10, lo=0.0)
     n_samples = _get_number(cfg, "n_samples", 512, lo=16, hi=MAX_ORBIT_SAMPLES,
                             integer=True)
@@ -332,9 +338,7 @@ def cmd_solve(cfg: dict) -> int:
     _reject_unknown(cfg, {"model", "amplitude", "eps", "resonance", "solver",
                           "out_dir"})
     model, model_spec = _model_from(cfg)
-    amplitude = _get_number(cfg, "amplitude", 0.9)
-    if amplitude is None or amplitude <= 0.0:
-        raise ConfigError("field 'amplitude' must be a positive number")
+    amplitude = _amplitude(cfg, 0.9)
     eps = _eps_from(cfg.get("eps"), "eps")
     params, resolved_res = _resonance_params(cfg)
     solver_cfg, resolved_solver = _solver_config(cfg, params)
@@ -411,9 +415,7 @@ def cmd_sweep(cfg: dict) -> int:
     _reject_unknown(cfg, {"model", "amplitude", "eps_list", "resonance",
                           "solver", "workers", "residual_grid", "out_dir"})
     model, model_spec = _model_from(cfg)
-    amplitude = _get_number(cfg, "amplitude", 0.9)
-    if amplitude is None or amplitude <= 0.0:
-        raise ConfigError("field 'amplitude' must be a positive number")
+    amplitude = _amplitude(cfg, 0.9)
     eps_list = cfg.get("eps_list")
     if not isinstance(eps_list, list) or not eps_list:
         raise ConfigError("field 'eps_list' must be a non-empty list of "

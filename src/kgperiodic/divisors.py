@@ -94,8 +94,8 @@ _DENSE_MAX_SIZE = 2048
 
 
 def averaged_potential(traj: VTrajectory, eps: float,
-                       model: Nonlinearity | None, M_tau: int = 256) -> Array:
-    """x-mean of the derivative multiplier at w = 0, on the uniform tau grid.
+                       model: Nonlinearity | None) -> Array:
+    """x-mean of the derivative multiplier at w = 0, on 256 uniform tau samples.
 
     The fast forcing differentiates to multiplication by
     ``m(tau, x) = -(1/omega^2) f'(eps v sin x)/eps^2`` (`collocate` of
@@ -108,7 +108,7 @@ def averaged_potential(traj: VTrajectory, eps: float,
     kept, and costs one series evaluation per tau sample.  ``model=None``
     (the test hook of `collocate`) gives zeros.
     """
-    v = traj.resample(M_tau)
+    v = traj.resample(256)
     if model is None:
         return np.zeros_like(v)
     return (-1.0 / (1.0 + eps**2)) * model.scaled_deriv_x_mean(v, eps)

@@ -13,8 +13,11 @@ finite and smooth down to ``eps = 0`` (no catastrophic cancellation at any
 epsilon).  Each call sums only the leading terms a double can see: at the
 sampled amplitude r = max|eps y| it keeps the fewest K terms whose dropped
 tail sum_{n>=K} |c_n| r^(2n) is at most 2^-64 of sum_{n<K} |c_n| r^(2n),
-far below Horner's own rounding error.  Non-finite samples, and samples
-past the trust radius, raise `TrustRadiusError`.
+far below Horner's own rounding error.  The rule is applied on each call
+(`_leading`); a model keeps only coefficient tuples.  Non-finite
+samples, and samples past the trust radius, raise `TrustRadiusError`; a
+model with a non-finite coefficient or trust radius, or whose series
+overflows at the trust radius, is refused with `ValueError`.
 
 `collocate` samples the rescaled forcing of the slow/fast system and its
 w-derivative, the multiplier,
@@ -33,7 +36,6 @@ the x-means C(2n, n)/4^n of sin^(2n) x folded into the series.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, isfinite
@@ -58,46 +60,27 @@ _TAIL_TOL = 2.0**-64
 _SINE_GORDON_TERMS = 12   # odd Taylor terms u^3 .. u^25 of u - sin(u)
 
 
-class _Series:
-    """Coefficients of sum_n c[n] z^n and the table that truncates them.
+def _terms(coeffs, z: float) -> list[float]:
+    """|c_n| z^n by a running product, so that an overflow gives inf."""
+    terms, power = [], 1.0
+    for c in coeffs:
+        terms.append(abs(c) * power)
+        power *= z
+    return terms
 
-    ``z_max[K - 1]`` is the largest z at which the first K terms suffice:
-    the dropped tail sum_{n>=K} |c_n| z^n is at most ``_TAIL_TOL`` times
-    sum_{n<K} |c_n| z^n.  That ratio grows with z and falls with K, so the
-    table grows with K.  It is found once, by bisection in log z over the
-    256 octaves below ``radius**2`` (lower if the largest term could
-    overflow there): a K that suffices at the top gets the top, one that
-    fails at the bottom gets 0, and the last entry, with no tail, is
-    infinite.  `terms` picks K for a call by bisection on the table.
-    """
 
-    def __init__(self, coeffs, radius: float):
-        self.coeffs = tuple(coeffs)
-        a = np.abs(np.array(self.coeffs))
-        n = a.size
-        powers = np.arange(n)
-        kept = powers < np.arange(1, n)[:, None]          # row K - 1: n < K
-
-        def suffices(log_z: Array) -> Array:
-            terms = a * np.exp2(np.multiply.outer(log_z, powers))
-            head = np.where(kept, terms, 0.0).sum(axis=1)
-            tail = np.where(kept, 0.0, terms).sum(axis=1)
-            return tail <= _TAIL_TOL * head
-
-        # the top stays where the largest term cannot overflow
-        hi = np.full(n - 1, min(2.0 * np.log2(radius), 900.0 / max(n - 1, 1)))
-        lo = hi - 256.0
-        top, bottom = suffices(hi), suffices(lo)
-        for _ in range(24):
-            mid = 0.5 * (lo + hi)
-            ok = suffices(mid)
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-        z_max = np.where(top, np.exp2(hi), np.where(bottom, np.exp2(lo), 0.0))
-        self.z_max = tuple(z_max.tolist()) + (np.inf,)
-
-    def terms(self, z: float) -> tuple[float, ...]:
-        """The leading coefficients that suffice up to z."""
-        return self.coeffs[:bisect_left(self.z_max, z) + 1]
+def _leading(coeffs, z: float):
+    """The fewest leading coefficients of sum_n c_n z^n whose dropped tail
+    sum_{n>=K} |c_n| z^n is at most ``_TAIL_TOL`` of the kept sum.  The
+    tail grows from the last term; a non-finite sum keeps every term."""
+    terms = _terms(coeffs, z)
+    total, tail, K = sum(terms), 0.0, len(terms)
+    while K > 1 and isfinite(total):
+        tail += terms[K - 1]
+        if not tail <= _TAIL_TOL * (total - tail):
+            break
+        K -= 1
+    return coeffs[:K]
 
 
 @dataclass(frozen=True)
@@ -121,8 +104,14 @@ class Nonlinearity:
     def __post_init__(self):
         if len(self.odd_coeffs) == 0 or self.odd_coeffs[0] == 0.0:
             raise ValueError("the cubic coefficient c3 must be nonzero")
-        if not self.trust_radius > 0:
+        r = self.trust_radius
+        if not all(isfinite(c) for c in (*self.odd_coeffs, r)):
+            raise ValueError("odd_coeffs and trust_radius must be finite")
+        if not r > 0:
             raise ValueError("trust_radius must be positive")
+        # the derivative's terms bound those of the other three series
+        if not isfinite(sum(_terms(self._scaled_deriv_coeffs, r * r))):
+            raise ValueError(f"the series overflows a double at trust_radius {r}")
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -178,71 +167,64 @@ class Nonlinearity:
         return r
 
     def _series(self, y: Array | float, eps: float,
-                series: _Series) -> tuple[Array, Array | float]:
+                coeffs) -> tuple[Array, Array | float]:
         """y as an array and sum_m coeffs[m] (eps*y)^(2m), by Horner's rule
         over the terms that suffice at max|eps*y|."""
         y = np.asarray(y, dtype=float)
         ey = eps * y
         r = self._check_domain(ey)
         z = ey * ey
-        coeffs = series.terms(r * r)
+        coeffs = _leading(coeffs, r * r)
         acc = coeffs[-1]
         for c in reversed(coeffs[:-1]):
             acc = acc * z + c
         return y, acc
 
-    # the series of each evaluation, built once per model
+    # the coefficients of each evaluation, formed once per model
     @cached_property
-    def _f_series(self) -> _Series:
-        return _Series(self.odd_coeffs, self.trust_radius)
+    def _scaled_deriv_coeffs(self) -> tuple[float, ...]:
+        return tuple((2 * m + 3) * c for m, c in enumerate(self.odd_coeffs))
 
     @cached_property
-    def _scaled_deriv_series(self) -> _Series:
-        return _Series(((2 * m + 3) * c for m, c in enumerate(self.odd_coeffs)),
-                       self.trust_radius)
-
-    @cached_property
-    def _deriv_x_mean_series(self) -> _Series:
+    def _deriv_x_mean_coeffs(self) -> tuple[float, ...]:
         # scaled_deriv's coefficients times the x-means of sin^(2m+2) x,
         # C(2m+2, m+1) / 4^(m+1)
-        return _Series(((2 * m + 3) * c * (comb(2 * m + 2, m + 1) / 4 ** (m + 1))
-                        for m, c in enumerate(self.odd_coeffs)),
-                       self.trust_radius)
+        return tuple((2 * m + 3) * c * (comb(2 * m + 2, m + 1) / 4 ** (m + 1))
+                     for m, c in enumerate(self.odd_coeffs))
 
     @cached_property
-    def _antideriv_series(self) -> _Series:
-        return _Series((c / (2 * m + 4) for m, c in enumerate(self.odd_coeffs)),
-                       self.trust_radius)
+    def _antideriv_coeffs(self) -> tuple[float, ...]:
+        return tuple(c / (2 * m + 4) for m, c in enumerate(self.odd_coeffs))
 
     def eval(self, u: Array | float):
         """f(u) by Horner evaluation of the odd series."""
-        u, acc = self._series(u, 1.0, self._f_series)
+        u, acc = self._series(u, 1.0, self.odd_coeffs)
         out = acc * (u * u) * u
         return float(out) if out.ndim == 0 else out
 
     # -- rescaled forms (finite at eps = 0) ----------------------------------
     def scaled_eval(self, y: Array | float, eps: float):
         """f(eps*y)/eps^3 = y^3 * sum_m c_{2m+1} (eps*y)^(2m-2)."""
-        y, acc = self._series(y, eps, self._f_series)
+        y, acc = self._series(y, eps, self.odd_coeffs)
         out = acc * (y * y * y)
         return float(out) if out.ndim == 0 else out
 
     def scaled_deriv(self, y: Array | float, eps: float):
         """f'(eps*y)/eps^2 = y^2 * sum_m (2m+1) c_{2m+1} (eps*y)^(2m-2)."""
-        y, acc = self._series(y, eps, self._scaled_deriv_series)
+        y, acc = self._series(y, eps, self._scaled_deriv_coeffs)
         out = acc * y**2
         return float(out) if out.ndim == 0 else out
 
     def scaled_deriv_x_mean(self, y: Array | float, eps: float):
         """x-mean of scaled_deriv(y sin x, eps), exactly:
         y^2 * sum_m (2m+1) c_{2m+1} C(2m, m)/4^m (eps*y)^(2m-2)."""
-        y, acc = self._series(y, eps, self._deriv_x_mean_series)
+        y, acc = self._series(y, eps, self._deriv_x_mean_coeffs)
         out = acc * y**2
         return float(out) if out.ndim == 0 else out
 
     def scaled_antideriv(self, y: Array | float, eps: float):
         """F(eps*y)/eps^4 with F' = f: y^4 * sum_m c_{2m+1} (eps*y)^(2m-2)/(2m+2)."""
-        y, acc = self._series(y, eps, self._antideriv_series)
+        y, acc = self._series(y, eps, self._antideriv_coeffs)
         out = acc * y**4
         return float(out) if out.ndim == 0 else out
 

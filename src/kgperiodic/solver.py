@@ -212,8 +212,9 @@ class InversionReport:
 class LinearizedOperator:
     """L = J_eps + eps^2(-d_tautau + D_w g) at w, truncated to k <= N.
 
-    Vectors run over (j = 0..N_tau, k = 2..N) in the orthonormal temporal
-    basis of `_pack`.  `apply` is matrix-free on the collocation grid:
+    Vectors run over (j = 0..N_tau, k = 2..N), N_tau the temporal band of
+    w, in the orthonormal temporal basis of `_pack`.  `apply` is
+    matrix-free on the `_grids` collocation grid of (N, N_tau):
     synthesize, multiply by the derivative multiplier m, analyze.  Its
     synthesis tables and scaled multiplier are built on the first
     `apply` or `solve`, so a build that only reports (the law battery, a
@@ -247,17 +248,11 @@ class LinearizedOperator:
     """
 
     def __init__(self, V_traj: VTrajectory, w: SpaceTimeField, eps: float,
-                 model: Nonlinearity | None, N: int,
-                 N_tau: int | None = None,
-                 M_tau: int | None = None, M_x: int | None = None):
-        N_tau = w.band_tau if N_tau is None else N_tau
+                 model: Nonlinearity | None, N: int):
+        N_tau = w.band_tau
         if N > w.band_x:
             raise ValueError("truncation N exceeds the field band")
-        dM_tau, dM_x = _grids(N, N_tau)
-        M_tau = M_tau or dM_tau
-        M_x = M_x or dM_x
-        if M_tau < 4 * N_tau + 2:
-            raise ValueError("M_tau too small to alias-free couple 2*N_tau cosines")
+        M_tau, M_x = _grids(N, N_tau)
         self.eps, self.N = eps, N
         self.size = (N_tau + 1) * (N - 1)
         self._sym = _linear_symbol(w.period, eps, N_tau, N)[:, 2:]
@@ -507,10 +502,9 @@ def resonance_gate(traj: VTrajectory, eps: float, model: Nonlinearity,
     return report, spectrum, table
 
 
-def _built_conditioning(params: ResonanceParams, *args,
-                        **kwargs) -> InversionReport:
-    """Report of a `LinearizedOperator` built from ``args``/``kwargs``."""
-    return LinearizedOperator(*args, **kwargs).report(params)
+def _built_conditioning(params: ResonanceParams, *args) -> InversionReport:
+    """Report of a `LinearizedOperator` built from ``args``."""
+    return LinearizedOperator(*args).report(params)
 
 
 def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
@@ -568,7 +562,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
                 raise NonConvergenceError(
                     f"stage N = {N_i} exceeded {config.max_stage_iters} Newton "
                     f"iterations (residual {res:.3e})", stages=stages)
-            op = LinearizedOperator(V_traj, w, eps, model, N_i, N_tau=N_tau)
+            op = LinearizedOperator(V_traj, w, eps, model, N_i)
             op.check_collapse()
             delta = op.solve(-F_vec)
             # damped update: halve until the truncated residual decreases
@@ -588,7 +582,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
             iters += 1
         source = (op.report(config.resonance) if op is not None else
                   partial(_built_conditioning, config.resonance, V_traj, w,
-                          eps, model, N_i, N_tau=N_tau))
+                          eps, model, N_i))
         stages.append(StageRecord(
             N=N_i, newton_iters=iters,
             increment_norm_s=(w - w_start).norm(_SOBOLEV_S),

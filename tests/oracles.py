@@ -29,6 +29,7 @@ package's `cos_series`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -306,6 +307,16 @@ def horner_oracle(coeffs, x) -> tuple[np.ndarray, np.ndarray]:
         value = value * x + c
         scale = scale * np.abs(x) + abs(c)
     return value, scale
+
+
+def truncation_oracle(coeffs, z: float) -> int:
+    """The fewest leading terms of sum_n c_n z^n whose dropped tail
+    sum_{n>=K} |c_n| z^n is at most 2^-64 of the kept sum, both sums exact
+    (`math.fsum`) over the powers z**n."""
+    terms = [abs(c) * z**n for n, c in enumerate(coeffs)]
+    return next((K for K in range(1, len(terms))
+                 if math.fsum(terms[K:]) <= 2.0**-64 * math.fsum(terms[:K])),
+                len(terms))
 
 
 def quadrature_P(func, n: int = 4096) -> float:

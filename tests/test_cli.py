@@ -318,6 +318,28 @@ def test_nonfinite_or_out_of_range_numbers_exit_1(tmp_path, capsys, command, cfg
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, extra", [
+    ("limit-orbit", {"amplitude": 0.9}),
+    ("solve", {"eps": 0.1}),
+    ("sweep", {"eps_list": [0.1, 0.12, 0.15]}),
+])
+@pytest.mark.parametrize("model", [
+    {"model": "custom", "odd_coeffs": [1.0, NAN]},
+    {"model": "custom", "odd_coeffs": [1.0], "trust_radius": INF},
+    {"model": "custom", "odd_coeffs": [1.0, 1e308, 1e308]},
+])
+def test_nonfinite_or_overflowing_model_exits_1(tmp_path, capsys, command,
+                                                extra, model):
+    # the model's coefficients and trust radius are checked when it is built
+    cfg = {"model": model, **extra, "out_dir": str(tmp_path)}
+    assert run_cli(tmp_path, command, cfg) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: field 'model': ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("limit-orbit", {"amplitude": 1e200}),
     ("limit-orbit", {"model": "phi4", "amplitude": 1e100}),

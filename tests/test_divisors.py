@@ -49,8 +49,8 @@ class TestAveragedPotential:
         # multiplier -(3/omega^2)(v sin x)^2 has x-mean -(3/2) v^2 / omega^2
         eps = 0.1
         traj = find_orbit(6.0, 1.0).trajectory(64)
-        q = averaged_potential(traj, eps, Nonlinearity.phi4(), M_tau=64)
-        v = traj.resample(64)
+        q = averaged_potential(traj, eps, Nonlinearity.phi4())
+        v = traj.resample(256)
         expected = -(1.5 / (1.0 + eps**2)) * v**2
         assert np.max(np.abs(q - expected)) < 1e-13
 
@@ -74,8 +74,7 @@ class TestAveragedPotential:
 
     def test_even_and_periodic(self):
         traj = find_orbit(1.0, 0.9).trajectory(128)
-        q = averaged_potential(traj, 0.1, Nonlinearity.sine_gordon(),
-                               M_tau=128)
+        q = averaged_potential(traj, 0.1, Nonlinearity.sine_gordon())
         # evenness in tau: q[m] = q[M-m]
         assert np.max(np.abs(q[1:] - q[::-1][:-1])) < 1e-12
 

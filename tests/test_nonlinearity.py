@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from kgperiodic.fourier import (SpaceTimeField, cos_series, project_P,
                                 project_Q, sin_synthesis_matrix, x_grid)
-from kgperiodic.nonlinearity import Nonlinearity, TrustRadiusError, collocate
+from kgperiodic.nonlinearity import (Nonlinearity, TrustRadiusError, _leading,
+                                     collocate)
 from kgperiodic.planar import find_orbit
 
-from oracles import horner_oracle, quadrature_P, richardson_slope
+from oracles import (horner_oracle, quadrature_P, richardson_slope,
+                     truncation_oracle)
 
 
 def forcing(model, eps, v, w_coeffs=None, M=32, N_q=8):
@@ -67,11 +69,43 @@ class TestModels:
         # is unchanged; sine-Gordon at amplitude eps |xi| <= 0.2 keeps six
         sg = Nonlinearity.sine_gordon()
         z_top = sg.trust_radius**2
-        for series in (sg._f_series, sg._scaled_deriv_series,
-                       sg._antideriv_series):
-            assert series.terms(z_top) == series.coeffs
-            assert series.terms(0.0) == series.coeffs[:1]
-        assert len(sg._f_series.terms(0.2**2)) == 6
+        for coeffs in (sg.odd_coeffs, sg._scaled_deriv_coeffs,
+                       sg._antideriv_coeffs):
+            assert _leading(coeffs, z_top) == coeffs
+            assert _leading(coeffs, 0.0) == coeffs[:1]
+        assert len(_leading(sg.odd_coeffs, 0.2**2)) == 6
+
+    def test_truncation_matches_its_definition(self):
+        # seeded coefficient lists of mixed magnitude, z from 2^-80 to 2^6
+        gen = np.random.default_rng(20260)
+        for _ in range(5000):
+            n = int(gen.integers(1, 14))
+            coeffs = tuple(float(c) for c in gen.standard_normal(n)
+                           * np.exp2(gen.uniform(-30.0, 30.0, n)))
+            z = float(np.exp2(gen.uniform(-80.0, 6.0)))
+            assert len(_leading(coeffs, z)) == truncation_oracle(coeffs, z)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_series_keeps_every_term(self):
+        # terms 10^(11 n) pass the largest double from n = 28 on, and three
+        # terms of 1e308 sum past it: neither raises nor drops a term
+        coeffs = tuple(10.0**n for n in range(41))
+        assert _leading(coeffs, 1e10) == coeffs
+        assert _leading((1e308,) * 3, 1.0) == (1e308,) * 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coeffs, radius, match", [
+        ((1.0, np.nan), 1.0, "finite"),
+        ((1.0, -np.inf), 1.0, "finite"),
+        ((1.0,), np.inf, "finite"),
+        ((1.0,), np.nan, "finite"),
+        ((1.0, 1e308, 1e308), 1.0, "overflows"),
+        ((1.0, 1.0), 1e200, "overflows"),
+    ])
+    def test_non_finite_or_overflowing_model_rejected(self, coeffs, radius,
+                                                       match):
+        with pytest.raises(ValueError, match=match):
+            Nonlinearity("custom", coeffs, trust_radius=radius)
 
     def test_scaled_eval_exact_at_zero(self):
         # f(eps y)/eps^3 -> c3 y^3 with no cancellation at eps = 0

@@ -94,8 +94,7 @@ class TestAssembleL:
 
     def test_symmetry(self, traj, sine_gordon, rng):
         w = small_field(rng, traj.period)
-        M = operator_matrix(LinearizedOperator(traj, w, EPS, sine_gordon, N=5,
-                                               N_tau=6))
+        M = operator_matrix(LinearizedOperator(traj, w, EPS, sine_gordon, N=5))
         assert np.max(np.abs(M - M.T)) < 1e-13 * np.max(np.abs(M))
         L = assemble_L(traj, w, EPS, sine_gordon, N=5, N_tau=6)
         assert np.max(np.abs(M - L)) < 1e-13 * np.max(np.abs(L))
@@ -116,14 +115,12 @@ class TestAssembleL:
         p = traj.period
         w0 = small_field(rng, p)
         h = small_field(rng, p)
-        grids = dict(M_tau=256, M_x=64)
-        F0 = assemble_F(traj, w0, EPS, sine_gordon, **grids)
-        op = LinearizedOperator(traj, w0, EPS, sine_gordon, N=5, N_tau=6,
-                                **grids)
+        F0 = assemble_F(traj, w0, EPS, sine_gordon)
+        op = LinearizedOperator(traj, w0, EPS, sine_gordon, N=5)
         Lh = op.apply(_pack(h.coeffs, 5))
 
         def remainder(t):
-            Ft = assemble_F(traj, w0 + t * h, EPS, sine_gordon, **grids)
+            Ft = assemble_F(traj, w0 + t * h, EPS, sine_gordon)
             return np.linalg.norm(_pack(Ft.coeffs - F0.coeffs, 5) - t * Lh)
 
         ratio = remainder(1e-2) / remainder(5e-3)
@@ -141,8 +138,7 @@ class TestAssembleL:
         u0 = 1e-2 * rng.standard_normal((J + 1) * (N - 1))
         J_fd = oracle_jacobian(F_vec, u0, h=1e-6)
         w0 = _unpack(u0, p, N, J, N)
-        M = operator_matrix(LinearizedOperator(traj, w0, EPS, sine_gordon,
-                                               N=N, N_tau=J))
+        M = operator_matrix(LinearizedOperator(traj, w0, EPS, sine_gordon, N=N))
         assert np.max(np.abs(J_fd - M)) < 1e-8
 
 
@@ -153,8 +149,7 @@ class TestLinearizedOperator:
         run = closure01.run
         N = run.effective_schedule[-1]
         args = (closure01.V_traj, run.w, run.eps, run.model, N)
-        kw = dict(N_tau=run.N_tau)
-        return (LinearizedOperator(*args, **kw), assemble_L(*args, **kw),
+        return (LinearizedOperator(*args), assemble_L(*args, N_tau=run.N_tau),
                 run.stages[-1])
 
     def test_apply_matches_oracle_at_canonical_size(self, canonical, rng):
@@ -194,7 +189,7 @@ class TestLinearizedOperator:
 
     def test_solves_and_reports(self, traj, sine_gordon, rng):
         w = small_field(rng, traj.period)
-        op = LinearizedOperator(traj, w, EPS, sine_gordon, N=5, N_tau=6)
+        op = LinearizedOperator(traj, w, EPS, sine_gordon, N=5)
         rhs = rng.standard_normal(op.size)
         x = op.solve(rhs)
         L = assemble_L(traj, w, EPS, sine_gordon, N=5, N_tau=6)

@@ -6,11 +6,12 @@ The assembled solution is the double Fourier evaluator
                     + sum_{j,k} B[j,k] cos(2 pi j eps omega x / p) sin(k omega t) ],
 
 periodic with t-period 2 pi / omega and x-period p / (eps omega), even in x
-and odd in t by construction.  The wave-equation residual is evaluated by
-exact term-wise differentiation of this evaluator (independent of the
-solver's internal residual path), the tail norm reproduces the theorem's
-Q-projection quantity in the original frame, and `epsilon_sweep` aggregates
-the eps-uniform claims over a non-resonant grid.
+and odd in t by construction: one series whose coefficients U[j, k] hold
+v's in the k = 1 column and B in the columns k >= 2.  u and its
+wave-equation residual (by exact term-wise differentiation, independent of
+the solver's internal residual path) are one evaluation each, the tail
+norm is max|w|, and `epsilon_sweep` aggregates the eps-uniform claims over
+a non-resonant grid.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True)
 class AssembledSolution:
-    """Closed-form double Fourier evaluation of the constructed solution."""
+    """The constructed solution as one double Fourier series."""
 
     eps: float
     period: float              # p of the slow frame
     v_cos_coeffs: Array        # cosine coefficients of the slow profile v
-    w: SpaceTimeField | None   # fast field in the physical frame
+    w: SpaceTimeField          # fast field in the physical frame
     model: Nonlinearity | None
 
     @property
@@ -80,54 +81,42 @@ class AssembledSolution:
     def x_period(self) -> float:
         return self.period / (self.eps * self.omega)
 
-    # -- evaluator and its exact derivatives --------------------------------
+    # -- the series and its exact derivatives --------------------------------
 
-    def _parts(self, x: Array, t: Array):
-        """Broadcast helpers: y/theta angles and basis matrices."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        y = self.eps * self.omega * x              # slow spatial angle
-        theta = self.omega * t
-        return x, t, y, theta
+    @property
+    def _coeffs(self) -> Array:
+        """U[j, k] of u/eps: column k = 1 holds the slow profile's cosine
+        coefficients, columns k >= 2 the fast field's."""
+        v, B = self.v_cos_coeffs, self.w.coeffs
+        U = np.zeros((max(v.shape[0], B.shape[0]), B.shape[1]))
+        U[:B.shape[0]] = B
+        U[:v.shape[0], 1] = v
+        return U
+
+    def _series(self, U: Array, x: Array, t: Array) -> Array:
+        """sum_{j,k} U[j,k] cos(2 pi j y / p) sin(k theta) on the tensor
+        grid, shape (len(t), len(x)), with y = eps omega x, theta = omega t."""
+        y = self.eps * self.omega * np.atleast_1d(np.asarray(x, dtype=float))
+        theta = self.omega * np.atleast_1d(np.asarray(t, dtype=float))
+        S = np.sin(np.outer(theta, np.arange(U.shape[1])))
+        return S @ cos_series(U, self.period, y).T
 
     def u_values(self, x: Array, t: Array) -> Array:
         """u on the tensor grid, shape (len(t), len(x))."""
-        x, t, y, theta = self._parts(x, t)
-        out = np.outer(np.sin(theta), cos_series(self.v_cos_coeffs, self.period, y))
-        if self.w is not None:
-            out = out + self._w_values(y, theta)
-        return self.eps * out
-
-    def _w_values(self, y: Array, theta: Array, y_order: int = 0,
-                  t_factor: Array | None = None) -> Array:
-        """The w series with its cosines in y differentiated ``y_order``
-        times and its sin(k theta) scaled by ``t_factor[k]``, (n_t, n_x)."""
-        S = np.sin(np.outer(theta, np.arange(self.w.band_x + 1)))
-        if t_factor is not None:
-            S = S * t_factor
-        return S @ cos_series(self.w.coeffs, self.period, y, y_order).T
+        return self.eps * self._series(self._coeffs, x, t)
 
     def residual_values(self, x: Array, t: Array) -> Array:
-        """u_tt - u_xx + u - f(u) by exact term-wise differentiation."""
-        x, t, y, theta = self._parts(x, t)
-        w2 = self.omega**2
-        e = self.eps
-        sin_t = np.sin(theta)
-        u = np.outer(sin_t, cos_series(self.v_cos_coeffs, self.period, y))
-        lin = -w2 * u \
-            - (e * self.omega) ** 2 * np.outer(
-                sin_t, cos_series(self.v_cos_coeffs, self.period, y, 2)) \
-            + u
-        if self.w is not None:
-            k2 = (np.arange(self.w.band_x + 1, dtype=float) * self.omega) ** 2
-            u_w = self._w_values(y, theta)
-            lin += -self._w_values(y, theta, t_factor=k2) \
-                - (e * self.omega) ** 2 * self._w_values(y, theta, y_order=2) \
-                + u_w
-            u = u + u_w
-        res = e * lin
+        """u_tt - u_xx + u - f(u) by exact term-wise differentiation: the
+        mode (j, k) of u/eps is scaled by its dispersion factor
+        1 - (k omega)^2 + (2 pi j eps omega / p)^2."""
+        U = self._coeffs
+        j = np.arange(U.shape[0], dtype=float)[:, None]
+        k = np.arange(U.shape[1], dtype=float)
+        factor = (1.0 - (k * self.omega) ** 2
+                  + (2.0 * np.pi * j * self.eps * self.omega / self.period) ** 2)
+        res = self.eps * self._series(U * factor, x, t)
         if self.model is not None:
-            res = res - self.model.eval(e * u)
+            res = res - self.model.eval(self.u_values(x, t))
         return res
 
     def symmetry_defects(self) -> tuple[float, float]:
@@ -170,31 +159,17 @@ def pde_residual(sol: AssembledSolution, grid: tuple[int, int] = (128, 128)) -> 
     return float(np.abs(sol.residual_values(xs, ts)).max())
 
 
-def tail_norm(sol: AssembledSolution, limit_orbit: PlanarOrbit) -> float:
+def tail_norm(sol: AssembledSolution) -> float:
     """sup_x of the C^0_t norm of Q_t[u(x, .)/eps - p(eps omega x)].
 
-    Q_t projects onto span{sin(k omega t), k >= 2}; by construction the
-    projection equals the assembled w contribution, and the value is
-    cross-checked against the field's sup-norm in tests.
+    Q_t projects onto span{sin(k omega t), k >= 2}.  The slow profile of
+    u/eps rides on sin(omega t) and p is constant in t, so Q_t leaves w:
+    the value is max|w| at `_TAIL_N_X` x and M_t = max(64, 4(K + 2)) t
+    samples of one period each (`values_grid`'s x = theta - pi gives the
+    same theta points, M_t being even).
     """
-    if sol.w is None:
-        return 0.0
-    K = sol.w.band_x
-    M_t = max(64, 4 * (K + 2))
-    ts = np.arange(M_t) * sol.t_period / M_t
-    xs = np.linspace(0.0, sol.x_period, _TAIL_N_X, endpoint=False)
-    u = sol.u_values(xs, ts) / sol.eps              # (M_t, n_x)
-    y = sol.eps * sol.omega * xs
-    # subtract the limit profile (constant in t per column)
-    vt = cos_series(limit_orbit.cos_coeffs, limit_orbit.period, y)
-    u = u - vt[None, :]
-    # project each column onto sin(k omega t), k >= 2
-    theta = sol.omega * ts
-    S = np.sin(np.outer(theta, np.arange(K + 1)))   # (M_t, K+1)
-    coef = (2.0 / M_t) * (S.T @ u)                  # (K+1, n_x)
-    coef[:2, :] = 0.0
-    proj = S @ coef                                  # (M_t, n_x)
-    return float(np.abs(proj).max())
+    M_t = max(64, 4 * (sol.w.band_x + 2))
+    return float(np.abs(sol.w.values_grid(_TAIL_N_X, M_t)).max())
 
 
 @dataclass(frozen=True)
@@ -233,7 +208,7 @@ def solve_point(model: Nonlinearity, amplitude: float, eps: float,
     return SolvedPoint(orbit=orbit, closure=closure, solution=sol,
                        residual=pde_residual(sol, residual_grid),
                        max_u=float(np.abs(sol.u_values(xs, ts)).max()),
-                       tail=tail_norm(sol, orbit))
+                       tail=tail_norm(sol))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from numpy.typing import NDArray
 
 from .divisors import ResonanceReport
 from .fourier import (SpaceTimeField, cos_analyze, cos_series,
-                      cos_synthesis_matrix, project_P, sin_synthesis_matrix,
-                      x_grid)
+                      cos_synthesis_matrix, project_P, sin_synthesis_matrix)
 from .nonlinearity import Nonlinearity, TrustRadiusError, collocate
 from .planar import PlanarOrbit, PlanarState, VTrajectory, monodromy
 from .solver import (SolverConfig, SolverRun, nash_moser_solve, resonance_gate,
@@ -101,11 +100,8 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
     i, each of shape (2, len(tau)): ``states[i][:, 0]`` is start i and
     ``states[i][:, -1]`` its end state V(period).
     """
-    # w(tau, x_m) = cos(omega tau) @ A on the _M_X-point x grid
-    A = omega = None
-    if w is not None:
-        A = w.coeffs @ sin_synthesis_matrix(_M_X, w.band_x).T
-        omega = 2.0 * np.pi * np.arange(w.band_tau + 1) / period
+    # w(tau, x_m) = cos_series(A, period, tau) on the _M_X-point x grid
+    A = None if w is None else w.coeffs @ sin_synthesis_matrix(_M_X, w.band_x).T
     # nodes s on [-1, 1], samples -> Chebyshev coefficients, and Q: (Q g)_k
     # integrates the interpolant of g from -1 to s_k; imported here, so that
     # runs which never certify skip its ~1 MB
@@ -123,7 +119,7 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
         half = 0.5 * (b - a)
         tau = a + half * (s + 1.0)
         tau[-1] = b
-        w_nodes = None if A is None else np.cos(np.outer(tau, omega)) @ A
+        w_nodes = None if A is None else cos_series(A, period, tau)
         Y, prev, accepted = np.repeat(y, _NODES, axis=2), np.inf, False
         for _ in range(64):
             if not np.all(np.isfinite(Y)):
@@ -235,8 +231,7 @@ def hamiltonian_H(state: PlanarState, w_slice, w_tau_slice, eps: float,
     H += 0.5 * np.sum(bt**2, axis=-1)
     H += (0.5 / eps**2) * np.sum((k**2 - 1.0 / w2) * b**2 * (k >= 2), axis=-1)
     if model is not None:
-        xs = x_grid(_M_X_H)
-        xi = np.multiply.outer(state.p, np.sin(xs))
+        xi = np.multiply.outer(state.p, sin_synthesis_matrix(_M_X_H, 1)[:, 1])
         if b.shape[-1] > 2:
             xi = xi + (sin_synthesis_matrix(_M_X_H, b.shape[-1] - 1) @ b.T).T
         H += (2.0 / (_M_X_H * w2)) * np.sum(model.scaled_antideriv(xi, eps),
@@ -244,10 +239,8 @@ def hamiltonian_H(state: PlanarState, w_slice, w_tau_slice, eps: float,
     return float(H) if np.ndim(H) == 0 else H
 
 
-def _H_at(tau, traj_state: PlanarState, w: SpaceTimeField | None,
-          eps: float, model: Nonlinearity | None):
-    if w is None:
-        return hamiltonian_H(traj_state, None, None, eps, model)
+def _H_at(tau, traj_state: PlanarState, w: SpaceTimeField, eps: float,
+          model: Nonlinearity | None):
     return hamiltonian_H(traj_state, cos_series(w.coeffs, w.period, tau),
                          cos_series(w.coeffs, w.period, tau, order=1), eps, model)
 

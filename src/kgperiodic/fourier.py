@@ -52,10 +52,16 @@ def x_grid(M: int) -> Array:
     return -np.pi + 2.0 * np.pi * np.arange(M) / M
 
 
+def _phase(M: int, N: int) -> Array:
+    """2 pi ((m k) mod M) / M for m < M, k <= N, reduced exactly."""
+    return (2.0 * np.pi / M) * (np.outer(np.arange(M), np.arange(N + 1)) % M)
+
+
 @lru_cache(maxsize=64)
 def sin_synthesis_matrix(M: int, N: int) -> Array:
-    """S[m, k] = sin(k * x_m) for k = 0..N on the M-point x grid."""
-    S = np.sin(np.outer(x_grid(M), np.arange(N + 1)))
+    """S[m, k] = sin(k * x_m) = (-1)^k sin(2 pi ((m k) mod M) / M) for
+    k = 0..N on the M-point x grid."""
+    S = np.sin(_phase(M, N)) * (-1.0) ** np.arange(N + 1)
     S.flags.writeable = False
     return S
 
@@ -63,7 +69,7 @@ def sin_synthesis_matrix(M: int, N: int) -> Array:
 @lru_cache(maxsize=64)
 def cos_synthesis_matrix(M: int, N: int) -> Array:
     """C[m, j] = cos(2*pi*j*m/M) for j = 0..N (period-agnostic)."""
-    C = np.cos(2.0 * np.pi * np.outer(np.arange(M), np.arange(N + 1)) / M)
+    C = np.cos(_phase(M, N))
     C.flags.writeable = False
     return C
 

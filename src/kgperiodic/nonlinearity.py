@@ -131,7 +131,8 @@ class Nonlinearity:
         """Build a model from a config mapping.
 
         Accepted forms: {"model": "sine-gordon"}, {"model": "phi4"},
-        {"model": "custom", "odd_coeffs": [c3, c5, ...], "trust_radius": r}.
+        {"model": "custom", "odd_coeffs": [c3, c5, ...], "trust_radius": r};
+        a string or a boolean is not a number and raises `ValueError`.
         """
         kind = spec.get("model")
         allowed = {"model", "odd_coeffs", "trust_radius"} if kind == "custom" \
@@ -144,9 +145,15 @@ class Nonlinearity:
         if kind == "phi4":
             return cls.phi4()
         if kind == "custom":
-            coeffs = tuple(float(c) for c in spec.get("odd_coeffs", ()))
-            radius = float(spec.get("trust_radius", 1.0))
-            return cls("custom", coeffs, trust_radius=radius)
+            coeffs = spec.get("odd_coeffs", [])
+            radius = spec.get("trust_radius", 1.0)
+            if not (isinstance(coeffs, list) and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in [*coeffs, radius])):
+                raise ValueError("odd_coeffs must be a list of numbers and "
+                                 "trust_radius a number")
+            return cls("custom", tuple(map(float, coeffs)),
+                       trust_radius=float(radius))
         raise ValueError(f"unknown model spec: {spec!r}")
 
     # -- basic evaluation ----------------------------------------------------

@@ -32,7 +32,7 @@ from .divisors import (DivisorTable, ResonanceError, ResonanceParams,
                        averaged_potential, hill_eigs, is_resonant,
                        multiplication_matrix)
 from .fourier import (SpaceTimeField, cos_synthesis_matrix,
-                      sin_synthesis_matrix, x_grid)
+                      sin_synthesis_matrix)
 from .nonlinearity import Nonlinearity, collocate
 from .normalform import (AveragedStart, _grids, _linear_symbol, assemble_F,
                          nf_sequence)
@@ -221,7 +221,7 @@ class LinearizedOperator:
     zero-step stage's conditioning) never makes them.
 
     The matrix is fixed by the 2-d cosine coefficients c[n, p] of eps^2 m,
-    analyzed by a small cosine table in x and a real FFT in tau:
+    analyzed by real FFTs in x and in tau:
     since sin(kx) sin(lx) = (cos((k-l)x) - cos((k+l)x))/2, the multiplication
     part has (k, l) block A[|k-l|] - A[k+l] with A[p] the Toeplitz-plus-Hankel
     matrix of c[:, p] (`multiplication_matrix`, as in `hill_eigs`).  The
@@ -262,8 +262,11 @@ class LinearizedOperator:
         self._m = collocate(model, eps, V_traj.resample(M_tau), w_values, M_x,
                             order=1)
 
-        cos_x = np.cos(np.outer(x_grid(M_x), np.arange(2 * N + 1)))
-        c = np.fft.rfft(self._m @ cos_x, axis=0).real[:2 * N_tau + 1]
+        # x-cosine sums by a real FFT, times (-1)^p for the grid's start at
+        # -pi; M_x / 2 + 1 >= 2N + 5 frequencies cover p <= 2N
+        m_x = (np.fft.rfft(self._m, axis=1).real[:, :2 * N + 1]
+               * (-1.0) ** np.arange(2 * N + 1))
+        c = np.fft.rfft(m_x, axis=0).real[:2 * N_tau + 1]
         e = (eps**2 / (M_tau * M_x)) * c.T
         A = multiplication_matrix(e, N_tau)
         ks = np.arange(2, N + 1)

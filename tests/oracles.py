@@ -21,7 +21,9 @@ potential but assembles and diagonalizes the full Galerkin matrix; the
 collocated Hill potential `oracle_averaged_potential`, which averages the
 package's `collocate` multiplier over an x grid; and `dop853_slow_flow`,
 which integrates the slow equation's collocated forcing one tau at a time
-with SciPy's DOP853 instead of the package's Chebyshev-Picard segments.
+with SciPy's DOP853 instead of the package's Chebyshev-Picard segments;
+and `tail_oracle`, which projects the package's `u_values` onto the fast
+time modes by its own sine sums.
 Two helpers are not oracles: `limit_rhs`, the limit oscillator's
 right-hand side, and `v_at`, which evaluates a trajectory through the
 package's `cos_series`.
@@ -276,6 +278,27 @@ def dop853_slow_flow(starts, w, eps: float, model, period: float,
                     atol=1e-15)
     assert sol.success, sol.message
     return sol.y[:, -1].reshape(2, m).T
+
+
+def tail_oracle(sol, limit_orbit) -> float:
+    """The theorem's tail sup|Q_t[u/eps - p(eps omega x)]| by its definition.
+
+    u/eps is synthesized by ``sol.u_values`` on 128 x samples of one
+    x-period and M_t = max(64, 4(K + 2)) t samples of one t-period, the
+    limit profile p is subtracted, and each column is projected onto
+    sin(k omega t), k >= 2, and resynthesized.
+    """
+    K = sol.w.band_x
+    M_t = max(64, 4 * (K + 2))
+    ts = np.arange(M_t) * sol.t_period / M_t
+    xs = np.linspace(0.0, sol.x_period, 128, endpoint=False)
+    y = sol.eps * sol.omega * xs
+    u = (sol.u_values(xs, ts) / sol.eps
+         - cos_series(limit_orbit.cos_coeffs, limit_orbit.period, y))
+    S = np.sin(np.outer(sol.omega * ts, np.arange(K + 1)))
+    coef = (2.0 / M_t) * (S.T @ u)
+    coef[:2] = 0.0
+    return float(np.abs(S @ coef).max())
 
 
 def log_fit(x, y) -> tuple[float, float]:

@@ -24,6 +24,8 @@ from kgperiodic.closure import (
 from kgperiodic.fourier import SpaceTimeField
 from kgperiodic.solver import NonConvergenceError, SolverConfig
 
+from oracles import tail_oracle
+
 # Frozen canonical values at eps = 0.1, amplitude 0.9 (deterministic run).
 T_PERIOD_01 = 6.252003053624663
 X_PERIOD_01 = 60.27965249036394
@@ -69,21 +71,28 @@ class TestEvaluator:
 
     def test_linear_residual_single_mode(self):
         # with model=None the residual of one cos(j.) sin(k.) mode is its
-        # exact dispersion factor 1 - (k om)^2 + (2 pi j eps om / p)^2
+        # exact dispersion factor 1 - (k om)^2 + (2 pi j eps om / p)^2: a
+        # fast mode (k = 3) of w and a slow one (k = 1) of v, both at j = 2
         eps, period = 0.2, 6.0
         om = math.sqrt(1.0 + eps**2)
         B = np.zeros((3, 4))
         B[2, 3] = 1.0
-        sol = AssembledSolution(eps=eps, period=period,
-                                v_cos_coeffs=np.zeros(1),
-                                w=SpaceTimeField(period=period, coeffs=B),
-                                model=None)
-        factor = 1.0 - (3.0 * om) ** 2 + (4.0 * np.pi * eps * om / period) ** 2
+        fast = AssembledSolution(eps=eps, period=period,
+                                 v_cos_coeffs=np.zeros(1),
+                                 w=SpaceTimeField(period=period, coeffs=B),
+                                 model=None)
+        slow = AssembledSolution(eps=eps, period=period,
+                                 v_cos_coeffs=np.array([0.0, 0.0, 1.0]),
+                                 w=SpaceTimeField.zeros(period, 0, 2),
+                                 model=None)
         x, t = np.array([0.83]), np.array([1.21])
         y, theta = eps * om * 0.83, om * 1.21
-        mode = math.cos(4 * math.pi * y / period) * math.sin(3 * theta)
-        assert sol.residual_values(x, t)[0, 0] == pytest.approx(
-            eps * factor * mode, rel=1e-12)
+        for sol, k in ((fast, 3), (slow, 1)):
+            factor = (1.0 - (k * om) ** 2
+                      + (4.0 * np.pi * eps * om / period) ** 2)
+            mode = math.cos(4 * math.pi * y / period) * math.sin(k * theta)
+            assert sol.residual_values(x, t)[0, 0] == pytest.approx(
+                eps * factor * mode, rel=1e-12)
 
 
 class TestCanonicalSolution:
@@ -127,18 +136,24 @@ class TestCanonicalSolution:
         assert solution01.model is closure01.run.model
 
     def test_solve_point_measures_the_assembly(self, solution01, closure01,
-                                               orbit09, sine_gordon):
+                                               sine_gordon):
         point = solve_point(sine_gordon, 0.9, 0.1, SolverConfig(), (128, 128))
         assert point.converged
         assert point.closure.delta1 == closure01.delta1
         assert point.residual == pde_residual(solution01, (128, 128))
-        assert point.tail == tail_norm(solution01, orbit09)
+        assert point.tail == tail_norm(solution01)
         assert point.max_u_over_eps == pytest.approx(MAX_U_OVER_EPS_01,
                                                      abs=1e-9)
         assert np.array_equal(point.solution.w.coeffs, solution01.w.coeffs)
 
-    def test_tail_equals_w_contribution(self, solution01, orbit09):
-        tail = tail_norm(solution01, orbit09)
+    def test_tail_matches_projection_oracle(self, solution01, orbit09):
+        # u/eps minus the limit profile, projected onto sin(k omega t) for
+        # k >= 2, leaves w on the same samples
+        assert abs(tail_norm(solution01)
+                   - tail_oracle(solution01, orbit09)) <= 1e-13
+
+    def test_tail_equals_w_contribution(self, solution01):
+        tail = tail_norm(solution01)
         w_sup = np.abs(solution01.w.values_grid(256, 256)).max()
         assert tail > 0.0
         assert 0.99 < tail / w_sup < 1.01

@@ -328,10 +328,14 @@ def test_nonfinite_or_out_of_range_numbers_exit_1(tmp_path, capsys, command, cfg
     {"model": "custom", "odd_coeffs": [1.0, NAN]},
     {"model": "custom", "odd_coeffs": [1.0], "trust_radius": INF},
     {"model": "custom", "odd_coeffs": [1.0, 1e308, 1e308]},
+    {"model": "custom", "odd_coeffs": [1.0, True]},
+    {"model": "custom", "odd_coeffs": [1.0], "trust_radius": "2"},
+    {"model": "custom", "odd_coeffs": "123"},
 ])
 def test_nonfinite_or_overflowing_model_exits_1(tmp_path, capsys, command,
                                                 extra, model):
-    # the model's coefficients and trust radius are checked when it is built
+    # the model's coefficients and trust radius are checked when it is
+    # built; a boolean, a string or a non-list is not read as a number
     cfg = {"model": model, **extra, "out_dir": str(tmp_path)}
     assert run_cli(tmp_path, command, cfg) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err

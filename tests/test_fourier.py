@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from kgperiodic.fourier import (
     AliasingError,
     SpaceTimeField,
     cos_series,
+    cos_synthesis_matrix,
     invert_J_eps,
     j_eps_symbol,
     multiply_to_even,
@@ -155,6 +157,25 @@ class TestSerialization:
         doc = json.loads(json.dumps(random_qfield(rng).to_json_dict()))
         assert set(doc) == {"period", "bands", "coeffs"}
         assert all(len(entry) == 3 for entry in doc["coeffs"])
+
+
+class TestTables:
+    def test_tables_match_mpmath(self, rng):
+        # built from the integer-reduced phase, both tables stay within a
+        # few ulps at N = 2048, where sin(k x_m) and cos(2 pi j m / M) of
+        # the unreduced argument were off by 2.3e-12
+        N = 2048
+        M = 2 * N + 2
+        S = sin_synthesis_matrix.__wrapped__(M, N)   # kept out of the cache
+        C = cos_synthesis_matrix.__wrapped__(M, N)
+        err_s = err_c = 0.0
+        with mpmath.workdps(30):
+            for m, k in zip(rng.integers(0, M, 2000).tolist(),
+                            rng.integers(0, N + 1, 2000).tolist()):
+                x = 2 * mpmath.pi * m / M
+                err_s = max(err_s, abs(S[m, k] - mpmath.sin(k * (x - mpmath.pi))))
+                err_c = max(err_c, abs(C[m, k] - mpmath.cos(k * x)))
+        assert max(err_s, err_c) <= 4 * np.finfo(float).eps
 
 
 class TestCosSeries:

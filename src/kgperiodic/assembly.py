@@ -144,7 +144,7 @@ def assemble_u(closure: ClosureResult) -> AssembledSolution:
                             v_cos_coeffs=traj.cos_coeffs.copy(),
                             w=run.w, model=run.model)
     even, odd = sol.symmetry_defects()
-    scale = max(1.0, np.abs(traj.v_samples).max())
+    scale = max(1.0, np.abs(traj.samples()[0]).max())
     if even > 1e-12 * scale or odd > 1e-12 * scale:
         raise AssemblyError(
             f"symmetry defects (even {even:.3e}, odd {odd:.3e}) exceed 1e-12")

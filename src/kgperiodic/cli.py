@@ -383,7 +383,6 @@ def cmd_solve(cfg: dict) -> int:
             "max_u": point.max_u,
             "max_u_over_eps": point.max_u_over_eps,
             "tail_sup": point.tail,
-            "w_sup": sol.w.sup_norm(),
             "symmetry_defects": sol.symmetry_defects(),
         },
     }
@@ -392,14 +391,14 @@ def cmd_solve(cfg: dict) -> int:
                                        "field": sol.w.to_json_dict()},
                 indent=None)
     traj = closure.V_traj
-    grid = traj.period * np.arange(traj.v_samples.shape[0]) / traj.v_samples.shape[0]
+    v, v_tau = traj.samples()
+    grid = traj.period * np.arange(v.size) / v.size
     _write_json(out / "v_traj.json", {
         "config": resolved,
         "delta1": closure.delta1,
         "trajectory": {
             "period": traj.period,
-            "samples": [[float(t), float(v), float(vt)] for t, v, vt in
-                        zip(grid, traj.v_samples, traj.v_tau_samples)],
+            "samples": np.column_stack([grid, v, v_tau]).tolist(),
         },
     }, indent=None)
     print(f"solve: eps {eps!r} converged {closure.run.converged} closed "

@@ -160,7 +160,8 @@ def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
                model: Nonlinearity | None, period: float) -> tuple[Array, float]:
     """Cosine coefficients a[0..J] of the even periodic slow solution at frozen w.
 
-    Collocates on the 2(J + 1)-point tau grid of `VTrajectory` and drives
+    Collocates on the 2(J + 1)-point tau grid that resolves the series
+    (`VTrajectory.samples`'s default) and drives
     R_j = (1/omega^2 - (2 pi j/period)^2) a_j - cos_analyze(P[collocate])_j
     to round-off by Newton from ``a0``; the Jacobian is that diagonal minus
     the cosine-Galerkin matrix of P[collocate(order=1) sin x].  Steps are
@@ -300,9 +301,10 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     """Couple the slow equation with fast solves until the orbit closes.
 
     Alternates (a) `galerkin_v` at frozen w on `_N_SAMPLES` tau samples,
-    started from the seed orbit and then from the previous round, with (b)
-    fast-component solves on the updated trajectory, until delta_1 and the
-    w-update both move by at most `_TOL_OUTER`.
+    started from the seed orbit's series (``orbit.trajectory``) and then
+    from the previous round, whose coefficients are the round's
+    trajectory, with (b) fast-component solves on that trajectory, until
+    delta_1 and the w-update both move by at most `_TOL_OUTER`.
 
     This loop owns the resonance gate.  Round 1, and any round that can
     end the loop (delta moved by at most `_TOL_OUTER`), runs
@@ -342,15 +344,14 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     K = schedule_for(eps, solver)[1][-1]
     w_field: SpaceTimeField | None = None
     run: SolverRun | None = None
-    # the seed orbit's series, zero-padded or cut to the Galerkin band
-    coeffs = np.pad(orbit.cos_coeffs, (0, _N_SAMPLES))[:_N_SAMPLES // 2]
+    coeffs = orbit.trajectory(_N_SAMPLES).cos_coeffs
     history: list[tuple] = []
 
     for outer in range(1, _MAX_OUTER + 1):
         # (a) the slow equation at frozen w; evenness puts V(0) on the
         # conormal line through the base point
         coeffs, r = galerkin_v(coeffs, w_field, eps, model, period)
-        traj = VTrajectory.from_cos_coeffs(period, coeffs)
+        traj = VTrajectory(period, coeffs)
         delta = float((np.array(traj.start) - base) @ n_hat)
         # (b) fast solve on the updated trajectory; only a round whose delta
         # has settled may be the reported one, so it solves cold and gated

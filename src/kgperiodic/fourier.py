@@ -109,18 +109,16 @@ def cos_series(coeffs: Array, period: float, taus: Array | float,
 
     ``coeffs`` runs over j on its first axis; further axes (the sine
     wavenumbers of a space-time field) are kept, so the result has shape
-    ``shape(taus) + coeffs.shape[1:]``.  ``order`` is 0, 1 or 2.
+    ``shape(taus) + coeffs.shape[1:]``.  ``order`` is 0 or 1.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
     j = np.arange(coeffs.shape[0])
     ang = 2.0 * np.pi * np.multiply.outer(np.asarray(taus, dtype=float), j) / period
     if order == 0:
         return np.cos(ang) @ coeffs
     om = (2.0 * np.pi * j / period).reshape((-1,) + (1,) * (coeffs.ndim - 1))
-    if order == 1:
-        return -np.sin(ang) @ (om * coeffs)
-    return np.cos(ang) @ (-om**2 * coeffs)
+    return -np.sin(ang) @ (om * coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +197,6 @@ class SpaceTimeField:
         wj = temporal_weights(self.band_tau)
         wk = spatial_weights(self.band_x, s)
         return float(np.sqrt(np.einsum("j,k,jk->", wj, wk, self.coeffs**2)))
-
-    def sup_norm(self) -> float:
-        vals = self.values_grid(max(4 * self.band_tau, 16),
-                                max(4 * self.band_x, 16))
-        return float(np.max(np.abs(vals)))
 
     # -- band projections --------------------------------------------------
     def pi_N(self, N: int) -> "SpaceTimeField":

@@ -18,7 +18,8 @@ period T = 4 K / nu, K - E (DLMF 19.8.6) and so dK/dk^2 (DLMF 19.4.1) for
 the monodromy, and the nome q = exp(-pi K'/K).  The cosine coefficients sit
 at the odd harmonics 2n + 1 of T: a 2 pi/(k K) q^(n+1/2) / (1 + q^(2n+1))
 for cn (DLMF 22.11.2), and (-1)^n times that with 1 - q^(2n+1) for
-cd(u) = sn(u + K) (DLMF 22.11.1).  They are computed once per orbit.
+cd(u) = sn(u + K) (DLMF 22.11.1).  They are computed once per orbit, and
+they are its trajectory (`VTrajectory`), sampled only on demand.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from math import sqrt
 
 import numpy as np
 from numpy.typing import NDArray
-
-from .fourier import cos_analyze, cos_series, cos_synthesis_matrix
 
 Array = NDArray[np.float64]
 
@@ -68,57 +67,34 @@ def _unpack(state) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 class VTrajectory:
-    """One period of the slow variable on a uniform tau grid.
+    """One period of the even slow variable as its cosine series,
+    ``v(tau) = sum_j cos_coeffs[j] cos(2 pi j tau / period)``.
 
-    ``v_samples[m] = v(period * m / M)``; trajectories are even in tau, so a
-    cosine series interpolates them spectrally (``cos_coeffs``, used by
-    ``v_tau_at``).  ``v_tau_samples`` are given, or with None the
-    series' derivative on the same grid, formed on first read.  A
-    trajectory is not changed after construction, so `resample` keeps each
-    grid it builds.
+    Every sample is formed from the series by the folded FFT of
+    `_grid_sample`, exact on any uniform grid.  A trajectory is not changed
+    after construction, so `resample` keeps each v grid it builds.
     """
 
-    def __init__(self, period: float, v_samples: Array,
-                 v_tau_samples: Array | None, start: tuple[float, float]):
+    def __init__(self, period: float, cos_coeffs: Array):
         self.period = period
-        self.v_samples = np.asarray(v_samples, dtype=float)
-        self._v_tau_samples = (None if v_tau_samples is None
-                               else np.asarray(v_tau_samples, dtype=float))
-        self.start = start
-        self.cos_coeffs = cos_analyze(self.v_samples, self.n_samples // 2 - 1)
+        self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)
         self._resampled: dict[int, Array] = {}
 
-    @classmethod
-    def from_cos_coeffs(cls, period: float, coeffs: Array) -> "VTrajectory":
-        """The even trajectory sum_j coeffs[j] cos(2 pi j tau / period),
-        sampled on 2 len(coeffs) points."""
-        n = 2 * coeffs.shape[0]
-        v = cos_synthesis_matrix(n, coeffs.shape[0] - 1) @ coeffs
-        return cls(period, v, None, start=(float(v[0]), 0.0))
-
     @property
-    def v_tau_samples(self) -> Array:
-        if self._v_tau_samples is None:
-            self._v_tau_samples = self.v_tau_at(
-                self.period * np.arange(self.n_samples) / self.n_samples)
-        return self._v_tau_samples
+    def start(self) -> tuple[float, float]:
+        """(v, v_tau) at tau = 0."""
+        return float(self.cos_coeffs.sum()), 0.0
 
-    @property
-    def n_samples(self) -> int:
-        return self.v_samples.shape[0]
-
-    def v_tau_at(self, taus: Array | float) -> Array:
-        return cos_series(self.cos_coeffs, self.period, taus, order=1)
+    def samples(self, M: int | None = None) -> tuple[Array, Array]:
+        """(v, v_tau) at tau = period m / M, m < M (default: the
+        2 len(cos_coeffs) points that resolve the series)."""
+        return _grid_sample(self.cos_coeffs, self.period,
+                            M or 2 * self.cos_coeffs.size)
 
     def resample(self, M: int) -> Array:
-        """v on the uniform M-point grid (spectral interpolation), read-only
-        and built once per M by the folded inverse FFT of `_grid_sample`,
-        which samples the cosine series exactly on any M."""
-        if M == self.n_samples:
-            return self.v_samples
+        """v on the uniform M-point grid, read-only and built once per M."""
         if M not in self._resampled:
-            v = np.ascontiguousarray(
-                _grid_sample(self.cos_coeffs, self.period, M)[0])
+            v = np.ascontiguousarray(self.samples(M)[0])
             v.flags.writeable = False
             self._resampled[M] = v
         return self._resampled[M]
@@ -159,10 +135,10 @@ class PlanarOrbit:
         return PlanarState(a + (self.f3 / 8.0) * a**3, 0.0)
 
     def trajectory(self, M: int | None = None) -> VTrajectory:
-        """The orbit on the uniform M-point grid (default: its own grid)."""
+        """The orbit's first M // 2 cosine coefficients, zero-padded, which
+        an M-point grid resolves (default M: its own grid)."""
         M = M or self.p.shape[0]
-        p, p_tau = _grid_sample(self.cos_coeffs, self.period, M)
-        return VTrajectory(self.period, p, p_tau, start=(self.amplitude, 0.0))
+        return VTrajectory(self.period, np.pad(self.cos_coeffs, (0, M))[:M // 2])
 
     def to_json_dict(self) -> dict:
         return {"f3": self.f3, "amplitude": self.amplitude, "period": self.period,

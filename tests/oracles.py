@@ -24,9 +24,9 @@ which integrates the slow equation's collocated forcing one tau at a time
 with SciPy's DOP853 instead of the package's Chebyshev-Picard segments;
 and `tail_oracle`, which projects the package's `u_values` onto the fast
 time modes by its own sine sums.
-Two helpers are not oracles: `limit_rhs`, the limit oscillator's
-right-hand side, and `v_at`, which evaluates a trajectory through the
-package's `cos_series`.
+Three helpers are not oracles: `limit_rhs`, the limit oscillator's
+right-hand side, and `v_at` and `v_tau_at`, which evaluate a trajectory
+and its derivative through the package's `cos_series`.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ def limit_rhs(state, f3: float):
 def v_at(traj, taus):
     """The slow variable of a `VTrajectory` at ``taus``, by its cosine series."""
     return cos_series(traj.cos_coeffs, traj.period, taus)
+
+
+def v_tau_at(traj, taus):
+    """Its tau-derivative at ``taus``, by the same series."""
+    return cos_series(traj.cos_coeffs, traj.period, taus, order=1)
 
 
 def duffing_period(amplitude: float, f3: float) -> float:

@@ -108,6 +108,11 @@ class TestCanonicalSolution:
     def test_pde_residual_small(self, solution01):
         assert pde_residual(solution01, (128, 128)) < 1e-10
 
+    def test_pde_residual_at_round_off(self, solution01):
+        # v enters as its Galerkin series: no round-off from sampling and
+        # re-analysing it reaches the factor (2 pi j eps omega / p)^2
+        assert pde_residual(solution01, (128, 128)) <= 1e-16
+
     def test_residual_against_finite_differences(self, solution01,
                                                  sine_gordon):
         # independent check of the term-wise differentiation: centered

@@ -21,7 +21,7 @@ from kgperiodic.divisors import (DivisorTable, HillSpectrum, ResonanceError,
 from kgperiodic.nonlinearity import TrustRadiusError
 from kgperiodic.planar import PlanarState, VTrajectory, find_orbit
 
-from oracles import dop853_slow_flow, v_at
+from oracles import dop853_slow_flow, v_at, v_tau_at
 
 # Frozen canonical shooting parameter at eps = 0.1, amplitude 0.9 (default
 # solver settings); the run is fully deterministic.
@@ -174,9 +174,9 @@ class TestGalerkinV:
                                eps, sine_gordon, period)
 
         tau, [y] = defect(delta)
-        galerkin = VTrajectory.from_cos_coeffs(period, a)
+        galerkin = VTrajectory(period, a)
         assert np.max(np.abs(y[0] - v_at(galerkin, tau))) <= 1e-11
-        assert np.max(np.abs(y[1] - galerkin.v_tau_at(tau))) <= 1e-11
+        assert np.max(np.abs(y[1] - v_tau_at(galerkin, tau))) <= 1e-11
         t_a = y[1, -1]
         t_b = defect(delta + 1e-6)[1][0][1, -1]
         shot = delta - t_a * 1e-6 / (t_b - t_a)
@@ -374,8 +374,8 @@ class TestSolveDelta1:
         # from the Galerkin trajectory, the separate one carried to the
         # stacked nodes
         V = closure01.V_traj
-        dev = y - np.array([v_at(V, tau), V.v_tau_at(tau)])
-        dev_a = y_a - np.array([v_at(V, tau_a), V.v_tau_at(tau_a)])
+        dev = y - np.array([v_at(V, tau), v_tau_at(V, tau)])
+        dev_a = y_a - np.array([v_at(V, tau_a), v_tau_at(V, tau_a)])
         for k in range(2):
             carried = np.interp(tau, tau_a, dev_a[k])
             assert np.max(np.abs(dev[k] - carried)) <= 1e-12

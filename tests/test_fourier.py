@@ -180,7 +180,7 @@ class TestTables:
 
 class TestCosSeries:
     def test_single_mode_derivatives(self):
-        # a cos(om tau), om = 2 pi 3 / p, and its first two tau-derivatives
+        # a cos(om tau), om = 2 pi 3 / p, and its tau-derivative
         p, a = 5.0, 0.7
         tau = np.array([0.0, 0.3, 1.9, 4.2])
         om = 2.0 * np.pi * 3.0 / p
@@ -190,8 +190,6 @@ class TestCosSeries:
                            atol=1e-15)
         assert np.allclose(cos_series(c, p, tau, 1), -a * om * np.sin(om * tau),
                            atol=1e-14)
-        assert np.allclose(cos_series(c, p, tau, 2),
-                           -a * om**2 * np.cos(om * tau), atol=1e-14)
 
     def test_field_slices_match_grid(self, rng):
         # the rows of a space-time field at the grid times synthesize its
@@ -208,7 +206,7 @@ class TestCosSeries:
 
     def test_order_3_rejected(self):
         with pytest.raises(ValueError):
-            cos_series(np.ones(3), 1.0, 0.0, order=3)
+            cos_series(np.ones(3), 1.0, 0.0, order=2)
 
 
 class TestEvenProducts:

@@ -14,7 +14,7 @@ from kgperiodic.planar import (
 
 from oracles import (duffing_period, duffing_period_slope, ellipj_orbit,
                      fd_monodromy, limit_rhs, mpmath_orbit, oracle_orbit,
-                     v_at)
+                     v_at, v_tau_at)
 
 # Period of the a = 1, f3 = 1 orbit by the energy quadrature oracle.
 T_A1_ORACLE = 6.008794252858908
@@ -212,21 +212,19 @@ class TestTrajectory:
         assert set(doc) == {"f3", "amplitude", "period", "energy", "samples"}
         assert all(len(s) == 3 for s in doc["samples"])
 
-    def test_galerkin_derivative_formed_on_first_read(self, monkeypatch):
-        # a trajectory built from cosines differentiates its series only
-        # when v_tau_samples is read, and then once
-        calls = []
-        v_tau_at = planar.VTrajectory.v_tau_at
-
-        def counted(self, taus):
-            calls.append(1)
-            return v_tau_at(self, taus)
-
-        monkeypatch.setattr(planar.VTrajectory, "v_tau_at", counted)
-        traj = planar.VTrajectory.from_cos_coeffs(
-            6.0, np.array([0.9, 0.05, -0.01, 0.002]))
-        assert traj.start == (traj.v_samples[0], 0.0) and not calls
-        grid = 6.0 * np.arange(8) / 8
-        assert np.array_equal(traj.v_tau_samples, v_tau_at(traj, grid))
-        assert traj.v_tau_samples is traj.v_tau_samples
-        assert len(calls) == 1
+    def test_samples_and_coefficients_from_the_series(self):
+        # an orbit's trajectory(M) holds its first M // 2 cosines, cut or
+        # zero-padded, and samples(M) is that series and its derivative
+        orbit = find_orbit(1.0, 0.9)
+        n = orbit.cos_coeffs.size
+        for M in (n, 4 * n):
+            traj = orbit.trajectory(M)
+            expected = np.zeros(M // 2)
+            expected[:min(n, M // 2)] = orbit.cos_coeffs[:M // 2]
+            assert np.array_equal(traj.cos_coeffs, expected)
+            assert traj.start == (traj.cos_coeffs.sum(), 0.0)
+            v, v_tau = traj.samples(M)
+            grid = orbit.period * np.arange(M) / M
+            assert np.max(np.abs(v - v_at(traj, grid))) <= 1e-15
+            assert np.max(np.abs(v_tau - v_tau_at(traj, grid))) <= 1e-15
+            assert np.array_equal(traj.samples()[0], traj.samples(M // 2 * 2)[0])

@@ -207,8 +207,7 @@ class TestLinearizedOperator:
         period = 2.0 * np.pi
         spec = HillSpectrum.flat(period, 200)
         center = epsilon_kj(2, 115, spec)
-        flat = VTrajectory(period=period, v_samples=np.zeros(16),
-                           v_tau_samples=np.zeros(16), start=(0.0, 0.0))
+        flat = VTrajectory(period, np.zeros(8))
         w = SpaceTimeField.zeros(period, 120, 2)
         op = LinearizedOperator(flat, w, center, None, N=2)
         with pytest.raises(ResonanceError) as info:
@@ -279,7 +278,7 @@ class TestParitySplit:
 
     def test_even_harmonic_solves_whole_blocks(self, sine_gordon, rng):
         # a j = 2 harmonic in v puts odd harmonics in m, far above round-off
-        traj = VTrajectory.from_cos_coeffs(6.0, np.array([0.0, 0.9, 0.05, 0.01]))
+        traj = VTrajectory(6.0, np.array([0.0, 0.9, 0.05, 0.01]))
         w = SpaceTimeField.zeros(traj.period, 24, 4)
         op = LinearizedOperator(traj, w, EPS, sine_gordon, 4)
         L = assemble_L(traj, w, EPS, sine_gordon, 4)

@@ -67,7 +67,7 @@ class AssembledSolution:
     period: float              # p of the slow frame
     v_cos_coeffs: Array        # cosine coefficients of the slow profile v
     w: SpaceTimeField          # fast field in the physical frame
-    model: Nonlinearity | None
+    model: Nonlinearity
 
     @property
     def omega(self) -> float:
@@ -114,10 +114,8 @@ class AssembledSolution:
         k = np.arange(U.shape[1], dtype=float)
         factor = (1.0 - (k * self.omega) ** 2
                   + (2.0 * np.pi * j * self.eps * self.omega / self.period) ** 2)
-        res = self.eps * self._series(U * factor, x, t)
-        if self.model is not None:
-            res = res - self.model.eval(self.u_values(x, t))
-        return res
+        return (self.eps * self._series(U * factor, x, t)
+                - self.model.eval(self.u_values(x, t)))
 
     def symmetry_defects(self) -> tuple[float, float]:
         """(max |u(x,t) - u(-x,t)|, max |u(x,t) + u(x,-t)|) on a

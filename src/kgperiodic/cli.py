@@ -107,14 +107,18 @@ def _get_number(cfg: dict, key: str, default, lo=None, hi=None,
         raise ConfigError(f"field {key!r} must be a number, not null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {key!r} must be a number")
-    if isinstance(value, float) and not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:       # a JSON integer past the double range
+        raise ConfigError(f"field {key!r} is past the double range") from None
+    if not math.isfinite(number):
         raise ConfigError(f"field {key!r} must be finite, got {value}")
     if integer:
-        if float(value) != int(value):
+        if number != int(value):
             raise ConfigError(f"field {key!r} must be an integer")
         value = int(value)
     else:
-        value = float(value)
+        value = number
     if lo is not None and value < lo:
         raise ConfigError(f"field {key!r} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
@@ -308,9 +312,8 @@ def cmd_divisors(cfg: dict) -> int:
                           f"(k, j) pairs; at most {MAX_DIVISOR_PAIRS} are tabulated")
     period = _get_number(cfg, "period", 2.0 * math.pi, lo=1e-6)
     q_const = _get_number(cfg, "q_const", 0.0)
-    j_hill = max(j_max, 16)
-    lam = (2.0 * np.pi * np.arange(j_hill + 1) / period) ** 2 + q_const
-    if not np.all(np.diff(lam) > 0.0):
+    spectrum = HillSpectrum.flat(period, max(j_max, 16), q_const)
+    if not np.all(np.diff(spectrum.eigenvalues) > 0.0):
         raise ConfigError("fields 'period' and 'q_const' leave the spectrum "
                           "(2 pi j / period)^2 + q_const not simple in double "
                           "precision")
@@ -322,7 +325,6 @@ def cmd_divisors(cfg: dict) -> int:
 
     rows = iter(())
     if j_max >= 1:
-        spectrum = HillSpectrum(period, np.array([q_const]), lam, j_hill, 0.0)
         table = DivisorTable.build(spectrum, K_max=k_max, J_max=j_max)
         ks, js, centers, halfw = table.windows(params)
         order = np.lexsort((js, ks))

@@ -76,8 +76,8 @@ class OuterLoopError(RuntimeError):
         self.history = tuple(history)
 
 
-def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
-                eps: float, model: Nonlinearity | None,
+def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField,
+                eps: float, model: Nonlinearity,
                 period: float) -> tuple[Array, Array]:
     """Integrate the slow equation over one period from each start state.
 
@@ -101,7 +101,7 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
     ``states[i][:, -1]`` its end state V(period).
     """
     # w(tau, x_m) = cos_series(A, period, tau) on the _M_X-point x grid
-    A = None if w is None else w.coeffs @ sin_synthesis_matrix(_M_X, w.band_x).T
+    A = w.coeffs @ sin_synthesis_matrix(_M_X, w.band_x).T
     # nodes s on [-1, 1], samples -> Chebyshev coefficients, and Q: (Q g)_k
     # integrates the interpolant of g from -1 to s_k; imported here, so that
     # runs which never certify skip its ~1 MB
@@ -119,7 +119,7 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
         half = 0.5 * (b - a)
         tau = a + half * (s + 1.0)
         tau[-1] = b
-        w_nodes = None if A is None else cos_series(A, period, tau)
+        w_nodes = cos_series(A, period, tau)
         Y, prev, accepted = np.repeat(y, _NODES, axis=2), np.inf, False
         for _ in range(64):
             if not np.all(np.isfinite(Y)):
@@ -156,8 +156,8 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField | None,
     return np.concatenate(taus), states.transpose(1, 0, 2)
 
 
-def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
-               model: Nonlinearity | None, period: float) -> tuple[Array, float]:
+def galerkin_v(a0: Array, w: SpaceTimeField, eps: float,
+               model: Nonlinearity, period: float) -> tuple[Array, float]:
     """Cosine coefficients a[0..J] of the even periodic slow solution at frozen w.
 
     Collocates on the 2(J + 1)-point tau grid that resolves the series
@@ -173,7 +173,7 @@ def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
     J = a0.shape[0] - 1
     n = 2 * (J + 1)
     C = cos_synthesis_matrix(n, J)
-    w_values = None if w is None else w.values_grid(n, _M_X)
+    w_values = w.values_grid(n, _M_X)
     sin_x = sin_synthesis_matrix(_M_X, 1)[:, 1]
     lam = 1.0 / (1.0 + eps**2) - (2.0 * np.pi * np.arange(J + 1) / period) ** 2
 
@@ -214,34 +214,30 @@ def galerkin_v(a0: Array, w: SpaceTimeField | None, eps: float,
 # Hamiltonian
 # ---------------------------------------------------------------------------
 
-def hamiltonian_H(state: PlanarState, w_slice, w_tau_slice, eps: float,
-                  model: Nonlinearity | None):
+def hamiltonian_H(state: PlanarState, w_slice: Array, w_tau_slice: Array,
+                  eps: float, model: Nonlinearity):
     """The conserved quantity of the coupled slow/fast system.
 
     Quadratic fast terms are summed exactly from sine coefficients
     (Parseval); the potential term integrates the scaled antiderivative of
-    f by x-collocation.  ``w_slice``/``w_tau_slice`` are sine-coefficient
-    arrays of the fast field and its tau-derivative at one tau (None = 0).
-    A state of arrays, with one coefficient row each, gives an array of H.
+    f by x-collocation.  ``w_slice``/``w_tau_slice`` are the sine
+    coefficients k = 0..K >= 2 of the fast field and its tau-derivative at
+    one tau.  A state of arrays, with one row each, gives an array of H.
     """
     w2 = 1.0 + eps**2
     H = 0.5 * state.p_tau**2 + state.p**2 / (2.0 * w2)
-    b = np.zeros(1) if w_slice is None else np.asarray(w_slice, dtype=float)
-    bt = np.zeros(1) if w_tau_slice is None else np.asarray(w_tau_slice, dtype=float)
+    b = np.asarray(w_slice, dtype=float)
     k = np.arange(b.shape[-1], dtype=float)
-    H += 0.5 * np.sum(bt**2, axis=-1)
+    H += 0.5 * np.sum(np.asarray(w_tau_slice, dtype=float)**2, axis=-1)
     H += (0.5 / eps**2) * np.sum((k**2 - 1.0 / w2) * b**2 * (k >= 2), axis=-1)
-    if model is not None:
-        xi = np.multiply.outer(state.p, sin_synthesis_matrix(_M_X_H, 1)[:, 1])
-        if b.shape[-1] > 2:
-            xi = xi + (sin_synthesis_matrix(_M_X_H, b.shape[-1] - 1) @ b.T).T
-        H += (2.0 / (_M_X_H * w2)) * np.sum(model.scaled_antideriv(xi, eps),
-                                            axis=-1)
+    xi = (np.multiply.outer(state.p, sin_synthesis_matrix(_M_X_H, 1)[:, 1])
+          + (sin_synthesis_matrix(_M_X_H, b.shape[-1] - 1) @ b.T).T)
+    H += (2.0 / (_M_X_H * w2)) * np.sum(model.scaled_antideriv(xi, eps), axis=-1)
     return float(H) if np.ndim(H) == 0 else H
 
 
 def _H_at(tau, traj_state: PlanarState, w: SpaceTimeField, eps: float,
-          model: Nonlinearity | None):
+          model: Nonlinearity):
     return hamiltonian_H(traj_state, cos_series(w.coeffs, w.period, tau),
                          cos_series(w.coeffs, w.period, tau, order=1), eps, model)
 
@@ -300,11 +296,12 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
                  solver: SolverConfig | None = None) -> ClosureResult:
     """Couple the slow equation with fast solves until the orbit closes.
 
-    Alternates (a) `galerkin_v` at frozen w on `_N_SAMPLES` tau samples,
-    started from the seed orbit's series (``orbit.trajectory``) and then
-    from the previous round, whose coefficients are the round's
-    trajectory, with (b) fast-component solves on that trajectory, until
-    delta_1 and the w-update both move by at most `_TOL_OUTER`.
+    Alternates (a) `galerkin_v` at frozen w (w = 0 in round 1) on
+    `_N_SAMPLES` tau samples, started from the seed orbit's series
+    (``orbit.trajectory``) and then from the previous round, whose
+    coefficients are the round's trajectory, with (b) fast-component
+    solves on that trajectory, until delta_1 and the w-update (from w = 0
+    in round 1) both move by at most `_TOL_OUTER`.
 
     This loop owns the resonance gate.  Round 1, and any round that can
     end the loop (delta moved by at most `_TOL_OUTER`), runs
@@ -320,10 +317,10 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
 
     One stacked Chebyshev-Picard pass (`integrate_v`) with the converged w
     certifies the result from two starts sharing its segments: the closed
-    start point gives the return defects, end state and Hamiltonian drift
-    (read at the integrator's own nodes), and delta_1 + 1e-6 gives the
-    shooting derivative by finite difference, checked against
-    `_DERIVATIVE_FLOOR`.
+    start point gives the return defects and, in one evaluation of H at
+    the integrator's own nodes, the H-mismatch of its ends and the drift,
+    and delta_1 + 1e-6 gives the shooting derivative by finite
+    difference, checked against `_DERIVATIVE_FLOOR`.
 
     The orbit is ``closed`` when both return defects and the H-mismatch
     are small.  By invariance of H a conormal defect d above `_TOL_D` must
@@ -342,7 +339,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     period = orbit.period
 
     K = schedule_for(eps, solver)[1][-1]
-    w_field: SpaceTimeField | None = None
+    w_field = SpaceTimeField.zeros(period, 0, 2)
     run: SolverRun | None = None
     coeffs = orbit.trajectory(_N_SAMPLES).cos_coeffs
     history: list[tuple] = []
@@ -363,11 +360,9 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
                 first_gate = gate
         run = nash_moser_solve(traj, eps, solver, model,
                                w0=None if cold else run.correction)
-        w_new = run.w
-        dw = (w_new.norm(1.0) if w_field is None
-              else (w_new - w_field).norm(1.0))
+        dw = (run.w - w_field).norm(1.0)
         history.append((delta, r, dw))
-        w_field = w_new
+        w_field = run.w
         if outer >= 2 and dw <= _TOL_OUTER and ddelta <= _TOL_OUTER:
             break
     else:
@@ -376,11 +371,9 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             history=history)
 
     # the certificate with the converged w, and the shooting derivative
-    start_state = PlanarState(*(base + delta * n_hat))
     taus, (cert, pert) = integrate_v(
-        [start_state, PlanarState(*(base + (delta + 1e-6) * n_hat))],
+        [PlanarState(*(base + h * n_hat)) for h in (delta, delta + 1e-6)],
         w_field, eps, model, period)
-    end = PlanarState(float(cert[0, -1]), float(cert[1, -1]))
     diff = cert[:, -1] - base
     t_fin = float(diff @ t_hat)
     d_val = float(diff @ n_hat) - delta
@@ -391,14 +384,11 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
             f"shooting derivative {deriv:.3e} below floor "
             f"{_DERIVATIVE_FLOOR:.1e}")
 
-    # Hamiltonian at the certificate's nodes: the interior ones in one
-    # evaluation, the two ends one at a time
-    H0 = _H_at(0.0, start_state, w_field, eps, model)
-    H1 = _H_at(float(taus[-1]), end, w_field, eps, model)
-    H = _H_at(taus[1:-1], PlanarState(cert[0, 1:-1], cert[1, 1:-1]), w_field,
-              eps, model)
-    mismatch = abs(H1 - H0)
-    drift = max(float(np.max(np.abs(H - H0), initial=0.0)), mismatch)
+    # Hamiltonian at the certificate's nodes, from tau = 0 (the start
+    # state) to tau = period (the end state), in one evaluation
+    H = _H_at(taus, PlanarState(*cert), w_field, eps, model)
+    mismatch = float(abs(H[-1] - H[0]))
+    drift = float(np.max(np.abs(H - H[0])))
     if abs(d_val) > _TOL_D:
         # the conormal H-gradient at the start state, by central difference
         Hp, Hm = (_H_at(0.0, PlanarState(*(base + (delta + h) * n_hat)),

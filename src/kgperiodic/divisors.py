@@ -94,7 +94,7 @@ _DENSE_MAX_SIZE = 2048
 
 
 def averaged_potential(traj: VTrajectory, eps: float,
-                       model: Nonlinearity | None) -> Array:
+                       model: Nonlinearity) -> Array:
     """x-mean of the derivative multiplier at w = 0, on 256 uniform tau samples.
 
     The fast forcing differentiates to multiplication by
@@ -105,12 +105,9 @@ def averaged_potential(traj: VTrajectory, eps: float,
     average is a series in v^2 with those moments folded into its
     coefficients (`Nonlinearity.scaled_deriv_x_mean`).  It equals the mean
     over any uniform x grid of more than 2n points, n the highest power
-    kept, and costs one series evaluation per tau sample.  ``model=None``
-    (the test hook of `collocate`) gives zeros.
+    kept, and costs one series evaluation per tau sample.
     """
     v = traj.resample(256)
-    if model is None:
-        return np.zeros_like(v)
     return (-1.0 / (1.0 + eps**2)) * model.scaled_deriv_x_mean(v, eps)
 
 
@@ -139,10 +136,11 @@ class HillSpectrum:
     radius: float            # |computed - Galerkin| bound on every eigenvalue
 
     @classmethod
-    def flat(cls, period: float, J_max: int) -> "HillSpectrum":
-        """Zero-potential spectrum: lambda_j = (2 pi j / period)^2 exactly."""
-        lam = (2.0 * np.pi * np.arange(J_max + 1) / period) ** 2
-        return cls(period=period, q_coeffs=np.zeros(1), eigenvalues=lam,
+    def flat(cls, period: float, J_max: int,
+             q_mean: float = 0.0) -> "HillSpectrum":
+        """Constant-potential spectrum: lambda_j = (2 pi j / period)^2 + q_mean."""
+        lam = (2.0 * np.pi * np.arange(J_max + 1) / period) ** 2 + q_mean
+        return cls(period=period, q_coeffs=np.array([q_mean]), eigenvalues=lam,
                    J_max=J_max, radius=0.0)
 
     @property

@@ -152,8 +152,12 @@ class Nonlinearity:
                     for v in [*coeffs, radius])):
                 raise ValueError("odd_coeffs must be a list of numbers and "
                                  "trust_radius a number")
-            return cls("custom", tuple(map(float, coeffs)),
-                       trust_radius=float(radius))
+            try:
+                coeffs, radius = tuple(map(float, coeffs)), float(radius)
+            except OverflowError:   # an integer past the double range
+                raise ValueError("odd_coeffs and trust_radius must be within "
+                                 "the double range") from None
+            return cls("custom", coeffs, trust_radius=radius)
         raise ValueError(f"unknown model spec: {spec!r}")
 
     # -- basic evaluation ----------------------------------------------------
@@ -240,21 +244,18 @@ class Nonlinearity:
 # the collocated forcing
 # ---------------------------------------------------------------------------
 
-def collocate(model: Nonlinearity | None, eps: float, v: Array | float,
+def collocate(model: Nonlinearity, eps: float, v: Array | float,
               w_values: Array | None, M_x: int, order: int = 0) -> Array:
     """Samples of -(1/omega^2) f^(order)(eps xi)/eps^(3-order), xi = v sin x + w.
 
     ``v`` is one tau-slice (a scalar; result shape (M_x,)) or a vector of
     tau samples (result shape (M_tau, M_x)); ``w_values`` are samples of w
     on the same grid (None = 0).  ``order`` 0 gives the forcing, 1 its
-    w-derivative multiplier.  ``model=None`` is a test hook that suppresses
-    the nonlinearity (zeros).
+    w-derivative multiplier.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     xi = np.multiply.outer(v, sin_synthesis_matrix(M_x, 1)[:, 1])
-    if model is None:
-        return np.zeros_like(xi)
     if w_values is not None:
         xi += w_values
     vals = model.scaled_eval(xi, eps) if order == 0 else model.scaled_deriv(xi, eps)

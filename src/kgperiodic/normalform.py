@@ -54,13 +54,12 @@ def _linear_symbol(period: float, eps: float, N_tau: int, K: int) -> Array:
 
 
 def assemble_F(V_traj: VTrajectory, w: SpaceTimeField, eps: float,
-               model: Nonlinearity | None,
+               model: Nonlinearity,
                M_tau: int | None = None, M_x: int | None = None) -> SpaceTimeField:
     """Residual field F(w) = (J_eps - eps^2 d_tautau) w + eps^2 g(V, w).
 
     Collocated on an (M_tau, M_x) grid, by default `_grids` of the field's
-    band; the result has the band of ``w``.  ``model=None`` suppresses the
-    nonlinearity (test hook), leaving the diagonal action alone.
+    band; the result has the band of ``w``.
     """
     N_tau, K = w.band_tau, w.band_x
     dM_tau, dM_x = _grids(K, N_tau)
@@ -87,7 +86,7 @@ class AveragedStart:
         return len(self.drive_norm_history)
 
 
-def nf_sequence(traj: VTrajectory, eps: float, model: Nonlinearity | None,
+def nf_sequence(traj: VTrajectory, eps: float, model: Nonlinearity,
                 N_x: int, N_tau: int, k_max: int) -> AveragedStart:
     """Apply up to ``k_max`` averaging steps from w = 0 on the (N_tau, N_x) band.
 

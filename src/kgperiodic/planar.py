@@ -112,9 +112,7 @@ class PlanarOrbit:
     amplitude: float
     period: float
     energy: float
-    tau: Array
-    p: Array
-    p_tau: Array
+    n_samples: int         # the even grid the energy drift was checked on
     cos_coeffs: Array      # the orbit's cosine series in tau, harmonics 0..
     period_slope: float    # dT/da
 
@@ -134,16 +132,19 @@ class PlanarOrbit:
         a = self.amplitude
         return PlanarState(a + (self.f3 / 8.0) * a**3, 0.0)
 
-    def trajectory(self, M: int | None = None) -> VTrajectory:
+    def trajectory(self, M: int) -> VTrajectory:
         """The orbit's first M // 2 cosine coefficients, zero-padded, which
-        an M-point grid resolves (default M: its own grid)."""
-        M = M or self.p.shape[0]
+        an M-point grid resolves."""
         return VTrajectory(self.period, np.pad(self.cos_coeffs, (0, M))[:M // 2])
 
     def to_json_dict(self) -> dict:
+        """The orbit, its series sampled on the ``n_samples``-point grid."""
+        n = self.n_samples
+        p, p_tau = _grid_sample(self.cos_coeffs, self.period, n)
+        tau = self.period * np.arange(n) / n
         return {"f3": self.f3, "amplitude": self.amplitude, "period": self.period,
                 "energy": self.energy,
-                "samples": np.column_stack([self.tau, self.p, self.p_tau]).tolist()}
+                "samples": np.column_stack([tau, p, p_tau]).tolist()}
 
 
 def _ellip_k(kp: float, k: float) -> tuple[float, float]:
@@ -196,9 +197,9 @@ def _grid_sample(coeffs: Array, period: float, M: int) -> tuple[Array, Array]:
 
 def find_orbit(f3: float, amplitude: float, tol: float = 1e-10,
                n_samples: int = 512) -> PlanarOrbit:
-    """Periodic orbit through (amplitude, 0), sampled on ``n_samples`` points.
+    """Periodic orbit through (amplitude, 0), checked on ``n_samples`` points.
 
-    Period and samples come from the nome series of the closed form.  For
+    Period and cosine series come from the nome series of the closed form.  For
     ``f3 < 0`` the amplitude must stay inside the bounded component below
     the saddle at sqrt(-8/f3), where q -> 1, but slowly (0.71 at 1e-11 below
     it).  The samples' energy drift is checked against ``tol`` as given
@@ -230,8 +231,7 @@ def find_orbit(f3: float, amplitude: float, tol: float = 1e-10,
             f"energy drift {drift:.2e} on the sampled orbit exceeds the "
             f"tolerance {tol:.2e}; the orbit is not resolved")
     return PlanarOrbit(f3=f3, amplitude=amplitude, period=period, energy=energy,
-                       tau=period * np.arange(n_samples) / n_samples, p=p,
-                       p_tau=p_tau, cos_coeffs=coeffs,
+                       n_samples=n_samples, cos_coeffs=coeffs,
                        period_slope=slope)
 
 

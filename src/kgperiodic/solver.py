@@ -87,7 +87,11 @@ _LAW_N_TRAJ = 256          # and tau samples of the orbit
 
 def validate_eps(eps: float) -> float:
     """eps as a float; `ValueError` unless it is finite and in (0, 1)."""
-    eps = float(eps)
+    try:
+        eps = float(eps)
+    except OverflowError:       # an integer past the double range
+        raise ValueError("eps must be a finite number in (0, 1), got an "
+                         "integer past the double range") from None
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be a finite number in (0, 1), got {eps!r}")
     return eps
@@ -248,7 +252,7 @@ class LinearizedOperator:
     """
 
     def __init__(self, V_traj: VTrajectory, w: SpaceTimeField, eps: float,
-                 model: Nonlinearity | None, N: int):
+                 model: Nonlinearity, N: int):
         N_tau = w.band_tau
         if N > w.band_x:
             raise ValueError("truncation N exceeds the field band")
@@ -447,7 +451,7 @@ class SolverRun:
     stages: tuple[StageRecord, ...]
     w: SpaceTimeField
     start: AveragedStart
-    model: Nonlinearity | None
+    model: Nonlinearity
     V_traj: VTrajectory = field(repr=False, compare=False)
 
     @property
@@ -511,18 +515,18 @@ def _built_conditioning(params: ResonanceParams, *args) -> InversionReport:
 
 
 def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
-                     model: Nonlinearity | None,
+                     model: Nonlinearity,
                      w0: SpaceTimeField | None = None) -> SolverRun:
     """Solve F(w) = 0 over nested truncations with damped Newton stages.
 
-    Runs the ``config.nf_steps`` averaging steps (`nf_sequence`, none for
-    ``model=None``) and the stages.  Newton starts from the averaged start,
-    plus ``w0`` when given: the Newton correction of an earlier run
-    (`SolverRun.correction`, same period), of which the coefficients in
-    this solve's band are added.  Every stage records the
-    increment and residual norms and the conditioning of its last
-    linearization; the report (a zero-step stage's linearization, the
-    doubled-grid certificate) is built when it is first read.
+    Runs the ``config.nf_steps`` averaging steps (`nf_sequence`) and the
+    stages.  Newton starts from the averaged start, plus ``w0`` when given:
+    the Newton correction of an earlier run (`SolverRun.correction`, same
+    period), of which the coefficients in this solve's band are added.
+    Every stage records the increment and residual norms and the
+    conditioning of its last linearization; the report (a zero-step
+    stage's linearization, the doubled-grid certificate) is built when it
+    is first read.
 
     The resonance-window gate (`resonance_gate`) belongs to the caller,
     which decides the solves it guards: `closure.solve_delta1` gates round
@@ -538,7 +542,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
     N_tau = _default_N_tau(V_traj, config)
 
     start = nf_sequence(V_traj, eps, model, N_x=N_final, N_tau=N_tau,
-                        k_max=0 if model is None else config.nf_steps)
+                        k_max=config.nf_steps)
     w = start.w
     if w0 is not None:
         if abs(w0.period - period) > 1e-12 * max(1.0, abs(period)):

@@ -24,9 +24,11 @@ which integrates the slow equation's collocated forcing one tau at a time
 with SciPy's DOP853 instead of the package's Chebyshev-Picard segments;
 and `tail_oracle`, which projects the package's `u_values` onto the fast
 time modes by its own sine sums.
-Three helpers are not oracles: `limit_rhs`, the limit oscillator's
-right-hand side, and `v_at` and `v_tau_at`, which evaluate a trajectory
-and its derivative through the package's `cos_series`.
+Four helpers are not oracles: `limit_rhs`, the limit oscillator's
+right-hand side; `v_at` and `v_tau_at`, which evaluate a trajectory and
+its derivative through the package's `cos_series`; and `ZERO_MODEL`, the
+linear case f = 0, a stand-in a test passes wherever the package takes a
+`Nonlinearity`.
 """
 
 from __future__ import annotations
@@ -67,6 +69,23 @@ def v_at(traj, taus):
 def v_tau_at(traj, taus):
     """Its tau-derivative at ``taus``, by the same series."""
     return cos_series(traj.cos_coeffs, traj.period, taus, order=1)
+
+
+class _ZeroModel:
+    """f = 0: every evaluation a `Nonlinearity` offers gives zeros."""
+
+    name = "zero"
+
+    def eval(self, u):
+        return np.zeros(np.shape(u))
+
+    def scaled_eval(self, y, eps):
+        return np.zeros(np.shape(y))
+
+    scaled_deriv = scaled_deriv_x_mean = scaled_antideriv = scaled_eval
+
+
+ZERO_MODEL = _ZeroModel()
 
 
 def duffing_period(amplitude: float, f3: float) -> float:

@@ -24,7 +24,7 @@ from kgperiodic.closure import (
 from kgperiodic.fourier import SpaceTimeField
 from kgperiodic.solver import NonConvergenceError, SolverConfig
 
-from oracles import tail_oracle
+from oracles import ZERO_MODEL, tail_oracle
 
 # Frozen canonical values at eps = 0.1, amplitude 0.9 (deterministic run).
 T_PERIOD_01 = 6.252003053624663
@@ -39,7 +39,7 @@ def manual_solution():
     B[0, 2], B[1, 3], B[2, 4], B[1, 2] = 0.04, -0.03, 0.015, 0.02
     w = SpaceTimeField(period=period, coeffs=B)
     return AssembledSolution(eps=eps, period=period, v_cos_coeffs=v_cos,
-                             w=w, model=None)
+                             w=w, model=ZERO_MODEL)
 
 
 class TestEvaluator:
@@ -70,7 +70,7 @@ class TestEvaluator:
         assert np.max(np.abs(sol.u_values(xs, ts + sol.t_period) - base)) < 1e-12
 
     def test_linear_residual_single_mode(self):
-        # with model=None the residual of one cos(j.) sin(k.) mode is its
+        # with f = 0 the residual of one cos(j.) sin(k.) mode is its
         # exact dispersion factor 1 - (k om)^2 + (2 pi j eps om / p)^2: a
         # fast mode (k = 3) of w and a slow one (k = 1) of v, both at j = 2
         eps, period = 0.2, 6.0
@@ -80,11 +80,11 @@ class TestEvaluator:
         fast = AssembledSolution(eps=eps, period=period,
                                  v_cos_coeffs=np.zeros(1),
                                  w=SpaceTimeField(period=period, coeffs=B),
-                                 model=None)
+                                 model=ZERO_MODEL)
         slow = AssembledSolution(eps=eps, period=period,
                                  v_cos_coeffs=np.array([0.0, 0.0, 1.0]),
                                  w=SpaceTimeField.zeros(period, 0, 2),
-                                 model=None)
+                                 model=ZERO_MODEL)
         x, t = np.array([0.83]), np.array([1.21])
         y, theta = eps * om * 0.83, om * 1.21
         for sol, k in ((fast, 3), (slow, 1)):

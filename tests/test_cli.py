@@ -344,6 +344,42 @@ def test_nonfinite_or_overflowing_model_exits_1(tmp_path, capsys, command,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+PAST_DOUBLE = [
+    ("solve", "eps", lambda n: {"eps": n}),
+    ("solve", "amplitude", lambda n: {"eps": 0.1, "amplitude": n}),
+    ("solve", "N_cap", lambda n: {"eps": 0.1, "solver": {"N_cap": n}}),
+    ("solve", "l", lambda n: {"eps": 0.1, "resonance": {"l": n}}),
+    ("solve", "model", lambda n: {"eps": 0.1, "model": {
+        "model": "custom", "odd_coeffs": [1.0, n]}}),
+    ("solve", "model", lambda n: {"eps": 0.1, "model": {
+        "model": "custom", "odd_coeffs": [1.0], "trust_radius": n}}),
+    ("sweep", "eps_list", lambda n: {"eps_list": [0.1, n]}),
+    ("limit-orbit", "amplitude", lambda n: {"amplitude": n}),
+    ("divisors", "j_max", lambda n: {"k_max": 3, "j_max": n}),
+    ("selftest", "seed", lambda n: {"seed": n}),
+    ("selftest", "n_fields", lambda n: {"n_fields": n}),
+]
+
+
+@pytest.mark.parametrize("n", [10**400, -10**400], ids=["plus", "minus"])
+@pytest.mark.parametrize(
+    "command, field, cfg", PAST_DOUBLE,
+    ids=["solve-eps", "solve-amplitude", "solve-N_cap", "solve-l",
+         "solve-odd_coeffs", "solve-trust_radius", "sweep-eps_list",
+         "limit-orbit-amplitude", "divisors-j_max", "selftest-seed",
+         "selftest-n_fields"])
+def test_integer_past_the_double_range_exits_1(tmp_path, capsys, command,
+                                               field, cfg, n):
+    # JSON integers are unbounded: one that no double holds is refused as
+    # a bad value of its field, before any work and without a traceback
+    cfg = {**cfg(n), "out_dir": str(tmp_path)}
+    assert run_cli(tmp_path, command, cfg) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: field '{field}'")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("limit-orbit", {"amplitude": 1e200}),
     ("limit-orbit", {"model": "phi4", "amplitude": 1e100}),

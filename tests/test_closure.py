@@ -18,10 +18,11 @@ from kgperiodic.closure import (
 )
 from kgperiodic.divisors import (DivisorTable, HillSpectrum, ResonanceError,
                                  ResonanceParams)
+from kgperiodic.fourier import SpaceTimeField
 from kgperiodic.nonlinearity import TrustRadiusError
 from kgperiodic.planar import PlanarState, VTrajectory, find_orbit
 
-from oracles import dop853_slow_flow, v_at, v_tau_at
+from oracles import ZERO_MODEL, dop853_slow_flow, v_at, v_tau_at
 
 # Frozen canonical shooting parameter at eps = 0.1, amplitude 0.9 (default
 # solver settings); the run is fully deterministic.
@@ -42,6 +43,11 @@ def certificate_starts(result, orbit):
             for d in (result.delta1, result.delta1 + 1e-6)]
 
 
+def zero_w(period: float) -> SpaceTimeField:
+    """The fast field w = 0."""
+    return SpaceTimeField.zeros(period, 0, 2)
+
+
 def count_forcing(monkeypatch) -> list:
     """Record each `collocate` call of the closure module."""
     calls = []
@@ -57,10 +63,11 @@ def count_forcing(monkeypatch) -> list:
 
 class TestIntegrateV:
     def test_linear_flow_is_cosine(self):
-        # model=None leaves v_tautau = -v/omega^2: explicit solution
+        # f = 0 leaves v_tautau = -v/omega^2: explicit solution
         eps, a, period = 0.1, 0.5, 3.7
         om = np.sqrt(1.0 + eps**2)
-        tau, [y] = integrate_v([PlanarState(a, 0.0)], None, eps, None, period)
+        tau, [y] = integrate_v([PlanarState(a, 0.0)], zero_w(period), eps,
+                               ZERO_MODEL, period)
         assert np.max(np.abs(y[0] - a * np.cos(tau / om))) < 1e-10
         end = PlanarState(*y[:, -1])
         assert end.p == pytest.approx(a * np.cos(period / om), abs=1e-10)
@@ -69,8 +76,8 @@ class TestIntegrateV:
 
     def test_eps_zero_reproduces_seed_orbit(self, orbit09, sine_gordon):
         # at eps = 0 the slow equation is exactly the planar limit equation
-        tau, [y] = integrate_v([orbit09.base_point], None, 0.0, sine_gordon,
-                               orbit09.period)
+        tau, [y] = integrate_v([orbit09.base_point], zero_w(orbit09.period),
+                               0.0, sine_gordon, orbit09.period)
         seed = orbit09.trajectory(256)
         assert np.max(np.abs(y[0] - v_at(seed, tau))) < 1e-8
         assert abs(y[0, -1] - orbit09.base_point.p) < 1e-9
@@ -79,7 +86,7 @@ class TestIntegrateV:
     def test_end_state_matches_trajectory(self, sine_gordon):
         # the states sit at the segments' nodes, from the start to tau = p
         V0 = PlanarState(0.7, 0.1)
-        tau, states = integrate_v([V0], None, 0.08, sine_gordon, 5.0)
+        tau, states = integrate_v([V0], zero_w(5.0), 0.08, sine_gordon, 5.0)
         assert states.shape == (1, 2, tau.shape[0])
         assert tau[0] == 0.0 and tau[-1] == 5.0 and np.all(np.diff(tau) > 0)
         assert tuple(states[0][:, 0]) == (V0.p, V0.p_tau)
@@ -91,8 +98,9 @@ class TestIntegrateV:
         # oracle: SciPy's DOP853 at rtol 1e-13 from the same starts; its own
         # error is about 4e-14 over one period and 3e-13 over period 40
         if case in ("one_start", "long_period"):
-            args = ([PlanarState(0.7, 0.1)], None, 0.08, sine_gordon,
-                    5.0 if case == "one_start" else 40.0)
+            period = 5.0 if case == "one_start" else 40.0
+            args = ([PlanarState(0.7, 0.1)], zero_w(period), 0.08,
+                    sine_gordon, period)
         else:
             result = request.getfixturevalue(
                 "closure01" if case == "canonical" else "closure0193")
@@ -109,7 +117,7 @@ class TestIntegrateV:
         # 9 nodes do not resolve a quarter period to round-off: the
         # Chebyshev tail test halves the segments, and the end state holds
         monkeypatch.setattr(closure, "_NODES", 9)
-        args = ([PlanarState(0.7, 0.1)], None, 0.08, sine_gordon, 5.0)
+        args = ([PlanarState(0.7, 0.1)], zero_w(5.0), 0.08, sine_gordon, 5.0)
         tau, states = integrate_v(*args)
         assert len(tau) > 4 * 8 + 1
         ends = dop853_slow_flow(*args)
@@ -129,11 +137,11 @@ class TestIntegrateV:
     def test_non_finite_start_fails_fast(self, bad, with_model, sine_gordon,
                                          monkeypatch):
         # the iterate is checked before each forcing evaluation, also where
-        # model=None would carry a NaN through without any domain check
+        # f = 0 would carry a NaN through without any domain check
         calls = count_forcing(monkeypatch)
-        model = sine_gordon if with_model else None
+        model = sine_gordon if with_model else ZERO_MODEL
         with pytest.raises(IntegrationError, match="non-finite"):
-            integrate_v([PlanarState(0.7, bad)], None, 0.08, model, 5.0)
+            integrate_v([PlanarState(0.7, bad)], zero_w(5.0), 0.08, model, 5.0)
         assert calls == []
 
     def test_start_past_trust_radius_reraised_at_the_floor(self, sine_gordon,
@@ -142,18 +150,18 @@ class TestIntegrateV:
         # evaluation, which leaves the trust radius again
         calls = count_forcing(monkeypatch)
         with pytest.raises(TrustRadiusError, match="trust radius"):
-            integrate_v([PlanarState(100.0, 0.0)], None, 0.08, sine_gordon,
-                        5.0)
+            integrate_v([PlanarState(100.0, 0.0)], zero_w(5.0), 0.08,
+                        sine_gordon, 5.0)
         assert 0 < len(calls) <= 20
 
 
 class TestGalerkinV:
     def test_linear_equation_has_only_the_zero_solution(self):
-        # model=None leaves v_tautau + v/omega^2 = 0, whose only even
+        # f = 0 leaves v_tautau + v/omega^2 = 0, whose only even
         # solution at a period off the linear one is v = 0
         a0 = np.zeros(128)
         a0[1] = 0.5
-        a, r = galerkin_v(a0, None, 0.1, None, 3.7)
+        a, r = galerkin_v(a0, zero_w(3.7), 0.1, ZERO_MODEL, 3.7)
         assert r == 0.0 and np.all(a == 0.0)
 
     def test_matches_dop853_at_converged_w(self, closure01, orbit09,
@@ -187,17 +195,17 @@ class TestGalerkinV:
         a0 = np.zeros(8)
         a0[:2] = 1e-3
         with pytest.raises(DegenerateOrbitError, match="singular"):
-            galerkin_v(a0, None, 0.0, None, 2.0 * np.pi)
+            galerkin_v(a0, zero_w(2.0 * np.pi), 0.0, ZERO_MODEL, 2.0 * np.pi)
 
 
 class TestHamiltonian:
     def test_slow_flow_conserves_H(self, sine_gordon):
         eps, period = 0.08, 5.0
         V0 = PlanarState(0.7, 0.1)
-        _, [y] = integrate_v([V0], None, eps, sine_gordon, period)
-        H0 = hamiltonian_H(V0, None, None, eps, sine_gordon)
-        H1 = hamiltonian_H(PlanarState(*y[:, -1]), None, None, eps,
-                           sine_gordon)
+        _, [y] = integrate_v([V0], zero_w(period), eps, sine_gordon, period)
+        H0 = hamiltonian_H(V0, np.zeros(3), np.zeros(3), eps, sine_gordon)
+        H1 = hamiltonian_H(PlanarState(*y[:, -1]), np.zeros(3), np.zeros(3),
+                           eps, sine_gordon)
         assert abs(H1 - H0) < 1e-10
 
     def test_quadratic_fast_terms_parseval(self):
@@ -206,7 +214,7 @@ class TestHamiltonian:
         state = PlanarState(0.4, -0.3)
         b = np.array([0.0, 0.0, 0.3, -0.2])
         bt = np.array([0.1, 0.0, 0.05, 0.0])
-        H = hamiltonian_H(state, b, bt, eps, None)
+        H = hamiltonian_H(state, b, bt, eps, ZERO_MODEL)
         expected = (0.5 * 0.09 + 0.16 / (2.0 * w2)
                     + 0.5 * (0.01 + 0.0025)
                     + (0.5 / eps**2) * ((4.0 - 1.0 / w2) * 0.09
@@ -445,9 +453,11 @@ class TestCheckClosure:
         H_at = closure._H_at
 
         def unshifted_end(tau, state, *args):
-            if np.ndim(tau) == 0 and tau > 0.0:
-                state = PlanarState(state.p - 1e-3 * n_hat[0],
-                                    state.p_tau - 1e-3 * n_hat[1])
+            if np.ndim(tau) == 1:
+                p, p_tau = state.p.copy(), state.p_tau.copy()
+                p[-1] -= 1e-3 * n_hat[0]
+                p_tau[-1] -= 1e-3 * n_hat[1]
+                state = PlanarState(p, p_tau)
             return H_at(tau, state, *args)
 
         monkeypatch.setattr(closure, "_H_at", unshifted_end)
@@ -459,8 +469,8 @@ class TestCheckClosure:
 
     def test_gradient_read_only_for_a_large_defect(self, orbit09, sine_gordon,
                                                    monkeypatch):
-        # a closing solve evaluates H at the certificate's steps only: the
-        # two ends and one call for the interior steps
+        # a closing solve evaluates H at the certificate's steps only, in
+        # one call over all of them
         calls = []
         H_at = closure._H_at
 
@@ -470,4 +480,4 @@ class TestCheckClosure:
 
         monkeypatch.setattr(closure, "_H_at", counted)
         assert solve_delta1(orbit09, 0.1, sine_gordon).closed
-        assert calls == [0, 0, 1]
+        assert calls == [1]

@@ -25,7 +25,7 @@ from kgperiodic.divisors import (
 from kgperiodic.nonlinearity import Nonlinearity
 from kgperiodic.planar import find_orbit
 
-from oracles import (divisor_root_exact, divisor_root_float,
+from oracles import (ZERO_MODEL, divisor_root_exact, divisor_root_float,
                      mpmath_low_hill_eigs, oracle_averaged_potential,
                      oracle_hill_eigs, oracle_is_resonant)
 
@@ -70,7 +70,7 @@ class TestAveragedPotential:
 
     def test_model_none_is_zero(self):
         traj = find_orbit(1.0, 0.9).trajectory(64)
-        assert np.array_equal(averaged_potential(traj, 0.1, None), np.zeros(256))
+        assert np.array_equal(averaged_potential(traj, 0.1, ZERO_MODEL), np.zeros(256))
 
     def test_even_and_periodic(self):
         traj = find_orbit(1.0, 0.9).trajectory(128)

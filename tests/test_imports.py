@@ -28,7 +28,8 @@ stages["import"] = loaded()
 stages["pool"] = [m for m in ("multiprocessing", "concurrent.futures.process")
                   if m in sys.modules]
 from kgperiodic import (Nonlinearity, PlanarState, ResonanceParams,
-                        find_orbit, integrate_v, resonance_gate, solve_delta1)
+                        SpaceTimeField, find_orbit, integrate_v,
+                        resonance_gate, solve_delta1)
 model = Nonlinearity.sine_gordon()
 traj = find_orbit(model.f3, 0.9).trajectory(256)
 resonance_gate(traj, 0.1, model, K=64, params=ResonanceParams())
@@ -39,7 +40,8 @@ assert spectrum.J_max < 127, spectrum.J_max
 stages["small_gate"] = loaded()
 assert solve_delta1(find_orbit(model.f3, 0.9), 0.1, model).closed
 stages["solve"] = loaded()
-integrate_v([PlanarState(0.9, 0.0)], None, 0.1, model, 6.3)
+integrate_v([PlanarState(0.9, 0.0)], SpaceTimeField.zeros(6.3, 0, 2), 0.1,
+            model, 6.3)
 stages["certificate"] = loaded()
 print(json.dumps(stages))
 """

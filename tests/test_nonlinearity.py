@@ -221,7 +221,6 @@ class TestCollocate:
         vals = collocate(Nonlinearity.phi4(), 0.0, 1.0, None, 16)
         assert vals.shape == (16,)
         assert np.allclose(vals, -np.sin(x_grid(16)) ** 3, atol=1e-15)
-        assert np.all(collocate(None, 0.1, np.ones(3), None, 16, order=1) == 0.0)
 
     def test_order_2_rejected(self):
         with pytest.raises(ValueError):

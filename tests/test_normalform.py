@@ -8,7 +8,7 @@ from kgperiodic.nonlinearity import Nonlinearity
 from kgperiodic.normalform import assemble_F, nf_sequence
 from kgperiodic.planar import find_orbit
 
-from oracles import log_fit, v_at
+from oracles import ZERO_MODEL, log_fit, v_at
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def terminal_drive(traj, eps, model, start, N_x, N_tau):
 
 class TestSteps:
     def test_zero_model_is_identity(self, traj_sg):
-        start = nf_sequence(traj_sg, 0.1, None, N_x=5, N_tau=8, k_max=1)
+        start = nf_sequence(traj_sg, 0.1, ZERO_MODEL, N_x=5, N_tau=8, k_max=1)
         assert start.w.coeffs.shape == (9, 6)
         assert np.all(start.w.coeffs == 0.0)
         assert start.drive_norm_history == (0.0,)
@@ -127,7 +127,7 @@ class TestProjectedG:
 
     def test_zero_model_hook(self, traj_sg):
         w = SpaceTimeField.zeros(traj_sg.period, 6, 4)
-        g = assemble_F(traj_sg, w, 0.1, None, M_tau=24, M_x=16)
+        g = assemble_F(traj_sg, w, 0.1, ZERO_MODEL, M_tau=24, M_x=16)
         assert g.coeffs.shape == (7, 5)
         assert np.all(g.coeffs == 0.0)
 

@@ -37,7 +37,7 @@ from kgperiodic.solver import (
     sigma_min_law_samples,
 )
 
-from oracles import (assemble_L, oracle_averaged_potential,
+from oracles import (ZERO_MODEL, assemble_L, oracle_averaged_potential,
                      oracle_is_resonant, oracle_jacobian, oracle_newton_solve)
 
 EPS = 0.1
@@ -65,7 +65,7 @@ class TestAssembleF:
         coeffs = np.zeros((5, 6))
         coeffs[2, 3] = 1.0
         w = SpaceTimeField(period=p, coeffs=coeffs)
-        F = assemble_F(traj, w, EPS, None)
+        F = assemble_F(traj, w, EPS, ZERO_MODEL)
         expected = 1.0 / (1.0 + EPS**2) - 9.0 + EPS**2 * (4.0 * np.pi / p) ** 2
         assert F.coeffs[2, 3] == pytest.approx(expected, rel=1e-14)
         mask = np.ones_like(F.coeffs, dtype=bool)
@@ -74,7 +74,7 @@ class TestAssembleF:
 
     def test_zero_field_model_none_is_zero(self, traj):
         w = SpaceTimeField(period=traj.period, coeffs=np.zeros((4, 5)))
-        F = assemble_F(traj, w, EPS, None)
+        F = assemble_F(traj, w, EPS, ZERO_MODEL)
         assert np.max(np.abs(F.coeffs)) == 0.0
 
     def test_zero_field_gives_scaled_drive(self, traj, sine_gordon):
@@ -101,7 +101,7 @@ class TestAssembleL:
 
     def test_model_none_exactly_diagonal(self, traj):
         w = SpaceTimeField(period=traj.period, coeffs=np.zeros((7, 6)))
-        op = LinearizedOperator(traj, w, EPS, None, N=5)
+        op = LinearizedOperator(traj, w, EPS, ZERO_MODEL, N=5)
         M = operator_matrix(op)
         sym = _linear_symbol(traj.period, EPS, 6, 5)[:, 2:]
         assert np.array_equal(np.diag(M), sym.ravel())
@@ -209,7 +209,7 @@ class TestLinearizedOperator:
         center = epsilon_kj(2, 115, spec)
         flat = VTrajectory(period, np.zeros(8))
         w = SpaceTimeField.zeros(period, 120, 2)
-        op = LinearizedOperator(flat, w, center, None, N=2)
+        op = LinearizedOperator(flat, w, center, ZERO_MODEL, N=2)
         with pytest.raises(ResonanceError) as info:
             op.check_collapse()
         assert info.value.culprit == (2, 115)
@@ -218,7 +218,7 @@ class TestLinearizedOperator:
     def test_failed_solve_raises(self, traj, monkeypatch):
         # a non-finite residual stops the iteration at once, not at its cap
         w = SpaceTimeField.zeros(traj.period, 4, 3)
-        op = LinearizedOperator(traj, w, EPS, None, N=3)
+        op = LinearizedOperator(traj, w, EPS, ZERO_MODEL, N=3)
         applies = []
         apply = op.apply
         monkeypatch.setattr(op, "apply", lambda u: applies.append(1) or apply(u))
@@ -343,7 +343,7 @@ class TestSchedule:
     def test_eps_domain(self, traj):
         cfg = SolverConfig(schedule=(3,), N_tau=2)
         with pytest.raises(ValueError):
-            nash_moser_solve(traj, 1.5, cfg, None)
+            nash_moser_solve(traj, 1.5, cfg, ZERO_MODEL)
 
 
 class TestSolveOracle:

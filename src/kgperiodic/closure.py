@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -76,6 +77,20 @@ class OuterLoopError(RuntimeError):
         self.history = tuple(history)
 
 
+@lru_cache(maxsize=4)
+def _picard_matrices(n: int) -> tuple[Array, Array, Array]:
+    """Nodes s on [-1, 1], samples -> Chebyshev coefficients, and Q: (Q g)_k
+    integrates g's interpolant from -1 to s_k; read-only, built lazily."""
+    from numpy.polynomial import chebyshev
+    s = np.cos(np.pi * np.arange(n - 1, -1, -1) / (n - 1))
+    to_coeffs = np.linalg.inv(chebyshev.chebvander(s, n - 1))
+    Q = (chebyshev.chebvander(s, n)
+         @ chebyshev.chebint(np.eye(n), lbnd=-1) @ to_coeffs)
+    for a in (s, to_coeffs, Q):
+        a.flags.writeable = False
+    return s, to_coeffs, Q
+
+
 def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField,
                 eps: float, model: Nonlinearity,
                 period: float) -> tuple[Array, Array]:
@@ -102,14 +117,7 @@ def integrate_v(starts: Sequence[PlanarState], w: SpaceTimeField,
     """
     # w(tau, x_m) = cos_series(A, period, tau) on the _M_X-point x grid
     A = w.coeffs @ sin_synthesis_matrix(_M_X, w.band_x).T
-    # nodes s on [-1, 1], samples -> Chebyshev coefficients, and Q: (Q g)_k
-    # integrates the interpolant of g from -1 to s_k; imported here, so that
-    # runs which never certify skip its ~1 MB
-    from numpy.polynomial import chebyshev
-    s = np.cos(np.pi * np.arange(_NODES - 1, -1, -1) / (_NODES - 1))
-    to_coeffs = np.linalg.inv(chebyshev.chebvander(s, _NODES - 1))
-    Q = (chebyshev.chebvander(s, _NODES)
-         @ chebyshev.chebint(np.eye(_NODES), lbnd=-1) @ to_coeffs)
+    s, to_coeffs, Q = _picard_matrices(_NODES)
     floor = _MIN_SEGMENT * period
     y = np.array([[st.p, st.p_tau] for st in starts], float).T[..., None]
     taus, states = [np.zeros(1)], [y]

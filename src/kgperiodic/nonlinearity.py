@@ -14,10 +14,11 @@ epsilon).  Each call sums only the leading terms a double can see: at the
 sampled amplitude r = max|eps y| it keeps the fewest K terms whose dropped
 tail sum_{n>=K} |c_n| r^(2n) is at most 2^-64 of sum_{n<K} |c_n| r^(2n),
 far below Horner's own rounding error.  The rule is applied on each call
-(`_leading`); a model keeps only coefficient tuples.  Non-finite
-samples, and samples past the trust radius, raise `TrustRadiusError`; a
-model with a non-finite coefficient or trust radius, or whose series
-overflows at the trust radius, is refused with `ValueError`.
+(`_leading`); a model keeps only coefficient tuples.  Horner's rule runs in
+place and the powers of y are products.  Non-finite samples, and samples
+past the trust radius, raise `TrustRadiusError`; a model with a non-finite
+coefficient or trust radius, or whose series overflows at the trust
+radius, is refused with `ValueError`.
 
 `collocate` samples the rescaled forcing of the slow/fast system and its
 w-derivative, the multiplier,
@@ -168,7 +169,7 @@ class Nonlinearity:
 
     def _check_domain(self, u: Array) -> float:
         """max|u|; raises unless it is finite and within the trust radius."""
-        r = float(np.abs(u).max())
+        r = float(max(u.max(), -u.min()))
         if not isfinite(r):
             raise TrustRadiusError(f"non-finite sample for model {self.name}")
         if r > self.trust_radius:
@@ -180,15 +181,16 @@ class Nonlinearity:
     def _series(self, y: Array | float, eps: float,
                 coeffs) -> tuple[Array, Array | float]:
         """y as an array and sum_m coeffs[m] (eps*y)^(2m), by Horner's rule
-        over the terms that suffice at max|eps*y|."""
+        in place over the terms that suffice at max|eps*y|."""
         y = np.asarray(y, dtype=float)
-        ey = eps * y
-        r = self._check_domain(ey)
-        z = ey * ey
+        z = eps * y
+        r = self._check_domain(z)
+        z *= z
         coeffs = _leading(coeffs, r * r)
-        acc = coeffs[-1]
+        acc = np.full_like(z, coeffs[-1])
         for c in reversed(coeffs[:-1]):
-            acc = acc * z + c
+            acc *= z
+            acc += c
         return y, acc
 
     # the coefficients of each evaluation, formed once per model
@@ -210,34 +212,39 @@ class Nonlinearity:
     def eval(self, u: Array | float):
         """f(u) by Horner evaluation of the odd series."""
         u, acc = self._series(u, 1.0, self.odd_coeffs)
-        out = acc * (u * u) * u
-        return float(out) if out.ndim == 0 else out
+        acc *= u * u
+        acc *= u
+        return float(acc) if acc.ndim == 0 else acc
 
     # -- rescaled forms (finite at eps = 0) ----------------------------------
     def scaled_eval(self, y: Array | float, eps: float):
         """f(eps*y)/eps^3 = y^3 * sum_m c_{2m+1} (eps*y)^(2m-2)."""
         y, acc = self._series(y, eps, self.odd_coeffs)
-        out = acc * (y * y * y)
-        return float(out) if out.ndim == 0 else out
+        y3 = y * y
+        y3 *= y
+        acc *= y3
+        return float(acc) if acc.ndim == 0 else acc
 
     def scaled_deriv(self, y: Array | float, eps: float):
         """f'(eps*y)/eps^2 = y^2 * sum_m (2m+1) c_{2m+1} (eps*y)^(2m-2)."""
         y, acc = self._series(y, eps, self._scaled_deriv_coeffs)
-        out = acc * y**2
-        return float(out) if out.ndim == 0 else out
+        acc *= y * y
+        return float(acc) if acc.ndim == 0 else acc
 
     def scaled_deriv_x_mean(self, y: Array | float, eps: float):
         """x-mean of scaled_deriv(y sin x, eps), exactly:
         y^2 * sum_m (2m+1) c_{2m+1} C(2m, m)/4^m (eps*y)^(2m-2)."""
         y, acc = self._series(y, eps, self._deriv_x_mean_coeffs)
-        out = acc * y**2
-        return float(out) if out.ndim == 0 else out
+        acc *= y * y
+        return float(acc) if acc.ndim == 0 else acc
 
     def scaled_antideriv(self, y: Array | float, eps: float):
         """F(eps*y)/eps^4 with F' = f: y^4 * sum_m c_{2m+1} (eps*y)^(2m-2)/(2m+2)."""
         y, acc = self._series(y, eps, self._antideriv_coeffs)
-        out = acc * y**4
-        return float(out) if out.ndim == 0 else out
+        y4 = y * y
+        y4 *= y4
+        acc *= y4
+        return float(acc) if acc.ndim == 0 else acc
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +258,7 @@ def collocate(model: Nonlinearity, eps: float, v: Array | float,
     ``v`` is one tau-slice (a scalar; result shape (M_x,)) or a vector of
     tau samples (result shape (M_tau, M_x)); ``w_values`` are samples of w
     on the same grid (None = 0).  ``order`` 0 gives the forcing, 1 its
-    w-derivative multiplier.
+    w-derivative multiplier; the result is its own xi buffer, scaled.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
@@ -259,5 +266,5 @@ def collocate(model: Nonlinearity, eps: float, v: Array | float,
     if w_values is not None:
         xi += w_values
     vals = model.scaled_eval(xi, eps) if order == 0 else model.scaled_deriv(xi, eps)
-    return (-1.0 / (1.0 + eps**2)) * vals
+    return np.multiply(vals, -1.0 / (1.0 + eps**2), out=xi)
 

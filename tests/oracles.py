@@ -23,7 +23,10 @@ package's `collocate` multiplier over an x grid; and `dop853_slow_flow`,
 which integrates the slow equation's collocated forcing one tau at a time
 with SciPy's DOP853 instead of the package's Chebyshev-Picard segments;
 and `tail_oracle`, which projects the package's `u_values` onto the fast
-time modes by its own sine sums.
+time modes by its own sine sums; and `out_of_place_eval` and
+`out_of_place_collocate`, which evaluate a model's series over the terms
+the package's `_leading` keeps, by out-of-place expressions in the
+operation order of the package's in-place evaluation.
 Four helpers are not oracles: `limit_rhs`, the limit oscillator's
 right-hand side; `v_at` and `v_tau_at`, which evaluate a trajectory and
 its derivative through the package's `cos_series`; and `ZERO_MODEL`, the
@@ -45,7 +48,7 @@ from scipy.stats import linregress
 
 from kgperiodic.fourier import (cos_analyze, cos_series, project_P,
                                sin_synthesis_matrix)
-from kgperiodic.nonlinearity import collocate
+from kgperiodic.nonlinearity import _leading, collocate
 from kgperiodic.normalform import _grids, _linear_symbol, assemble_F
 from kgperiodic.planar import PlanarState
 from kgperiodic.solver import NonConvergenceError, _pack, _unpack
@@ -354,6 +357,55 @@ def horner_oracle(coeffs, x) -> tuple[np.ndarray, np.ndarray]:
         value = value * x + c
         scale = scale * np.abs(x) + abs(c)
     return value, scale
+
+
+# The power factor each evaluation multiplies its series by, as one
+# out-of-place expression (``scaled_antideriv``'s y**4 is the C pow).
+_POWER_FACTORS = {
+    "eval": lambda acc, u: acc * (u * u) * u,
+    "scaled_eval": lambda acc, y: acc * (y * y * y),
+    "scaled_deriv": lambda acc, y: acc * y**2,
+    "scaled_deriv_x_mean": lambda acc, y: acc * y**2,
+    "scaled_antideriv": lambda acc, y: acc * y**4,
+}
+_SERIES = {
+    "eval": "odd_coeffs",
+    "scaled_eval": "odd_coeffs",
+    "scaled_deriv": "_scaled_deriv_coeffs",
+    "scaled_deriv_x_mean": "_deriv_x_mean_coeffs",
+    "scaled_antideriv": "_antideriv_coeffs",
+}
+
+
+def out_of_place_eval(model, method: str, y, eps: float = 1.0):
+    """``model.<method>(y, eps)`` (``eval`` ignores eps) by out-of-place
+    expressions: Horner's rule ``acc = acc * z + c`` in z = (eps y)^2 over
+    the terms `_leading` keeps at max|eps y|, then the power factor of
+    `_POWER_FACTORS`.  Every operation is the one the in-place evaluation
+    performs, in the same order, so the two agree bit for bit
+    (``scaled_antideriv`` aside, whose y^4 differs from the product
+    (y y)^2 in the last bit)."""
+    y = np.asarray(y, dtype=float)
+    ey = (1.0 if method == "eval" else eps) * y
+    z = ey * ey
+    r = float(np.abs(ey).max())
+    coeffs = _leading(getattr(model, _SERIES[method]), r * r)
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    out = _POWER_FACTORS[method](acc, y)
+    return float(out) if out.ndim == 0 else out
+
+
+def out_of_place_collocate(model, eps: float, v, w_values, M_x: int,
+                           order: int = 0):
+    """`collocate` by out-of-place expressions: xi = v sin x + w, then
+    -(1/omega^2) times `out_of_place_eval` of the forcing or multiplier."""
+    xi = np.multiply.outer(v, sin_synthesis_matrix(M_x, 1)[:, 1])
+    if w_values is not None:
+        xi = xi + w_values
+    method = "scaled_eval" if order == 0 else "scaled_deriv"
+    return (-1.0 / (1.0 + eps**2)) * out_of_place_eval(model, method, xi, eps)
 
 
 def truncation_oracle(coeffs, z: float) -> int:

@@ -113,6 +113,14 @@ class TestIntegrateV:
             # 4 segments of length 10 do not converge, so they were halved
             assert len(tau) > 4 * (closure._NODES - 1) + 1
 
+    def test_picard_matrices_built_once_read_only(self):
+        # nodes, coefficient map and integration matrix, shared by every call
+        first = closure._picard_matrices(closure._NODES)
+        assert closure._picard_matrices(closure._NODES) is first
+        assert [a.shape for a in first] == [(closure._NODES,)] + \
+            [(closure._NODES, closure._NODES)] * 2
+        assert not any(a.flags.writeable for a in first)
+
     def test_unresolved_segments_are_halved(self, sine_gordon, monkeypatch):
         # 9 nodes do not resolve a quarter period to round-off: the
         # Chebyshev tail test halves the segments, and the end state holds

@@ -15,7 +15,8 @@ import kgperiodic
 # after each: the import, a K = 64 resonance gate at eps = 0.1 (the J = 400
 # Hill solve), a K = 6 gate at eps = 0.193 (J = 94, classes of 48 and 47
 # cosines), a full closure solve and the first closure certificate; "pool"
-# lists the process-pool modules loaded by the import.
+# lists the process-pool modules loaded by the import, and
+# "polynomial_at_gate" whether numpy.polynomial is loaded after the gate.
 SCRIPT = """
 import json, sys
 
@@ -34,6 +35,7 @@ model = Nonlinearity.sine_gordon()
 traj = find_orbit(model.f3, 0.9).trajectory(256)
 resonance_gate(traj, 0.1, model, K=64, params=ResonanceParams())
 stages["gate"] = loaded()
+stages["polynomial_at_gate"] = "numpy.polynomial" in sys.modules
 _, spectrum, _ = resonance_gate(traj, 0.193, model, K=6,
                                 params=ResonanceParams())
 assert spectrum.J_max < 127, spectrum.J_max
@@ -59,6 +61,12 @@ def stages():
 def test_import_and_gate_load_no_scipy(stages):
     assert stages["import"] == []
     assert stages["gate"] == []
+
+
+def test_certificate_constants_imported_lazily(stages):
+    # numpy.polynomial builds the Chebyshev-Picard matrices at the first
+    # certificate; the import and a gate do not load it
+    assert stages["polynomial_at_gate"] is False
 
 
 def test_import_loads_no_process_pool(stages):

@@ -1,5 +1,7 @@
 """Model evaluation and rescaled-forcing tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from kgperiodic.nonlinearity import (Nonlinearity, TrustRadiusError, _leading,
                                      collocate)
 from kgperiodic.planar import find_orbit
 
-from oracles import (horner_oracle, quadrature_P, richardson_slope,
+from oracles import (horner_oracle, out_of_place_collocate,
+                     out_of_place_eval, quadrature_P, richardson_slope,
                      truncation_oracle)
 
 
@@ -225,6 +228,113 @@ class TestCollocate:
     def test_order_2_rejected(self):
         with pytest.raises(ValueError):
             collocate(Nonlinearity.phi4(), 0.1, 1.0, None, 16, order=2)
+
+
+METHODS = ("eval", "scaled_eval", "scaled_deriv", "scaled_deriv_x_mean",
+           "scaled_antideriv")
+MODELS = {
+    "sine-gordon": Nonlinearity.sine_gordon(),
+    "phi4": Nonlinearity.phi4(),
+    # seeded coefficients of mixed sign, eight terms
+    "custom": Nonlinearity("custom", tuple(
+        0.5 * np.random.default_rng(3030).standard_normal(8)), 2.0),
+}
+
+
+def _samples(shape, seed=17):
+    """Seeded y with |0.1 y| <= 0.9, inside every model's trust radius;
+    a Python float for shape ()."""
+    y = np.random.default_rng(seed).uniform(-9.0, 9.0, shape)
+    return float(y) if shape == () else y
+
+
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+class TestInPlaceEvaluation:
+    """Each evaluation runs Horner's rule in place and forms its power factor
+    by products, in the operation order of the out-of-place expressions."""
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 12)])
+    def test_bitwise_equal_to_out_of_place(self, name, eps, shape):
+        model, y = MODELS[name], _samples(shape)
+        for method in METHODS[:-1]:
+            # eval takes the sample u itself: u = 0.1 y, inside every radius
+            args = ((0.1 * np.asarray(y),) if method == "eval"
+                    else (y, eps))
+            got = getattr(model, method)(*args)
+            want = out_of_place_eval(model, method, *args)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want), method
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_collocate_bitwise_equal_to_out_of_place(self, name, eps, order):
+        model, M_x = MODELS[name], 24
+        v = _samples((6,), seed=5) / 10.0
+        w_values = 0.5 * np.random.default_rng(6).standard_normal((6, M_x))
+        for args in ((v[0], None), (v[0], w_values[0]), (v, None),
+                     (v, w_values)):
+            got = collocate(model, eps, *args, M_x, order=order)
+            want = out_of_place_collocate(model, eps, *args, M_x, order=order)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_read_only_inputs_are_left_alone(self, name):
+        # inputs as `VTrajectory.resample` and the cached tables hand them out
+        model, M_x = MODELS[name], 24
+        y = _read_only(_samples((5, 12)) / 10.0)
+        v = _read_only(_samples((6,), seed=5) / 10.0)
+        w_values = _read_only(
+            0.5 * np.random.default_rng(6).standard_normal((6, M_x)))
+        copies = [a.copy() for a in (y, v, w_values)]
+        for method in METHODS:
+            args = (y,) if method == "eval" else (y, 0.1)
+            out = getattr(model, method)(*args)
+            assert not np.shares_memory(out, y)
+        for order in (0, 1):
+            for vv, ww in ((v, w_values), (v[2], w_values[2]), (v, None)):
+                out = collocate(model, 0.1, vv, ww, M_x, order=order)
+                assert out.flags.writeable
+                assert not np.shares_memory(out, v)
+                assert not np.shares_memory(out, w_values)
+        for a, before in zip((y, v, w_values), copies):
+            assert np.array_equal(a, before)
+
+    def test_collocate_keeps_three_grid_buffers(self):
+        # tracemalloc counts NumPy's data buffers: on the default (tau, x)
+        # grid of assemble_F the peak beyond the inputs is xi, (eps xi)^2
+        # and the accumulator, whatever the wall time
+        M_tau, M_x = 104, 264
+        gen = np.random.default_rng(11)
+        v = gen.uniform(-1.0, 1.0, M_tau)
+        w_values = 0.1 * gen.standard_normal((M_tau, M_x))
+        grid = w_values.nbytes
+        for model in (MODELS["sine-gordon"], MODELS["phi4"]):
+            for order in (0, 1):
+                collocate(model, 0.1, v, w_values, M_x, order=order)  # warm
+                tracemalloc.start()
+                try:
+                    collocate(model, 0.1, v, w_values, M_x, order=order)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 3 * grid + 16384, (model.name, order,
+                                                  peak / grid)
+            tracemalloc.start()
+            try:
+                model.scaled_antideriv(w_values, 0.1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * grid + 16384, (model.name, peak / grid)
 
 
 def _dense(terms: dict[int, float]) -> list[float]:

@@ -229,26 +229,25 @@ class LinearizedOperator:
     since sin(kx) sin(lx) = (cos((k-l)x) - cos((k+l)x))/2, the multiplication
     part has (k, l) block A[|k-l|] - A[k+l] with A[p] the Toeplitz-plus-Hankel
     matrix of c[:, p] (`multiplication_matrix`, as in `hill_eigs`).  The
-    k = l blocks are Hill operators in tau.  Their eigendecomposition gives
-    the block-diagonal part B exactly: its inverse preconditions `solve`, its
-    smallest |eigenvalue| estimates sigma_min(L), and the rank of that
-    eigenvalue within block k names the culprit divisor (k, j).  The
-    off-block remainder E = L - B obeys ||E||_2 <= ||(||E_kl||_F)_kl||_2, so
-    by Weyl |sigma_min(L) - sigma_min(B)| <= ``sigma_radius``.
+    k = l blocks are Hill operators in tau, and B is their parity split
+    (below).  One `eigvalsh` per parity class gives B's eigenvalues: the
+    smallest |eigenvalue| estimates sigma_min(L), and its rank among the
+    signed eigenvalues of block k (both classes) names the culprit divisor
+    (k, j).  The inverses of the class blocks, computed on the first
+    `solve`, are B^{-1}, its preconditioner.  The off-block remainder obeys
+    ||E||_2 <= ||(||E_kl||_F)_kl||_2, so by Weyl |sigma_min(L) -
+    sigma_min(B)| <= ``sigma_radius``, that bound plus ``parity_radius``.
 
     Parity split: entry (j, j') of A[p] involves only c[j + j', p] and
     c[|j - j'|, p], so without odd tau-harmonics in m each block decouples
-    into its even-j and odd-j cosines, as in `hill_eigs`.  An odd model on
-    a half-period antisymmetric v and w (odd j only, as the orbit and the
-    solves produce) has round-off odd harmonics.  Dropping them moves each
-    block's eigenvalues by at most their Weyl mass, three times the sum of
-    the odd |c[n, 0]| + |c[n, 2k]|.  When the largest such mass fits the
-    round-off budget ``eps_mach * (max |symbol| + 3 max_k sum_n (|c[n, 0]|
-    + |c[n, 2k]|))``, the two classes are solved separately, for sigma_min,
-    the culprit (its rank among the signed eigenvalues of both classes) and
-    the preconditioner; ``parity_radius`` holds that mass and is added to
-    ``sigma_radius``.  Otherwise the whole blocks are solved and
-    ``parity_radius`` is None.
+    into its even-j and odd-j cosines, as in `hill_eigs`.  B keeps the two
+    classes and drops the odd harmonics, which moves each block's
+    eigenvalues by at most their Weyl mass, three times the sum of the odd
+    |c[n, 0]| + |c[n, 2k]|: ``parity_radius``, the largest such mass.  So
+    the enclosure and the contraction bound of `solve` hold for every
+    input.  An odd model on a half-period antisymmetric v and w (odd j
+    only, as the orbit and the solves produce) has round-off odd
+    harmonics, and ``parity_radius`` is round-off there.
     """
 
     def __init__(self, V_traj: VTrajectory, w: SpaceTimeField, eps: float,
@@ -279,13 +278,9 @@ class LinearizedOperator:
         blocks[:, j, j] += self._sym.T
 
         mass = np.abs(e[0]) + np.abs(e[2 * ks])
-        odd = 3.0 * float(mass[:, 1::2].sum(axis=1).max())
-        roundoff = np.finfo(float).eps * (np.abs(self._sym).max()
-                                          + 3.0 * mass.sum(axis=1).max())
-        self.parity_radius = odd if odd <= roundoff else None
-        classes = ((slice(None),) if self.parity_radius is None
-                   else (slice(0, None, 2), slice(1, None, 2)))
-        self._class_blocks = [(part, blocks[:, part, part]) for part in classes]
+        self.parity_radius = 3.0 * float(mass[:, 1::2].sum(axis=1).max())
+        self._class_blocks = [(part, blocks[:, part, part])
+                              for part in (slice(0, None, 2), slice(1, None, 2))]
         lam = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b in
                                       self._class_blocks], axis=1), axis=1)
         abs_lam = np.abs(lam)
@@ -303,7 +298,7 @@ class LinearizedOperator:
         np.fill_diagonal(off2, 0.0)
         self.sigma_radius = (
             float(np.linalg.eigvalsh(np.sqrt(np.maximum(off2, 0.0)))[-1])
-            + (self.parity_radius or 0.0))
+            + self.parity_radius)
 
     @cached_property
     def _apply_factors(self) -> tuple[Array, Array, Array]:
@@ -323,18 +318,17 @@ class LinearizedOperator:
         return (self._sym * U + mult).ravel()
 
     @cached_property
-    def _eig(self) -> list[tuple[slice, Array, Array]]:
-        """Eigenpairs of the Hill blocks per parity class, computed on the
+    def _inv(self) -> list[tuple[slice, Array]]:
+        """Inverses of the Hill blocks per parity class, computed on the
         first solve."""
-        return [(part, *np.linalg.eigh(b)) for part, b in self._class_blocks]
+        return [(part, np.linalg.inv(b)) for part, b in self._class_blocks]
 
     def _block_solve(self, r: Array) -> Array:
-        """B^{-1} r through the Hill-block eigendecomposition."""
+        """B^{-1} r by the parity classes' block inverses."""
         R = r.reshape(self._sym.shape).T
         out = np.empty_like(R)
-        for part, lam, vec in self._eig:
-            y = np.einsum("kij,ki->kj", vec, R[:, part]) / lam
-            out[:, part] = np.einsum("kij,kj->ki", vec, y)
+        for part, inv in self._inv:
+            out[:, part] = np.einsum("kij,kj->ki", inv, R[:, part])
         return out.T.ravel()
 
     def solve(self, rhs: Array) -> Array:

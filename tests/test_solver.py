@@ -19,7 +19,8 @@ from kgperiodic.divisors import (
     epsilon_kj,
     hill_eigs,
 )
-from kgperiodic.fourier import SpaceTimeField, cos_analyze, project_Q
+from kgperiodic.fourier import (SpaceTimeField, cos_analyze,
+                                cos_synthesis_matrix, project_Q)
 from kgperiodic.nonlinearity import collocate
 from kgperiodic.normalform import _linear_symbol
 from kgperiodic.planar import VTrajectory
@@ -57,6 +58,16 @@ def small_field(gen, period, N_tau=6, N_x=5, scale=1e-2):
 def operator_matrix(op):
     """Dense matrix of a LinearizedOperator, column by column through apply."""
     return np.column_stack([op.apply(e) for e in np.eye(op.size)])
+
+
+@pytest.fixture(scope="module")
+def canonical(closure01):
+    """Operator and dense oracle at the converged canonical point (N = 64)."""
+    run = closure01.run
+    N = run.effective_schedule[-1]
+    args = (closure01.V_traj, run.w, run.eps, run.model, N)
+    return (LinearizedOperator(*args), assemble_L(*args, N_tau=run.N_tau),
+            run.stages[-1])
 
 
 class TestAssembleF:
@@ -143,15 +154,6 @@ class TestAssembleL:
 
 
 class TestLinearizedOperator:
-    @pytest.fixture(scope="class")
-    def canonical(self, closure01):
-        """Operator and dense oracle at the converged canonical point (N = 64)."""
-        run = closure01.run
-        N = run.effective_schedule[-1]
-        args = (closure01.V_traj, run.w, run.eps, run.model, N)
-        return (LinearizedOperator(*args), assemble_L(*args, N_tau=run.N_tau),
-                run.stages[-1])
-
     def test_apply_matches_oracle_at_canonical_size(self, canonical, rng):
         op, L, _ = canonical
         assert op.size == L.shape[0] == 25 * 63
@@ -178,6 +180,32 @@ class TestLinearizedOperator:
                             lambda r: steps.append(1) or block_solve(r))
         op.solve(rng.standard_normal(op.size))
         assert len(steps) <= 6
+
+    def test_one_eigensolve_per_class(self, closure01, rng, monkeypatch):
+        # sigma_min, the culprit and the scale come from one eigvalsh of
+        # each parity class's blocks, sigma_radius from one more; the
+        # preconditioner inverts the class blocks and eigensolves nothing
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, *args, _name=name, _fn=getattr(np.linalg, name), **kw):
+                calls.append((_name, np.shape(a)))
+                return _fn(a, *args, **kw)
+            monkeypatch.setattr(np.linalg, name, spy)
+        run = closure01.run
+        op = LinearizedOperator(closure01.V_traj, run.w, run.eps, run.model,
+                                run.effective_schedule[-1])
+        op.solve(rng.standard_normal(op.size))
+        assert calls == [("eigvalsh", (63, 13, 13)), ("eigvalsh", (63, 12, 12)),
+                         ("eigvalsh", (63, 63))]
+
+    def test_block_solve_is_the_class_solves(self, canonical, rng):
+        op, _, _ = canonical
+        r = rng.standard_normal(op.size)
+        R = r.reshape(op._sym.shape).T
+        X = op._block_solve(r).reshape(op._sym.shape).T
+        for part, blocks in op._class_blocks:
+            ref = np.linalg.solve(blocks, R[:, part, None])[..., 0]
+            assert np.linalg.norm(X[:, part] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_stage_sigma_min_inside_enclosure(self, canonical):
         op, L, stage = canonical
@@ -233,6 +261,18 @@ class TestLinearizedOperator:
             op.solve(rng.standard_normal(op.size))
 
 
+def roundoff_budget(op):
+    """Round-off budget of the parity split, eps_mach (max |symbol| + 3
+    max_k sum_n (|c[n, 0]| + |c[n, 2k]|)), with the 2-d cosine coefficients
+    c of eps^2 m bounded by the moduli of the multiplier's 2-d FFT."""
+    M_tau, M_x = op._m.shape
+    N_tau = op._sym.shape[0] - 1
+    c = (op.eps**2 / (M_tau * M_x)) * np.abs(np.fft.rfft2(op._m))[:2 * N_tau + 1]
+    mass = c[:, :1] + c[:, 2 * np.arange(2, op.N + 1)]
+    return np.finfo(float).eps * (np.abs(op._sym).max()
+                                  + 3.0 * mass.sum(axis=0).max())
+
+
 def block_eigvalsh(L, N):
     """Eigenvalues of the whole k = l blocks of a dense linearization, the
     packed index running over j * (N - 1) + (k - 2)."""
@@ -249,14 +289,17 @@ class TestParitySplit:
         return (LinearizedOperator(traj, w0, eps, model, N),
                 assemble_L(traj, w0, eps, model, N))
 
-    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
-    def test_law_operator_splits(self, traj, sine_gordon, eps):
-        # the orbit's even harmonics are round-off, so the blocks split;
-        # the culprit and sigma_min are those of the whole blocks, and the
-        # enclosure, which adds the dropped mass, holds
-        op, L = self.law_operator(traj, sine_gordon, eps)
-        assert op.parity_radius is not None
-        assert 0.0 <= op.parity_radius <= op.sigma_radius
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2,
+                                     pytest.param(None, id="canonical")])
+    def test_law_operator_splits(self, traj, sine_gordon, eps, request):
+        # on the pipeline's operators, the law battery's at w = 0 and the
+        # canonical N = 64 one, the odd harmonics the split drops are
+        # round-off; the culprit and sigma_min are those of the whole
+        # blocks, and the enclosure, which adds the dropped mass, holds
+        op, L = (request.getfixturevalue("canonical")[:2] if eps is None
+                 else self.law_operator(traj, sine_gordon, eps))
+        assert 0.0 <= op.parity_radius <= roundoff_budget(op)
+        assert op.parity_radius <= op.sigma_radius
         lam = block_eigvalsh(L, op.N)
         k_i, j_i = np.unravel_index(np.argmin(np.abs(lam)), lam.shape)
         assert op.culprit == (k_i + 2, j_i)
@@ -268,7 +311,7 @@ class TestParitySplit:
         # mass of the dropped round-off odd harmonics, and it is not zero
         w = SpaceTimeField.zeros(traj.period, 40, 2)
         op = LinearizedOperator(traj, w, EPS, sine_gordon, 2)
-        assert op.parity_radius is not None and op.parity_radius > 0.0
+        assert op.parity_radius > 0.0
         assert op.sigma_radius == op.parity_radius
 
     def test_split_preconditioner_solves(self, traj, sine_gordon, rng):
@@ -276,17 +319,15 @@ class TestParitySplit:
         rhs = rng.standard_normal(op.size)
         assert np.allclose(L @ op.solve(rhs), rhs, atol=1e-12)
 
-    def test_even_harmonic_solves_whole_blocks(self, sine_gordon, rng):
-        # a j = 2 harmonic in v puts odd harmonics in m, far above round-off
+    def test_even_harmonic_radius_covers_the_split(self, sine_gordon, rng):
+        # a j = 2 harmonic in v puts odd harmonics in m, far above
+        # round-off: the split drops them, and their mass in the enclosure
+        # still bounds sigma_min(L) and the Richardson contraction
         traj = VTrajectory(6.0, np.array([0.0, 0.9, 0.05, 0.01]))
         w = SpaceTimeField.zeros(traj.period, 24, 4)
         op = LinearizedOperator(traj, w, EPS, sine_gordon, 4)
         L = assemble_L(traj, w, EPS, sine_gordon, 4)
-        assert op.parity_radius is None
-        lam = block_eigvalsh(L, 4)
-        k_i, j_i = np.unravel_index(np.argmin(np.abs(lam)), lam.shape)
-        assert op.culprit == (k_i + 2, j_i)
-        assert op.sigma_min == pytest.approx(abs(lam[k_i, j_i]), rel=1e-12)
+        assert 0.0 < op.parity_radius <= op.sigma_radius
         assert abs(svdvals(L)[-1] - op.sigma_min) <= op.sigma_radius
         rhs = rng.standard_normal(op.size)
         assert np.allclose(L @ op.solve(rhs), rhs, atol=1e-12)
@@ -305,6 +346,16 @@ class TestParitySplit:
         assert eps[int(np.argmin(law))] == 0.051928683161739556
         assert min(law) == pytest.approx(2.4093972403749406, rel=1e-10)
         assert min(law) >= FITTED_C
+
+    def test_law_battery_samples_no_field(self, sine_gordon):
+        # the battery's fields are zero and its operators never sample
+        # them: once a first battery has built the gates' tables, new
+        # draws' temporal bands add no synthesis table
+        first = sigma_min_law_samples(sine_gordon, n_samples=5, seed=2026)
+        misses = cos_synthesis_matrix.cache_info().misses
+        second = sigma_min_law_samples(sine_gordon, n_samples=5, seed=7)
+        assert cos_synthesis_matrix.cache_info().misses == misses
+        assert {r.size for r in second} - {r.size for r in first}
 
 
 class TestSchedule:

@@ -20,8 +20,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .divisors import ResonanceReport
-from .fourier import (SpaceTimeField, cos_analyze, cos_series,
-                      cos_synthesis_matrix, project_P, sin_synthesis_matrix)
+from .fourier import (SpaceTimeField, check_class, cos_series, project_P,
+                      quarter_wave, sin_synthesis_matrix)
 from .nonlinearity import Nonlinearity, TrustRadiusError, collocate
 from .planar import PlanarOrbit, PlanarState, VTrajectory, monodromy
 from .solver import (SolverConfig, SolverRun, nash_moser_solve, resonance_gate,
@@ -47,7 +47,7 @@ _PICARD_TOL = 1e-15  # relative Picard update that accepts a segment
 _MIN_SEGMENT = 1e-6  # shortest certificate segment, in periods
 _M_X = 64      # x-collocation points of the slow equation's forcing
 _M_X_H = 128   # x-collocation points of the Hamiltonian's potential term
-_N_SAMPLES = 256           # tau collocation points of the Galerkin slow solve
+_N_SAMPLES = 256           # tau grid the Galerkin slow solve's nodes are a quarter of
 _MAX_OUTER = 10            # rounds of the closure loop
 _TOL_OUTER = 1e-10         # settled delta_1 and w-update that end the loop
 _DERIVATIVE_FLOOR = 1e-3   # smallest |shooting derivative|
@@ -168,34 +168,40 @@ def galerkin_v(a0: Array, w: SpaceTimeField, eps: float,
                model: Nonlinearity, period: float) -> tuple[Array, float]:
     """Cosine coefficients a[0..J] of the even periodic slow solution at frozen w.
 
-    Collocates on the 2(J + 1)-point tau grid that resolves the series
-    (`VTrajectory.samples`'s default) and drives
-    R_j = (1/omega^2 - (2 pi j/period)^2) a_j - cos_analyze(P[collocate])_j
-    to round-off by Newton from ``a0``; the Jacobian is that diagonal minus
-    the cosine-Galerkin matrix of P[collocate(order=1) sin x].  Steps are
-    halved until max|R| decreases (leaving the trust radius rejects a step).
-    The Jacobian is invertible exactly when the orbit has twist, so a
-    singular or stalled one raises `DegenerateOrbitError`.  Returns a and
-    the final max|R|.
+    ``a0`` and w lie in the symmetry class (`check_class`), which the slow
+    equation keeps: the odd cosines are collocated on (J + 1)/2 tau and
+    `_M_X`/4 x quarter-wave nodes (the 2(J + 1), `_M_X` full grids'
+    equivalent), and Newton from ``a0`` drives
+    R_j = (1/omega^2 - (2 pi j/period)^2) a_j - (DCT-IV of P[collocate])_j
+    to round-off; the Jacobian is that diagonal minus the cosine-Galerkin
+    matrix of P[collocate(order=1) sin x].  Steps are halved until max|R|
+    decreases (leaving the trust radius rejects a step).  The Jacobian is
+    invertible exactly when the orbit has twist, so a singular or stalled
+    one raises `DegenerateOrbitError`.  Returns a (zero at even j) and the
+    final max|R|.
     """
+    check_class(a0, w.coeffs)
     J = a0.shape[0] - 1
-    n = 2 * (J + 1)
-    C = cos_synthesis_matrix(n, J)
-    w_values = w.values_grid(n, _M_X)
-    sin_x = sin_synthesis_matrix(_M_X, 1)[:, 1]
-    lam = 1.0 / (1.0 + eps**2) - (2.0 * np.pi * np.arange(J + 1) / period) ** 2
+    n, m_x = (J + 1) // 2, _M_X // 4
+    C = quarter_wave(n, J, 1)
+    S = quarter_wave(m_x, w.band_x, 1, np.sin)
+    w_values = quarter_wave(n, w.band_tau, 1) @ w.coeffs[1::2, 1::2] @ S.T
+    sin_x = S[:, 0]
+    lam = 1.0 / (1.0 + eps**2) - (2.0 * np.pi * np.arange(1, J + 1, 2) / period) ** 2
 
     def residual(a: Array) -> Array:
-        forcing = project_P(collocate(model, eps, C @ a, w_values, _M_X))
-        return lam * a - cos_analyze(forcing, J)
+        forcing = collocate(model, eps, C @ a, w_values, sin_x) @ sin_x
+        return lam * a - (4.0 / (n * m_x)) * (C.T @ forcing)
 
-    a, R = a0, residual(a0)
+    a, R = a0[1::2], residual(a0[1::2])
     r = float(np.abs(R).max())
     for _ in range(16):
         if r <= 64.0 * np.finfo(float).eps * np.abs(lam * a).max():
-            return a, r
-        q = project_P(collocate(model, eps, C @ a, w_values, _M_X, order=1) * sin_x)
-        jac = np.diag(lam) - cos_analyze((q[:, None] * C).T, J).T
+            out = np.zeros(J + 1)
+            out[1::2] = a
+            return out, r
+        q = collocate(model, eps, C @ a, w_values, sin_x, order=1) @ sin_x**2
+        jac = np.diag(lam) - (4.0 / (n * m_x)) * (C.T @ (q[:, None] * C))
         try:
             step = np.linalg.solve(jac, -R)
         except np.linalg.LinAlgError as ex:

@@ -9,6 +9,12 @@ The real storage encodes the symmetry "even in tau, odd in x" exactly: the
 canonical complex coefficients satisfy ``w[j,k] = w[-j,k] = -w[j,-k]`` by
 construction.  Sobolev norms are computed over those complex coefficients,
 so multiplicity factors appear in the formulas below.
+
+The solves work in the class of odd j and odd k (`check_class`), whose
+fields are antisymmetric under tau -> tau + p/2 and symmetric about x =
+pi/2.  Reflected about 0 and pi/2, M quarter-wave nodes (`quarter_wave`)
+are a 4M-point uniform grid shifted by half a step: a class function is
+analyzed there with weight 2/M per direction and that grid's aliasing.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ __all__ = [
     "cos_synthesis_matrix",
     "sin_analyze",
     "cos_analyze",
+    "quarter_wave",
+    "check_class",
     "cos_series",
     "project_P",
     "project_Q",
@@ -101,6 +109,31 @@ def cos_analyze(values: Array, N: int) -> Array:
     a = (2.0 / M) * (values @ C)
     a[..., 0] *= 0.5
     return a
+
+
+@lru_cache(maxsize=64)
+def quarter_wave(M: int, N: int, first: int, fn=np.cos) -> Array:
+    """fn(n theta_m), read-only, for n = first, first + 2, ... <= N at the
+    quarter-wave nodes theta_m = pi (2m + 1) / (4M), m < M, from the phase
+    ((2m + 1) n mod 8M) pi / (4M) reduced exactly: the DCT-IV (cos) and
+    DST-IV (sin) kernels at odd n, the DCT-II at even n.
+    ``quarter_wave.__wrapped__`` builds a table without caching it."""
+    n = np.arange(first, N + 1, 2)
+    T = fn((np.pi / (4 * M)) * (np.outer(2 * np.arange(M) + 1, n) % (8 * M)))
+    T.flags.writeable = False
+    return T
+
+
+def check_class(*arrays: Array) -> None:
+    """`ValueError`, naming the largest offending coefficient, unless each
+    series (1-d, over j) or field (2-d) vanishes outside odd j and odd k."""
+    for coeffs in arrays:
+        c = np.abs(coeffs)
+        c[(slice(1, None, 2),) * c.ndim] = 0.0
+        if c.any():
+            index = tuple(map(int, np.unravel_index(np.argmax(c), c.shape)))
+            raise ValueError(f"coefficient {index} = {coeffs[index]:.3e} lies "
+                             "outside the symmetry class (odd j, odd k)")
 
 
 def cos_series(coeffs: Array, period: float, taus: Array | float,

@@ -26,13 +26,13 @@ w-derivative, the multiplier,
 * order 0: ``-(1/omega^2) scaled_eval(xi, eps)``
 * order 1: ``-(1/omega^2) scaled_deriv(xi, eps)``
 
-at ``xi = v sin x + w`` on the uniform x grid, with ``omega^2 = 1 + eps^2``.
-Every forcing of the pipeline is one `collocate` call followed by the sin-x
-projection pair of `fourier`: ``project_P`` gives the slow forcing f~ (the
-part along sin x), ``project_Q`` the fast forcing g (the part orthogonal to
-it).  The x-mean of the multiplier at w = 0 is the Hill potential of the
-small divisors; `Nonlinearity.scaled_deriv_x_mean` sums it exactly, with
-the x-means C(2n, n)/4^n of sin^(2n) x folded into the series.
+at ``xi = v sin x + w`` on an x grid, with ``omega^2 = 1 + eps^2``.  Every
+forcing of the pipeline is one `collocate` call and a sine analysis in x:
+the sin x part is the slow forcing f~ (``project_P``), the rest the fast
+forcing g (``project_Q``, or odd k >= 3 on quarter-wave nodes).  The
+x-mean of the multiplier at w = 0 is the Hill potential of the small
+divisors; `Nonlinearity.scaled_deriv_x_mean` sums it exactly, with the
+x-means C(2n, n)/4^n of sin^(2n) x folded into the series.
 """
 
 from __future__ import annotations
@@ -252,17 +252,20 @@ class Nonlinearity:
 # ---------------------------------------------------------------------------
 
 def collocate(model: Nonlinearity, eps: float, v: Array | float,
-              w_values: Array | None, M_x: int, order: int = 0) -> Array:
+              w_values: Array | None, M_x: int | Array, order: int = 0) -> Array:
     """Samples of -(1/omega^2) f^(order)(eps xi)/eps^(3-order), xi = v sin x + w.
 
-    ``v`` is one tau-slice (a scalar; result shape (M_x,)) or a vector of
-    tau samples (result shape (M_tau, M_x)); ``w_values`` are samples of w
-    on the same grid (None = 0).  ``order`` 0 gives the forcing, 1 its
-    w-derivative multiplier; the result is its own xi buffer, scaled.
+    ``M_x`` is the point count of the uniform x grid, or the samples of
+    sin x on another grid.  ``v`` is one tau-slice (a scalar; result shape
+    (M_x,)) or a vector of tau samples (result shape (M_tau, M_x));
+    ``w_values`` are samples of w on the same grid (None = 0).  ``order``
+    0 gives the forcing, 1 its w-derivative multiplier; the result is its
+    own xi buffer, scaled.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    xi = np.multiply.outer(v, sin_synthesis_matrix(M_x, 1)[:, 1])
+    sin_x = sin_synthesis_matrix(M_x, 1)[:, 1] if np.ndim(M_x) == 0 else M_x
+    xi = np.multiply.outer(v, sin_x)
     if w_values is not None:
         xi += w_values
     vals = model.scaled_eval(xi, eps) if order == 0 else model.scaled_deriv(xi, eps)

@@ -6,7 +6,8 @@ The fast field obeys
     g(v, w) = -(1/omega^2) Q[f(eps(v sin x + w))/eps^3],
 
 over fields in span{cos(2 pi j tau / p) sin(k x), k >= 2}; `assemble_F`
-evaluates it by collocation, and is the only place it is written.
+evaluates it by collocation on quarter-wave nodes, in the class of odd j
+and odd k that F keeps, and is the only place it is written.
 
 Averaging substitutes ``w = w_new - S`` for a trajectory-dependent shift S,
 an exact change of variables: the transformed residual satisfies
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fourier import (SpaceTimeField, cos_analyze, invert_J_eps, j_eps_symbol,
-                      project_Q)
+from .fourier import (SpaceTimeField, check_class, invert_J_eps, j_eps_symbol,
+                      quarter_wave)
 from .nonlinearity import Nonlinearity, collocate
 from .planar import VTrajectory
 
@@ -42,9 +43,8 @@ __all__ = [
 
 
 def _grids(N_x: int, N_tau: int) -> tuple[int, int]:
-    M_tau = 4 * N_tau + 8
-    M_x = max(4 * N_x + 8, 32)
-    return M_tau, M_x
+    """Quarter-wave nodes in tau and x, a quarter of the full grids'."""
+    return N_tau + 2, max(N_x + 2, 8)
 
 
 def _linear_symbol(period: float, eps: float, N_tau: int, K: int) -> Array:
@@ -58,19 +58,23 @@ def assemble_F(V_traj: VTrajectory, w: SpaceTimeField, eps: float,
                M_tau: int | None = None, M_x: int | None = None) -> SpaceTimeField:
     """Residual field F(w) = (J_eps - eps^2 d_tautau) w + eps^2 g(V, w).
 
-    Collocated on an (M_tau, M_x) grid, by default `_grids` of the field's
-    band; the result has the band of ``w``.
+    V and w lie in the symmetry class (`check_class`), which F keeps, so g
+    is collocated on (M_tau, M_x) quarter-wave nodes, by default `_grids`
+    of the field's band, and analyzed at odd j and odd k >= 3; the result
+    has the band of ``w`` and exact zeros outside the class.
     """
+    check_class(V_traj.cos_coeffs, w.coeffs)
     N_tau, K = w.band_tau, w.band_x
     dM_tau, dM_x = _grids(K, N_tau)
     M_tau = M_tau or dM_tau
     M_x = M_x or dM_x
-    lin = SpaceTimeField(period=w.period,
-                         coeffs=w.coeffs * _linear_symbol(w.period, eps, N_tau, K))
-    vals = collocate(model, eps, V_traj.resample(M_tau),
-                     w.values_grid(M_tau, M_x), M_x)
-    g = SpaceTimeField(w.period, cos_analyze(project_Q(vals, K).T, N_tau).T)
-    return lin + (eps**2) * g
+    C = quarter_wave(M_tau, N_tau, 1)
+    S = quarter_wave(M_x, K, 1, np.sin)
+    vals = collocate(model, eps, V_traj.quarter_nodes(M_tau),
+                     C @ w.coeffs[1::2, 1::2] @ S.T, S[:, 0])
+    coeffs = w.coeffs * _linear_symbol(w.period, eps, N_tau, K)
+    coeffs[1::2, 3::2] += (4.0 * eps**2 / (M_tau * M_x)) * (C.T @ vals @ S[:, 1:])
+    return SpaceTimeField(w.period, coeffs)
 
 
 @dataclass(frozen=True)
@@ -90,11 +94,11 @@ def nf_sequence(traj: VTrajectory, eps: float, model: Nonlinearity,
                 N_x: int, N_tau: int, k_max: int) -> AveragedStart:
     """Apply up to ``k_max`` averaging steps from w = 0 on the (N_tau, N_x) band.
 
-    Each drive is collocated on the (4 N_tau, 4 N_x) grid.  Stops as soon
-    as a step fails to decrease the drive norm, which happens near the
-    round-off floor; the step that failed to contract is not taken.
+    Each drive is collocated on (N_tau, N_x) quarter-wave nodes, as on a
+    (4 N_tau, 4 N_x) grid.  Stops as soon as a step fails to decrease the
+    drive norm, near the round-off floor; that step is not taken.
     """
-    M_tau, M_x = 4 * max(N_tau, 1), 4 * max(N_x, 2)
+    M_tau, M_x = max(N_tau, 1), max(N_x, 2)
     w = SpaceTimeField.zeros(traj.period, N_tau, N_x)
     history: list[float] = []
     for _ in range(k_max):

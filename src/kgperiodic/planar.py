@@ -99,6 +99,10 @@ class VTrajectory:
             self._resampled[M] = v
         return self._resampled[M]
 
+    def quarter_nodes(self, M: int) -> Array:
+        """v at the M quarter-wave nodes period (2m + 1) / (8M), m < M."""
+        return self.resample(8 * M)[1:2 * M:2]
+
 
 # ---------------------------------------------------------------------------
 # orbits

@@ -11,11 +11,12 @@ Newton iteration on the truncated system).  Its report, the conditioning of
 each stage and a certificate of the final residual by an independent
 re-evaluation on a doubled collocation grid, is built when first read.
 
-Each Newton step solves with the linearization L in the L^2-orthonormal
-basis (temporal cosines with the j = 0 row scaled by 1/sqrt(2)).  L is
-applied matrix-free; it is block-diagonal in sin(k x) up to an O(eps^2)
-coupling, each block a Hill operator in tau, and the exact inverse of that
-block diagonal preconditions a Richardson iteration.
+F and L keep the symmetry class of fields with odd j and odd k, and the
+Newton unknowns are its coefficients (`_pack`).  L is applied matrix-free
+on quarter-wave grids; it is block-diagonal in sin(k x) up to an O(eps^2)
+coupling, each block a Hill operator in tau, and the inverse of the
+class's blocks preconditions a Richardson iteration.  The reported
+conditioning covers the full space.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from numpy.typing import NDArray
 from .divisors import (DivisorTable, ResonanceError, ResonanceParams,
                        averaged_potential, hill_eigs, is_resonant,
                        multiplication_matrix)
-from .fourier import (SpaceTimeField, cos_synthesis_matrix,
-                      sin_synthesis_matrix)
+from .fourier import SpaceTimeField, check_class, quarter_wave
 from .nonlinearity import Nonlinearity, collocate
 from .normalform import (AveragedStart, _grids, _linear_symbol, assemble_F,
                          nf_sequence)
@@ -178,17 +178,14 @@ def _default_N_tau(traj: VTrajectory, config: SolverConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _pack(coeffs: Array, N: int) -> Array:
-    block = coeffs[:, 2:N + 1].copy()
-    block[0, :] *= np.sqrt(2.0)
-    return block.ravel()
+    """The class coefficients of a field, odd j and odd 3 <= k <= N."""
+    return coeffs[1::2, 3:N + 1:2].ravel()
 
 
 def _unpack(vec: Array, period: float, N: int, N_tau: int,
             full_K: int) -> SpaceTimeField:
-    block = vec.reshape(N_tau + 1, N - 1).copy()
-    block[0, :] /= np.sqrt(2.0)
     coeffs = np.zeros((N_tau + 1, full_K + 1))
-    coeffs[:, 2:N + 1] = block
+    coeffs[1::2, 3:N + 1:2] = vec.reshape((N_tau + 1) // 2, (N - 1) // 2)
     return SpaceTimeField(period=period, coeffs=coeffs)
 
 
@@ -200,8 +197,9 @@ def _unpack(vec: Array, period: float, N: int, N_tau: int,
 class InversionReport:
     """Conditioning of one truncated linearization.
 
-    ``sigma_min`` is the smallest |eigenvalue| of the Hill blocks; the
-    smallest singular value of L lies within ``sigma_radius`` of it.
+    ``sigma_min`` is the smallest |eigenvalue| of the Hill blocks, and the
+    smallest singular value of L lies within ``sigma_radius`` of it;
+    ``sigma_min_class`` >= it and ``size`` are the class's (odd j, odd k).
     """
 
     sigma_min: float
@@ -211,125 +209,105 @@ class InversionReport:
     eps: float
     law_constant: float       # sigma_min * N^gamma / eps^(l-1)
     ratio_vs_fit: float       # law_constant / FITTED_C, expected >= 1
+    sigma_min_class: float
 
 
 class LinearizedOperator:
     """L = J_eps + eps^2(-d_tautau + D_w g) at w, truncated to k <= N.
 
-    Vectors run over (j = 0..N_tau, k = 2..N), N_tau the temporal band of
-    w, in the orthonormal temporal basis of `_pack`.  `apply` is
-    matrix-free on the `_grids` collocation grid of (N, N_tau):
-    synthesize, multiply by the derivative multiplier m, analyze.  Its
-    synthesis tables and scaled multiplier are built on the first
-    `apply` or `solve`, so a build that only reports (the law battery, a
-    zero-step stage's conditioning) never makes them.
+    V and w lie in the symmetry class (`check_class`), which L keeps, so
+    vectors run over odd j <= N_tau (w's band) and odd 3 <= k <= N, as in
+    `_pack`.  `apply` is matrix-free on the `_grids` quarter-wave nodes of
+    (N, N_tau): synthesize (DCT-IV in tau, DST-IV in x), multiply by the
+    multiplier m, analyze; a build that only reports (the law battery, a
+    zero-step stage) never makes its tau table.
 
-    The matrix is fixed by the 2-d cosine coefficients c[n, p] of eps^2 m,
-    analyzed by real FFTs in x and in tau:
-    since sin(kx) sin(lx) = (cos((k-l)x) - cos((k+l)x))/2, the multiplication
-    part has (k, l) block A[|k-l|] - A[k+l] with A[p] the Toeplitz-plus-Hankel
+    m is even with period p/2 in tau and period pi in x, so its 2-d cosine
+    coefficients vanish at odd n or odd p, and ``cos_coeffs`` holds the
+    others, c[2h, 2q] of eps^2 m, by DCT-II.  The conditioning covers the
+    full space: as sin(kx) sin(lx) = (cos((k-l)x) - cos((k+l)x))/2, the
+    (k, l) block is A[|k-l|] - A[k+l], A[p] the Toeplitz-plus-Hankel
     matrix of c[:, p] (`multiplication_matrix`, as in `hill_eigs`).  The
-    k = l blocks are Hill operators in tau, and B is their parity split
-    (below).  One `eigvalsh` per parity class gives B's eigenvalues: the
-    smallest |eigenvalue| estimates sigma_min(L), and its rank among the
-    signed eigenvalues of block k (both classes) names the culprit divisor
-    (k, j).  The inverses of the class blocks, computed on the first
-    `solve`, are B^{-1}, its preconditioner.  The off-block remainder obeys
-    ||E||_2 <= ||(||E_kl||_F)_kl||_2, so by Weyl |sigma_min(L) -
-    sigma_min(B)| <= ``sigma_radius``, that bound plus ``parity_radius``.
-
-    Parity split: entry (j, j') of A[p] involves only c[j + j', p] and
-    c[|j - j'|, p], so without odd tau-harmonics in m each block decouples
-    into its even-j and odd-j cosines, as in `hill_eigs`.  B keeps the two
-    classes and drops the odd harmonics, which moves each block's
-    eigenvalues by at most their Weyl mass, three times the sum of the odd
-    |c[n, 0]| + |c[n, 2k]|: ``parity_radius``, the largest such mass.  So
-    the enclosure and the contraction bound of `solve` hold for every
-    input.  An odd model on a half-period antisymmetric v and w (odd j
-    only, as the orbit and the solves produce) has round-off odd
-    harmonics, and ``parity_radius`` is round-off there.
+    k = l blocks B, Hill operators in tau, split exactly into even-j and
+    odd-j cosines, one `eigvalsh` each: the smallest |eigenvalue|
+    estimates sigma_min(L), its rank in block k names the culprit divisor
+    (k, j), and the odd-j ones at odd k give ``sigma_min_class``.  By
+    Weyl |sigma_min(L) - sigma_min(B)| <= ``sigma_radius``, the bound
+    ||(||E_kl||_F)_kl||_2 >= ||E||_2 of the off-block part.  The inverses
+    of the class's blocks, built on the first `solve`, precondition it.
     """
 
     def __init__(self, V_traj: VTrajectory, w: SpaceTimeField, eps: float,
                  model: Nonlinearity, N: int):
+        check_class(V_traj.cos_coeffs, w.coeffs)
         N_tau = w.band_tau
         if N > w.band_x:
             raise ValueError("truncation N exceeds the field band")
         M_tau, M_x = _grids(N, N_tau)
-        self.eps, self.N = eps, N
-        self.size = (N_tau + 1) * (N - 1)
-        self._sym = _linear_symbol(w.period, eps, N_tau, N)[:, 2:]
-        self._row_scale = np.ones((N_tau + 1, 1))
-        self._row_scale[0] = 1.0 / np.sqrt(2.0)
-        w_values = w.values_grid(M_tau, M_x) if w.coeffs.any() else None
-        self._m = collocate(model, eps, V_traj.resample(M_tau), w_values, M_x,
-                            order=1)
+        self.eps, self.N, self._N_tau = eps, N, N_tau
+        sym = _linear_symbol(w.period, eps, N_tau, N)[:, 2:]
+        self._sym = sym[1::2, 1::2]
+        self.size = self._sym.size
+        self._S = quarter_wave(M_x, w.band_x, 1, np.sin)
+        w_values = (quarter_wave(M_tau, N_tau, 1) @ w.coeffs[1::2, 1::2]
+                    @ self._S.T if w.coeffs.any() else None)
+        self._m = collocate(model, eps, V_traj.quarter_nodes(M_tau), w_values,
+                            self._S[:, 0], order=1)
 
-        # x-cosine sums by a real FFT, times (-1)^p for the grid's start at
-        # -pi; M_x / 2 + 1 >= 2N + 5 frequencies cover p <= 2N
-        m_x = (np.fft.rfft(self._m, axis=1).real[:, :2 * N + 1]
-               * (-1.0) ** np.arange(2 * N + 1))
-        c = np.fft.rfft(m_x, axis=0).real[:2 * N_tau + 1]
-        e = (eps**2 / (M_tau * M_x)) * c.T
-        A = multiplication_matrix(e, N_tau)
+        # the DCT-II tables are not cached: the law battery's temporal
+        # bands differ from draw to draw
+        dct2 = quarter_wave.__wrapped__
+        self.cos_coeffs = (eps**2 / (M_tau * M_x)) * (
+            dct2(M_tau, 2 * N_tau, 0).T @ self._m @ dct2(M_x, 2 * N, 0))
+        e = np.zeros((N + 1, 2 * N_tau + 1))
+        e[:, ::2] = self.cos_coeffs.T
+        A = multiplication_matrix(e, N_tau)       # A[q] = A[p] at p = 2q
         ks = np.arange(2, N + 1)
-        blocks = A[0] - A[2 * ks]
+        blocks = A[0] - A[ks]
         j = np.arange(N_tau + 1)
-        blocks[:, j, j] += self._sym.T
-
-        mass = np.abs(e[0]) + np.abs(e[2 * ks])
-        self.parity_radius = 3.0 * float(mass[:, 1::2].sum(axis=1).max())
-        self._class_blocks = [(part, blocks[:, part, part])
-                              for part in (slice(0, None, 2), slice(1, None, 2))]
-        lam = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b in
-                                      self._class_blocks], axis=1), axis=1)
-        abs_lam = np.abs(lam)
+        blocks[:, j, j] += sym.T
+        self._class_blocks = blocks[1::2, 1::2, 1::2]
+        lam = [np.linalg.eigvalsh(blocks[:, part, part])
+               for part in (slice(0, None, 2), slice(1, None, 2))]
+        self.sigma_min_class = float(np.abs(lam[1][1::2]).min(initial=np.inf))
+        abs_lam = np.abs(np.sort(np.concatenate(lam, axis=1), axis=1))
         k_i, j_i = np.unravel_index(np.argmin(abs_lam), abs_lam.shape)
         self.sigma_min = float(abs_lam[k_i, j_i])
         self.culprit = (int(ks[k_i]), int(j_i))
         self._scale = float(abs_lam.max())
 
-        # ||E_kl||_F^2 = ||A[d] - A[s]||_F^2 from the Gram matrix of the A[p]
+        # ||E_kl||_F^2 = ||A[d] - A[s]||_F^2 by the Gram matrix (0 at odd p)
         flat = A.reshape(A.shape[0], -1)
-        G = flat @ flat.T
+        G = np.zeros((2 * N + 1, 2 * N + 1))
+        G[::2, ::2] = flat @ flat.T
         d = np.abs(ks[:, None] - ks[None, :])
         s = ks[:, None] + ks[None, :]
         off2 = G[d, d] + G[s, s] - 2.0 * G[d, s]
         np.fill_diagonal(off2, 0.0)
-        self.sigma_radius = (
-            float(np.linalg.eigvalsh(np.sqrt(np.maximum(off2, 0.0)))[-1])
-            + self.parity_radius)
+        self.sigma_radius = float(
+            np.linalg.eigvalsh(np.sqrt(np.maximum(off2, 0.0)))[-1])
 
     @cached_property
-    def _apply_factors(self) -> tuple[Array, Array, Array]:
-        """tau and x synthesis tables of `apply`, and its output row scale
-        with the analysis weight 4 eps^2 / (M_tau M_x) folded in."""
-        M_tau, M_x = self._m.shape
-        return (cos_synthesis_matrix(M_tau, self._sym.shape[0] - 1),
-                sin_synthesis_matrix(M_x, self.N)[:, 2:],
-                (4.0 * self.eps**2 / (M_tau * M_x)) * self._row_scale)
+    def _C(self) -> Array:
+        """The tau synthesis table of `apply`, built on its first call."""
+        return quarter_wave(self._m.shape[0], self._N_tau, 1)
 
     def apply(self, u: Array) -> Array:
-        """L u, matrix-free."""
-        C, S, out_scale = self._apply_factors
+        """L u, matrix-free, with the analysis weight 4 / (M_tau M_x)."""
+        C, S = self._C, self._S[:, 1:self._sym.shape[1] + 1]
         U = u.reshape(self._sym.shape)
-        vals = C @ (self._row_scale * U) @ S.T
-        mult = out_scale * (C.T @ (self._m * vals) @ S)
-        return (self._sym * U + mult).ravel()
+        mult = C.T @ (self._m * (C @ U @ S.T)) @ S
+        return (self._sym * U + (4.0 * self.eps**2 / self._m.size) * mult).ravel()
 
     @cached_property
-    def _inv(self) -> list[tuple[slice, Array]]:
-        """Inverses of the Hill blocks per parity class, computed on the
-        first solve."""
-        return [(part, np.linalg.inv(b)) for part, b in self._class_blocks]
+    def _inv(self) -> Array:
+        """Inverses of the class's Hill blocks, computed on the first solve."""
+        return np.linalg.inv(self._class_blocks)
 
     def _block_solve(self, r: Array) -> Array:
-        """B^{-1} r by the parity classes' block inverses."""
+        """B^{-1} r by the class's block inverses."""
         R = r.reshape(self._sym.shape).T
-        out = np.empty_like(R)
-        for part, inv in self._inv:
-            out[:, part] = np.einsum("kij,kj->ki", inv, R[:, part])
-        return out.T.ravel()
+        return np.einsum("kij,kj->ik", self._inv, R).ravel()
 
     def solve(self, rhs: Array) -> Array:
         """L^{-1} rhs by preconditioned Richardson iteration to relative
@@ -372,7 +350,8 @@ class LinearizedOperator:
                                sigma_radius=self.sigma_radius, N=self.N,
                                size=self.size, eps=self.eps,
                                law_constant=const,
-                               ratio_vs_fit=const / FITTED_C)
+                               ratio_vs_fit=const / FITTED_C,
+                               sigma_min_class=self.sigma_min_class)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +397,7 @@ class StageRecord:
         return {"N": self.N, "newton_iters": self.newton_iters,
                 "increment_norm_s": self.increment_norm_s,
                 "residual_s": self.residual_s, "sigma_min": self.sigma_min,
+                "sigma_min_class": self.conditioning.sigma_min_class,
                 "sigma_radius": self.sigma_radius,
                 "law_constant": self.law_constant}
 

@@ -13,9 +13,14 @@ written in place.
 The exceptions are the dense references for the Newton solve:
 `assemble_L` reuses the package's multiplier samples (`collocate`) and
 symbol but
-assembles every matrix entry by its own route, and `oracle_newton_solve`
-runs undamped Newton on the package's residual `assemble_F` with a
-finite-difference Jacobian; and the dense Hill reference
+assembles every matrix entry by its own route on the full grid, and
+`oracle_newton_solve` runs undamped Newton over every coefficient (both
+parities of j and of k) on the full-grid residual `oracle_assemble_F`
+with a finite-difference Jacobian; the full-grid forms
+`oracle_assemble_F`, `oracle_multiplier_coeffs` and `oracle_galerkin_v`
+of the package's quarter-wave `assemble_F`, multiplier coefficients and
+`galerkin_v`, which collocate on uniform grids over whole periods with
+the package's `collocate` and tables; and the dense Hill reference
 `oracle_hill_eigs`, which reuses the package's cosine analysis of the
 potential but assembles and diagonalizes the full Galerkin matrix; the
 collocated Hill potential `oracle_averaged_potential`, which averages the
@@ -27,11 +32,12 @@ time modes by its own sine sums; and `out_of_place_eval` and
 `out_of_place_collocate`, which evaluate a model's series over the terms
 the package's `_leading` keeps, by out-of-place expressions in the
 operation order of the package's in-place evaluation.
-Four helpers are not oracles: `limit_rhs`, the limit oscillator's
+Six helpers are not oracles: `limit_rhs`, the limit oscillator's
 right-hand side; `v_at` and `v_tau_at`, which evaluate a trajectory and
-its derivative through the package's `cos_series`; and `ZERO_MODEL`, the
+its derivative through the package's `cos_series`; `ZERO_MODEL`, the
 linear case f = 0, a stand-in a test passes wherever the package takes a
-`Nonlinearity`.
+`Nonlinearity`; `decaying_field`, a random field of the symmetry class;
+and `class_indices`, which restricts `assemble_L` to that class.
 """
 
 from __future__ import annotations
@@ -46,12 +52,13 @@ from scipy.linalg import eigh
 from scipy.special import ellipe, ellipj, ellipk
 from scipy.stats import linregress
 
-from kgperiodic.fourier import (cos_analyze, cos_series, project_P,
-                               sin_synthesis_matrix)
+from kgperiodic.fourier import (SpaceTimeField, cos_analyze, cos_series,
+                                cos_synthesis_matrix, project_P,
+                                sin_synthesis_matrix)
 from kgperiodic.nonlinearity import _leading, collocate
-from kgperiodic.normalform import _grids, _linear_symbol, assemble_F
+from kgperiodic.normalform import _linear_symbol
 from kgperiodic.planar import PlanarState
-from kgperiodic.solver import NonConvergenceError, _pack, _unpack
+from kgperiodic.solver import NonConvergenceError
 
 
 def limit_rhs(state, f3: float):
@@ -72,6 +79,18 @@ def v_at(traj, taus):
 def v_tau_at(traj, taus):
     """Its tau-derivative at ``taus``, by the same series."""
     return cos_series(traj.cos_coeffs, traj.period, taus, order=1)
+
+
+def decaying_field(seed, period, N_tau, N_x, scale=1e-3):
+    """A random class field whose coefficients fall by 10 per odd step in
+    j and in k, as a solution's do (faster, at the canonical point), so
+    the full grids' aliasing stays at round-off."""
+    coeffs = np.zeros((N_tau + 1, N_x + 1))
+    j, k = np.arange(1, N_tau + 1, 2), np.arange(3, N_x + 1, 2)
+    coeffs[1::2, 3::2] = (scale * 0.1 ** np.add.outer(j // 2, k // 2 - 1)
+                          * np.random.default_rng(seed).standard_normal(
+                              (j.size, k.size)))
+    return SpaceTimeField(period, coeffs)
 
 
 class _ZeroModel:
@@ -428,6 +447,85 @@ def quadrature_P(func, n: int = 4096) -> float:
     return float(np.mean(func(x) * np.sin(x)) * 2.0)
 
 
+def full_grids(N_x: int, N_tau: int) -> tuple[int, int]:
+    """The uniform full-period grid (4 N_tau + 8, max(4 N_x + 8, 32)) that
+    the package's default quarter-wave nodes are equivalent to."""
+    return 4 * N_tau + 8, max(4 * N_x + 8, 32)
+
+
+def oracle_assemble_F(V_traj, w, eps: float, model, M_tau: int | None = None,
+                      M_x: int | None = None, shifted: bool = False):
+    """F(w) = (J_eps - eps^2 d_tautau) w + eps^2 g(V, w) collocated on the
+    uniform (M_tau, M_x) grid over a whole period in tau and in x (by
+    default `full_grids`), analyzed at every j and k >= 2.  ``shifted``
+    moves both grids by half a step, to the odd points of the doubled
+    grids.  Reference for the quarter-wave `assemble_F`, which equals the
+    shifted grid for class fields and, where the grid's aliasing is below
+    round-off, the unshifted one too."""
+    N_tau, K = w.band_tau, w.band_x
+    dM_tau, dM_x = full_grids(K, N_tau)
+    M_tau, M_x = M_tau or dM_tau, M_x or dM_x
+    r = 1 + shifted
+    C = cos_synthesis_matrix(r * M_tau, N_tau)[shifted::r]
+    S = sin_synthesis_matrix(r * M_x, K)[shifted::r]
+    vals = collocate(model, eps, V_traj.resample(r * M_tau)[shifted::r],
+                     C @ w.coeffs @ S.T, S[:, 1])
+    b = (2.0 / M_x) * (vals @ S)
+    b[:, :2] = 0.0
+    g = (2.0 / M_tau) * (C.T @ b)
+    g[0] *= 0.5
+    return SpaceTimeField(w.period, w.coeffs * _linear_symbol(
+        w.period, eps, N_tau, K) + eps**2 * g)
+
+
+def oracle_multiplier_coeffs(V_traj, w, eps: float, model, N: int):
+    """2-d cosine coefficients c[n, p], n <= 2 N_tau and p <= 2N, of eps^2
+    times the multiplier, by real FFTs of its samples on the full grid
+    (times (-1)^p for the x grid's start at -pi).  Reference for
+    `LinearizedOperator.cos_coeffs`, which holds c[2h, 2q]."""
+    N_tau = w.band_tau
+    M_tau, M_x = full_grids(N, N_tau)
+    m = collocate(model, eps, V_traj.resample(M_tau),
+                  w.values_grid(M_tau, M_x), M_x, order=1)
+    m_x = (np.fft.rfft(m, axis=1).real[:, :2 * N + 1]
+           * (-1.0) ** np.arange(2 * N + 1))
+    return (eps**2 / (M_tau * M_x)) * np.fft.rfft(m_x, axis=0).real[:2 * N_tau + 1]
+
+
+def oracle_galerkin_v(a0, w, eps: float, model, period: float,
+                      M_x: int = 64):
+    """Every cosine a[0..J] of the even periodic slow solution at frozen w,
+    by Newton on the uniform 2(J + 1)-point tau grid and M_x-point x grid
+    with the dense Jacobian.  Reference for the odd-cosine quarter-wave
+    `galerkin_v`; returns a and the final max|R|."""
+    J = a0.shape[0] - 1
+    n = 2 * (J + 1)
+    C = cos_synthesis_matrix(n, J)
+    w_values = w.values_grid(n, M_x)
+    sin_x = sin_synthesis_matrix(M_x, 1)[:, 1]
+    lam = 1.0 / (1.0 + eps**2) - (2.0 * np.pi * np.arange(J + 1) / period) ** 2
+
+    def residual(a):
+        forcing = project_P(collocate(model, eps, C @ a, w_values, M_x))
+        return lam * a - cos_analyze(forcing, J)
+
+    a = np.array(a0, dtype=float)
+    for _ in range(16):
+        R = residual(a)
+        if np.abs(R).max() <= 64.0 * np.finfo(float).eps * np.abs(lam * a).max():
+            break
+        q = project_P(collocate(model, eps, C @ a, w_values, M_x, order=1) * sin_x)
+        a = a - np.linalg.solve(np.diag(lam) - cos_analyze((q[:, None] * C).T, J).T, R)
+    return a, float(np.abs(residual(a)).max())
+
+
+def class_indices(N: int, N_tau: int) -> np.ndarray:
+    """Positions of the class coefficients (odd j, odd k) in `assemble_L`'s
+    layout j (N - 1) + (k - 2), in the package's `_pack` order."""
+    j, k = np.arange(1, N_tau + 1, 2), np.arange(3, N + 1, 2)
+    return (j[:, None] * (N - 1) + (k[None, :] - 2)).ravel()
+
+
 def assemble_L(V_traj, w, eps, model, N, N_tau=None,
                M_tau=None, M_x=None) -> np.ndarray:
     """Dense symmetric matrix of L = J_eps + eps^2(-d_tautau + D_w g).
@@ -441,7 +539,7 @@ def assemble_L(V_traj, w, eps, model, N, N_tau=None,
     N_tau = w.band_tau if N_tau is None else N_tau
     if N > w.band_x:
         raise ValueError("truncation N exceeds the field band")
-    dM_tau, dM_x = _grids(N, N_tau)
+    dM_tau, dM_x = full_grids(N, N_tau)
     M_tau = M_tau or dM_tau
     M_x = M_x or dM_x
     if M_tau < 4 * N_tau + 2:
@@ -589,24 +687,29 @@ def oracle_newton_solve(V_traj, eps: float, N: int, J_max: int, model,
                         fd_step: float = 1e-6):
     """Brute-force reference solve of the fully truncated system.
 
-    Undamped Newton from zero with an explicit finite-difference Jacobian;
-    restricted to small truncations and used only for cross-checks.
+    Undamped Newton from zero over every coefficient j <= J_max, 2 <= k <= N
+    (no symmetry class assumed) on `oracle_assemble_F`, with an explicit
+    finite-difference Jacobian; restricted to small truncations and used
+    only for cross-checks.
     """
     n = (J_max + 1) * (N - 1)
     if n > 1000:
         raise ValueError("oracle restricted to <= 1000 unknowns")
     period = V_traj.period
 
+    def field(u: np.ndarray):
+        coeffs = np.zeros((J_max + 1, N + 1))
+        coeffs[:, 2:] = u.reshape(J_max + 1, N - 1)
+        return SpaceTimeField(period, coeffs)
+
     def F_vec(u: np.ndarray) -> np.ndarray:
-        w = _unpack(u, period, N, J_max, N)
-        F = assemble_F(V_traj, w, eps, model)
-        return _pack(F.coeffs, N)
+        return oracle_assemble_F(V_traj, field(u), eps, model).coeffs[:, 2:].ravel()
 
     u = np.zeros(n)
     for _ in range(max_iters):
         Fu = F_vec(u)
         if np.linalg.norm(Fu) <= tol:
-            return _unpack(u, period, N, J_max, N)
+            return field(u)
         J = oracle_jacobian(F_vec, u, fd_step)
         u = u - np.linalg.solve(J, Fu)
     raise NonConvergenceError("oracle Newton did not converge "

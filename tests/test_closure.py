@@ -22,7 +22,8 @@ from kgperiodic.fourier import SpaceTimeField
 from kgperiodic.nonlinearity import TrustRadiusError
 from kgperiodic.planar import PlanarState, VTrajectory, find_orbit
 
-from oracles import ZERO_MODEL, dop853_slow_flow, v_at, v_tau_at
+from oracles import (ZERO_MODEL, decaying_field, dop853_slow_flow,
+                     oracle_galerkin_v, v_at, v_tau_at)
 
 # Frozen canonical shooting parameter at eps = 0.1, amplitude 0.9 (default
 # solver settings); the run is fully deterministic.
@@ -198,10 +199,31 @@ class TestGalerkinV:
         shot = delta - t_a * 1e-6 / (t_b - t_a)
         assert abs(shot - delta) <= 1e-11
 
+    @pytest.mark.parametrize("model_name", ["sine_gordon", "phi4"])
+    @pytest.mark.parametrize("N, N_tau", [(3, 8), (5, 8), (64, 24)])
+    def test_matches_full_grid_oracle(self, model_name, N, N_tau, request):
+        # the odd cosines on quarter-wave nodes against every cosine on the
+        # full grid, from the orbit's series at a class field w (decaying as
+        # a solution's, so the 64-point x grid's aliasing is round-off)
+        model = request.getfixturevalue(model_name)
+        orbit = find_orbit(model.f3, 0.9)
+        w = decaying_field(N, orbit.period, N_tau, N)
+        a0 = orbit.trajectory(256).cos_coeffs
+        a, r = galerkin_v(a0, w, 0.1, model, orbit.period)
+        ref, _ = oracle_galerkin_v(a0, w, 0.1, model, orbit.period)
+        assert np.all(a[::2] == 0.0) and r < 1e-15
+        assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_even_cosine_is_rejected(self):
+        a0 = np.zeros(8)
+        a0[1], a0[4] = 0.5, 1e-3
+        with pytest.raises(ValueError, match=r"\(4,\) = 1\.000e-03"):
+            galerkin_v(a0, zero_w(3.7), 0.1, ZERO_MODEL, 3.7)
+
     def test_singular_jacobian_is_degenerate(self):
         # at eps = 0 and the linear period 2 pi the j = 1 diagonal is 0
         a0 = np.zeros(8)
-        a0[:2] = 1e-3
+        a0[1:4:2] = 1e-3
         with pytest.raises(DegenerateOrbitError, match="singular"):
             galerkin_v(a0, zero_w(2.0 * np.pi), 0.0, ZERO_MODEL, 2.0 * np.pi)
 

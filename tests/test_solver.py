@@ -20,10 +20,10 @@ from kgperiodic.divisors import (
     hill_eigs,
 )
 from kgperiodic.fourier import (SpaceTimeField, cos_analyze,
-                                cos_synthesis_matrix, project_Q)
+                                cos_synthesis_matrix, project_Q, quarter_wave)
 from kgperiodic.nonlinearity import collocate
-from kgperiodic.normalform import _linear_symbol
-from kgperiodic.planar import VTrajectory
+from kgperiodic.normalform import _grids, _linear_symbol
+from kgperiodic.planar import VTrajectory, find_orbit
 from kgperiodic.solver import (
     FITTED_C,
     LinearizedOperator,
@@ -38,8 +38,10 @@ from kgperiodic.solver import (
     sigma_min_law_samples,
 )
 
-from oracles import (ZERO_MODEL, assemble_L, oracle_averaged_potential,
-                     oracle_is_resonant, oracle_jacobian, oracle_newton_solve)
+from oracles import (ZERO_MODEL, assemble_L, class_indices, decaying_field,
+                     oracle_assemble_F, oracle_averaged_potential,
+                     oracle_is_resonant, oracle_jacobian,
+                     oracle_multiplier_coeffs, oracle_newton_solve)
 
 EPS = 0.1
 
@@ -50,14 +52,21 @@ def traj(orbit09):
 
 
 def small_field(gen, period, N_tau=6, N_x=5, scale=1e-2):
-    coeffs = scale * gen.standard_normal((N_tau + 1, N_x + 1))
-    coeffs[:, :2] = 0.0
+    """A random field of the symmetry class: odd j, odd k >= 3."""
+    coeffs = np.zeros((N_tau + 1, N_x + 1))
+    coeffs[1::2, 3::2] = scale * gen.standard_normal(coeffs[1::2, 3::2].shape)
     return SpaceTimeField(period=period, coeffs=coeffs)
 
 
 def operator_matrix(op):
     """Dense matrix of a LinearizedOperator, column by column through apply."""
     return np.column_stack([op.apply(e) for e in np.eye(op.size)])
+
+
+def in_class(L, N, N_tau):
+    """A dense `assemble_L` restricted to the class, in `_pack` order."""
+    idx = class_indices(N, N_tau)
+    return L[np.ix_(idx, idx)]
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +83,13 @@ class TestAssembleF:
     def test_model_none_is_diagonal_symbol(self, traj):
         p = traj.period
         coeffs = np.zeros((5, 6))
-        coeffs[2, 3] = 1.0
+        coeffs[3, 3] = 1.0
         w = SpaceTimeField(period=p, coeffs=coeffs)
         F = assemble_F(traj, w, EPS, ZERO_MODEL)
-        expected = 1.0 / (1.0 + EPS**2) - 9.0 + EPS**2 * (4.0 * np.pi / p) ** 2
-        assert F.coeffs[2, 3] == pytest.approx(expected, rel=1e-14)
+        expected = 1.0 / (1.0 + EPS**2) - 9.0 + EPS**2 * (6.0 * np.pi / p) ** 2
+        assert F.coeffs[3, 3] == pytest.approx(expected, rel=1e-14)
         mask = np.ones_like(F.coeffs, dtype=bool)
-        mask[2, 3] = False
+        mask[3, 3] = False
         assert np.max(np.abs(F.coeffs[mask])) == 0.0
 
     def test_zero_field_model_none_is_zero(self, traj):
@@ -90,14 +99,67 @@ class TestAssembleF:
 
     def test_zero_field_gives_scaled_drive(self, traj, sine_gordon):
         # F(0) = eps^2 * g(v, 0): the linear part vanishes at w = 0, and the
-        # zero field's samples act as no w at all
+        # zero field's samples act as no w at all; 32 x 16 quarter-wave
+        # nodes are the equivalent of the 128 x 64 grid
         N_tau, N_x = 8, 6
         w = SpaceTimeField(period=traj.period,
                            coeffs=np.zeros((N_tau + 1, N_x + 1)))
-        F = assemble_F(traj, w, EPS, sine_gordon, M_tau=128, M_x=64)
+        F = assemble_F(traj, w, EPS, sine_gordon, M_tau=32, M_x=16)
         vals = collocate(sine_gordon, EPS, traj.resample(128), None, 64)
         g = cos_analyze(project_Q(vals, N_x).T, N_tau).T
         assert np.max(np.abs(F.coeffs - EPS**2 * g)) < 1e-15
+
+
+@pytest.fixture(scope="module", params=["sine_gordon", "phi4"])
+def class_case(request):
+    """A model and its a = 0.9 orbit's trajectory, which is half-period
+    antisymmetric (odd cosines only)."""
+    model = request.getfixturevalue(request.param)
+    return model, find_orbit(model.f3, 0.9).trajectory(256)
+
+
+class TestQuarterWaveOracles:
+    """The quarter-wave forms against their full-grid oracles on class
+    inputs, to 1e-14 relative."""
+
+    @pytest.mark.parametrize("N, N_tau", [(3, 8), (5, 8), (64, 24)])
+    @pytest.mark.parametrize("grid", ["default", "nf_sequence", "doubled"])
+    def test_F(self, class_case, N, N_tau, grid):
+        # M quarter-wave nodes are the full grid of 4M shifted by half a
+        # step; where the grid is dealiased (all but the 4 N_tau x 4 N_x
+        # grid of the averaging drives at small N) the unshifted grid
+        # agrees as well
+        model, traj = class_case
+        w = decaying_field(N, traj.period, N_tau, N)
+        nodes = {"default": (None, None), "nf_sequence": (N_tau, N),
+                 "doubled": tuple(2 * m for m in _grids(N, N_tau))}[grid]
+        full = tuple(m and 4 * m for m in nodes)
+        F = assemble_F(traj, w, EPS, model, *nodes).coeffs
+        refs = [oracle_assemble_F(traj, w, EPS, model, *full, shifted=True)]
+        if grid != "nf_sequence" or N == 64:
+            refs.append(oracle_assemble_F(traj, w, EPS, model, *full))
+        for ref in (r.coeffs for r in refs):
+            assert np.max(np.abs(F - ref)) <= 1e-14 * np.max(np.abs(ref))
+        outside = np.ones(F.shape, dtype=bool)
+        outside[1::2, 1::2] = False
+        assert np.all(F[outside] == 0.0)
+
+    @pytest.mark.parametrize("N, N_tau", [(3, 8), (5, 8), (64, 24)])
+    def test_multiplier_and_L(self, class_case, N, N_tau):
+        # the DCT-II coefficients are the FFT path's even-even ones, whose
+        # odd ones are round-off; apply is assemble_L on the class, to
+        # 1e-14 of its part beyond the diagonal symbol D
+        model, traj = class_case
+        w = decaying_field(N, traj.period, N_tau, N)
+        op = LinearizedOperator(traj, w, EPS, model, N)
+        c = oracle_multiplier_coeffs(traj, w, EPS, model, N)
+        scale = np.max(np.abs(c))
+        assert np.max(np.abs(op.cos_coeffs - c[::2, ::2])) <= 1e-14 * scale
+        assert np.max(np.abs(c[1::2])) <= 1e-14 * scale
+        assert np.max(np.abs(c[:, 1::2])) <= 1e-14 * scale
+        L = in_class(assemble_L(traj, w, EPS, model, N, N_tau=N_tau), N, N_tau)
+        D = np.diag(_linear_symbol(traj.period, EPS, N_tau, N)[1::2, 3::2].ravel())
+        assert np.max(np.abs(operator_matrix(op) - L)) <= 1e-14 * np.max(np.abs(L - D))
 
 
 class TestAssembleL:
@@ -107,7 +169,7 @@ class TestAssembleL:
         w = small_field(rng, traj.period)
         M = operator_matrix(LinearizedOperator(traj, w, EPS, sine_gordon, N=5))
         assert np.max(np.abs(M - M.T)) < 1e-13 * np.max(np.abs(M))
-        L = assemble_L(traj, w, EPS, sine_gordon, N=5, N_tau=6)
+        L = in_class(assemble_L(traj, w, EPS, sine_gordon, N=5, N_tau=6), 5, 6)
         assert np.max(np.abs(M - L)) < 1e-13 * np.max(np.abs(L))
 
     def test_model_none_exactly_diagonal(self, traj):
@@ -115,11 +177,12 @@ class TestAssembleL:
         op = LinearizedOperator(traj, w, EPS, ZERO_MODEL, N=5)
         M = operator_matrix(op)
         sym = _linear_symbol(traj.period, EPS, 6, 5)[:, 2:]
-        assert np.array_equal(np.diag(M), sym.ravel())
+        assert np.array_equal(np.diag(M), sym[1::2, 1::2].ravel())
         off = M - np.diag(np.diag(M))
         assert np.max(np.abs(off)) == 0.0
         assert op.sigma_radius == 0.0
         assert op.sigma_min == np.min(np.abs(sym))
+        assert op.sigma_min_class == np.min(np.abs(sym[1::2, 1::2]))
 
     def test_fd_linearization_quartic_decay(self, traj, sine_gordon, rng):
         # F(w0 + t h) - F(w0) - t L h = O(t^2): halving t quarters the error
@@ -139,14 +202,14 @@ class TestAssembleL:
 
     def test_matches_fd_jacobian(self, traj, sine_gordon, rng):
         p = traj.period
-        N, J = 3, 4
+        N, J = 5, 4
 
         def F_vec(u):
             w = _unpack(u, p, N, J, N)
             F = assemble_F(traj, w, EPS, sine_gordon)
             return _pack(F.coeffs, N)
 
-        u0 = 1e-2 * rng.standard_normal((J + 1) * (N - 1))
+        u0 = 1e-2 * rng.standard_normal(((J + 1) // 2) * ((N - 1) // 2))
         J_fd = oracle_jacobian(F_vec, u0, h=1e-6)
         w0 = _unpack(u0, p, N, J, N)
         M = operator_matrix(LinearizedOperator(traj, w0, EPS, sine_gordon, N=N))
@@ -156,7 +219,8 @@ class TestAssembleL:
 class TestLinearizedOperator:
     def test_apply_matches_oracle_at_canonical_size(self, canonical, rng):
         op, L, _ = canonical
-        assert op.size == L.shape[0] == 25 * 63
+        assert L.shape[0] == 25 * 63 and op.size == 12 * 31
+        L = in_class(L, op.N, 24)
         for _ in range(3):
             u = rng.standard_normal(op.size)
             ref = L @ u
@@ -166,7 +230,7 @@ class TestLinearizedOperator:
         op, L, _ = canonical
         rhs = rng.standard_normal(op.size)
         x = op.solve(rhs)
-        ref = np.linalg.solve(L, rhs)
+        ref = np.linalg.solve(in_class(L, op.N, 24), rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_solve_takes_few_steps(self, canonical, rng, monkeypatch):
@@ -182,9 +246,10 @@ class TestLinearizedOperator:
         assert len(steps) <= 6
 
     def test_one_eigensolve_per_class(self, closure01, rng, monkeypatch):
-        # sigma_min, the culprit and the scale come from one eigvalsh of
-        # each parity class's blocks, sigma_radius from one more; the
-        # preconditioner inverts the class blocks and eigensolves nothing
+        # sigma_min, sigma_min_class, the culprit and the scale come from
+        # one eigvalsh of each parity class's blocks, sigma_radius from one
+        # more; the preconditioner inverts the solved class's blocks and
+        # eigensolves nothing
         calls = []
         for name in ("eigh", "eigvalsh"):
             def spy(a, *args, _name=name, _fn=getattr(np.linalg, name), **kw):
@@ -199,21 +264,31 @@ class TestLinearizedOperator:
                          ("eigvalsh", (63, 63))]
 
     def test_block_solve_is_the_class_solves(self, canonical, rng):
-        op, _, _ = canonical
+        # the preconditioner solves the k = l blocks of the class, odd j
+        # at odd k, of the dense oracle
+        op, L, _ = canonical
+        L = in_class(L, op.N, 24)
+        Jo, Ko = op._sym.shape
         r = rng.standard_normal(op.size)
-        R = r.reshape(op._sym.shape).T
-        X = op._block_solve(r).reshape(op._sym.shape).T
-        for part, blocks in op._class_blocks:
-            ref = np.linalg.solve(blocks, R[:, part, None])[..., 0]
-            assert np.linalg.norm(X[:, part] - ref) <= 1e-12 * np.linalg.norm(ref)
+        R = r.reshape(Jo, Ko)
+        X = op._block_solve(r).reshape(Jo, Ko)
+        for i in range(Ko):
+            ref = np.linalg.solve(L[i::Ko, i::Ko], R[:, i])
+            assert np.linalg.norm(X[:, i] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_stage_sigma_min_inside_enclosure(self, canonical):
+        # the full space's and the class's enclosures both hold; the
+        # class's sigma_min is the ROADMAP baseline's 2.32 at k = 3
         op, L, stage = canonical
         sigma = svdvals(L)[-1]
         assert stage.sigma_min == pytest.approx(sigma, rel=1e-5)
         assert abs(sigma - stage.sigma_min) <= stage.sigma_radius
         assert 0.0 < stage.sigma_radius < stage.sigma_min
         assert op.sigma_min == pytest.approx(stage.sigma_min, rel=1e-8)
+        sigma_class = svdvals(in_class(L, op.N, 24))[-1]
+        assert abs(sigma_class - op.sigma_min_class) <= op.sigma_radius
+        assert op.sigma_min_class == pytest.approx(2.32, abs=0.005)
+        assert stage.conditioning.sigma_min_class == op.sigma_min_class
 
     def test_solves_and_reports(self, traj, sine_gordon, rng):
         w = small_field(rng, traj.period)
@@ -221,14 +296,15 @@ class TestLinearizedOperator:
         rhs = rng.standard_normal(op.size)
         x = op.solve(rhs)
         L = assemble_L(traj, w, EPS, sine_gordon, N=5, N_tau=6)
-        assert np.allclose(L @ x, rhs, atol=1e-12)
+        assert np.allclose(in_class(L, 5, 6) @ x, rhs, atol=1e-12)
         params = ResonanceParams()
         rep = op.report(params)
-        assert rep.N == 5 and rep.size == 7 * 4
+        assert rep.N == 5 and rep.size == 3 * 2
         expected = rep.sigma_min * 5.0**params.gamma / EPS ** (params.l - 1.0)
         assert rep.law_constant == pytest.approx(expected, rel=1e-14)
         assert rep.ratio_vs_fit == pytest.approx(rep.law_constant / FITTED_C)
         assert abs(svdvals(L)[-1] - rep.sigma_min) <= rep.sigma_radius
+        assert rep.sigma_min_class == op.sigma_min_class >= rep.sigma_min
 
     def test_near_singular_names_culprit(self):
         # flat spectrum, period 2 pi: the divisor D(2, 115) vanishes at its root
@@ -261,18 +337,6 @@ class TestLinearizedOperator:
             op.solve(rng.standard_normal(op.size))
 
 
-def roundoff_budget(op):
-    """Round-off budget of the parity split, eps_mach (max |symbol| + 3
-    max_k sum_n (|c[n, 0]| + |c[n, 2k]|)), with the 2-d cosine coefficients
-    c of eps^2 m bounded by the moduli of the multiplier's 2-d FFT."""
-    M_tau, M_x = op._m.shape
-    N_tau = op._sym.shape[0] - 1
-    c = (op.eps**2 / (M_tau * M_x)) * np.abs(np.fft.rfft2(op._m))[:2 * N_tau + 1]
-    mass = c[:, :1] + c[:, 2 * np.arange(2, op.N + 1)]
-    return np.finfo(float).eps * (np.abs(op._sym).max()
-                                  + 3.0 * mass.sum(axis=0).max())
-
-
 def block_eigvalsh(L, N):
     """Eigenvalues of the whole k = l blocks of a dense linearization, the
     packed index running over j * (N - 1) + (k - 2)."""
@@ -293,44 +357,58 @@ class TestParitySplit:
                                      pytest.param(None, id="canonical")])
     def test_law_operator_splits(self, traj, sine_gordon, eps, request):
         # on the pipeline's operators, the law battery's at w = 0 and the
-        # canonical N = 64 one, the odd harmonics the split drops are
-        # round-off; the culprit and sigma_min are those of the whole
-        # blocks, and the enclosure, which adds the dropped mass, holds
+        # canonical N = 64 one, the multiplier has no odd harmonics to
+        # drop; the culprit and sigma_min are those of the whole blocks of
+        # the full-grid oracle, and the enclosure holds
         op, L = (request.getfixturevalue("canonical")[:2] if eps is None
                  else self.law_operator(traj, sine_gordon, eps))
-        assert 0.0 <= op.parity_radius <= roundoff_budget(op)
-        assert op.parity_radius <= op.sigma_radius
         lam = block_eigvalsh(L, op.N)
         k_i, j_i = np.unravel_index(np.argmin(np.abs(lam)), lam.shape)
         assert op.culprit == (k_i + 2, j_i)
         assert op.sigma_min == pytest.approx(abs(lam[k_i, j_i]), rel=1e-12)
         assert abs(svdvals(L)[-1] - op.sigma_min) <= op.sigma_radius
 
-    def test_single_block_radius_is_the_dropped_mass(self, traj, sine_gordon):
-        # N = 2 has no off-block part, so the enclosure is exactly the Weyl
-        # mass of the dropped round-off odd harmonics, and it is not zero
+    def test_single_block_has_no_radius(self, traj, sine_gordon):
+        # N = 2 has no off-block part and the split drops nothing, so the
+        # enclosure radius is exactly zero; the class (odd k >= 3) is empty
         w = SpaceTimeField.zeros(traj.period, 40, 2)
         op = LinearizedOperator(traj, w, EPS, sine_gordon, 2)
-        assert op.parity_radius > 0.0
-        assert op.sigma_radius == op.parity_radius
+        assert op.sigma_radius == 0.0
+        assert op.size == 0 and op.sigma_min_class == np.inf
+        L = assemble_L(traj, w, EPS, sine_gordon, 2)
+        assert op.sigma_min == pytest.approx(svdvals(L)[-1], rel=1e-12)
 
     def test_split_preconditioner_solves(self, traj, sine_gordon, rng):
         op, L = self.law_operator(traj, sine_gordon, 0.2)
         rhs = rng.standard_normal(op.size)
-        assert np.allclose(L @ op.solve(rhs), rhs, atol=1e-12)
+        N_tau = L.shape[0] // (op.N - 1) - 1
+        assert np.allclose(in_class(L, op.N, N_tau) @ op.solve(rhs), rhs,
+                           atol=1e-12)
 
-    def test_even_harmonic_radius_covers_the_split(self, sine_gordon, rng):
-        # a j = 2 harmonic in v puts odd harmonics in m, far above
-        # round-off: the split drops them, and their mass in the enclosure
-        # still bounds sigma_min(L) and the Richardson contraction
+    def test_even_harmonic_is_rejected(self, sine_gordon):
+        # a j = 2 harmonic in v leaves the symmetry class the operator,
+        # the residual and the solve work in: each refuses it, naming the
+        # largest offending coefficient
         traj = VTrajectory(6.0, np.array([0.0, 0.9, 0.05, 0.01]))
         w = SpaceTimeField.zeros(traj.period, 24, 4)
-        op = LinearizedOperator(traj, w, EPS, sine_gordon, 4)
-        L = assemble_L(traj, w, EPS, sine_gordon, 4)
-        assert 0.0 < op.parity_radius <= op.sigma_radius
-        assert abs(svdvals(L)[-1] - op.sigma_min) <= op.sigma_radius
-        rhs = rng.standard_normal(op.size)
-        assert np.allclose(L @ op.solve(rhs), rhs, atol=1e-12)
+        with pytest.raises(ValueError, match=r"\(2,\) = 5\.000e-02"):
+            LinearizedOperator(traj, w, EPS, sine_gordon, 4)
+        with pytest.raises(ValueError, match=r"\(2,\)"):
+            assemble_F(traj, w, EPS, sine_gordon)
+        with pytest.raises(ValueError, match=r"\(2,\)"):
+            nash_moser_solve(traj, EPS, SolverConfig(schedule=(4,), N_tau=8),
+                             sine_gordon)
+
+    def test_field_outside_the_class_is_rejected(self, traj, sine_gordon):
+        w = small_field(np.random.default_rng(1), traj.period)
+        coeffs = w.coeffs.copy()
+        coeffs[2, 5] = 1e-3
+        coeffs[3, 4] = -2e-3
+        bad = SpaceTimeField(traj.period, coeffs)
+        for call in (lambda: assemble_F(traj, bad, EPS, sine_gordon),
+                     lambda: LinearizedOperator(traj, bad, EPS, sine_gordon, 5)):
+            with pytest.raises(ValueError, match=r"\(3, 4\) = -2\.000e-03"):
+                call()
 
     def test_law_battery_keeps_its_draws(self, sine_gordon):
         # the seeded battery of the frozen FITTED_C; the eps draws and law
@@ -349,12 +427,14 @@ class TestParitySplit:
 
     def test_law_battery_samples_no_field(self, sine_gordon):
         # the battery's fields are zero and its operators never sample
-        # them: once a first battery has built the gates' tables, new
-        # draws' temporal bands add no synthesis table
+        # them, and their per-draw cosine tables are not cached: once a
+        # first battery has built the gates' tables, new draws' temporal
+        # bands add no table to either cache
         first = sigma_min_law_samples(sine_gordon, n_samples=5, seed=2026)
-        misses = cos_synthesis_matrix.cache_info().misses
+        caches = (cos_synthesis_matrix, quarter_wave)
+        misses = [c.cache_info().misses for c in caches]
         second = sigma_min_law_samples(sine_gordon, n_samples=5, seed=7)
-        assert cos_synthesis_matrix.cache_info().misses == misses
+        assert [c.cache_info().misses for c in caches] == misses
         assert {r.size for r in second} - {r.size for r in first}
 
 
@@ -390,6 +470,17 @@ class TestSchedule:
             with pytest.raises(ValueError, match="N_cap"):
                 SolverConfig(N_cap=n)
         assert schedule_for(0.5, SolverConfig(N_cap=2)) == ((3,), (2,))
+
+    def test_empty_class_stage_takes_no_step(self, traj, sine_gordon):
+        # at N = 2 the class (odd k >= 3) is empty: the stage's residual is
+        # zero, it takes no Newton step, and its full-space conditioning is
+        # still reported
+        cfg = SolverConfig(schedule=(2, 5), N_tau=8)
+        run = nash_moser_solve(traj, EPS, cfg, sine_gordon)
+        first = run.stages[0]
+        assert (first.N, first.newton_iters, first.residual_s) == (2, 0, 0.0)
+        assert first.conditioning.size == 0 and first.sigma_min > 0.0
+        assert run.stages[1].newton_iters > 0 and run.converged
 
     def test_eps_domain(self, traj):
         cfg = SolverConfig(schedule=(3,), N_tau=2)

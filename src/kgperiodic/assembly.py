@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -117,9 +118,10 @@ class AssembledSolution:
         return (self.eps * self._series(U * factor, x, t)
                 - self.model.eval(self.u_values(x, t)))
 
+    @cached_property
     def symmetry_defects(self) -> tuple[float, float]:
         """(max |u(x,t) - u(-x,t)|, max |u(x,t) + u(x,-t)|) on a
-        `_SYMMETRY_GRID`-point grid a side."""
+        `_SYMMETRY_GRID`-point grid a side, evaluated once."""
         xs = np.linspace(-0.37 * self.x_period, 0.41 * self.x_period,
                          _SYMMETRY_GRID)
         ts = np.linspace(-0.43 * self.t_period, 0.39 * self.t_period,
@@ -141,7 +143,7 @@ def assemble_u(closure: ClosureResult) -> AssembledSolution:
     sol = AssembledSolution(eps=closure.eps, period=traj.period,
                             v_cos_coeffs=traj.cos_coeffs.copy(),
                             w=run.w, model=run.model)
-    even, odd = sol.symmetry_defects()
+    even, odd = sol.symmetry_defects
     scale = max(1.0, np.abs(traj.samples()[0]).max())
     if even > 1e-12 * scale or odd > 1e-12 * scale:
         raise AssemblyError(

@@ -385,7 +385,7 @@ def cmd_solve(cfg: dict) -> int:
             "max_u": point.max_u,
             "max_u_over_eps": point.max_u_over_eps,
             "tail_sup": point.tail,
-            "symmetry_defects": sol.symmetry_defects(),
+            "symmetry_defects": sol.symmetry_defects,
         },
     }
     _write_json(out / "solve.json", doc)

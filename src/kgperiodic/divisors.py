@@ -115,18 +115,21 @@ def averaged_potential(traj: VTrajectory, eps: float,
 class HillSpectrum:
     """Eigenvalues of -d_tautau + q(tau) on even period-periodic functions.
 
-    ``radius`` bounds how far each computed eigenvalue may sit from the
-    eigenvalue of the J_max Galerkin matrix: the Weyl bound on the
-    couplings the band drops, plus, on the certified path of `hill_eigs`,
-    the largest Kato-Temple bound between a Rayleigh quotient and the band
-    matrix's eigenvalue.  It does not bound the truncation error of the
-    Galerkin matrix itself, which is largest at the top: J_max = 400 and
-    1600 solves of the canonical potential differ by 1.5e-6 at j = 399 and
-    by at most 1.1e-9 for j <= 398, so `resonance_gate` solves 16 past the
-    j its table reads.  ``lambda_at`` extends past J_max with the
-    constant-potential value (2 pi j / p)^2 + mean(q); by min-max the true
-    eigenvalue lies within ||q - mean(q)||_inf of it (at most the sum of
-    |q_coeffs[1:]|, 0.115 at the canonical point), for every j.
+    Built by `hill_eigs`, for a p/2-periodic potential, or by `flat`, for
+    a constant one (the `divisors` command's table).  ``radius`` bounds
+    how far each computed eigenvalue may sit from the eigenvalue of the
+    J_max Galerkin matrix: the Weyl bound on the couplings the band drops
+    (the round-off odd harmonics among them), plus, on the certified path
+    of `hill_eigs`, the largest Kato-Temple bound between a Rayleigh
+    quotient and the band matrix's eigenvalue.  It does not bound the
+    truncation error of the Galerkin matrix itself, which is largest at
+    the top: J_max = 400 and 1600 solves of the canonical potential differ
+    by 1.5e-6 at j = 399 and by at most 1.1e-9 for j <= 398, so
+    `resonance_gate` solves 16 past the j its table reads.  ``lambda_at``
+    extends past J_max with the constant-potential value
+    (2 pi j / p)^2 + mean(q); by min-max the true eigenvalue lies within
+    ||q - mean(q)||_inf of it (at most the sum of |q_coeffs[1:]|, 0.115 at
+    the canonical point), for every j.
     """
 
     period: float
@@ -181,7 +184,7 @@ def multiplication_matrix(e: Array, J: int) -> Array:
 
 
 def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
-    """Eigenvalue-only cosine-Galerkin eigensolve of -d_tautau + q.
+    """Eigenvalue-only cosine-Galerkin eigensolve of -d_tautau + q, q p/2-periodic.
 
     The Galerkin matrix is ``diag((2 pi j / p)^2)`` plus the
     `multiplication_matrix` of ``e`` (``e[n]`` = the mean at n = 0, half
@@ -196,12 +199,13 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     even-j and the odd-j cosines (the p/2-periodic and p/2-antiperiodic
     problems of a p/2-periodic potential), each of half the size and half
     the bandwidth.  The potential of an odd model on a trajectory with
-    v(tau + p/2) = -v(tau) has round-off odd harmonics only; when their
-    Weyl mass ``3 sum_odd |e[n]|`` plus the off-band even tail fits the
-    budget, the two classes are solved separately and interleaved (Neumann
-    and Dirichlet conditions at p/4 alternate, lambda_0 < lambda_1 < ...,
-    even j from the even class), which the ascending check below confirms.
-    Otherwise the whole matrix is one class.
+    v(tau + p/2) = -v(tau) has round-off odd harmonics only, and the two
+    classes are always solved separately and interleaved (Neumann and
+    Dirichlet conditions at p/4 alternate, lambda_0 < lambda_1 < ..., even
+    j from the even class), which the ascending check below confirms.  The
+    odd harmonics' Weyl mass ``3 sum_odd |e[n]|`` counts as dropped; a
+    potential whose mass exceeds the budget is not p/2-periodic and raises
+    `ValueError`.
 
     The certified path (`_certified_eigvals`) solves the classes together.
     The diagonal of a class is widely spaced against its couplings, so
@@ -216,7 +220,7 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     each class of the whole Galerkin matrix by `np.linalg.eigvalsh`.
 
     `HillSpectrum.radius` is the dropped mass plus the largest Kato-Temple
-    term on the certified path, and the dropped parity mass alone on the
+    term on the certified path, and the odd harmonics' mass alone on the
     dense one, at most the budget either way.
 
     The certified path costs time linear in J_max: 0.8 to 1.2 ms at the
@@ -238,23 +242,21 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
     diagonal = kinetic + e[0] + e[2 * j]
     diagonal[0] = kinetic[0] + e[0]
     budget = np.finfo(float).eps * (np.max(np.abs(diagonal)) + 3.0 * np.sum(np.abs(e)))
-    # split[b] = 3 sum_{n odd} |e[n]| + 3 sum_{n even > 2b} |e[n]|
+    odd_mass = 3.0 * np.sum(np.abs(e[1::2]))
+    if odd_mass > budget:
+        raise ValueError(f"the potential's odd harmonics have Weyl mass "
+                         f"{odd_mass:.3e}, past the round-off budget "
+                         f"{budget:.3e}: hill_eigs takes p/2-periodic potentials")
+    # dropped[b] = 3 sum_{n odd} |e[n]| + 3 sum_{n even > 2b} |e[n]|
     even = np.abs(e[::2])
-    split = (3.0 * np.sum(np.abs(e[1::2]))
-             + np.append(3.0 * np.cumsum(even[::-1])[::-1][1:], 0.0))
-    if J_max >= 1 and split[-1] <= budget:
-        stride, dropped = 2, split
-    else:
-        # dropped[b] = 3 sum_{n > b} |e[n]| for b < J_max; the full band drops nothing
-        stride = 1
-        dropped = np.append(3.0 * np.cumsum(np.abs(e[::-1]))[::-1][1:J_max + 1], 0.0)
+    dropped = odd_mass + np.append(3.0 * np.cumsum(even[::-1])[::-1][1:], 0.0)
 
     found = None
     if dropped[-1] <= 0.5 * budget:
         b = int(np.argmax(dropped <= 0.5 * budget))
-        found = _certified_eigvals(e, diagonal, stride, b, budget - dropped[b])
+        found = _certified_eigvals(e, diagonal, b, budget - dropped[b])
     if found is None:
-        lam, radius = _dense_eigvals(e, diagonal, stride), float(dropped[-1])
+        lam, radius = _dense_eigvals(e, diagonal), float(dropped[-1])
     else:
         lam, kato_temple = found
         radius = float(dropped[b]) + kato_temple
@@ -264,19 +266,19 @@ def hill_eigs(q_samples: Array, period: float, J_max: int) -> HillSpectrum:
                         J_max=J_max, radius=radius)
 
 
-def _stacked_band(e: Array, diagonal: Array, stride: int, b: int) -> tuple[Array, Array]:
+def _stacked_band(e: Array, diagonal: Array, b: int) -> tuple[Array, Array]:
     """The parity classes of the Galerkin matrix, stacked block-diagonally.
 
-    Stacked index k runs over class 0 (j = 0, stride, ...), then class 1
-    and so on; ``j[k]`` is its cosine index.  Diagonal storage: row b + d
-    holds the couplings of k to k + d, ``G[b + d, k] = A[j[k], j[k + d]]``
-    for |d| <= b, zero where k + d leaves the class of k.
+    Stacked index k runs over the even j (0, 2, ...), then the odd j;
+    ``j[k]`` is its cosine index.  Diagonal storage: row b + d holds the
+    couplings of k to k + d, ``G[b + d, k] = A[j[k], j[k + d]]`` for
+    |d| <= b, zero where k + d leaves the class of k.
     """
     n = diagonal.shape[0]
-    j = np.concatenate([np.arange(start, n, stride) for start in range(stride)])
+    j = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
     d = np.arange(-b, b + 1)[:, None]
-    jd = j + stride * d                 # the cosine index of k + d, if in the class
-    G = e[stride * np.abs(d)] + e[np.clip(j + jd, 0, e.shape[0] - 1)]
+    jd = j + 2 * d                      # the cosine index of k + d, if in the class
+    G = e[2 * np.abs(d)] + e[np.clip(j + jd, 0, e.shape[0] - 1)]
     G[:, 0] /= np.sqrt(2.0)             # the j = 0 row (k = 0) and column
     col0 = np.arange(1, min(b, n - 1) + 1)
     G[b - col0, col0] /= np.sqrt(2.0)
@@ -285,7 +287,7 @@ def _stacked_band(e: Array, diagonal: Array, stride: int, b: int) -> tuple[Array
     return j, G
 
 
-def _dense_eigvals(e: Array, diagonal: Array, stride: int) -> Array:
+def _dense_eigvals(e: Array, diagonal: Array) -> Array:
     """`np.linalg.eigvalsh` on each parity class of the Galerkin matrix
     (`multiplication_matrix` of ``e``, ``diagonal`` on its diagonal)."""
     n = diagonal.shape[0]
@@ -295,12 +297,12 @@ def _dense_eigvals(e: Array, diagonal: Array, stride: int) -> Array:
     A = multiplication_matrix(e, n - 1)
     A[np.diag_indices(n)] = diagonal
     lam = np.empty(n)
-    for start in range(stride):
-        lam[start::stride] = np.linalg.eigvalsh(A[start::stride, start::stride])
+    for start in range(2):
+        lam[start::2] = np.linalg.eigvalsh(A[start::2, start::2])
     return lam
 
 
-def _certified_eigvals(e: Array, diagonal: Array, stride: int, b: int,
+def _certified_eigvals(e: Array, diagonal: Array, b: int,
                        budget: float) -> tuple[Array, float] | None:
     """Eigenvalues of the band-b classes as certified Rayleigh quotients.
 
@@ -319,7 +321,7 @@ def _certified_eigvals(e: Array, diagonal: Array, stride: int, b: int,
     and the largest such bound, or None when no sweep up to `_BW_SWEEPS`
     brings it within ``budget``.
     """
-    j, G_band = _stacked_band(e, diagonal, stride, b)
+    j, G_band = _stacked_band(e, diagonal, b)
     n, w = j.shape[0], max(b, _MIN_WINDOW) if b else 0   # b = 0: a diagonal
     W, m = 2 * w + 1, w + b             # m: reach of A x past the window centre
     G = np.zeros((2 * b + 1, n + 2 * m))
@@ -341,7 +343,7 @@ def _certified_eigvals(e: Array, diagonal: Array, stride: int, b: int,
     x = X_pad[:, 2 * b:2 * b + W]
     x[:, w] = 1.0
     V_win, X_win = V[:, :, b:b + W], X_view[:, :, b:b + W]
-    ends = np.flatnonzero(np.diff(j) != stride)  # last index of each class but the final one
+    ends = np.flatnonzero(np.diff(j) != 2)  # the even class's last index
     Y_win = np.einsum("cia,ica->ia", V_win, X_win)
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(1, _BW_SWEEPS + 1):

@@ -54,20 +54,19 @@ def _linear_symbol(period: float, eps: float, N_tau: int, K: int) -> Array:
 
 
 def assemble_F(V_traj: VTrajectory, w: SpaceTimeField, eps: float,
-               model: Nonlinearity,
-               M_tau: int | None = None, M_x: int | None = None) -> SpaceTimeField:
+               model: Nonlinearity) -> SpaceTimeField:
     """Residual field F(w) = (J_eps - eps^2 d_tautau) w + eps^2 g(V, w).
 
     V and w lie in the symmetry class (`check_class`), which F keeps, so g
-    is collocated on (M_tau, M_x) quarter-wave nodes, by default `_grids`
-    of the field's band, and analyzed at odd j and odd k >= 3; the result
-    has the band of ``w`` and exact zeros outside the class.
+    is collocated on the `_grids` quarter-wave nodes of the field's band
+    and analyzed at odd j and odd k >= 3; the result has the band of ``w``
+    and exact zeros outside the class.  The band alone sets the nodes: a
+    caller wanting a finer grid, or the truncation tail, pads ``w`` with
+    zeros.
     """
     check_class(V_traj.cos_coeffs, w.coeffs)
     N_tau, K = w.band_tau, w.band_x
-    dM_tau, dM_x = _grids(K, N_tau)
-    M_tau = M_tau or dM_tau
-    M_x = M_x or dM_x
+    M_tau, M_x = _grids(K, N_tau)
     C = quarter_wave(M_tau, N_tau, 1)
     S = quarter_wave(M_x, K, 1, np.sin)
     vals = collocate(model, eps, V_traj.quarter_nodes(M_tau),
@@ -94,15 +93,14 @@ def nf_sequence(traj: VTrajectory, eps: float, model: Nonlinearity,
                 N_x: int, N_tau: int, k_max: int) -> AveragedStart:
     """Apply up to ``k_max`` averaging steps from w = 0 on the (N_tau, N_x) band.
 
-    Each drive is collocated on (N_tau, N_x) quarter-wave nodes, as on a
-    (4 N_tau, 4 N_x) grid.  Stops as soon as a step fails to decrease the
-    drive norm, near the round-off floor; that step is not taken.
+    Each drive is `assemble_F` of the band's field, on its nodes.  Stops
+    as soon as a step fails to decrease the drive norm, near the round-off
+    floor; that step is not taken.
     """
-    M_tau, M_x = max(N_tau, 1), max(N_x, 2)
     w = SpaceTimeField.zeros(traj.period, N_tau, N_x)
     history: list[float] = []
     for _ in range(k_max):
-        d = (1.0 / eps**2) * assemble_F(traj, w, eps, model, M_tau=M_tau, M_x=M_x)
+        d = (1.0 / eps**2) * assemble_F(traj, w, eps, model)
         norm = d.norm(1.0)
         if history and norm >= history[-1]:
             break

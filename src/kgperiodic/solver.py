@@ -8,8 +8,9 @@ The fast component solves
 k >= 2}.  Starting from the averaging stage's field, the solver walks a
 nested sequence of spatial truncations N_1 < N_2 < ... (each stage a damped
 Newton iteration on the truncated system).  Its report, the conditioning of
-each stage and a certificate of the final residual by an independent
-re-evaluation on a doubled collocation grid, is built when first read.
+each stage and a certificate of the final residual, F re-evaluated on the
+field zero-padded to twice its band so that the truncation tail shows, is
+built when first read.
 
 F and L keep the symmetry class of fields with odd j and odd k, and the
 Newton unknowns are its coefficients (`_pack`).  L is applied matrix-free
@@ -411,9 +412,12 @@ class SolverRun:
     the Newton correction ``w - start.w`` (`correction`) and
     ``w_physical_norm_1`` that of ``w``.  The report is computed the first
     time it is read, from the data the run holds: the stages' conditioning
-    (see `StageRecord`) and the residual certificate, F(w) re-evaluated on
-    a doubled collocation grid (read by ``residual_certificate``,
-    ``converged`` and `to_json_dict`).
+    (see `StageRecord`) and the residual certificate, ||F||_s of w
+    zero-padded to twice its band (read by ``residual_certificate``,
+    ``converged`` and `to_json_dict`).  It covers the modes past the solved
+    truncation, so a run whose band is too narrow for its solution (an
+    under-resolved N_tau) is not ``converged`` even where every stage met
+    ``residual_tol``.
     """
 
     config: SolverConfig
@@ -435,10 +439,15 @@ class SolverRun:
 
     @cached_property
     def residual_certificate(self) -> float:
-        """||F(w)||_s on the doubled collocation grid."""
-        M_tau, M_x = _grids(self.effective_schedule[-1], self.N_tau)
-        F = assemble_F(self.V_traj, self.w, self.eps, self.model,
-                       M_tau=2 * M_tau, M_x=2 * M_x)
+        """||F(w)||_s of w zero-padded to the band (2 N_tau + 2, 2K + 2).
+
+        The norm covers the whole padded band, the tail past the solved
+        truncation included, and for K >= 6 its `_grids` nodes are the
+        doubled grid of the solve's.
+        """
+        w = self.w + SpaceTimeField.zeros(self.period, 2 * self.w.band_tau + 2,
+                                          2 * self.w.band_x + 2)
+        F = assemble_F(self.V_traj, w, self.eps, self.model)
         return float(F.norm(_SOBOLEV_S))
 
     @property
@@ -499,7 +508,7 @@ def nash_moser_solve(V_traj: VTrajectory, eps: float, config: SolverConfig,
     period), of which the coefficients in this solve's band are added.
     Every stage records the increment and residual norms and the
     conditioning of its last linearization; the report (a zero-step
-    stage's linearization, the doubled-grid certificate) is built when it
+    stage's linearization, the padded-band certificate) is built when it
     is first read.
 
     The resonance-window gate (`resonance_gate`) belongs to the caller,

@@ -149,7 +149,7 @@ def test_criterion_10_end_to_end_residual(solution01, closure01):
     om = math.sqrt(1.0 + FIXTURE_EPS**2)
     assert solution01.t_period == 2.0 * math.pi / om
     assert solution01.x_period == closure01.V_traj.period / (FIXTURE_EPS * om)
-    even, odd = solution01.symmetry_defects()
+    even, odd = solution01.symmetry_defects
     assert even <= 1e-12 and odd <= 1e-12
 
 

@@ -102,7 +102,7 @@ class TestCanonicalSolution:
         assert solution01.x_period == pytest.approx(X_PERIOD_01, rel=1e-12)
 
     def test_symmetry_defects_vanish(self, solution01):
-        even, odd = solution01.symmetry_defects()
+        even, odd = solution01.symmetry_defects
         assert even < 1e-13 and odd < 1e-13
 
     def test_pde_residual_small(self, solution01):

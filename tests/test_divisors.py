@@ -95,7 +95,7 @@ class TestHillEigs:
     def test_growth_rate_generic(self):
         period = 6.0
         taus = period * np.arange(128) / 128
-        q = 0.3 * np.cos(2 * np.pi * taus / period) - 0.1
+        q = 0.3 * np.cos(4 * np.pi * taus / period) - 0.1
         spec = hill_eigs(q, period, 120)
         js = np.arange(20, 60)
         ratio = spec.lambda_at(js) / js.astype(float) ** 2
@@ -115,9 +115,9 @@ def _dense_calls(monkeypatch):
     calls = []
     dense = divisors._dense_eigvals
 
-    def spy(e, diagonal, stride):
+    def spy(e, diagonal):
         calls.append(diagonal.shape[0])
-        return dense(e, diagonal, stride)
+        return dense(e, diagonal)
 
     monkeypatch.setattr(divisors, "_dense_eigvals", spy)
     return calls
@@ -154,15 +154,14 @@ class TestBandedHillEigs:
         assert gap <= spec_banded.radius + 1e-13 * scale
         assert spec_banded.radius <= np.finfo(float).eps * scale
 
-    def test_generic_potential_unsplit(self):
-        # a p-periodic potential has odd harmonics: the whole matrix is solved
+    def test_odd_harmonic_potential_refused(self):
+        # a p-periodic potential has odd harmonics, whose couplings join the
+        # even-j and odd-j classes: it is refused, naming their mass
         period = 6.0
         taus = period * np.arange(128) / 128
         q = 0.3 * np.cos(2 * np.pi * taus / period) - 0.1
-        spec = hill_eigs(q, period, 120)
-        dense = oracle_hill_eigs(q, period, 120)
-        scale = np.max(np.abs(dense))
-        assert np.max(np.abs(spec.eigenvalues - dense)) <= spec.radius + 1e-13 * scale
+        with pytest.raises(ValueError, match="odd harmonics have Weyl mass 4.500e-01"):
+            hill_eigs(q, period, 120)
 
     @pytest.mark.parametrize("J", [1, 2, 3, 4, 17, 40])
     def test_half_period_potential_split(self, J):
@@ -214,12 +213,12 @@ class TestHillPaths:
         assert spec.radius <= np.finfo(float).eps * scale
 
     def test_strong_potential_falls_back(self, monkeypatch):
-        # couplings of 1.5 against a diagonal spacing of 0.1 at the bottom:
-        # the local eigenvectors do not exist, the intervals overlap, and
-        # the whole matrix (odd harmonics) goes to the dense solve
+        # couplings of 1.5 against a diagonal spacing of 0.4 at the bottom
+        # of each class: the local eigenvectors do not exist, the intervals
+        # overlap, and the whole matrix goes to the dense solve
         period, J = 20.0, 150
         taus = period * np.arange(256) / 256
-        q = 3.0 * np.cos(2 * np.pi * taus / period)
+        q = 3.0 * np.cos(4 * np.pi * taus / period)
         calls = _dense_calls(monkeypatch)
         spec = hill_eigs(q, period, J)
         assert calls == [J + 1]
@@ -234,7 +233,7 @@ class TestHillPaths:
         period = 20.0
         J = divisors._DENSE_MAX_SIZE
         taus = period * np.arange(256) / 256
-        q = 3.0 * np.cos(2 * np.pi * taus / period)
+        q = 3.0 * np.cos(4 * np.pi * taus / period)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="dense fallback stops at"):
             hill_eigs(q, period, J)
@@ -246,12 +245,13 @@ class TestHillPaths:
         # converging bottom of the spectrum
         period, J = 6.0, 120
         taus = period * np.arange(128) / 128
-        q = 0.3 * np.cos(2 * np.pi * taus / period) - 0.1
+        q = 0.3 * np.cos(4 * np.pi * taus / period) - 0.1
         calls = _dense_calls(monkeypatch)
         spec = hill_eigs(q, period, J)
         assert calls == []
-        # the dropped mass is at most three times the sum of |e[n]| past n = 1
-        dropped = 1.5 * np.sum(np.abs(spec.q_coeffs[2:]))
+        # the dropped mass is at most three times the sum of |e[n]| at
+        # n = 1 and past n = 2
+        dropped = 1.5 * (abs(spec.q_coeffs[1]) + np.sum(np.abs(spec.q_coeffs[3:])))
         assert spec.radius > 10.0 * dropped
         dense = oracle_hill_eigs(q, period, J)
         scale = np.max(np.abs(dense))

@@ -22,9 +22,12 @@ def traj_sg():
 
 
 def terminal_drive(traj, eps, model, start, N_x, N_tau):
-    """Norm of the drive left after the steps kept, on the steps' grid."""
-    F = assemble_F(traj, start.w, eps, model, M_tau=4 * N_tau, M_x=4 * N_x)
-    return F.norm(1.0) / eps**2
+    """Norm on the steps' band of the drive left after the steps kept,
+    collocated on 4 N_tau x 4 N_x nodes: those of the field padded to
+    (4 N_tau - 2, 4 N_x - 2)."""
+    padded = start.w + SpaceTimeField.zeros(traj.period, 4 * N_tau - 2, 4 * N_x - 2)
+    F = assemble_F(traj, padded, eps, model)
+    return SpaceTimeField(traj.period, F.coeffs[:N_tau + 1, :N_x + 1]).norm(1.0) / eps**2
 
 
 class TestSteps:
@@ -126,14 +129,16 @@ class TestProjectedG:
     Q-projected forcing."""
 
     def test_zero_model_hook(self, traj_sg):
-        w = SpaceTimeField.zeros(traj_sg.period, 6, 4)
-        g = assemble_F(traj_sg, w, 0.1, ZERO_MODEL, M_tau=24, M_x=16)
-        assert g.coeffs.shape == (7, 5)
+        # the (22, 14) band collocates on 24 x 16 nodes
+        w = SpaceTimeField.zeros(traj_sg.period, 22, 14)
+        g = assemble_F(traj_sg, w, 0.1, ZERO_MODEL)
+        assert g.coeffs.shape == (23, 15)
         assert np.all(g.coeffs == 0.0)
 
     def test_q_space_output(self, traj_sg):
         sg = Nonlinearity.sine_gordon()
-        w = SpaceTimeField.zeros(traj_sg.period, 8, 6)
-        g = assemble_F(traj_sg, w, 0.1, sg, M_tau=32, M_x=24)
+        # the (30, 22) band collocates on 32 x 24 nodes
+        w = SpaceTimeField.zeros(traj_sg.period, 30, 22)
+        g = assemble_F(traj_sg, w, 0.1, sg)
         assert np.all(g.coeffs[:, :2] == 0.0)
         assert np.any(g.coeffs != 0.0)

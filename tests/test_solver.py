@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import svdvals
 
 from kgperiodic import solver
+from kgperiodic.closure import solve_delta1
 from kgperiodic.divisors import (
     DivisorTable,
     HillSpectrum,
@@ -20,9 +21,10 @@ from kgperiodic.divisors import (
     hill_eigs,
 )
 from kgperiodic.fourier import (SpaceTimeField, cos_analyze,
-                                cos_synthesis_matrix, project_Q, quarter_wave)
+                                cos_synthesis_matrix, invert_J_eps, project_Q,
+                                quarter_wave)
 from kgperiodic.nonlinearity import collocate
-from kgperiodic.normalform import _grids, _linear_symbol
+from kgperiodic.normalform import _linear_symbol, nf_sequence
 from kgperiodic.planar import VTrajectory, find_orbit
 from kgperiodic.solver import (
     FITTED_C,
@@ -99,12 +101,11 @@ class TestAssembleF:
 
     def test_zero_field_gives_scaled_drive(self, traj, sine_gordon):
         # F(0) = eps^2 * g(v, 0): the linear part vanishes at w = 0, and the
-        # zero field's samples act as no w at all; 32 x 16 quarter-wave
-        # nodes are the equivalent of the 128 x 64 grid
-        N_tau, N_x = 8, 6
-        w = SpaceTimeField(period=traj.period,
-                           coeffs=np.zeros((N_tau + 1, N_x + 1)))
-        F = assemble_F(traj, w, EPS, sine_gordon, M_tau=32, M_x=16)
+        # zero field's samples act as no w at all; the 32 x 16 quarter-wave
+        # nodes of the (30, 14) band are the equivalent of the 128 x 64 grid
+        N_tau, N_x = 30, 14
+        w = SpaceTimeField.zeros(traj.period, N_tau, N_x)
+        F = assemble_F(traj, w, EPS, sine_gordon)
         vals = collocate(sine_gordon, EPS, traj.resample(128), None, 64)
         g = cos_analyze(project_Q(vals, N_x).T, N_tau).T
         assert np.max(np.abs(F.coeffs - EPS**2 * g)) < 1e-15
@@ -126,23 +127,36 @@ class TestQuarterWaveOracles:
     @pytest.mark.parametrize("grid", ["default", "nf_sequence", "doubled"])
     def test_F(self, class_case, N, N_tau, grid):
         # M quarter-wave nodes are the full grid of 4M shifted by half a
-        # step; where the grid is dealiased (all but the 4 N_tau x 4 N_x
-        # grid of the averaging drives at small N) the unshifted grid
-        # agrees as well
+        # step, and the nodes are dealiased, so the unshifted grid agrees
+        # as well.  The field is a decaying one, zero (the first averaging
+        # drive's), or the decaying one padded to the certificate's band
+        # (2 N_tau + 2, 2N + 2)
         model, traj = class_case
-        w = decaying_field(N, traj.period, N_tau, N)
-        nodes = {"default": (None, None), "nf_sequence": (N_tau, N),
-                 "doubled": tuple(2 * m for m in _grids(N, N_tau))}[grid]
-        full = tuple(m and 4 * m for m in nodes)
-        F = assemble_F(traj, w, EPS, model, *nodes).coeffs
-        refs = [oracle_assemble_F(traj, w, EPS, model, *full, shifted=True)]
-        if grid != "nf_sequence" or N == 64:
-            refs.append(oracle_assemble_F(traj, w, EPS, model, *full))
-        for ref in (r.coeffs for r in refs):
+        w = (SpaceTimeField.zeros(traj.period, N_tau, N) if grid == "nf_sequence"
+             else decaying_field(N, traj.period, N_tau, N))
+        if grid == "doubled":
+            w = w + SpaceTimeField.zeros(w.period, 2 * N_tau + 2, 2 * N + 2)
+        F = assemble_F(traj, w, EPS, model).coeffs
+        for shifted in (True, False):
+            ref = oracle_assemble_F(traj, w, EPS, model, shifted=shifted).coeffs
             assert np.max(np.abs(F - ref)) <= 1e-14 * np.max(np.abs(ref))
         outside = np.ones(F.shape, dtype=bool)
         outside[1::2, 1::2] = False
         assert np.all(F[outside] == 0.0)
+
+    def test_averaging_drives_resolved(self, class_case):
+        # the averaging steps on the (8, 3) band against the same steps
+        # with F on 64 x 64 nodes, the shifted 256 x 256 full grid: the
+        # band's own nodes leave the drives and the start at round-off
+        model, traj = class_case
+        start = nf_sequence(traj, EPS, model, N_x=3, N_tau=8, k_max=2)
+        assert start.step == 2
+        w = SpaceTimeField.zeros(traj.period, 8, 3)
+        for norm in start.drive_norm_history:
+            d = oracle_assemble_F(traj, w, EPS, model, 64, 64, shifted=True) * EPS**-2
+            assert norm == pytest.approx(d.norm(1.0), rel=1e-14)
+            w = w - EPS**2 * invert_J_eps(d, EPS)
+        assert np.max(np.abs(start.w.coeffs - w.coeffs)) <= 1e-14 * np.max(np.abs(w.coeffs))
 
     @pytest.mark.parametrize("N, N_tau", [(3, 8), (5, 8), (64, 24)])
     def test_multiplier_and_L(self, class_case, N, N_tau):
@@ -490,18 +504,21 @@ class TestSchedule:
 
 class TestSolveOracle:
     def test_miniature_truncation_matches_oracle(self, traj, sine_gordon):
+        # the (3,), N_tau = 4 truncation meets its stage tolerance; its
+        # certificate sees the tail it drops, so it is not converged
         cfg = SolverConfig(schedule=(3,), N_tau=4, nf_steps=0,
                            residual_tol=1e-12)
         run = nash_moser_solve(traj, EPS, cfg, sine_gordon)
         ref = oracle_newton_solve(traj, EPS, N=3, J_max=4, model=sine_gordon,
                                   tol=1e-12)
-        assert run.converged
+        assert run.stages[-1].residual_s <= cfg.residual_tol
+        assert not run.converged
         assert np.max(np.abs(run.w.coeffs - ref.coeffs)) < 1e-9
 
     def test_canonical_run_reports(self, closure01):
         run = closure01.run
         assert run.converged
-        assert run.residual_certificate < 1e-9
+        assert run.residual_certificate < 1e-14
         assert run.effective_schedule[-1] == 64
         # the Galerkin trajectory's cosines fall below 1e-13 of the largest
         # by j = 11, so N_tau takes its floor of 24
@@ -517,6 +534,17 @@ class TestSolveOracle:
         # the two averaging steps that made the Newton start
         assert run.start.drive_norm_history == pytest.approx(
             (0.09916584090578624, 0.0006596266992260916), rel=1e-12)
+
+    def test_under_resolved_closure_not_converged(self, orbit09, sine_gordon):
+        # N_tau = 4 drops temporal modes the canonical solution has: every
+        # stage meets its tolerance on the band, and the certificate, which
+        # reads the padded band's tail, refuses convergence
+        closure = solve_delta1(orbit09, EPS, sine_gordon,
+                               solver=SolverConfig(N_tau=4))
+        run = closure.run
+        assert all(s.residual_s <= run.config.residual_tol for s in run.stages)
+        assert run.residual_certificate > 1e-9
+        assert not run.converged
 
     def test_warm_start_at_the_solution_takes_no_step(self, traj,
                                                       sine_gordon):
@@ -604,7 +632,7 @@ class TestSolveOracle:
         monkeypatch.setattr(solver, "resonance_gate", gate)
         cfg = SolverConfig(schedule=(3,), N_tau=4, nf_steps=0)
         run = nash_moser_solve(traj, 0.1396532019663832, cfg, sine_gordon)
-        assert run.converged and calls == []
+        assert run.stages[-1].residual_s <= cfg.residual_tol and calls == []
 
     def test_inverse_norm_law_floor(self, sine_gordon):
         reports = sigma_min_law_samples(sine_gordon, n_samples=4, seed=7)

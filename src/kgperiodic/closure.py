@@ -13,7 +13,7 @@ cross-checked against the H-mismatch it must cause.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -314,11 +314,15 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     `_N_SAMPLES` tau samples, started from the seed orbit's series
     (``orbit.trajectory``) and then from the previous round, whose
     coefficients are the round's trajectory, with (b) fast-component
-    solves on that trajectory, until delta_1 and the w-update (from w = 0
-    in round 1) both move by at most `_TOL_OUTER`.
+    solves on that trajectory, until the w-update dw (from w = 0 in round
+    1) and delta_1's change are at most `_TOL_OUTER`: the change measured,
+    or while two w-updates contract by q = dw_n / dw_{n-1} < 1/2, its
+    a-posteriori estimate L dw / (1 - q), L = ddelta / dw_n (Deuflhard
+    2004).  A band sized from the solution (``solver.N_tau`` None) that
+    leaves the last run not ``converged`` is doubled, up to ``N_tau_cap``.
 
     This loop owns the resonance gate.  Round 1, and any round that can
-    end the loop (delta moved by at most `_TOL_OUTER`), runs
+    end the loop (delta settled, measured or estimated), runs
     `resonance_gate` on its trajectory up to the final truncation's N
     (a resonant eps raises `ResonanceError` before the solve) and then
     solves cold; the rounds in between skip the gate and start Newton from
@@ -357,6 +361,7 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
     run: SolverRun | None = None
     coeffs = orbit.trajectory(_N_SAMPLES).cos_coeffs
     history: list[tuple] = []
+    auto_band = solver.N_tau is None
 
     for outer in range(1, _MAX_OUTER + 1):
         # (a) the slow equation at frozen w; evenness puts V(0) on the
@@ -365,9 +370,15 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
         traj = VTrajectory(period, coeffs)
         delta = float((np.array(traj.start) - base) @ n_hat)
         # (b) fast solve on the updated trajectory; only a round whose delta
-        # has settled may be the reported one, so it solves cold and gated
+        # has settled, or will move at most gain * dw after the next w-update
+        # dw = q dw_n, may be the reported one, so it solves cold and gated
         ddelta = abs(delta - history[-1][0]) if history else abs(delta)
-        cold = outer == 1 or ddelta <= _TOL_OUTER
+        dws = [h[2] for h in history[-2:]]
+        contracting = len(dws) == 2 and 0.0 < dws[1] < 0.5 * dws[0]
+        q = dws[1] / dws[0] if contracting else 0.0
+        gain = ddelta / dws[1] / (1.0 - q) if contracting else 0.0
+        cold = outer == 1 or ddelta <= _TOL_OUTER or (
+            contracting and max(1.0, gain) * q * dws[1] <= _TOL_OUTER)
         if cold:
             gate, _, _ = resonance_gate(traj, eps, model, K, solver.resonance)
             if outer == 1:
@@ -377,8 +388,11 @@ def solve_delta1(orbit: PlanarOrbit, eps: float, model: Nonlinearity,
         dw = (run.w - w_field).norm(1.0)
         history.append((delta, r, dw))
         w_field = run.w
-        if outer >= 2 and dw <= _TOL_OUTER and ddelta <= _TOL_OUTER:
-            break
+        if outer >= 2 and cold and dw <= _TOL_OUTER and (
+                ddelta <= _TOL_OUTER or (contracting and gain * dw <= _TOL_OUTER)):
+            if not auto_band or run.N_tau >= solver.N_tau_cap or run.converged:
+                break
+            solver = replace(solver, N_tau=min(solver.N_tau_cap, 2 * run.N_tau))
     else:
         raise OuterLoopError(
             f"outer alternation did not converge in {_MAX_OUTER} rounds",

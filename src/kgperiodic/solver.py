@@ -118,7 +118,9 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solve parameters; invariants mirror the admissibility hypotheses."""
+    """Solve parameters; invariants mirror the admissibility hypotheses.  An
+    ``N_tau`` >= 1 is the band; None sizes it (`_default_N_tau`) up to
+    ``N_tau_cap`` >= 1, and `closure.solve_delta1` widens it if unconverged."""
 
     resonance: ResonanceParams = field(default_factory=ResonanceParams)
     schedule: tuple[int, ...] | None = None
@@ -134,6 +136,8 @@ class SolverConfig:
         if self.N_cap < 2:
             raise ValueError(f"N_cap must be >= 2 (Q-space starts at k = 2), "
                              f"got {self.N_cap}")
+        if self.N_tau_cap < 1 or (self.N_tau is not None and self.N_tau < 1):
+            raise ValueError(f"N_tau, N_tau_cap must be >= 1: {self.N_tau}, {self.N_tau_cap}")
         if self.schedule is not None:
             sched = tuple(int(n) for n in self.schedule)
             if any(n < 2 for n in sched) or any(
@@ -165,13 +169,14 @@ def schedule_for(eps: float, config: SolverConfig) -> tuple[tuple[int, ...], tup
 
 
 def _default_N_tau(traj: VTrajectory, config: SolverConfig) -> int:
+    """``config.N_tau``, else ceil(1.3 j_dec) up to ``config.N_tau_cap``, j_dec
+    the trajectory's last cosine above 1e-13 of its largest (1 if none)."""
     if config.N_tau is not None:
         return config.N_tau
     c = np.abs(traj.cos_coeffs)
-    scale = c.max()
-    sig = np.nonzero(c > 1e-13 * scale)[0]
+    sig = np.nonzero(c > 1e-13 * c.max())[0]
     j_dec = int(sig[-1]) if sig.size else 1
-    return int(min(config.N_tau_cap, max(24, math.ceil(1.3 * j_dec))))
+    return int(min(config.N_tau_cap, max(1, math.ceil(1.3 * j_dec))))
 
 
 # ---------------------------------------------------------------------------

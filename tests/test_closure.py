@@ -49,6 +49,38 @@ def zero_w(period: float) -> SpaceTimeField:
     return SpaceTimeField.zeros(period, 0, 2)
 
 
+def scripted_loop(monkeypatch, result, orbit, model, deltas, dws):
+    """`solve_delta1` on a script; returns the closure and each round's coldness.
+
+    Round n's slow solve puts delta at ``deltas[n - 1]``, and its fast solve
+    is ``result.run`` with w moved along a unit field so that the w-update
+    of round n >= 2 has the norm ``dws[n - 2]``.  The gate passes.
+    """
+    n_hat, coeffs, run = np.array(result.conormal), result.V_traj.cos_coeffs, result.run
+    unit = np.zeros_like(run.w.coeffs)
+    unit[1, 3] = 1.0
+    unit /= SpaceTimeField(run.w.period, unit).norm(1.0)
+    offsets = np.concatenate([[0.0], np.cumsum(dws)])
+    cold = []
+
+    def galerkin(a0, w, eps, model, period):
+        out = coeffs.copy()
+        out[1] += (deltas[len(cold)] - result.delta1) / n_hat[0]
+        return out, 0.0
+
+    def fast_solve(traj, eps, config, model, w0=None):
+        cold.append(w0 is None)
+        w = run.w.coeffs + offsets[len(cold) - 1] * unit
+        return dataclasses.replace(run, w=SpaceTimeField(run.w.period, w))
+
+    monkeypatch.setattr(closure, "galerkin_v", galerkin)
+    monkeypatch.setattr(closure, "nash_moser_solve", fast_solve)
+    monkeypatch.setattr(closure, "resonance_gate",
+                        lambda *args: (result.resonance_final, None, None))
+    config = solver.SolverConfig(N_tau=run.N_tau)
+    return solve_delta1(orbit, result.eps, model, solver=config), cold
+
+
 def count_forcing(monkeypatch) -> list:
     """Record each `collocate` call of the closure module."""
     calls = []
@@ -381,15 +413,67 @@ class TestSolveDelta1:
         monkeypatch.setattr(closure, "nash_moser_solve",
                             counted("nash_moser_solve", closure.nash_moser_solve))
         result = solve_delta1(orbit09, 0.1, sine_gordon)
+        # the loop reads the reported run's certificate, which it keeps
         assert calls == {"gate": 2, "integrate_v": 1, "operator": 2,
-                         "certificate": 0, "assemble_F": 6, "drive": 8,
-                         "nash_moser_solve": 4}
-        assert result.outer_iters == 4
+                         "certificate": 1, "assemble_F": 6, "drive": 6,
+                         "nash_moser_solve": 3}
+        assert result.outer_iters == 3
         assert result.delta1 == pytest.approx(DELTA1_01, abs=1e-9)
         result.to_json_dict()
         assert calls == {"gate": 2, "integrate_v": 1, "operator": 3,
-                         "certificate": 1, "assemble_F": 7, "drive": 8,
-                         "nash_moser_solve": 4}
+                         "certificate": 1, "assemble_F": 6, "drive": 6,
+                         "nash_moser_solve": 3}
+
+    def test_loop_ends_on_the_contraction_estimate(self, closure01):
+        # the w-updates contract by q = 6e-5: round 3 moves delta by 1.1e-9,
+        # above the tolerance, and the estimated rest L dw / (1 - q) is far
+        # below it, so round 3 is cold, gated and the last
+        (_, _, dw1), (d2, _, dw2), (d3, _, dw3) = closure01.history
+        q = dw2 / dw1
+        assert q < 1e-4
+        assert abs(d3 - d2) > closure._TOL_OUTER
+        assert abs(d3 - d2) / dw2 * dw3 / (1.0 - q) <= 1e-2 * closure._TOL_OUTER
+
+    def test_loop_without_history_ends_by_measurement(
+            self, closure01, orbit09, sine_gordon, monkeypatch):
+        # round 2 has one w-update behind it and no contraction estimate:
+        # its delta change of 5e-10 keeps it warm whatever its w-update
+        d = closure01.delta1
+        result, cold = scripted_loop(monkeypatch, closure01, orbit09,
+                                     sine_gordon, [d, d + 5e-10, d + 5e-10],
+                                     [1e-12, 1e-12])
+        assert cold == [True, False, True]
+        assert result.outer_iters == 3
+
+    def test_loop_without_contraction_ends_by_measurement(
+            self, closure01, orbit09, sine_gordon, monkeypatch):
+        # round 3 estimates its rest from q = 1e-11 / |w|: it solves cold
+        # but its estimated rest, 50 dw_3 = 1e-9, keeps the loop going.
+        # Round 4 sees the w-updates grow (q = 2): no estimate holds, its
+        # measured delta change of 5e-10 keeps it warm, and round 5, whose
+        # delta has settled, ends the loop
+        d = closure01.delta1
+        deltas = [d, d + 1e-9, d + 1.5e-9, d + 2e-9, d + 2e-9]
+        result, cold = scripted_loop(monkeypatch, closure01, orbit09,
+                                     sine_gordon, deltas,
+                                     [1e-11, 2e-11, 1e-12, 1e-12])
+        assert cold == [True, False, True, False, True]
+        assert result.outer_iters == 5
+        assert result.delta1 == pytest.approx(deltas[-1], abs=1e-16)
+
+    def test_narrow_band_is_widened(self, orbit09, sine_gordon, monkeypatch):
+        # a sizing rule forced to N_tau = 4 leaves the certificate 8.1e-6:
+        # the closure doubles the band until its run converges, up to the cap
+        rule = solver._default_N_tau
+        monkeypatch.setattr(solver, "_default_N_tau",
+                            lambda traj, cfg: 4 if cfg.N_tau is None else rule(traj, cfg))
+        result = solve_delta1(orbit09, 0.1, sine_gordon)
+        assert result.run.N_tau == 8
+        assert result.run.converged and result.closed
+        assert result.delta1 == pytest.approx(DELTA1_01, abs=1e-9)
+        capped = solve_delta1(orbit09, 0.1, sine_gordon,
+                              solver.SolverConfig(N_tau_cap=6))
+        assert capped.run.N_tau == 6 and not capped.run.converged
 
     def test_reported_run_is_the_direct_solve(self, closure01, sine_gordon):
         # the reported round is a cold nash_moser_solve on V_traj; the

@@ -31,6 +31,7 @@ from kgperiodic.solver import (
     LinearizedOperator,
     NonConvergenceError,
     SolverConfig,
+    _default_N_tau,
     _pack,
     _unpack,
     assemble_F,
@@ -72,11 +73,18 @@ def in_class(L, N, N_tau):
 
 
 @pytest.fixture(scope="module")
-def canonical(closure01):
+def closure24(orbit09, sine_gordon):
+    """The canonical closure in the band N_tau = 24 the operator tests pin."""
+    return solve_delta1(orbit09, EPS, sine_gordon,
+                        solver=SolverConfig(N_tau=24))
+
+
+@pytest.fixture(scope="module")
+def canonical(closure24):
     """Operator and dense oracle at the converged canonical point (N = 64)."""
-    run = closure01.run
+    run = closure24.run
     N = run.effective_schedule[-1]
-    args = (closure01.V_traj, run.w, run.eps, run.model, N)
+    args = (closure24.V_traj, run.w, run.eps, run.model, N)
     return (LinearizedOperator(*args), assemble_L(*args, N_tau=run.N_tau),
             run.stages[-1])
 
@@ -259,7 +267,7 @@ class TestLinearizedOperator:
         op.solve(rng.standard_normal(op.size))
         assert len(steps) <= 6
 
-    def test_one_eigensolve_per_class(self, closure01, rng, monkeypatch):
+    def test_one_eigensolve_per_class(self, closure24, rng, monkeypatch):
         # sigma_min, sigma_min_class, the culprit and the scale come from
         # one eigvalsh of each parity class's blocks, sigma_radius from one
         # more; the preconditioner inverts the solved class's blocks and
@@ -270,8 +278,8 @@ class TestLinearizedOperator:
                 calls.append((_name, np.shape(a)))
                 return _fn(a, *args, **kw)
             monkeypatch.setattr(np.linalg, name, spy)
-        run = closure01.run
-        op = LinearizedOperator(closure01.V_traj, run.w, run.eps, run.model,
+        run = closure24.run
+        op = LinearizedOperator(closure24.V_traj, run.w, run.eps, run.model,
                                 run.effective_schedule[-1])
         op.solve(rng.standard_normal(op.size))
         assert calls == [("eigvalsh", (63, 13, 13)), ("eigvalsh", (63, 12, 12)),
@@ -485,6 +493,26 @@ class TestSchedule:
                 SolverConfig(N_cap=n)
         assert schedule_for(0.5, SolverConfig(N_cap=2)) == ((3,), (2,))
 
+    def test_band_below_1_rejected(self):
+        for kwargs in ({"N_tau": 0}, {"N_tau": -2}, {"N_tau_cap": 0}):
+            with pytest.raises(ValueError, match="N_tau"):
+                SolverConfig(**kwargs)
+        assert SolverConfig(N_tau=1, N_tau_cap=1).N_tau == 1
+
+    def test_band_sized_from_the_trajectory(self, closure01):
+        # ceil(1.3 j_dec), j_dec the last cosine above 1e-13 of the largest,
+        # capped at N_tau_cap; an explicit N_tau is the band
+        period = closure01.V_traj.period
+        assert _default_N_tau(closure01.V_traj, SolverConfig()) == 15
+        slow = np.zeros(128)
+        slow[1::2] = 1.0 / np.arange(1, 128, 2) ** 2
+        assert _default_N_tau(VTrajectory(period, slow), SolverConfig()) == 40
+        assert _default_N_tau(VTrajectory(period, slow),
+                              SolverConfig(N_tau_cap=64)) == 64
+        zero = VTrajectory(period, np.zeros(128))
+        assert _default_N_tau(zero, SolverConfig()) == 2
+        assert _default_N_tau(zero, SolverConfig(N_tau=7)) == 7
+
     def test_empty_class_stage_takes_no_step(self, traj, sine_gordon):
         # at N = 2 the class (odd k >= 3) is empty: the stage's residual is
         # zero, it takes no Newton step, and its full-space conditioning is
@@ -521,8 +549,8 @@ class TestSolveOracle:
         assert run.residual_certificate < 1e-14
         assert run.effective_schedule[-1] == 64
         # the Galerkin trajectory's cosines fall below 1e-13 of the largest
-        # by j = 11, so N_tau takes its floor of 24
-        assert run.N_tau == 24
+        # by j = 11, so N_tau is ceil(1.3 * 11) = 15
+        assert run.N_tau == 15
         # stage records carry the inverse-norm law constants
         for stage in run.stages:
             assert stage.law_constant >= FITTED_C
@@ -542,6 +570,7 @@ class TestSolveOracle:
         closure = solve_delta1(orbit09, EPS, sine_gordon,
                                solver=SolverConfig(N_tau=4))
         run = closure.run
+        assert run.N_tau == 4     # an explicit band is never widened
         assert all(s.residual_s <= run.config.residual_tol for s in run.stages)
         assert run.residual_certificate > 1e-9
         assert not run.converged
